@@ -35,7 +35,7 @@ from .dynamics import (
     propagate,
     steady_state,
 )
-from .hilbert import ComplexOperator, HilbertSpace, build_space, ladder_operators
+from .hilbert import ComplexOperator, HilbertSpace, build_space
 from .model import Frame, collapse_operators, hamiltonian_static
 from .params import SystemParams, paper_device
 from .protocols import (

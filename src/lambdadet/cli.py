@@ -205,7 +205,10 @@ def cmd_detect(cfg, params, args, out_dir):
     from .protocols import DetectionOutcome
 
     kw = _detection_args(cfg, params)
-    outcome = detection_run(params, **kw)
+    if args.trace_out:
+        outcome, traj = detection_trace(params, **kw)
+    else:
+        outcome = detection_run(params, **kw)
     path = sweep.write_csv(
         out_dir / "detect.csv", _outcome_header(DetectionOutcome), [_outcome_row(outcome)]
     )
@@ -214,7 +217,6 @@ def cmd_detect(cfg, params, args, out_dir):
         f"P_e = {outcome.p_e:.4f}, P_dark = {outcome.p_dark:.4f}, eta = {outcome.eta:.4f}"
     )
     if args.trace_out:
-        traj = detection_trace(params, **kw)
         print(f"wrote {_write_trace(traj, out_dir / 'detect_trace.csv')}")
     return 2 if (args.strict and outcome.flags) else 0
 

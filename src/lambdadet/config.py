@@ -53,6 +53,8 @@ class GridSpec:
     def __post_init__(self):
         if self.count < 2:
             raise ValueError(f"grid counts must be >= 2, got {self.count}")
+        if self.hi <= self.lo:
+            raise ValueError("grids must be strictly increasing (hi <= lo)")
         if self.log and (self.lo <= 0 or self.hi <= 0):
             raise ValueError("log grids need positive endpoints")
 

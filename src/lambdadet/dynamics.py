@@ -99,9 +99,6 @@ class DensityState:
                 f"negative eigenvalue {self.min_eigenvalue():.2e} at t={self.time:.3e}"
             )
 
-    def expectation(self, op: np.ndarray) -> complex:
-        return complex(np.trace(op @ self.matrix))
-
 
 def mixed_initial_state(space: HilbertSpace, excited_pop: float, frame: Frame) -> DensityState:
     """(1 - p)|g,0><g,0| + p|e,0><e,0| at t = 0."""
@@ -211,8 +208,8 @@ def steady_state(hamiltonian, collapses, *, frame: Frame | None = None,
 class Trajectory:
     """Sampled propagation result.
 
-    ``pinned`` maps readout-marker times and caller-requested sample times to
-    their exact states.
+    ``pinned`` maps readout-marker times, caller-requested sample times and
+    the end time to their exact states; ``final`` is the state at the end.
     """
 
     times: np.ndarray
@@ -220,16 +217,8 @@ class Trajectory:
     photon_number: np.ndarray
     field: np.ndarray
     trace_error: np.ndarray
-    states: list
     final: DensityState
-    marker_states: dict = field(default_factory=dict)
     pinned: dict = field(default_factory=dict)
-
-    def state_at_marker(self, index: int = 0) -> DensityState:
-        if not self.marker_states:
-            raise KeyError("schedule had no readout marker")
-        key = sorted(self.marker_states)[index]
-        return self.marker_states[key]
 
 
 def _schedule_terms(schedule: PulseSchedule, params: SystemParams, space: HilbertSpace):
@@ -341,14 +330,13 @@ def propagate(
     if t_end < t_start:
         raise ValueError("schedule ends before the initial state's time tag")
     sample_times = _sample_times(schedule, t_start, t_end, opts.sample_dt, extra_samples)
-    marker_times = set(schedule.marker_times())
-    pin_times = marker_times | set(extra_samples) | {t_end}
+    pin_times = set(schedule.marker_times()) | set(extra_samples) | {t_end}
 
     x = rho0.matrix.reshape(-1).astype(complex)
     segments, pi_events = _segment_boundaries(schedule, t_start, t_end)
 
     times_out, p_e, n_ph, a_exp, tr_err = [], [], [], [], []
-    states, markers, pinned = [], {}, {}
+    pinned = {}
     nq = np.real(np.diag(qubit_number(space)))
     a_op = annihilation(space)
     n_op = np.arange(space.dim) // 2
@@ -366,9 +354,6 @@ def propagate(
         n_ph.append(float(pops @ n_op))
         a_exp.append(complex(np.trace(a_op @ rho)))
         tr_err.append(drift)
-        states.append(state)
-        if t in marker_times:
-            markers[t] = state
         if t in pin_times:
             pinned[t] = state
 
@@ -425,16 +410,13 @@ def propagate(
             rho = x.reshape(space.dim, space.dim)
             x = (flip @ rho @ flip).reshape(-1)
 
-    final = states[-1]
     return Trajectory(
         times=np.array(times_out),
         p_excited=np.array(p_e),
         photon_number=np.array(n_ph),
         field=np.array(a_exp),
         trace_error=np.array(tr_err),
-        states=states,
-        final=final,
-        marker_states=markers,
+        final=pinned[t_end],
         pinned=pinned,
     )
 

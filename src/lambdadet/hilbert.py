@@ -72,14 +72,8 @@ class ComplexOperator:
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
-    def dagger(self) -> "ComplexOperator":
-        return ComplexOperator(self.matrix.conj().T, self.space)
-
     def hermiticity_error(self) -> float:
         return float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
-
-    def is_hermitian(self, tol: float = 1e-12) -> bool:
-        return self.hermiticity_error() < tol
 
 
 def annihilation(space: HilbertSpace) -> np.ndarray:
@@ -109,19 +103,3 @@ def qubit_number(space: HilbertSpace) -> np.ndarray:
 def photon_number(space: HilbertSpace) -> np.ndarray:
     """a^dag a, diagonal 0,0,1,1,2,2,..."""
     return np.diag(np.array([n for _, n in space.labels()], dtype=complex))
-
-
-def ladder_operators(space: HilbertSpace):
-    """Return (a, sigma_minus) as tagged operators."""
-    return (
-        ComplexOperator(annihilation(space), space),
-        ComplexOperator(qubit_lowering(space), space),
-    )
-
-
-def basis_state(space: HilbertSpace, qubit: int, n: int) -> np.ndarray:
-    """Density matrix |q,n><q,n|."""
-    rho = np.zeros((space.dim, space.dim), dtype=complex)
-    i = space.index(qubit, n)
-    rho[i, i] = 1.0
-    return rho

@@ -37,9 +37,6 @@ class Frame:
     resonator_ref: float
 
 
-LAB_FRAME = Frame(0.0, 0.0)
-
-
 def hamiltonian_static(
     params: SystemParams,
     frame: Frame,

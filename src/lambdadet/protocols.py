@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -39,6 +40,7 @@ from .pulses import (
     reset_schedule,
     stage_duration,
 )
+from .sweep import fan_out, grid_argmin, increasing_grids
 
 FOCK_CONVERGENCE_TOL = 1e-3
 READOUT_BUDGET_DEFAULT = 140e-9  # t_delay2 + acquisition, rate bookkeeping only
@@ -181,25 +183,8 @@ def _fock_flag(value_lo, value_hi, label):
     return ""
 
 
-def detection_run(
-    params: SystemParams,
-    op_point: tuple[float, float],
-    t_s: float,
-    nbar_s: float,
-    readout: ReadoutModel = ReadoutModel(),
-    *,
-    omega_d: float | None = None,
-    t_rise: float = T_RISE_DEFAULT,
-    opts: IntegratorOptions = IntegratorOptions(),
-    n_max: int = 3,
-    dark_click: float | None = None,
-) -> DetectionOutcome:
-    """Single detection protocol run at op_point = (rabi, omega_s).
-
-    The dark count is computed by the identical run with nbar_s = 0 (or
-    reused from ``dark_click`` when sweeping a map at fixed drive power).
-    With nbar_s = 0 this returns P_e = P_dark exactly and eta = nan.
-    """
+def _detect(params, op_point, t_s, nbar_s, readout, omega_d, t_rise, opts, n_max, dark_click):
+    """Detection outcome and the trajectory of its signal run."""
     rabi, omega_s = op_point
     if omega_d is None:
         omega_d = _default_omega_d(params)
@@ -208,7 +193,7 @@ def detection_run(
     settings = DetectionSettings(rabi, omega_s, t_s, nbar_s, omega_d, t_rise)
 
     flags = ""
-    click, _ = _run_detection_once(params, settings, readout, opts, n_max)
+    click, traj = _run_detection_once(params, settings, readout, opts, n_max)
     if opts.fock_convergence:
         click_hi, _ = _run_detection_once(params, settings, readout, opts, n_max + 1)
         flags += _fock_flag(click, click_hi, "p_e")
@@ -235,7 +220,31 @@ def detection_run(
         omega_s=omega_s,
         p_d_dbm=p_d_dbm,
         flags=flags,
-    )
+    ), traj
+
+
+def detection_run(
+    params: SystemParams,
+    op_point: tuple[float, float],
+    t_s: float,
+    nbar_s: float,
+    readout: ReadoutModel = ReadoutModel(),
+    *,
+    omega_d: float | None = None,
+    t_rise: float = T_RISE_DEFAULT,
+    opts: IntegratorOptions = IntegratorOptions(),
+    n_max: int = 3,
+    dark_click: float | None = None,
+) -> DetectionOutcome:
+    """Single detection protocol run at op_point = (rabi, omega_s).
+
+    The dark count is computed by the identical run with nbar_s = 0 (or
+    reused from ``dark_click`` when sweeping a map at fixed drive power).
+    With nbar_s = 0 this returns P_e = P_dark exactly and eta = nan.
+    """
+    return _detect(
+        params, op_point, t_s, nbar_s, readout, omega_d, t_rise, opts, n_max, dark_click
+    )[0]
 
 
 def detection_trace(
@@ -249,14 +258,10 @@ def detection_trace(
     t_rise: float = T_RISE_DEFAULT,
     opts: IntegratorOptions = IntegratorOptions(),
     n_max: int = 3,
-) -> Trajectory:
-    """Sampled trajectory of a single detection run (for --trace-out dumps)."""
-    rabi, omega_s = op_point
-    if omega_d is None:
-        omega_d = _default_omega_d(params)
-    settings = DetectionSettings(rabi, omega_s, t_s, nbar_s, omega_d, t_rise)
-    _, traj = _run_detection_once(params, settings, readout, opts, n_max)
-    return traj
+) -> tuple[DetectionOutcome, Trajectory]:
+    """The outcome of ``detection_run`` together with the sampled trajectory
+    of its signal run (for --trace-out dumps)."""
+    return _detect(params, op_point, t_s, nbar_s, readout, omega_d, t_rise, opts, n_max, None)
 
 
 def dark_count(
@@ -271,28 +276,23 @@ def dark_count(
     return detection_run(params, op_point, t_s, 0.0, readout, **kw).p_dark
 
 
-def _detection_task(args):
-    (params, rabi, omega_s, t_s, nbar_s, readout, omega_d, t_rise, opts, n_max, dark) = args
+def _detection_task(params, readout, opts, n_max, task):
+    """One detection point of a sweep: (settings, dark click or None)."""
+    s, dark = task
     try:
         out = detection_run(
-            params,
-            (rabi, omega_s),
-            t_s,
-            nbar_s,
-            readout,
-            omega_d=omega_d,
-            t_rise=t_rise,
-            opts=opts,
-            n_max=n_max,
-            dark_click=dark,
+            params, (s.rabi, s.omega_s), s.t_s, s.nbar_s, readout, omega_d=s.omega_d,
+            t_rise=s.t_rise, opts=opts, n_max=n_max, dark_click=dark,
         )
         return out, ""
     except (IntegrationError, SteadyStateError) as exc:
         return None, str(exc)
 
 
-def _dark_task(args):
-    return _detection_task(args)
+def _field_grid(outcomes, name, shape):
+    """One outcome field over a grid; failed points are NaN."""
+    values = [math.nan if out is None else getattr(out, name) for out in outcomes]
+    return np.array(values, dtype=float).reshape(shape)
 
 
 @dataclass
@@ -329,64 +329,37 @@ def efficiency_map(
     the eta > 0.5 band is the omega_s interval where the frequency cut at
     the best drive power stays above one half.
     """
-    from .sweep import parallel_map
-
-    power_grid_dbm = np.asarray(power_grid_dbm, dtype=float)
-    freq_grid = np.asarray(freq_grid, dtype=float)
-    if np.any(np.diff(power_grid_dbm) <= 0) or np.any(np.diff(freq_grid) <= 0):
-        raise ValueError("grids must be strictly increasing")
+    power_grid_dbm, freq_grid = increasing_grids(power_grid_dbm, freq_grid)
     if omega_d is None:
         omega_d = _default_omega_d(params)
+    task = partial(_detection_task, params, readout, opts, n_max)
 
-    rabis = [params.rabi_of_dbm(p) for p in power_grid_dbm]
-    dark_tasks = [
-        (params, rabi, freq_grid[0], t_s, 0.0, readout, omega_d, t_rise, opts, n_max, None)
-        for rabi in rabis
+    rows = [
+        DetectionSettings(params.rabi_of_dbm(p), freq_grid[0], t_s, 0.0, omega_d, t_rise)
+        for p in power_grid_dbm
     ]
-    dark_results = parallel_map(_dark_task, dark_tasks, workers)
-
-    tasks, flags = [], []
-    darks = []
-    for i, (out, flag) in enumerate(dark_results):
-        if out is None:
-            darks.append(math.nan)
-            flags.append((i, -1, flag))
-        else:
-            darks.append(out.p_dark)
-    for i, rabi in enumerate(rabis):
-        for omega_s in freq_grid:
-            tasks.append(
-                (params, rabi, omega_s, t_s, nbar_s, readout, omega_d, t_rise, opts, n_max, darks[i])
-            )
-    results = parallel_map(_detection_task, tasks, workers)
+    dark_runs, flags = fan_out(task, [(s, None) for s in rows], workers=workers)
+    darks = _field_grid(dark_runs, "p_dark", len(rows))
+    points = [
+        (replace(s, omega_s=omega_s, nbar_s=nbar_s), float(dark))
+        for s, dark in zip(rows, darks)
+        for omega_s in freq_grid
+    ]
+    runs, point_flags = fan_out(task, points, len(freq_grid), workers)
+    flags += point_flags
 
     shape = (len(power_grid_dbm), len(freq_grid))
-    eta = np.full(shape, np.nan)
-    p_e = np.full(shape, np.nan)
-    p_dark = np.full(shape, np.nan)
-    for k, (out, flag) in enumerate(results):
-        i, j = divmod(k, shape[1])
-        if out is None:
-            flags.append((i, j, flag))
-            continue
-        eta[i, j] = out.eta
-        p_e[i, j] = out.p_e
-        p_dark[i, j] = out.p_dark
-
-    flat = int(np.nanargmax(eta))
-    i, j = divmod(flat, shape[1])
-    band = _band_above(freq_grid, eta[i, :], 0.5)
-    from .response import _parabolic_refine
-
-    p_ref, _ = _parabolic_refine(power_grid_dbm, -eta[:, j], i)
-    f_ref, _ = _parabolic_refine(freq_grid, -eta[i, :], j)
+    eta = _field_grid(runs, "eta", shape)
+    (i, j), (p_ref, _), (f_ref, _) = grid_argmin(
+        -eta, power_grid_dbm, freq_grid, IntegrationError, flags
+    )
     return EfficiencyMap(
         power_grid_dbm,
         freq_grid,
         eta,
-        p_e,
-        p_dark,
-        band,
+        _field_grid(runs, "p_e", shape),
+        _field_grid(runs, "p_dark", shape),
+        _band_above(freq_grid, eta[i, :], 0.5),
         float(p_ref),
         float(f_ref),
         float(eta[i, j]),
@@ -412,6 +385,19 @@ def _band_above(x: np.ndarray, y: np.ndarray, level: float):
     return (float(lo), float(hi))
 
 
+def _detection_scan(params, readout, opts, n_max, points, workers):
+    """Outcomes of a one-axis detection scan; a failed point raises."""
+    task = partial(_detection_task, params, readout, opts, n_max)
+    outcomes, flags = fan_out(task, points, workers=workers)
+    if flags:
+        i, _, message = flags[0]
+        settings = points[i][0]
+        raise IntegrationError(
+            f"t_s = {settings.t_s * 1e9:.0f} ns, nbar_s = {settings.nbar_s} failed: {message}"
+        )
+    return outcomes
+
+
 def efficiency_vs_length(
     params: SystemParams,
     op_point: tuple[float, float],
@@ -419,28 +405,19 @@ def efficiency_vs_length(
     nbar_s: float,
     readout: ReadoutModel = ReadoutModel(),
     *,
+    omega_d: float | None = None,
+    t_rise: float = T_RISE_DEFAULT,
+    opts: IntegratorOptions = IntegratorOptions(),
+    n_max: int = 3,
     workers: int = 1,
-    **kw,
 ) -> list[DetectionOutcome]:
     """eta(t_s) with the drive length auto-adjusted per point."""
-    from .sweep import parallel_map
-
-    rabi, omega_s = op_point
-    omega_d = kw.pop("omega_d", None) or _default_omega_d(params)
-    opts = kw.pop("opts", IntegratorOptions())
-    n_max = kw.pop("n_max", 3)
-    t_rise = kw.pop("t_rise", T_RISE_DEFAULT)
-    tasks = [
-        (params, rabi, omega_s, t_s, nbar_s, readout, omega_d, t_rise, opts, n_max, None)
-        for t_s in t_s_values
+    if omega_d is None:
+        omega_d = _default_omega_d(params)
+    points = [
+        (DetectionSettings(*op_point, t_s, nbar_s, omega_d, t_rise), None) for t_s in t_s_values
     ]
-    results = parallel_map(_detection_task, tasks, workers)
-    outcomes = []
-    for (out, flag), t_s in zip(results, t_s_values):
-        if out is None:
-            raise IntegrationError(f"t_s = {t_s * 1e9:.0f} ns failed: {flag}")
-        outcomes.append(out)
-    return outcomes
+    return _detection_scan(params, readout, opts, n_max, points, workers)
 
 
 def efficiency_vs_photon_number(
@@ -450,32 +427,23 @@ def efficiency_vs_photon_number(
     nbar_values,
     readout: ReadoutModel = ReadoutModel(),
     *,
+    omega_d: float | None = None,
+    t_rise: float = T_RISE_DEFAULT,
+    opts: IntegratorOptions = IntegratorOptions(),
+    n_max: int = 3,
     workers: int = 1,
-    **kw,
 ) -> list[DetectionOutcome]:
     """eta(nbar_s) at fixed pulse length; the dark run is shared."""
-    from .sweep import parallel_map
-
-    rabi, omega_s = op_point
-    omega_d = kw.pop("omega_d", None) or _default_omega_d(params)
-    opts = kw.pop("opts", IntegratorOptions())
-    n_max = kw.pop("n_max", 3)
-    t_rise = kw.pop("t_rise", T_RISE_DEFAULT)
+    if omega_d is None:
+        omega_d = _default_omega_d(params)
     dark = detection_run(
         params, op_point, t_s, 0.0, readout, omega_d=omega_d, t_rise=t_rise,
         opts=opts, n_max=n_max,
     ).p_dark
-    tasks = [
-        (params, rabi, omega_s, t_s, nbar, readout, omega_d, t_rise, opts, n_max, dark)
-        for nbar in nbar_values
+    points = [
+        (DetectionSettings(*op_point, t_s, nbar, omega_d, t_rise), dark) for nbar in nbar_values
     ]
-    results = parallel_map(_detection_task, tasks, workers)
-    outcomes = []
-    for (out, flag), nbar in zip(results, nbar_values):
-        if out is None:
-            raise IntegrationError(f"nbar_s = {nbar} failed: {flag}")
-        outcomes.append(out)
-    return outcomes
+    return _detection_scan(params, readout, opts, n_max, points, workers)
 
 
 def reset_run(
@@ -549,22 +517,12 @@ def reset_run(
     )
 
 
-def _reset_task(args):
-    (params, omega_rst, rabi_dr, nbar_rst, t_dr, readout, omega_d, t_rise, opts, n_max, baseline) = args
+def _reset_task(params, readout, opts, n_max, s):
+    """One reset point of a sweep, without the no-reset baseline."""
     try:
         out = reset_run(
-            params,
-            omega_rst,
-            rabi_dr,
-            nbar_rst,
-            t_dr,
-            True,
-            readout,
-            omega_d=omega_d,
-            t_rise=t_rise,
-            opts=opts,
-            n_max=n_max,
-            with_baseline=baseline,
+            params, s.omega_rst, s.rabi_dr, s.nbar_rst, s.t_dr, True, readout,
+            omega_d=s.omega_d, t_rise=s.t_rise, opts=opts, n_max=n_max, with_baseline=False,
         )
         return out, ""
     except (IntegrationError, SteadyStateError) as exc:
@@ -598,56 +556,31 @@ def reset_map(
     workers: int = 1,
 ) -> ResetMap:
     """P(|e>) after the reset over a (P_dr, omega_rst) grid, with argmin."""
-    from .response import _parabolic_refine
-    from .sweep import parallel_map
-
-    power_grid_dbm = np.asarray(power_grid_dbm, dtype=float)
-    freq_grid = np.asarray(freq_grid, dtype=float)
-    if np.any(np.diff(power_grid_dbm) <= 0) or np.any(np.diff(freq_grid) <= 0):
-        raise ValueError("grids must be strictly increasing")
+    power_grid_dbm, freq_grid = increasing_grids(power_grid_dbm, freq_grid)
     if omega_d is None:
         omega_d = _default_omega_d(params)
+    task = partial(_reset_task, params, readout, opts, n_max)
 
-    rabis = [params.rabi_of_dbm(p) for p in power_grid_dbm]
-    base_tasks = [
-        (params, freq_grid[0], rabi, 0.0, t_dr, readout, omega_d, t_rise, opts, n_max, False)
-        for rabi in rabis
+    rows = [
+        ResetSettings(params.rabi_of_dbm(p), freq_grid[0], 0.0, t_dr, omega_d, t_rise)
+        for p in power_grid_dbm
     ]
-    base_results = parallel_map(_reset_task, base_tasks, workers)
+    base_runs, flags = fan_out(task, rows, workers=workers)
+    points = [
+        replace(s, omega_rst=omega_rst, nbar_rst=nbar_rst) for s in rows for omega_rst in freq_grid
+    ]
+    runs, point_flags = fan_out(task, points, len(freq_grid), workers)
+    flags += point_flags
 
-    tasks = []
-    for rabi in rabis:
-        for omega_rst in freq_grid:
-            tasks.append(
-                (params, omega_rst, rabi, nbar_rst, t_dr, readout, omega_d, t_rise, opts, n_max, False)
-            )
-    results = parallel_map(_reset_task, tasks, workers)
-
-    shape = (len(power_grid_dbm), len(freq_grid))
-    p_e = np.full(shape, np.nan)
-    p_e_base = np.full(len(power_grid_dbm), np.nan)
-    flags = []
-    for i, (out, flag) in enumerate(base_results):
-        if out is None:
-            flags.append((i, -1, flag))
-        else:
-            p_e_base[i] = out.p_e_after_reset
-    for k, (out, flag) in enumerate(results):
-        i, j = divmod(k, shape[1])
-        if out is None:
-            flags.append((i, j, flag))
-            continue
-        p_e[i, j] = out.p_e_after_reset
-
-    flat = int(np.nanargmin(p_e))
-    i, j = divmod(flat, shape[1])
-    p_ref, _ = _parabolic_refine(power_grid_dbm, p_e[:, j], i)
-    f_ref, _ = _parabolic_refine(freq_grid, p_e[i, :], j)
+    p_e = _field_grid(runs, "p_e_after_reset", (len(power_grid_dbm), len(freq_grid)))
+    (i, j), (p_ref, _), (f_ref, _) = grid_argmin(
+        p_e, power_grid_dbm, freq_grid, IntegrationError, flags
+    )
     return ResetMap(
         power_grid_dbm,
         freq_grid,
         p_e,
-        p_e_base,
+        _field_grid(base_runs, "p_e_after_reset", len(rows)),
         float(p_ref),
         float(f_ref),
         float(p_e[i, j]),
@@ -670,11 +603,12 @@ def full_cycle(
     The whole cycle runs as a single schedule in the detection frame; the
     reset tone enters as an explicitly oscillating term at its carrier
     detuning. The period uses the nominal stage bookkeeping (plateau plus
-    one t_rise per edge, plus the readout budget).
+    one t_rise per edge, plus the readout budget). With
+    ``opts.fock_convergence`` the cycle click is re-run at n_max + 1; the
+    flags hold that check and those of the fresh detection run.
     """
-    space = build_space(n_max)
 
-    def cycle_click(nbar_s):
+    def cycle_click(nbar_s, cutoff):
         entries = []
         t0 = 0.0
         if reset is not None:
@@ -703,11 +637,14 @@ def full_cycle(
         )
         entries.extend(d_sched.entries)
         sched = PulseSchedule(tuple(entries), d_sched.frame, d_sched.duration)
-        click, _ = _click_from_schedule(sched, params, readout, opts, space)
+        click, _ = _click_from_schedule(sched, params, readout, opts, build_space(cutoff))
         return click
 
-    click = cycle_click(detect.nbar_s)
-    dark = cycle_click(0.0)
+    flags = ""
+    click = cycle_click(detect.nbar_s, n_max)
+    if opts.fock_convergence:
+        flags += _fock_flag(click, cycle_click(detect.nbar_s, n_max + 1), "cycle_p_e")
+    dark = cycle_click(0.0, n_max)
     eta_after = (click - dark) / (1.0 - math.exp(-detect.nbar_s))
 
     fresh = detection_run(
@@ -732,4 +669,5 @@ def full_cycle(
         p_e_after_reset=dark,
         period=period,
         rate=1.0 / period,
+        flags=flags + fresh.flags,
     )

@@ -30,6 +30,7 @@ from .model import (
     input_quadratures,
 )
 from .params import SystemParams
+from .sweep import fan_out, grid_argmin, increasing_grids, parabolic_refine
 
 TWO_PI = 2.0 * math.pi
 PASSIVITY_TOL = 1e-6
@@ -130,29 +131,17 @@ def dip_map(
     workers: int = 1,
 ) -> ReflectionMap:
     """|r| map over the (P_d, omega_s) grid; per-point failures are recorded."""
-    power_grid_dbm = np.asarray(power_grid_dbm, dtype=float)
-    freq_grid = np.asarray(freq_grid, dtype=float)
-    if np.any(np.diff(power_grid_dbm) <= 0) or np.any(np.diff(freq_grid) <= 0):
-        raise ValueError("grids must be strictly increasing")
+    power_grid_dbm, freq_grid = increasing_grids(power_grid_dbm, freq_grid)
     if probe_amp is None:
         probe_amp = default_probe_amplitude(params)
 
-    tasks = []
-    for p_dbm in power_grid_dbm:
-        rabi = params.rabi_of_dbm(p_dbm)
-        for omega_s in freq_grid:
-            tasks.append((params, omega_d, rabi, omega_s, probe_amp, n_max))
-
-    from .sweep import parallel_map
-
-    results = parallel_map(_map_point, tasks, workers)
-    r = np.empty((len(power_grid_dbm), len(freq_grid)), dtype=complex)
-    flags = []
-    for k, (value, flag) in enumerate(results):
-        i, j = divmod(k, len(freq_grid))
-        r[i, j] = value
-        if flag:
-            flags.append((i, j, flag))
+    tasks = [
+        (params, omega_d, params.rabi_of_dbm(p_dbm), omega_s, probe_amp, n_max)
+        for p_dbm in power_grid_dbm
+        for omega_s in freq_grid
+    ]
+    values, flags = fan_out(_map_point, tasks, len(freq_grid), workers)
+    r = np.array(values, dtype=complex).reshape(len(power_grid_dbm), len(freq_grid))
     out = ReflectionMap(power_grid_dbm, freq_grid, r, probe_amp, params, omega_d, flags)
     out.validate_passivity()
     return out
@@ -166,35 +155,14 @@ class MatchingPoint:
     on_boundary: bool
 
 
-def _parabolic_refine(xs: np.ndarray, ys: np.ndarray, i: int):
-    """Vertex of the parabola through (x, y) at i-1, i, i+1; falls back to i."""
-    if i == 0 or i == len(xs) - 1:
-        return xs[i], ys[i]
-    x0, x1, x2 = xs[i - 1], xs[i], xs[i + 1]
-    y0, y1, y2 = ys[i - 1], ys[i], ys[i + 1]
-    denom = (y0 - 2.0 * y1 + y2)
-    if denom <= 0:
-        return xs[i], ys[i]
-    # uniform-spacing vertex formula is exact enough for near-uniform grids
-    shift = 0.5 * (y0 - y2) / denom
-    shift = float(np.clip(shift, -1.0, 1.0))
-    x_v = x1 + shift * 0.5 * (x2 - x0)
-    y_v = y1 - 0.125 * (y0 - y2) ** 2 / denom
-    return x_v, y_v
-
-
 def find_matching_point(rmap: ReflectionMap) -> MatchingPoint:
     """Grid argmin of |r| with local quadratic refinement of log|r| per axis."""
     mag = np.abs(rmap.r)
-    if mag.size == 0 or np.all(np.isnan(mag)):
-        raise ValueError("reflection map is empty")
-    flat = np.nanargmin(mag)
-    i, j = divmod(int(flat), mag.shape[1])
-    on_boundary = i in (0, mag.shape[0] - 1) or j in (0, mag.shape[1] - 1)
-
     log_mag = np.log(np.maximum(mag, 1e-300))
-    p_ref, logr_p = _parabolic_refine(rmap.p_d_dbm, log_mag[:, j], i)
-    f_ref, logr_f = _parabolic_refine(rmap.omega_s, log_mag[i, :], j)
+    (i, j), (p_ref, logr_p), (f_ref, logr_f) = grid_argmin(
+        mag, rmap.p_d_dbm, rmap.omega_s, SteadyStateError, rmap.flags, curve=log_mag
+    )
+    on_boundary = i in (0, mag.shape[0] - 1) or j in (0, mag.shape[1] - 1)
     refined = min(math.exp(logr_p), math.exp(logr_f), float(mag[i, j]))
     return MatchingPoint(float(p_ref), float(f_ref), refined, on_boundary)
 
@@ -231,7 +199,7 @@ def _branch_dip(
             mags.append(abs(r))
         mags = np.array(mags)
         jmin = int(np.argmin(mags))
-        f_ref, log_min = _parabolic_refine(freqs, np.log(np.maximum(mags, 1e-300)), jmin)
+        f_ref, log_min = parabolic_refine(freqs, np.log(np.maximum(mags, 1e-300)), jmin)
         best[i] = math.exp(log_min)
         best_freq[i] = f_ref
     imin = int(np.argmin(best))
@@ -240,7 +208,7 @@ def _branch_dip(
             f"branch |{upper}~> dip sits on the power-grid boundary",
             scan=(power_grid_dbm, best),
         )
-    p_ref, log_r = _parabolic_refine(power_grid_dbm, np.log(best), imin)
+    p_ref, log_r = parabolic_refine(power_grid_dbm, np.log(best), imin)
     return float(p_ref), float(best_freq[imin]), math.exp(log_r)
 
 

@@ -1,4 +1,4 @@
-"""Grid fan-out across workers and deterministic CSV assembly.
+"""Grid fan-out across workers, grid argmin, and deterministic CSV assembly.
 
 Grid points are independent tasks; results are gathered by index so the
 output is byte-identical for any worker count. Floats are formatted with 9
@@ -8,10 +8,21 @@ significant digits.
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import math
+import multiprocessing
+import os
 from pathlib import Path
 
+import numpy as np
+
 FLOAT_FORMAT = "%.9g"
+
+# Each worker process runs a single BLAS thread. The matrices are small, and
+# a multi-threaded BLAS in every worker oversubscribes the cores: its idle
+# threads spin against the other workers (on 2 cores, a 2x2 reset map took
+# 34 s with 2 workers, and 1.1 s with one BLAS thread per worker).
+_WORKER_ENV = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 _progress_hook = None
 
@@ -26,7 +37,10 @@ def parallel_map(fn, tasks, workers: int = 1):
     """Map fn over tasks, preserving order; workers <= 1 runs inline.
 
     Results are collected in task order regardless of completion order, so
-    downstream artifacts do not depend on the worker count.
+    downstream artifacts do not depend on the worker count. Workers are
+    spawned, not forked, because BLAS reads its thread count only when it
+    loads; a script that calls this with workers > 1 needs the usual
+    ``if __name__ == "__main__":`` guard.
     """
     tasks = list(tasks)
     results = []
@@ -36,13 +50,90 @@ def parallel_map(fn, tasks, workers: int = 1):
             if _progress_hook:
                 _progress_hook(i + 1, len(tasks))
         return results
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+    spawn = multiprocessing.get_context("spawn")
+    with _environment(_WORKER_ENV), concurrent.futures.ProcessPoolExecutor(
+        max_workers=workers, mp_context=spawn
+    ) as pool:
         chunk = max(1, math.ceil(len(tasks) / (4 * workers)))
         for i, result in enumerate(pool.map(fn, tasks, chunksize=chunk)):
             results.append(result)
             if _progress_hook:
                 _progress_hook(i + 1, len(tasks))
     return results
+
+
+@contextlib.contextmanager
+def _environment(values):
+    """Set environment variables for the duration of the block."""
+    saved = {key: os.environ.get(key) for key in values}
+    os.environ.update(values)
+    try:
+        yield
+    finally:
+        for key, value in saved.items():
+            if value is None:
+                os.environ.pop(key, None)
+            else:
+                os.environ[key] = value
+
+
+def increasing_grids(*grids):
+    """The grids as float arrays; each must strictly increase."""
+    arrays = [np.asarray(g, dtype=float) for g in grids]
+    if any(np.any(np.diff(a) <= 0) for a in arrays):
+        raise ValueError("grids must be strictly increasing")
+    return arrays
+
+
+def fan_out(fn, tasks, n_cols: int = 0, workers: int = 1):
+    """Map fn over tasks laid out row-major, ``n_cols`` to a row.
+
+    fn returns (value, message), with an empty message on success. Returns
+    the values in task order and the (i, j, message) flags of the failed
+    tasks; with ``n_cols`` = 0 each task stands for a whole row and j = -1.
+    """
+    values, flags = [], []
+    for k, (value, message) in enumerate(parallel_map(fn, tasks, workers)):
+        values.append(value)
+        if message:
+            i, j = divmod(k, n_cols) if n_cols else (k, -1)
+            flags.append((i, j, message))
+    return values, flags
+
+
+def parabolic_refine(xs: np.ndarray, ys: np.ndarray, i: int):
+    """Vertex of the parabola through (x, y) at i-1, i, i+1; falls back to i."""
+    if i == 0 or i == len(xs) - 1:
+        return xs[i], ys[i]
+    x0, x1, x2 = xs[i - 1], xs[i], xs[i + 1]
+    y0, y1, y2 = ys[i - 1], ys[i], ys[i + 1]
+    denom = (y0 - 2.0 * y1 + y2)
+    if denom <= 0:
+        return xs[i], ys[i]
+    # uniform-spacing vertex formula is exact enough for near-uniform grids
+    shift = 0.5 * (y0 - y2) / denom
+    shift = float(np.clip(shift, -1.0, 1.0))
+    x_v = x1 + shift * 0.5 * (x2 - x0)
+    y_v = y1 - 0.125 * (y0 - y2) ** 2 / denom
+    return x_v, y_v
+
+
+def grid_argmin(values, rows, cols, error, flags, curve=None):
+    """Grid argmin of a 2-D map, refined by a parabola along each axis.
+
+    The parabolas are fitted to ``curve`` (default: ``values``) through the
+    minimum and its neighbours. Returns (i, j) and the (x, y) vertices along
+    the rows axis and along the cols axis. A map with no finite value raises
+    ``error``, naming the first of the map's (i, j, message) ``flags``.
+    """
+    values = np.asarray(values)
+    if values.size == 0 or np.all(np.isnan(values)):
+        first = f"; first failure at {flags[0][:2]}: {flags[0][2]}" if flags else ""
+        shape = "x".join(map(str, values.shape))
+        raise error(f"no point of the {shape} grid has a value{first}")
+    i, j = divmod(int(np.nanargmin(values)), values.shape[1])
+    curve = values if curve is None else curve
+    return (i, j), parabolic_refine(rows, curve[:, j], i), parabolic_refine(cols, curve[i, :], j)
 
 
 def format_value(value) -> str:

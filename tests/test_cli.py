@@ -194,6 +194,21 @@ def test_bad_config_exit_code(tmp_path):
     assert main(["--config", str(bad), "detect"]) == 1
 
 
+@pytest.mark.parametrize("task", ["detect-map", "reset-map"])
+def test_map_with_every_point_failed_exits_cleanly(task, tmp_path, capsys):
+    """A 40 ns step breaks every grid point; the map ends in an error line."""
+    bad = tmp_path / "coarse.cfg"
+    bad.write_text(
+        "max_step_ns = 40\nsample_dt_ns = 40\n"
+        "detect_pd_grid_dBm = -76,-75,2\ndetect_freq_grid_GHz = 10.264,10.272,2\n"
+        "reset_pd_grid_dBm = -72.6,-71.6,2\nreset_freq_grid_GHz = 10.159,10.165,2\n"
+    )
+    assert main(["--config", str(bad), "--out", str(tmp_path), task]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: no point of the 2x2 grid has a value")
+    assert "Traceback" not in err
+
+
 def test_env_var_config(fast_cfg, tmp_path, monkeypatch):
     monkeypatch.setenv("LAMBDADET_CONFIG", str(fast_cfg))
     assert main(["--out", str(tmp_path), "dark"]) == 0

@@ -77,6 +77,14 @@ def test_grid_parsing():
         parse_config("detect_pd_grid_dBm = -78,-73\n")
 
 
+def test_non_increasing_grid_names_its_line():
+    for raw in ("detect_pd_grid_dBm = -73,-78,3", "reflect_pd_grid_dBm = -72,-72,2"):
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"# comment\n{raw}\n")
+        assert "line 2" in str(err.value)
+        assert "strictly increasing" in str(err.value)
+
+
 def test_log_grid():
     cfg = parse_config("nbar_list = 0.1,1,10\n")
     assert cfg.get("nbar_list") == (0.1, 1.0, 10.0)

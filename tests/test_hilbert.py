@@ -8,7 +8,6 @@ from lambdadet.hilbert import (
     ComplexOperator,
     annihilation,
     build_space,
-    ladder_operators,
     photon_number,
     qubit_lowering,
     qubit_number,
@@ -65,7 +64,8 @@ def test_qubit_lowering_elements():
 
 def test_ladder_operators_tagged():
     space = build_space(3)
-    a, sm = ladder_operators(space)
+    a = ComplexOperator(annihilation(space), space)
+    sm = ComplexOperator(qubit_lowering(space), space)
     assert a.space == space and sm.space == space
     assert a.matrix.shape == (8, 8)
 
@@ -76,6 +76,7 @@ def test_operator_shape_mismatch():
 
 
 def test_operator_immutable():
-    op, _ = ladder_operators(build_space(1))
+    space = build_space(1)
+    op = ComplexOperator(annihilation(space), space)
     with pytest.raises(ValueError):
         op.matrix[0, 0] = 1.0

@@ -13,6 +13,7 @@ from lambdadet.protocols import (
     dark_count,
     detection_run,
     detection_trace,
+    efficiency_vs_length,
     efficiency_vs_photon_number,
     full_cycle,
     reset_run,
@@ -91,8 +92,14 @@ class TestDetection:
         assert out.flags == ""
 
     def test_trace_has_marker_and_observables(self, params, op_point):
-        traj = detection_trace(params, op_point, 85e-9, 0.1, opts=OPTS)
-        assert len(traj.marker_states) == 1
+        out, traj = detection_trace(params, op_point, 85e-9, 0.1, opts=OPTS)
+        assert out == detection_run(params, op_point, 85e-9, 0.1, opts=OPTS)
+        # pinned: the readout marker and the click one latch delay later,
+        # where the run ends
+        marker, t_click = sorted(traj.pinned)
+        assert t_click - marker == pytest.approx(ReadoutModel().latch_delay)
+        assert traj.final is traj.pinned[t_click]
+        assert t_click == traj.times[-1]
         assert len(traj.times) > 100
         assert np.all(traj.trace_error < 1e-9)
 
@@ -107,6 +114,13 @@ class TestDetection:
 
 
 class TestPhotonNumberScan:
+    def test_zero_omega_d_is_not_the_default(self, params, op_point):
+        """An explicit omega_d = 0 is checked, not replaced by the default."""
+        with pytest.raises(LambdaModeError):
+            efficiency_vs_length(params, op_point, (85e-9,), 0.1, omega_d=0.0, opts=OPTS)
+        with pytest.raises(LambdaModeError):
+            efficiency_vs_photon_number(params, op_point, 85e-9, (0.1,), omega_d=0.0, opts=OPTS)
+
     def test_weak_limit_extrapolation(self, params, op_point):
         """Richardson-style nbar -> 0 extrapolation matches the 0.1 value."""
         outs = efficiency_vs_photon_number(
@@ -170,3 +184,24 @@ class TestFullCycle:
         )
         out = full_cycle(params, detect, None, opts=OPTS)
         assert out.period == pytest.approx(207.5e-9 + 140e-9)
+
+    def test_fock_check_flags_a_low_cutoff(self, params, cfg):
+        """At n_max = 1 the cutoff check of the cycle flags, so
+        ``cycle --strict`` can fail (0.2 ns steps break positivity here)."""
+        detect = DetectionSettings(
+            rabi=params.rabi_of_dbm(-75.5),
+            omega_s=cfg.get("signal_freq"),
+            t_s=85e-9,
+            nbar_s=0.1,
+            omega_d=cfg.omega_d,
+        )
+        reset = ResetSettings(
+            rabi_dr=params.rabi_of_dbm(-72.1),
+            omega_rst=cfg.get("reset_freq"),
+            nbar_rst=43.0,
+            t_dr=380e-9,
+            omega_d=cfg.omega_d,
+        )
+        opts = IntegratorOptions(max_step=0.1e-9, fock_convergence=True)
+        out = full_cycle(params, detect, reset, opts=opts, n_max=1)
+        assert out.flags.startswith("fock-unconverged:cycle_p_e:")

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from lambdadet.dressed import dressed_states, matching_amplitude, transition_frequency
-from lambdadet.errors import DipResolutionError
+from lambdadet.errors import DipResolutionError, LambdaDetError
 from lambdadet.response import (
     PASSIVITY_TOL,
+    ReflectionMap,
     calibration_params,
     default_probe_amplitude,
     dip_map,
@@ -94,6 +95,15 @@ class TestDipMap:
         point = find_matching_point(small_map)
         assert not point.on_boundary
         assert point.min_abs_r <= np.nanmin(np.abs(small_map.r))
+
+    def test_find_matching_point_all_nan(self, params, omega_d):
+        r = np.full((2, 2), complex(np.nan, np.nan))
+        rmap = ReflectionMap(
+            np.array([-76.0, -75.0]), TWO_PI * np.array([10.26e9, 10.27e9]), r,
+            1.0, params, omega_d, [(0, 0, "solve failed")],
+        )
+        with pytest.raises(LambdaDetError, match="solve failed"):
+            find_matching_point(rmap)
 
     def test_dip_frequency_matches_dressed_transition(self, params, omega_d):
         """At matched power the |r| minimum sits on the |1~> -> |4~> line.
