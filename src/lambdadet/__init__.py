@@ -45,7 +45,6 @@ from .protocols import (
     ReadoutModel,
     ResetOutcome,
     ResetSettings,
-    dark_count,
     detection_run,
     efficiency_map,
     efficiency_vs_length,

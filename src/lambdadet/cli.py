@@ -13,6 +13,7 @@ import math
 import os
 import sys
 from dataclasses import fields as dc_fields
+from dataclasses import replace
 from pathlib import Path
 
 from . import config as cfgmod
@@ -25,9 +26,9 @@ from .dressed import (
 )
 from .errors import LambdaDetError
 from .protocols import (
-    DetectionSettings,
-    ResetSettings,
-    dark_count,
+    CycleOutcome,
+    DetectionOutcome,
+    ResetOutcome,
     detection_run,
     detection_trace,
     efficiency_map,
@@ -120,7 +121,6 @@ def cmd_dressed(cfg, params, args, out_dir):
     ]
     path = sweep.write_csv(out_dir / "dressed.csv", header, rows)
     print(f"wrote {path} ({len(rows)} rows)")
-    return 0
 
 
 def cmd_reflect_map(cfg, params, args, out_dir):
@@ -162,7 +162,7 @@ def cmd_reflect_map(cfg, params, args, out_dir):
         f"({20 * math.log10(max(point.min_abs_r, 1e-300)):.1f} dB)"
         + (" [on grid boundary]" if point.on_boundary else "")
     )
-    return 2 if (args.strict and rmap.flags) else 0
+    return rmap.flags
 
 
 def cmd_calibrate(cfg, params, args, out_dir):
@@ -184,31 +184,23 @@ def cmd_calibrate(cfg, params, args, out_dir):
         ["p_s_dbm", "p_diff_db", "residual_db", "offset_db"],
         [[result.p_s_dbm, result.p_diff_db, result.residual_db, result.p_s_dbm - nominal]],
     )
-    return 0
 
 
-def _detection_args(cfg, params):
-    rabi = params.rabi_of_dbm(cfg.get("drive_power"))
-    return dict(
-        op_point=(rabi, cfg.get("signal_freq")),
-        t_s=cfg.get("t_s"),
-        nbar_s=cfg.get("nbar_s"),
-        readout=cfg.readout_model(),
-        omega_d=cfg.omega_d,
-        t_rise=cfg.get("t_rise"),
-        opts=cfg.integrator_options(),
-        n_max=cfg.get("n_max"),
-    )
+def _options(cfg):
+    """The integrator options and Fock cutoff every protocol call takes."""
+    return dict(opts=cfg.integrator_options(), n_max=cfg.get("n_max"))
+
+
+def _sweep_options(cfg, args):
+    return dict(_options(cfg), workers=args.workers or cfg.get("workers"))
 
 
 def cmd_detect(cfg, params, args, out_dir):
-    from .protocols import DetectionOutcome
-
-    kw = _detection_args(cfg, params)
+    settings = cfg.detection_settings(params)
     if args.trace_out:
-        outcome, traj = detection_trace(params, **kw)
+        outcome, traj = detection_trace(params, settings, cfg.readout_model(), **_options(cfg))
     else:
-        outcome = detection_run(params, **kw)
+        outcome = detection_run(params, settings, cfg.readout_model(), **_options(cfg))
     path = sweep.write_csv(
         out_dir / "detect.csv", _outcome_header(DetectionOutcome), [_outcome_row(outcome)]
     )
@@ -218,22 +210,17 @@ def cmd_detect(cfg, params, args, out_dir):
     )
     if args.trace_out:
         print(f"wrote {_write_trace(traj, out_dir / 'detect_trace.csv')}")
-    return 2 if (args.strict and outcome.flags) else 0
+    return outcome.flags
 
 
 def cmd_detect_map(cfg, params, args, out_dir):
     emap = efficiency_map(
         params,
+        cfg.detection_settings(params),
         cfg.get("detect_pd_grid").values(),
         cfg.get("detect_freq_grid").values(),
-        cfg.get("t_s"),
-        cfg.get("nbar_s"),
         cfg.readout_model(),
-        omega_d=cfg.omega_d,
-        t_rise=cfg.get("t_rise"),
-        opts=cfg.integrator_options(),
-        n_max=cfg.get("n_max"),
-        workers=args.workers or cfg.get("workers"),
+        **_sweep_options(cfg, args),
     )
     rows = []
     for i, p_dbm in enumerate(emap.p_d_dbm):
@@ -260,24 +247,16 @@ def cmd_detect_map(cfg, params, args, out_dir):
             f"eta > 0.5 band: {(hi - lo) / TWO_PI / 1e6:.1f} MHz "
             f"({lo / TWO_PI / 1e9:.6f} .. {hi / TWO_PI / 1e9:.6f} GHz)"
         )
-    return 2 if (args.strict and emap.flags) else 0
+    return emap.flags
 
 
 def cmd_scan_ts(cfg, params, args, out_dir):
-    from .protocols import DetectionOutcome
-
-    rabi = params.rabi_of_dbm(cfg.get("drive_power"))
     outcomes = efficiency_vs_length(
         params,
-        (rabi, cfg.get("signal_freq")),
+        cfg.detection_settings(params),
         cfg.get("ts_list"),
-        cfg.get("nbar_s"),
         cfg.readout_model(),
-        omega_d=cfg.omega_d,
-        t_rise=cfg.get("t_rise"),
-        opts=cfg.integrator_options(),
-        n_max=cfg.get("n_max"),
-        workers=args.workers or cfg.get("workers"),
+        **_sweep_options(cfg, args),
     )
     path = sweep.write_csv(
         out_dir / "scan_ts.csv",
@@ -287,74 +266,52 @@ def cmd_scan_ts(cfg, params, args, out_dir):
     print(f"wrote {path} ({len(outcomes)} rows)")
     best = max(outcomes, key=lambda o: o.eta)
     print(f"max eta = {best.eta:.4f} at t_s = {best.t_s * 1e9:.0f} ns")
-    return 0
+    return "".join(o.flags for o in outcomes)
 
 
 def cmd_scan_ns(cfg, params, args, out_dir):
-    from .protocols import DetectionOutcome
-
-    rabi = params.rabi_of_dbm(cfg.get("drive_power"))
-    rows = []
+    base = cfg.detection_settings(params)
+    outcomes = []
     for t_s in cfg.get("ns_ts_list"):
-        outcomes = efficiency_vs_photon_number(
+        outcomes += efficiency_vs_photon_number(
             params,
-            (rabi, cfg.get("signal_freq")),
-            t_s,
+            replace(base, t_s=t_s),
             cfg.get("nbar_list"),
             cfg.readout_model(),
-            omega_d=cfg.omega_d,
-            t_rise=cfg.get("t_rise"),
-            opts=cfg.integrator_options(),
-            n_max=cfg.get("n_max"),
-            workers=args.workers or cfg.get("workers"),
+            **_sweep_options(cfg, args),
         )
-        rows.extend(_outcome_row(o) for o in outcomes)
     path = sweep.write_csv(
-        out_dir / "scan_ns.csv", _outcome_header(DetectionOutcome), rows
+        out_dir / "scan_ns.csv",
+        _outcome_header(DetectionOutcome),
+        [_outcome_row(o) for o in outcomes],
     )
-    print(f"wrote {path} ({len(rows)} rows)")
-    return 0
+    print(f"wrote {path} ({len(outcomes)} rows)")
+    return "".join(o.flags for o in outcomes)
 
 
 def cmd_dark(cfg, params, args, out_dir):
-    rows = []
+    base = replace(cfg.detection_settings(params), nbar_s=0.0)
+    rows, flags = [], ""
     for p_dbm in cfg.get("dark_pd_grid").values():
-        rabi = params.rabi_of_dbm(p_dbm)
-        p_dark = dark_count(
-            params,
-            (rabi, cfg.get("signal_freq")),
-            cfg.get("t_s"),
-            cfg.readout_model(),
-            omega_d=cfg.omega_d,
-            t_rise=cfg.get("t_rise"),
-            opts=cfg.integrator_options(),
-            n_max=cfg.get("n_max"),
-        )
-        rows.append([p_dbm, p_dark])
+        settings = replace(base, rabi=params.rabi_of_dbm(p_dbm))
+        outcome = detection_run(params, settings, cfg.readout_model(), **_options(cfg))
+        rows.append([p_dbm, outcome.p_dark])
+        flags += outcome.flags
     path = sweep.write_csv(out_dir / "dark.csv", ["p_d_dbm", "p_dark"], rows)
     print(f"wrote {path} ({len(rows)} rows)")
-    return 0
-
-
-def _reset_args(cfg, params):
-    return dict(
-        omega_rst=cfg.get("reset_freq"),
-        rabi_dr=params.rabi_of_dbm(cfg.get("reset_power")),
-        nbar_rst=cfg.get("nbar_rst"),
-        t_dr=cfg.get("t_dr"),
-        readout=cfg.readout_model(),
-        omega_d=cfg.omega_d,
-        t_rise=cfg.get("t_rise"),
-        opts=cfg.integrator_options(),
-        n_max=cfg.get("n_max"),
-    )
+    return flags
 
 
 def cmd_reset(cfg, params, args, out_dir):
-    from .protocols import ResetOutcome
-
-    kw = _reset_args(cfg, params)
-    outcome = reset_run(params, with_initial_pi=not args.no_pi, **kw)
+    outcome = reset_run(
+        params,
+        cfg.reset_settings(params),
+        not args.no_pi,
+        cfg.readout_model(),
+        detect_stage=cfg.detection_settings(params).stage,
+        readout_stage=cfg.get("readout_budget"),
+        **_options(cfg),
+    )
     path = sweep.write_csv(
         out_dir / "reset.csv", _outcome_header(ResetOutcome), [_outcome_row(outcome)]
     )
@@ -364,22 +321,17 @@ def cmd_reset(cfg, params, args, out_dir):
         f"without reset pulse = {outcome.p_e_no_reset:.4f}, "
         f"period = {outcome.period * 1e9:.0f} ns ({outcome.rate / 1e6:.2f} MHz)"
     )
-    return 2 if (args.strict and outcome.flags) else 0
+    return outcome.flags
 
 
 def cmd_reset_map(cfg, params, args, out_dir):
     rmap = reset_map(
         params,
+        cfg.reset_settings(params),
         cfg.get("reset_pd_grid").values(),
         cfg.get("reset_freq_grid").values(),
-        cfg.get("nbar_rst"),
-        cfg.get("t_dr"),
         cfg.readout_model(),
-        omega_d=cfg.omega_d,
-        t_rise=cfg.get("t_rise"),
-        opts=cfg.integrator_options(),
-        n_max=cfg.get("n_max"),
-        workers=args.workers or cfg.get("workers"),
+        **_sweep_options(cfg, args),
     )
     rows = []
     for i, p_dbm in enumerate(rmap.p_dr_dbm):
@@ -394,36 +346,17 @@ def cmd_reset_map(cfg, params, args, out_dir):
         f"P_e min = {rmap.p_e_min:.4f} at {rmap.argmin_p_dr_dbm:.2f} dBm, "
         f"{rmap.argmin_omega_rst / TWO_PI / 1e9:.6f} GHz"
     )
-    return 2 if (args.strict and rmap.flags) else 0
+    return rmap.flags
 
 
 def cmd_cycle(cfg, params, args, out_dir):
-    from .protocols import CycleOutcome
-
-    detect = DetectionSettings(
-        rabi=params.rabi_of_dbm(cfg.get("drive_power")),
-        omega_s=cfg.get("signal_freq"),
-        t_s=cfg.get("t_s"),
-        nbar_s=cfg.get("nbar_s"),
-        omega_d=cfg.omega_d,
-        t_rise=cfg.get("t_rise"),
-    )
-    reset = ResetSettings(
-        rabi_dr=params.rabi_of_dbm(cfg.get("reset_power")),
-        omega_rst=cfg.get("reset_freq"),
-        nbar_rst=cfg.get("nbar_rst"),
-        t_dr=cfg.get("t_dr"),
-        omega_d=cfg.omega_d,
-        t_rise=cfg.get("t_rise"),
-    )
     outcome = full_cycle(
         params,
-        detect,
-        reset,
+        cfg.detection_settings(params),
+        cfg.reset_settings(params),
         cfg.readout_model(),
-        opts=cfg.integrator_options(),
-        n_max=cfg.get("n_max"),
         readout_stage=cfg.get("readout_budget"),
+        **_options(cfg),
     )
     path = sweep.write_csv(
         out_dir / "cycle.csv", _outcome_header(CycleOutcome), [_outcome_row(outcome)]
@@ -433,14 +366,13 @@ def cmd_cycle(cfg, params, args, out_dir):
         f"eta after reset = {outcome.eta_after_reset:.4f} (fresh {outcome.eta_fresh:.4f}), "
         f"period = {outcome.period * 1e9:.0f} ns, rate = {outcome.rate / 1e6:.2f} MHz"
     )
-    return 2 if (args.strict and outcome.flags) else 0
+    return outcome.flags
 
 
 def cmd_render(cfg, params, args, out_dir):
     out = args.svg_out or (out_dir / (Path(args.csv).stem + ".svg"))
     path = render_heatmap(args.csv, args.x, args.y, args.z, out)
     print(f"wrote {path}")
-    return 0
 
 
 _COMMANDS = {
@@ -516,15 +448,17 @@ def run_sweep(
     """
     if task not in _COMMANDS or task == "render":
         raise ValueError(f"unknown sweep task {task!r}")
-    params = _calibrated_params(cfg)
     args = argparse.Namespace(
-        workers=workers or 0,
-        strict=strict or cfg.get("strict"),
-        trace_out=trace_out,
-        no_pi=False,
+        workers=workers or 0, strict=strict, trace_out=trace_out, no_pi=False
     )
-    out = Path(out_dir or cfg.get("out_dir"))
-    return _COMMANDS[task](cfg, params, args, out)
+    return _dispatch(task, cfg, args, Path(out_dir or cfg.get("out_dir")))
+
+
+def _dispatch(command, cfg, args, out_dir) -> int:
+    """Run one command; its flags make the exit status 2 under --strict (or
+    the config's ``strict``)."""
+    flags = _COMMANDS[command](cfg, _calibrated_params(cfg), args, out_dir)
+    return 2 if (args.strict or cfg.get("strict")) and flags else 0
 
 
 def _progress_printer(done, total):
@@ -538,13 +472,9 @@ def main(argv=None) -> int:
             setattr(args, key, value)
     try:
         cfg = _load_config(args.config)
-        params = _calibrated_params(cfg)
-        out_dir = Path(args.out or cfg.get("out_dir"))
-        if args.strict or cfg.get("strict"):
-            args.strict = True
         if sys.stderr.isatty():
             sweep.set_progress_hook(_progress_printer)
-        return _COMMANDS[args.command](cfg, params, args, out_dir)
+        return _dispatch(args.command, cfg, args, Path(args.out or cfg.get("out_dir")))
     except LambdaDetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

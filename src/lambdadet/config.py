@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .params import SystemParams
+from .pulses import DetectionSettings, ResetSettings
 
 TWO_PI = 2.0 * math.pi
 
@@ -73,21 +74,19 @@ class _Key:
     lo: float | None = None
     hi: float | None = None
     hi_open: bool = False
+    lo_open: bool = False
 
     @property
     def canonical(self) -> str:
         return f"{self.stem}_{self.suffix}" if self.suffix else self.stem
 
     def check_range(self, value: float, line_no=None):
-        if self.lo is not None and value < self.lo:
-            raise ConfigError(
-                f"{self.canonical} = {value:g} below minimum {self.lo:g}", line_no
-            )
-        if self.hi is not None:
-            if value > self.hi or (self.hi_open and value == self.hi):
-                raise ConfigError(
-                    f"{self.canonical} = {value:g} above maximum {self.hi:g}", line_no
-                )
+        if self.lo is not None and (value < self.lo or (self.lo_open and value == self.lo)):
+            rule = ">" if self.lo_open else ">="
+            raise ConfigError(f"{self.canonical} = {value:g} must be {rule} {self.lo:g}", line_no)
+        if self.hi is not None and (value > self.hi or (self.hi_open and value == self.hi)):
+            rule = "<" if self.hi_open else "<="
+            raise ConfigError(f"{self.canonical} = {value:g} must be {rule} {self.hi:g}", line_no)
 
 
 _KEYS = [
@@ -106,7 +105,7 @@ _KEYS = [
     # protocol operating point
     _Key("delta_drive", "MHz", "float", _mhz(49.0), lo=0.0),
     _Key("t_rise", "ns", "float", _ns(15.0), lo=0.0),
-    _Key("t_s", "ns", "float", _ns(85.0), lo=0.0),
+    _Key("t_s", "ns", "float", _ns(85.0), lo=0.0, lo_open=True),
     _Key("nbar_s", None, "float", 0.1, lo=0.0),
     _Key("signal_freq", "GHz", "float", _ghz(10.268), lo=0.0),
     _Key("drive_power", "dBm", "float", -75.5),
@@ -115,7 +114,7 @@ _KEYS = [
     _Key("reset_freq", "GHz", "float", _ghz(10.162), lo=0.0),
     _Key("reset_power", "dBm", "float", -72.1),
     _Key("nbar_rst", None, "float", 43.0, lo=0.0),
-    _Key("t_dr", "ns", "float", _ns(380.0), lo=0.0),
+    _Key("t_dr", "ns", "float", _ns(380.0), lo=0.0, lo_open=True),
     # readout model and stage budget
     _Key("readout_eps_ge", None, "float", 0.0, lo=0.0, hi=0.5, hi_open=True),
     _Key("readout_eps_eg", None, "float", 0.0, lo=0.0, hi=0.5, hi_open=True),
@@ -244,7 +243,11 @@ def parse_config(text: str) -> "RunConfig":
         key, scale = _ACCEPTED[name]
         values[key.stem] = _parse_scalar(key, raw, scale, line_no)
     cfg = RunConfig(MappingProxyType(values))
-    cfg.params  # construct once so invariant violations surface at parse time
+    try:  # construct once so invariant violations surface at parse time
+        cfg.params
+        cfg.integrator_options()
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     return cfg
 
 
@@ -327,6 +330,30 @@ class RunConfig:
             atol=v["atol"],
             sample_dt=v["sample_dt"],
             fock_convergence=v["fock_convergence"],
+        )
+
+    def detection_settings(self, params: SystemParams) -> DetectionSettings:
+        """Detection operating point; ``params`` converts the drive power."""
+        v = self.values
+        return DetectionSettings(
+            rabi=params.rabi_of_dbm(v["drive_power"]),
+            omega_s=v["signal_freq"],
+            t_s=v["t_s"],
+            nbar_s=v["nbar_s"],
+            omega_d=self.omega_d,
+            t_rise=v["t_rise"],
+        )
+
+    def reset_settings(self, params: SystemParams) -> ResetSettings:
+        """Reset operating point; ``params`` converts the drive power."""
+        v = self.values
+        return ResetSettings(
+            rabi_dr=params.rabi_of_dbm(v["reset_power"]),
+            omega_rst=v["reset_freq"],
+            nbar_rst=v["nbar_rst"],
+            t_dr=v["t_dr"],
+            omega_d=self.omega_d,
+            t_rise=v["t_rise"],
         )
 
     def readout_model(self):

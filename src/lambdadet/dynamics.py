@@ -61,9 +61,10 @@ class IntegratorOptions:
 
     def __post_init__(self):
         if self.method not in (METHOD_FIXED_RK4, METHOD_ADAPTIVE_RK45):
-            raise ValueError(f"unknown integrator method {self.method!r}")
-        if self.max_step <= 0 or self.rtol <= 0 or self.atol <= 0 or self.sample_dt <= 0:
-            raise ValueError("integrator tolerances and steps must be > 0")
+            raise ValueError(f"unknown integrator_method {self.method!r}")
+        for name in ("max_step", "rtol", "atol", "sample_dt"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name):g}")
 
 
 @dataclass

@@ -20,7 +20,6 @@ from functools import partial
 
 import numpy as np
 
-from .dressed import DELTA_DRIVE_DEFAULT
 from .dynamics import (
     DensityState,
     IntegratorOptions,
@@ -33,8 +32,9 @@ from .hilbert import build_space, qubit_number
 from .params import SystemParams
 from .pulses import (
     ROLE_READOUT_MARKER,
-    T_RISE_DEFAULT,
+    DetectionSettings,
     PulseSchedule,
+    ResetSettings,
     auto_drive_length,
     detection_schedule,
     reset_schedule,
@@ -44,6 +44,7 @@ from .sweep import fan_out, grid_argmin, increasing_grids
 
 FOCK_CONVERGENCE_TOL = 1e-3
 READOUT_BUDGET_DEFAULT = 140e-9  # t_delay2 + acquisition, rate bookkeeping only
+DETECT_STAGE_DEFAULT = stage_duration(auto_drive_length(85e-9))  # the paper's t_s
 
 
 @dataclass(frozen=True)
@@ -114,110 +115,65 @@ class CycleOutcome:
     flags: str = ""
 
 
-@dataclass(frozen=True)
-class DetectionSettings:
-    """Operating point of the detection stage."""
-
-    rabi: float
-    omega_s: float
-    t_s: float
-    nbar_s: float
-    omega_d: float
-    t_rise: float = T_RISE_DEFAULT
-
-
-@dataclass(frozen=True)
-class ResetSettings:
-    """Operating point of the reset stage."""
-
-    rabi_dr: float
-    omega_rst: float
-    nbar_rst: float
-    t_dr: float
-    omega_d: float
-    t_rise: float = T_RISE_DEFAULT
-
-
 def _p_excited(state: DensityState) -> float:
     pops = np.real(np.diag(state.matrix))
     weights = np.real(np.diag(qubit_number(state.space)))
     return float(pops @ weights)
 
 
-def _default_omega_d(params: SystemParams) -> float:
-    return params.omega_ge - DELTA_DRIVE_DEFAULT
-
-
-def _click_from_schedule(sched, params, readout, opts, space, rho0=None):
+def _click(sched, params, readout, opts, n_max, fock_label=None):
     """Propagate through the schedule and read the click at marker + latch.
 
     The drive tail keeps acting while the readout latches, so the adiabatic
     dressed component returns to |g> and only genuine excitation counts.
+    With ``fock_label`` and ``opts.fock_convergence`` the click is read again
+    at n_max + 1 on the same schedule; a relative change above
+    FOCK_CONVERGENCE_TOL is flagged under that label. Returns the click, the
+    flags and the trajectory at n_max.
     """
-    marker = sched.marker_times()[-1]
-    t_click = marker + readout.latch_delay
-    if rho0 is None:
-        rho0 = mixed_initial_state(space, params.init_excited_pop, sched.frame)
-    traj = propagate(rho0, sched, params, opts, until=t_click, extra_samples=(t_click,))
-    return readout.click_probability(_p_excited(traj.pinned[t_click])), traj
+    t_click = sched.marker_times()[-1] + readout.latch_delay
 
+    def read(cutoff):
+        rho0 = mixed_initial_state(build_space(cutoff), params.init_excited_pop, sched.frame)
+        traj = propagate(rho0, sched, params, opts, until=t_click, extra_samples=(t_click,))
+        return readout.click_probability(_p_excited(traj.pinned[t_click])), traj
 
-def _run_detection_once(params, settings, readout, opts, n_max, rho0=None):
-    space = build_space(n_max)
-    sched = detection_schedule(
-        params,
-        rabi=settings.rabi,
-        omega_d=settings.omega_d,
-        omega_s=settings.omega_s,
-        t_s=settings.t_s,
-        nbar_s=settings.nbar_s,
-        t_rise=settings.t_rise,
-    )
-    return _click_from_schedule(sched, params, readout, opts, space, rho0)
-
-
-def _fock_flag(value_lo, value_hi, label):
-    ref = max(abs(value_lo), 1e-9)
-    if abs(value_hi - value_lo) / ref > FOCK_CONVERGENCE_TOL:
-        return f"fock-unconverged:{label}:{abs(value_hi - value_lo) / ref:.2e};"
-    return ""
-
-
-def _detect(params, op_point, t_s, nbar_s, readout, omega_d, t_rise, opts, n_max, dark_click):
-    """Detection outcome and the trajectory of its signal run."""
-    rabi, omega_s = op_point
-    if omega_d is None:
-        omega_d = _default_omega_d(params)
-    if rabi > 0:
-        params.check_nesting(omega_d)
-    settings = DetectionSettings(rabi, omega_s, t_s, nbar_s, omega_d, t_rise)
-
+    click, traj = read(n_max)
     flags = ""
-    click, traj = _run_detection_once(params, settings, readout, opts, n_max)
-    if opts.fock_convergence:
-        click_hi, _ = _run_detection_once(params, settings, readout, opts, n_max + 1)
-        flags += _fock_flag(click, click_hi, "p_e")
+    if fock_label and opts.fock_convergence:
+        change = abs(read(n_max + 1)[0] - click) / max(abs(click), 1e-9)
+        if change > FOCK_CONVERGENCE_TOL:
+            flags = f"fock-unconverged:{fock_label}:{change:.2e};"
+    return click, flags, traj
 
-    if nbar_s > 0:
+
+def _detect(params, settings, readout, opts, n_max, dark_click):
+    """Detection outcome and the trajectory of its signal run."""
+    s = settings
+    if s.rabi > 0:
+        params.check_nesting(s.omega_d)
+    click, flags, traj = _click(detection_schedule(params, s), params, readout, opts, n_max, "p_e")
+
+    if s.nbar_s > 0:
         if dark_click is None:
-            dark_settings = replace(settings, nbar_s=0.0)
-            dark_click, _ = _run_detection_once(params, dark_settings, readout, opts, n_max)
-        eta = (click - dark_click) / (1.0 - math.exp(-nbar_s))
+            dark_sched = detection_schedule(params, replace(s, nbar_s=0.0))
+            dark_click = _click(dark_sched, params, readout, opts, n_max)[0]
+        eta = (click - dark_click) / (1.0 - math.exp(-s.nbar_s))
     else:
         dark_click = click
         eta = math.nan
 
     p_d_dbm = math.nan
-    if params.drive_power_to_rabi and rabi > 0:
-        p_d_dbm = params.dbm_of_rabi(rabi)
+    if params.drive_power_to_rabi and s.rabi > 0:
+        p_d_dbm = params.dbm_of_rabi(s.rabi)
     return DetectionOutcome(
         p_e=click,
         p_dark=dark_click,
         eta=eta,
-        nbar_s=nbar_s,
-        t_s=t_s,
-        rabi=rabi,
-        omega_s=omega_s,
+        nbar_s=s.nbar_s,
+        t_s=s.t_s,
+        rabi=s.rabi,
+        omega_s=s.omega_s,
         p_d_dbm=p_d_dbm,
         flags=flags,
     ), traj
@@ -225,65 +181,40 @@ def _detect(params, op_point, t_s, nbar_s, readout, omega_d, t_rise, opts, n_max
 
 def detection_run(
     params: SystemParams,
-    op_point: tuple[float, float],
-    t_s: float,
-    nbar_s: float,
+    settings: DetectionSettings,
     readout: ReadoutModel = ReadoutModel(),
     *,
-    omega_d: float | None = None,
-    t_rise: float = T_RISE_DEFAULT,
     opts: IntegratorOptions = IntegratorOptions(),
     n_max: int = 3,
     dark_click: float | None = None,
 ) -> DetectionOutcome:
-    """Single detection protocol run at op_point = (rabi, omega_s).
+    """Single detection protocol run at one operating point.
 
     The dark count is computed by the identical run with nbar_s = 0 (or
     reused from ``dark_click`` when sweeping a map at fixed drive power).
     With nbar_s = 0 this returns P_e = P_dark exactly and eta = nan.
     """
-    return _detect(
-        params, op_point, t_s, nbar_s, readout, omega_d, t_rise, opts, n_max, dark_click
-    )[0]
+    return _detect(params, settings, readout, opts, n_max, dark_click)[0]
 
 
 def detection_trace(
     params: SystemParams,
-    op_point: tuple[float, float],
-    t_s: float,
-    nbar_s: float,
+    settings: DetectionSettings,
     readout: ReadoutModel = ReadoutModel(),
     *,
-    omega_d: float | None = None,
-    t_rise: float = T_RISE_DEFAULT,
     opts: IntegratorOptions = IntegratorOptions(),
     n_max: int = 3,
 ) -> tuple[DetectionOutcome, Trajectory]:
     """The outcome of ``detection_run`` together with the sampled trajectory
     of its signal run (for --trace-out dumps)."""
-    return _detect(params, op_point, t_s, nbar_s, readout, omega_d, t_rise, opts, n_max, None)
-
-
-def dark_count(
-    params: SystemParams,
-    op_point: tuple[float, float],
-    t_s: float,
-    readout: ReadoutModel = ReadoutModel(),
-    **kw,
-) -> float:
-    """Click probability with no signal pulse (nonadiabatic drive excitation
-    plus imperfect initialization)."""
-    return detection_run(params, op_point, t_s, 0.0, readout, **kw).p_dark
+    return _detect(params, settings, readout, opts, n_max, None)
 
 
 def _detection_task(params, readout, opts, n_max, task):
     """One detection point of a sweep: (settings, dark click or None)."""
-    s, dark = task
+    settings, dark = task
     try:
-        out = detection_run(
-            params, (s.rabi, s.omega_s), s.t_s, s.nbar_s, readout, omega_d=s.omega_d,
-            t_rise=s.t_rise, opts=opts, n_max=n_max, dark_click=dark,
-        )
+        out = detection_run(params, settings, readout, opts=opts, n_max=n_max, dark_click=dark)
         return out, ""
     except (IntegrationError, SteadyStateError) as exc:
         return None, str(exc)
@@ -311,37 +242,32 @@ class EfficiencyMap:
 
 def efficiency_map(
     params: SystemParams,
+    base: DetectionSettings,
     power_grid_dbm,
     freq_grid,
-    t_s: float,
-    nbar_s: float,
     readout: ReadoutModel = ReadoutModel(),
     *,
-    omega_d: float | None = None,
-    t_rise: float = T_RISE_DEFAULT,
     opts: IntegratorOptions = IntegratorOptions(),
     n_max: int = 3,
     workers: int = 1,
 ) -> EfficiencyMap:
-    """Detection efficiency over a (P_d, omega_s) grid.
+    """Detection efficiency over a (P_d, omega_s) grid around ``base``.
 
     The dark run is shared per power (it does not involve the signal), and
     the eta > 0.5 band is the omega_s interval where the frequency cut at
     the best drive power stays above one half.
     """
     power_grid_dbm, freq_grid = increasing_grids(power_grid_dbm, freq_grid)
-    if omega_d is None:
-        omega_d = _default_omega_d(params)
     task = partial(_detection_task, params, readout, opts, n_max)
 
     rows = [
-        DetectionSettings(params.rabi_of_dbm(p), freq_grid[0], t_s, 0.0, omega_d, t_rise)
+        replace(base, rabi=params.rabi_of_dbm(p), omega_s=freq_grid[0], nbar_s=0.0)
         for p in power_grid_dbm
     ]
     dark_runs, flags = fan_out(task, [(s, None) for s in rows], workers=workers)
     darks = _field_grid(dark_runs, "p_dark", len(rows))
     points = [
-        (replace(s, omega_s=omega_s, nbar_s=nbar_s), float(dark))
+        (replace(s, omega_s=omega_s, nbar_s=base.nbar_s), float(dark))
         for s, dark in zip(rows, darks)
         for omega_s in freq_grid
     ]
@@ -400,115 +326,73 @@ def _detection_scan(params, readout, opts, n_max, points, workers):
 
 def efficiency_vs_length(
     params: SystemParams,
-    op_point: tuple[float, float],
+    base: DetectionSettings,
     t_s_values,
-    nbar_s: float,
     readout: ReadoutModel = ReadoutModel(),
     *,
-    omega_d: float | None = None,
-    t_rise: float = T_RISE_DEFAULT,
     opts: IntegratorOptions = IntegratorOptions(),
     n_max: int = 3,
     workers: int = 1,
 ) -> list[DetectionOutcome]:
     """eta(t_s) with the drive length auto-adjusted per point."""
-    if omega_d is None:
-        omega_d = _default_omega_d(params)
-    points = [
-        (DetectionSettings(*op_point, t_s, nbar_s, omega_d, t_rise), None) for t_s in t_s_values
-    ]
+    points = [(replace(base, t_s=t_s), None) for t_s in t_s_values]
     return _detection_scan(params, readout, opts, n_max, points, workers)
 
 
 def efficiency_vs_photon_number(
     params: SystemParams,
-    op_point: tuple[float, float],
-    t_s: float,
+    base: DetectionSettings,
     nbar_values,
     readout: ReadoutModel = ReadoutModel(),
     *,
-    omega_d: float | None = None,
-    t_rise: float = T_RISE_DEFAULT,
     opts: IntegratorOptions = IntegratorOptions(),
     n_max: int = 3,
     workers: int = 1,
 ) -> list[DetectionOutcome]:
     """eta(nbar_s) at fixed pulse length; the dark run is shared."""
-    if omega_d is None:
-        omega_d = _default_omega_d(params)
-    dark = detection_run(
-        params, op_point, t_s, 0.0, readout, omega_d=omega_d, t_rise=t_rise,
-        opts=opts, n_max=n_max,
-    ).p_dark
-    points = [
-        (DetectionSettings(*op_point, t_s, nbar, omega_d, t_rise), dark) for nbar in nbar_values
-    ]
+    dark = detection_run(params, replace(base, nbar_s=0.0), readout, opts=opts, n_max=n_max)
+    points = [(replace(base, nbar_s=nbar), dark.p_dark) for nbar in nbar_values]
     return _detection_scan(params, readout, opts, n_max, points, workers)
 
 
 def reset_run(
     params: SystemParams,
-    omega_rst: float,
-    rabi_dr: float,
-    nbar_rst: float,
-    t_dr: float,
+    settings: ResetSettings,
     with_initial_pi: bool = True,
     readout: ReadoutModel = ReadoutModel(),
     *,
-    omega_d: float | None = None,
-    t_rise: float = T_RISE_DEFAULT,
     opts: IntegratorOptions = IntegratorOptions(),
     n_max: int = 3,
     with_baseline: bool = True,
-    detect_stage: float | None = None,
+    detect_stage: float = DETECT_STAGE_DEFAULT,
     readout_stage: float = READOUT_BUDGET_DEFAULT,
 ) -> ResetOutcome:
     """Reset protocol: optional instant pi pulse, then drive + reset tone.
 
     ``p_e_no_reset`` is the same run with the reset tone removed (pure T1
-    decay under the drive), computed unless ``with_baseline`` is False.
+    decay under the drive), computed unless ``with_baseline`` is False. The
+    period adds ``detect_stage`` and ``readout_stage`` to the reset stage.
     """
-    if omega_d is None:
-        omega_d = _default_omega_d(params)
-    params.check_nesting(omega_d)
+    s = settings
+    params.check_nesting(s.omega_d)
+    schedule = partial(reset_schedule, params, with_initial_pi=with_initial_pi)
+    p_after, flags, _ = _click(schedule(s), params, readout, opts, n_max, "p_e")
+    p_no_reset = math.nan
+    if with_baseline:
+        p_no_reset = _click(schedule(replace(s, nbar_rst=0.0)), params, readout, opts, n_max)[0]
 
-    def run(nbar, cutoff):
-        space = build_space(cutoff)
-        sched = reset_schedule(
-            params,
-            rabi_dr=rabi_dr,
-            omega_d=omega_d,
-            omega_rst=omega_rst,
-            nbar_rst=nbar,
-            t_dr=t_dr,
-            t_rise=t_rise,
-            with_initial_pi=with_initial_pi,
-        )
-        click, _ = _click_from_schedule(sched, params, readout, opts, space)
-        return click
-
-    flags = ""
-    p_after = run(nbar_rst, n_max)
-    if opts.fock_convergence:
-        p_hi = run(nbar_rst, n_max + 1)
-        flags += _fock_flag(p_after, p_hi, "p_e")
-    p_no_reset = run(0.0, n_max) if with_baseline else math.nan
-
-    reset_stage = stage_duration(t_dr, t_rise)
-    if detect_stage is None:
-        detect_stage = stage_duration(auto_drive_length(85e-9), t_rise)
-    period = reset_stage + detect_stage + readout_stage
+    period = s.stage + detect_stage + readout_stage
     p_dr_dbm = math.nan
-    if params.drive_power_to_rabi and rabi_dr > 0:
-        p_dr_dbm = params.dbm_of_rabi(rabi_dr)
+    if params.drive_power_to_rabi and s.rabi_dr > 0:
+        p_dr_dbm = params.dbm_of_rabi(s.rabi_dr)
     return ResetOutcome(
         p_e_after_reset=p_after,
         p_e_no_reset=p_no_reset,
-        rabi_dr=rabi_dr,
+        rabi_dr=s.rabi_dr,
         p_dr_dbm=p_dr_dbm,
-        omega_rst=omega_rst,
-        nbar_rst=nbar_rst,
-        reset_stage=reset_stage,
+        omega_rst=s.omega_rst,
+        nbar_rst=s.nbar_rst,
+        reset_stage=s.stage,
         detect_stage=detect_stage,
         readout_stage=readout_stage,
         period=period,
@@ -517,12 +401,11 @@ def reset_run(
     )
 
 
-def _reset_task(params, readout, opts, n_max, s):
+def _reset_task(params, readout, opts, n_max, settings):
     """One reset point of a sweep, without the no-reset baseline."""
     try:
         out = reset_run(
-            params, s.omega_rst, s.rabi_dr, s.nbar_rst, s.t_dr, True, readout,
-            omega_d=s.omega_d, t_rise=s.t_rise, opts=opts, n_max=n_max, with_baseline=False,
+            params, settings, True, readout, opts=opts, n_max=n_max, with_baseline=False
         )
         return out, ""
     except (IntegrationError, SteadyStateError) as exc:
@@ -543,31 +426,29 @@ class ResetMap:
 
 def reset_map(
     params: SystemParams,
+    base: ResetSettings,
     power_grid_dbm,
     freq_grid,
-    nbar_rst: float,
-    t_dr: float,
     readout: ReadoutModel = ReadoutModel(),
     *,
-    omega_d: float | None = None,
-    t_rise: float = T_RISE_DEFAULT,
     opts: IntegratorOptions = IntegratorOptions(),
     n_max: int = 3,
     workers: int = 1,
 ) -> ResetMap:
-    """P(|e>) after the reset over a (P_dr, omega_rst) grid, with argmin."""
+    """P(|e>) after the reset over a (P_dr, omega_rst) grid around ``base``,
+    with argmin."""
     power_grid_dbm, freq_grid = increasing_grids(power_grid_dbm, freq_grid)
-    if omega_d is None:
-        omega_d = _default_omega_d(params)
     task = partial(_reset_task, params, readout, opts, n_max)
 
     rows = [
-        ResetSettings(params.rabi_of_dbm(p), freq_grid[0], 0.0, t_dr, omega_d, t_rise)
+        replace(base, rabi_dr=params.rabi_of_dbm(p), omega_rst=freq_grid[0], nbar_rst=0.0)
         for p in power_grid_dbm
     ]
     base_runs, flags = fan_out(task, rows, workers=workers)
     points = [
-        replace(s, omega_rst=omega_rst, nbar_rst=nbar_rst) for s in rows for omega_rst in freq_grid
+        replace(s, omega_rst=omega_rst, nbar_rst=base.nbar_rst)
+        for s in rows
+        for omega_rst in freq_grid
     ]
     runs, point_flags = fan_out(task, points, len(freq_grid), workers)
     flags += point_flags
@@ -604,65 +485,29 @@ def full_cycle(
     reset tone enters as an explicitly oscillating term at its carrier
     detuning. The period uses the nominal stage bookkeeping (plateau plus
     one t_rise per edge, plus the readout budget). With
-    ``opts.fock_convergence`` the cycle click is re-run at n_max + 1; the
+    ``opts.fock_convergence`` the cycle click is re-read at n_max + 1; the
     flags hold that check and those of the fresh detection run.
     """
 
-    def cycle_click(nbar_s, cutoff):
+    def cycle_schedule(detection):
         entries = []
         t0 = 0.0
         if reset is not None:
-            r_sched = reset_schedule(
-                params,
-                rabi_dr=reset.rabi_dr,
-                omega_d=reset.omega_d,
-                omega_rst=reset.omega_rst,
-                nbar_rst=reset.nbar_rst,
-                t_dr=reset.t_dr,
-                t_rise=reset.t_rise,
-                with_initial_pi=True,
-                resonator_ref=detect.omega_s,
-            )
+            r_sched = reset_schedule(params, reset, resonator_ref=detection.omega_s)
             entries.extend(e for e in r_sched.entries if e[0] != ROLE_READOUT_MARKER)
             t0 = r_sched.marker_times()[-1]
-        d_sched = detection_schedule(
-            params,
-            rabi=detect.rabi,
-            omega_d=detect.omega_d,
-            omega_s=detect.omega_s,
-            t_s=detect.t_s,
-            nbar_s=nbar_s,
-            t_rise=detect.t_rise,
-            start=t0,
-        )
+        d_sched = detection_schedule(params, detection, start=t0)
         entries.extend(d_sched.entries)
-        sched = PulseSchedule(tuple(entries), d_sched.frame, d_sched.duration)
-        click, _ = _click_from_schedule(sched, params, readout, opts, build_space(cutoff))
-        return click
+        return PulseSchedule(tuple(entries), d_sched.frame, d_sched.duration)
 
-    flags = ""
-    click = cycle_click(detect.nbar_s, n_max)
-    if opts.fock_convergence:
-        flags += _fock_flag(click, cycle_click(detect.nbar_s, n_max + 1), "cycle_p_e")
-    dark = cycle_click(0.0, n_max)
+    click, flags, _ = _click(cycle_schedule(detect), params, readout, opts, n_max, "cycle_p_e")
+    dark = _click(cycle_schedule(replace(detect, nbar_s=0.0)), params, readout, opts, n_max)[0]
     eta_after = (click - dark) / (1.0 - math.exp(-detect.nbar_s))
+    fresh = detection_run(params, detect, readout, opts=opts, n_max=n_max)
 
-    fresh = detection_run(
-        params,
-        (detect.rabi, detect.omega_s),
-        detect.t_s,
-        detect.nbar_s,
-        readout,
-        omega_d=detect.omega_d,
-        t_rise=detect.t_rise,
-        opts=opts,
-        n_max=n_max,
-    )
-
-    detect_stage = stage_duration(auto_drive_length(detect.t_s), detect.t_rise)
-    period = detect_stage + readout_stage
+    period = detect.stage + readout_stage
     if reset is not None:
-        period += stage_duration(reset.t_dr, reset.t_rise)
+        period += reset.stage
     return CycleOutcome(
         eta_after_reset=eta_after,
         eta_fresh=fresh.eta,

@@ -178,53 +178,77 @@ class PulseSchedule:
         return [env.center for r, env in self.entries if r == ROLE_PI]
 
 
+@dataclass(frozen=True)
+class DetectionSettings:
+    """Operating point of the detection stage: the drive (``rabi`` at
+    ``omega_d``) and the Gaussian signal pulse (``nbar_s`` photons at
+    ``omega_s`` with FWHM ``t_s``)."""
+
+    rabi: float
+    omega_s: float
+    t_s: float
+    nbar_s: float
+    omega_d: float
+    t_rise: float = T_RISE_DEFAULT
+
+    @property
+    def stage(self) -> float:
+        """Nominal duration of the stage (see ``stage_duration``)."""
+        return stage_duration(auto_drive_length(self.t_s), self.t_rise)
+
+
+@dataclass(frozen=True)
+class ResetSettings:
+    """Operating point of the reset stage: the drive (``rabi_dr`` at
+    ``omega_d``) and the reset tone (``nbar_rst`` photons at ``omega_rst``),
+    both with plateau ``t_dr``."""
+
+    rabi_dr: float
+    omega_rst: float
+    nbar_rst: float
+    t_dr: float
+    omega_d: float
+    t_rise: float = T_RISE_DEFAULT
+
+    @property
+    def stage(self) -> float:
+        """Nominal duration of the stage (see ``stage_duration``)."""
+        return stage_duration(self.t_dr, self.t_rise)
+
+
 def detection_schedule(
-    params: SystemParams,
-    *,
-    rabi: float,
-    omega_d: float,
-    omega_s: float,
-    t_s: float,
-    nbar_s: float,
-    t_rise: float = T_RISE_DEFAULT,
-    t_d: float | None = None,
-    start: float = 0.0,
+    params: SystemParams, settings: DetectionSettings, *, start: float = 0.0
 ) -> PulseSchedule:
     """Drive + signal pulse pair of the single-photon detection stage.
 
-    The drive plateau (duration t_d = 1.5 t_s + 50 ns unless overridden)
-    is centered on the Gaussian signal pulse; the readout marker sits at
-    t_d/2 + t_rise after the common center.
+    The drive plateau (duration t_d = 1.5 t_s + 50 ns) is centered on the
+    Gaussian signal pulse; the readout marker sits at t_d/2 + t_rise after
+    the common center.
     """
-    if t_s <= 0:
+    s = settings
+    if s.t_s <= 0:
         raise ValueError("t_s must be > 0")
-    if nbar_s < 0:
+    if s.nbar_s < 0:
         raise ValueError("nbar_s must be >= 0")
-    if t_d is None:
-        t_d = auto_drive_length(t_s)
-    edge_sigma = 2.0 * t_rise * SIGMA_PER_FWHM
+    t_d = auto_drive_length(s.t_s)
+    edge_sigma = 2.0 * s.t_rise * SIGMA_PER_FWHM
     lead = GAUSS_TRUNC_SIGMAS * edge_sigma
     center = start + lead + t_d / 2.0
-    marker_t = center + t_d / 2.0 + t_rise
+    marker_t = center + t_d / 2.0 + s.t_rise
 
     entries = [
-        (ROLE_DRIVE, flat_top_drive(rabi, t_d, center, omega_d, t_rise)),
-        (ROLE_SIGNAL, gaussian_signal(nbar_s, t_s, center, omega_s)),
+        (ROLE_DRIVE, flat_top_drive(s.rabi, t_d, center, s.omega_d, s.t_rise)),
+        (ROLE_SIGNAL, gaussian_signal(s.nbar_s, s.t_s, center, s.omega_s)),
         (ROLE_READOUT_MARKER, readout_marker(marker_t, params.omega_r - 2.0 * params.chi)),
     ]
     duration = max([marker_t] + [env.support()[1] for _, env in entries])
-    return PulseSchedule(tuple(entries), Frame(omega_d, omega_s), duration)
+    return PulseSchedule(tuple(entries), Frame(s.omega_d, s.omega_s), duration)
 
 
 def reset_schedule(
     params: SystemParams,
+    settings: ResetSettings,
     *,
-    rabi_dr: float,
-    omega_d: float,
-    omega_rst: float,
-    nbar_rst: float,
-    t_dr: float,
-    t_rise: float = T_RISE_DEFAULT,
     with_initial_pi: bool = True,
     start: float = 0.0,
     resonator_ref: float | None = None,
@@ -234,27 +258,28 @@ def reset_schedule(
     The reset tone is a flat-top co-terminated with the drive and carries
     nbar_rst photons in total.
     """
-    if t_dr <= 0:
+    s = settings
+    if s.t_dr <= 0:
         raise ValueError("t_dr must be > 0")
-    edge_sigma = 2.0 * t_rise * SIGMA_PER_FWHM
+    edge_sigma = 2.0 * s.t_rise * SIGMA_PER_FWHM
     lead = GAUSS_TRUNC_SIGMAS * edge_sigma
-    center = start + lead + t_dr / 2.0
-    marker_t = center + t_dr / 2.0 + t_rise
+    center = start + lead + s.t_dr / 2.0
+    marker_t = center + s.t_dr / 2.0 + s.t_rise
 
     entries = []
     if with_initial_pi:
         entries.append((ROLE_PI, instant_pi(start)))
-    entries.append((ROLE_DRIVE, flat_top_drive(rabi_dr, t_dr, center, omega_d, t_rise)))
-    if nbar_rst > 0:
+    entries.append((ROLE_DRIVE, flat_top_drive(s.rabi_dr, s.t_dr, center, s.omega_d, s.t_rise)))
+    if s.nbar_rst > 0:
         entries.append(
-            (ROLE_RESET, flat_top_input(nbar_rst, t_dr, center, omega_rst, t_rise))
+            (ROLE_RESET, flat_top_input(s.nbar_rst, s.t_dr, center, s.omega_rst, s.t_rise))
         )
     entries.append(
         (ROLE_READOUT_MARKER, readout_marker(marker_t, params.omega_r - 2.0 * params.chi))
     )
-    ref = omega_rst if resonator_ref is None else resonator_ref
+    ref = s.omega_rst if resonator_ref is None else resonator_ref
     duration = max([marker_t] + [env.support()[1] for _, env in entries])
-    return PulseSchedule(tuple(entries), Frame(omega_d, ref), duration)
+    return PulseSchedule(tuple(entries), Frame(s.omega_d, ref), duration)
 
 
 def stage_duration(t_plateau: float, t_rise: float = T_RISE_DEFAULT) -> float:

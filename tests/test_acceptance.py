@@ -28,9 +28,6 @@ from lambdadet.dynamics import (
 from lambdadet.hilbert import annihilation, build_space
 from lambdadet.model import Frame, collapse_operators, hamiltonian_static, input_quadratures
 from lambdadet.protocols import (
-    DetectionSettings,
-    ResetSettings,
-    dark_count,
     detection_run,
     detection_trace,
     efficiency_map,
@@ -59,11 +56,6 @@ def report(criterion, text):
 
 
 @pytest.fixture(scope="module")
-def op_point(params, cfg):
-    return (params.rabi_of_dbm(-75.5), cfg.get("signal_freq"))
-
-
-@pytest.fixture(scope="module")
 def reflect_map_21(params, omega_d):
     pd = np.linspace(-80.0, -71.0, 21)
     freqs = TWO_PI * np.linspace(10.243e9, 10.293e9, 21)
@@ -71,12 +63,10 @@ def reflect_map_21(params, omega_d):
 
 
 @pytest.fixture(scope="module")
-def eff_map_11(params, cfg):
+def eff_map_11(params, detect):
     pd = np.linspace(-78.0, -73.0, 11)
     freqs = TWO_PI * np.linspace(10.248e9, 10.288e9, 11)
-    return efficiency_map(
-        params, pd, freqs, 85e-9, 0.1, omega_d=cfg.omega_d, opts=OPTS, workers=WORKERS
-    )
+    return efficiency_map(params, detect, pd, freqs, opts=OPTS, workers=WORKERS)
 
 
 def test_criterion_1_analytic_oracles(clean_params):
@@ -224,8 +214,8 @@ def test_criterion_4_reflection_dip(params, omega_d, reflect_map_21):
     )
 
 
-def test_criterion_5_detection_efficiency(params, cfg, op_point, eff_map_11, reflect_map_21):
-    out = detection_run(params, op_point, 85e-9, 0.1, omega_d=cfg.omega_d, opts=OPTS)
+def test_criterion_5_detection_efficiency(params, detect, eff_map_11, reflect_map_21):
+    out = detection_run(params, detect, opts=OPTS)
     assert out.eta == pytest.approx(0.66, abs=0.08)
 
     band = eff_map_11.band_above_half
@@ -264,11 +254,9 @@ def test_criterion_5_power_colocation(eff_map_11, reflect_map_21):
     assert abs(eff_map_11.argmax_p_d_dbm - dip.p_d_dbm) <= 0.5
 
 
-def test_criterion_6_pulse_scans(params, cfg, op_point):
+def test_criterion_6_pulse_scans(params, cfg, detect):
     t_s_grid = cfg.get("ts_list")
-    outs = efficiency_vs_length(
-        params, op_point, t_s_grid, 0.1, omega_d=cfg.omega_d, opts=OPTS, workers=WORKERS
-    )
+    outs = efficiency_vs_length(params, detect, t_s_grid, opts=OPTS, workers=WORKERS)
     etas = np.array([o.eta for o in outs])
     best = int(np.argmax(etas))
     # non-monotone with an interior maximum in the 55..144 ns bracket
@@ -279,8 +267,8 @@ def test_criterion_6_pulse_scans(params, cfg, op_point):
     flat_ok = {}
     for t_s in cfg.get("ns_ts_list"):
         nb_outs = efficiency_vs_photon_number(
-            params, op_point, t_s, (0.03, 0.1, 0.3, 1.0),
-            omega_d=cfg.omega_d, opts=OPTS, workers=WORKERS,
+            params, dataclasses.replace(detect, t_s=t_s), (0.03, 0.1, 0.3, 1.0),
+            opts=OPTS, workers=WORKERS,
         )
         nb_etas = np.array([o.eta for o in nb_outs])
         spread = (nb_etas.max() - nb_etas.min()) / nb_etas.max()
@@ -293,21 +281,18 @@ def test_criterion_6_pulse_scans(params, cfg, op_point):
     )
 
 
-def test_criterion_7_dark_counts(params, clean_params, cfg, op_point):
-    p_dark = dark_count(params, op_point, 85e-9, omega_d=cfg.omega_d, opts=OPTS)
+def test_criterion_7_dark_counts(params, clean_params, detect):
+    dark = dataclasses.replace(detect, nbar_s=0.0)
+    p_dark = detection_run(params, dark, opts=OPTS).p_dark
     assert p_dark == pytest.approx(0.014, abs=0.005)
 
-    quiet = dark_count(
-        clean_params, (0.0, cfg.get("signal_freq")), 85e-9,
-        omega_d=cfg.omega_d, opts=OPTS,
-    )
+    quiet = detection_run(clean_params, dataclasses.replace(dark, rabi=0.0), opts=OPTS).p_dark
     assert quiet < 1e-6
 
     values = [
-        dark_count(
-            params, (params.rabi_of_dbm(p_dbm), cfg.get("signal_freq")), 85e-9,
-            omega_d=cfg.omega_d, opts=OPTS,
-        )
+        detection_run(
+            params, dataclasses.replace(dark, rabi=params.rabi_of_dbm(p_dbm)), opts=OPTS
+        ).p_dark
         for p_dbm in np.linspace(-78.0, -73.0, 6)
     ]
     assert all(b >= a for a, b in zip(values, values[1:]))
@@ -319,19 +304,14 @@ def test_criterion_7_dark_counts(params, clean_params, cfg, op_point):
 
 
 @pytest.fixture(scope="module")
-def reset_map_result(params, cfg):
+def reset_map_result(params, reset):
     pd = np.linspace(-74.5, -70.0, 10)
     freqs = TWO_PI * np.linspace(10.150e9, 10.174e9, 9)
-    return reset_map(
-        params, pd, freqs, 43.0, 380e-9, omega_d=cfg.omega_d, opts=OPTS, workers=WORKERS
-    )
+    return reset_map(params, reset, pd, freqs, opts=OPTS, workers=WORKERS)
 
 
-def test_criterion_8_reset(params, cfg, reset_map_result):
-    out = reset_run(
-        params, cfg.get("reset_freq"), params.rabi_of_dbm(-72.1), 43.0, 380e-9,
-        omega_d=cfg.omega_d, opts=OPTS,
-    )
+def test_criterion_8_reset(params, detect, reset, reset_map_result):
+    out = reset_run(params, reset, opts=OPTS)
     assert out.p_e_after_reset <= 0.03
     assert out.p_e_no_reset == pytest.approx(0.49, abs=0.05)
     assert out.p_e_no_reset / out.p_e_after_reset > 10.0
@@ -349,20 +329,6 @@ def test_criterion_8_reset(params, cfg, reset_map_result):
     assert p_cut == pytest.approx(-72.1, abs=0.5)
 
     # full cycle timing and post-reset efficiency
-    detect = DetectionSettings(
-        rabi=params.rabi_of_dbm(-75.5),
-        omega_s=cfg.get("signal_freq"),
-        t_s=85e-9,
-        nbar_s=0.1,
-        omega_d=cfg.omega_d,
-    )
-    reset = ResetSettings(
-        rabi_dr=params.rabi_of_dbm(-72.1),
-        omega_rst=cfg.get("reset_freq"),
-        nbar_rst=43.0,
-        t_dr=380e-9,
-        omega_d=cfg.omega_d,
-    )
     cycle = full_cycle(params, detect, reset, opts=OPTS)
     assert cycle.period == pytest.approx(760e-9, abs=50e-9)
     assert cycle.rate == pytest.approx(1.3e6, rel=0.07)
@@ -442,10 +408,10 @@ def test_criterion_9_pdiff_central_value(params, cfg):
     assert res.p_diff_db == pytest.approx(6.0, abs=0.4)
 
 
-def test_criterion_10_engineering_invariants(params, cfg, op_point, tmp_path):
+def test_criterion_10_engineering_invariants(params, detect, tmp_path):
     # trace / Hermiticity / positivity along a full protocol trajectory
     # (propagate validates every sample; the kept record is checked here)
-    _, traj = detection_trace(params, op_point, 85e-9, 0.1, omega_d=cfg.omega_d, opts=OPTS)
+    _, traj = detection_trace(params, detect, opts=OPTS)
     assert np.max(traj.trace_error) < 1e-9
     for state in traj.pinned.values():
         assert state.hermiticity_error() < 1e-10
@@ -453,7 +419,7 @@ def test_criterion_10_engineering_invariants(params, cfg, op_point, tmp_path):
 
     # Fock-cutoff convergence below 1e-3 relative
     opts = dataclasses.replace(OPTS, fock_convergence=True)
-    out = detection_run(params, op_point, 85e-9, 0.1, omega_d=cfg.omega_d, opts=opts)
+    out = detection_run(params, detect, opts=opts)
     assert out.flags == ""
 
     # byte-identical CSVs across worker counts

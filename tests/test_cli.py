@@ -3,7 +3,7 @@ import pytest
 
 from lambdadet.cli import main, run_sweep
 from lambdadet.config import parse_config
-from lambdadet.errors import RenderError
+from lambdadet.errors import ConfigError, RenderError
 from lambdadet.render import render_heatmap
 from lambdadet.sweep import read_csv, write_csv
 
@@ -87,13 +87,10 @@ def test_detect_map_matches_module_call(fast_cfg, tmp_path):
     params = _calibrated_params(cfg)
     emap = efficiency_map(
         params,
+        cfg.detection_settings(params),
         cfg.get("detect_pd_grid").values(),
         cfg.get("detect_freq_grid").values(),
-        cfg.get("t_s"),
-        cfg.get("nbar_s"),
         cfg.readout_model(),
-        omega_d=cfg.omega_d,
-        t_rise=cfg.get("t_rise"),
         opts=cfg.integrator_options(),
         n_max=cfg.get("n_max"),
     )
@@ -216,3 +213,50 @@ def test_env_var_config(fast_cfg, tmp_path, monkeypatch):
     assert header == ["p_d_dbm", "p_dark"]
     assert len(cols["p_dark"]) == 2
     assert all(0.005 < v < 0.05 for v in cols["p_dark"])
+
+
+def test_reset_period_follows_the_config_stages(tmp_path):
+    """reset.csv books the configured t_s and readout budget, as cycle does."""
+    cfg = tmp_path / "stages.cfg"
+    cfg.write_text(FAST_CFG + "t_s_ns = 144\nreadout_budget_ns = 200\n")
+    assert main(["--config", str(cfg), "--out", str(tmp_path), "reset"]) == 0
+    _, cols = read_csv(tmp_path / "reset.csv")
+    detect_stage = 1.5 * 144e-9 + 50e-9 + 2 * 15e-9
+    assert cols["detect_stage"][0] == pytest.approx(detect_stage, rel=1e-8)
+    assert cols["readout_stage"][0] == pytest.approx(200e-9, rel=1e-8)
+    assert cols["period"][0] == pytest.approx(410e-9 + detect_stage + 200e-9, rel=1e-8)
+
+
+@pytest.mark.parametrize("task", ["scan-ts", "scan-ns"])
+def test_strict_scans_fail_on_fock_flags(task, tmp_path):
+    """At n_max = 1 and nbar_s = 1 the cutoff check flags, so --strict exits 2."""
+    cfg = tmp_path / "low_cutoff.cfg"
+    cfg.write_text(
+        "n_max = 1\nnbar_s = 1.0\nfock_convergence = true\n"
+        "ts_list_ns = 85\nns_ts_list_ns = 85\nnbar_list = 1.0\n"
+    )
+    assert main(["--config", str(cfg), "--out", str(tmp_path), "--strict", task]) == 2
+    csv = (tmp_path / f"{task.replace('-', '_')}.csv").read_text()
+    assert "fock-unconverged:p_e:" in csv
+
+
+@pytest.mark.parametrize(
+    "line, key",
+    [
+        ("integrator_method = rk4", "integrator_method"),
+        ("max_step_ns = 0", "max_step"),
+        ("kappa_MHz = 0", "kappa"),
+        ("t_s_ns = 0", "t_s"),
+        ("t_dr_ns = 0", "t_dr"),
+    ],
+)
+def test_rejected_values_are_config_errors(line, key, tmp_path, capsys):
+    with pytest.raises(ConfigError, match=key):
+        parse_config(line + "\n")
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(line + "\n")
+    task = "reset" if key == "t_dr" else "detect"
+    assert main(["--config", str(bad), "--out", str(tmp_path), task]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+    assert "Traceback" not in err

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lambdadet.dynamics import (
     DensityState,
@@ -74,6 +76,34 @@ class TestLindbladRhs:
         assert a_dot == pytest.approx(-kappa / 2 * a_mean, rel=1e-12)
 
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n_max=st.integers(min_value=1, max_value=3),
+        h_scale=st.floats(min_value=0.0, max_value=1e10),
+        rates=st.lists(st.floats(min_value=0.0, max_value=1e9), max_size=3),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_superoperator_matches_matrix_form(self, n_max, h_scale, rates, seed):
+        """liouvillian(h, collapses) acting on vec(rho) is lindblad_rhs(rho, h, collapses)."""
+        d = build_space(n_max).dim
+        rng = np.random.default_rng(seed)
+
+        def gaussian():
+            return rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+
+        h = gaussian()
+        h = h_scale * (h + h.conj().T)
+        collapses = [(gaussian(), rate) for rate in rates]
+        root = gaussian()
+        rho = root @ root.conj().T
+        rho /= np.trace(rho).real
+
+        vec = liouvillian(h, collapses) @ rho.reshape(-1)
+        expected = lindblad_rhs(rho, h, collapses).reshape(-1)
+        scale = np.linalg.norm(h) + sum(r * np.linalg.norm(c) ** 2 for c, r in collapses)
+        assert np.max(np.abs(vec - expected)) <= 1e-12 * (scale + 1.0)
+
+
 class TestPropagate:
     def test_free_decay_analytic(self, clean_params):
         space = build_space(1)
@@ -114,18 +144,11 @@ class TestPropagate:
         expected = math.sqrt(p.kappa_ext) * alpha / (p.kappa / 2 - 1j * delta)
         assert abs(traj.field[-1] - expected) / abs(expected) < 1e-5
 
-    def test_invariants_along_trajectory(self, params, cfg):
+    def test_invariants_along_trajectory(self, params, detect):
         from lambdadet.pulses import detection_schedule
 
         space = build_space(3)
-        sched = detection_schedule(
-            params,
-            rabi=params.rabi_of_dbm(-75.5),
-            omega_d=cfg.omega_d,
-            omega_s=cfg.get("signal_freq"),
-            t_s=85e-9,
-            nbar_s=0.1,
-        )
+        sched = detection_schedule(params, detect)
         rho0 = mixed_initial_state(space, params.init_excited_pop, sched.frame)
         traj = propagate(rho0, sched, params, IntegratorOptions(max_step=0.1e-9))
         # propagate validates every sample; the kept record is checked here
@@ -158,26 +181,22 @@ class TestPropagate:
         with pytest.raises(IntegrationError):
             propagate(rho0, sched, p, IntegratorOptions(max_step=20e-9, sample_dt=20e-9))
 
-    def test_adaptive_matches_fixed(self, params, cfg):
+    def test_adaptive_matches_fixed(self, params, detect):
         from lambdadet.protocols import detection_run
 
-        op_point = (params.rabi_of_dbm(-75.5), cfg.get("signal_freq"))
-        fixed = detection_run(
-            params, op_point, 85e-9, 0.1, opts=IntegratorOptions(max_step=0.1e-9)
-        )
+        fixed = detection_run(params, detect, opts=IntegratorOptions(max_step=0.1e-9))
         adaptive = detection_run(
-            params, op_point, 85e-9, 0.1,
+            params, detect,
             opts=IntegratorOptions(method="adaptive_rk45", rtol=1e-9, atol=1e-12),
         )
         assert adaptive.p_e == pytest.approx(fixed.p_e, rel=1e-5)
 
-    def test_bit_identical_repeat(self, params, cfg):
+    def test_bit_identical_repeat(self, params, detect):
         from lambdadet.protocols import detection_run
 
-        op_point = (params.rabi_of_dbm(-75.5), cfg.get("signal_freq"))
         opts = IntegratorOptions(max_step=0.2e-9)
-        a = detection_run(params, op_point, 85e-9, 0.1, opts=opts)
-        b = detection_run(params, op_point, 85e-9, 0.1, opts=opts)
+        a = detection_run(params, detect, opts=opts)
+        b = detection_run(params, detect, opts=opts)
         assert a.p_e == b.p_e and a.p_dark == b.p_dark and a.eta == b.eta
 
 

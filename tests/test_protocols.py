@@ -7,10 +7,7 @@ import pytest
 from lambdadet.dynamics import IntegratorOptions
 from lambdadet.errors import LambdaModeError
 from lambdadet.protocols import (
-    DetectionSettings,
     ReadoutModel,
-    ResetSettings,
-    dark_count,
     detection_run,
     detection_trace,
     efficiency_vs_length,
@@ -19,13 +16,7 @@ from lambdadet.protocols import (
     reset_run,
 )
 
-TWO_PI = 2.0 * np.pi
 OPTS = IntegratorOptions(max_step=0.2e-9)
-
-
-@pytest.fixture(scope="module")
-def op_point(params, cfg):
-    return (params.rabi_of_dbm(-75.5), cfg.get("signal_freq"))
 
 
 class TestDetection:
@@ -34,31 +25,29 @@ class TestDetection:
         nbar = 0.1
         assert 1.0 - math.exp(-nbar) == pytest.approx(0.09516, abs=1e-5)
 
-    def test_dark_run_identity(self, params, op_point):
-        out = detection_run(params, op_point, 85e-9, 0.0, opts=OPTS)
+    def test_dark_run_identity(self, params, detect):
+        out = detection_run(params, dataclasses.replace(detect, nbar_s=0.0), opts=OPTS)
         assert out.p_e == out.p_dark
         assert math.isnan(out.eta)
 
-    def test_eta_subtracts_dark(self, params, op_point):
-        out = detection_run(params, op_point, 85e-9, 0.1, opts=OPTS)
+    def test_eta_subtracts_dark(self, params, detect):
+        out = detection_run(params, detect, opts=OPTS)
         expected = (out.p_e - out.p_dark) / (1.0 - math.exp(-0.1))
         assert out.eta == pytest.approx(expected, rel=1e-12)
 
-    def test_no_drive_no_clicks(self, clean_params, cfg):
-        out = detection_run(
-            clean_params, (0.0, cfg.get("signal_freq")), 85e-9, 0.1, opts=OPTS
-        )
+    def test_no_drive_no_clicks(self, clean_params, detect):
+        out = detection_run(clean_params, dataclasses.replace(detect, rabi=0.0), opts=OPTS)
         assert out.eta < 0.02
         assert out.p_dark < 1e-6
 
-    def test_dark_count_drive_off_perfect_init(self, clean_params, cfg):
-        p_dark = dark_count(clean_params, (0.0, cfg.get("signal_freq")), 85e-9, opts=OPTS)
-        assert p_dark < 1e-6
+    def test_dark_count_drive_off_perfect_init(self, clean_params, detect):
+        dark = dataclasses.replace(detect, rabi=0.0, nbar_s=0.0)
+        assert detection_run(clean_params, dark, opts=OPTS).p_dark < 1e-6
 
-    def test_readout_model_linearity(self, params, op_point):
+    def test_readout_model_linearity(self, params, detect):
         readout = ReadoutModel(eps_ge=0.04, eps_eg=0.12)
-        plain = detection_run(params, op_point, 85e-9, 0.1, opts=OPTS)
-        dressed = detection_run(params, op_point, 85e-9, 0.1, readout, opts=OPTS)
+        plain = detection_run(params, detect, opts=OPTS)
+        dressed = detection_run(params, detect, readout, opts=OPTS)
         expected = (1 - 0.12) * plain.p_e + 0.04 * (1 - plain.p_e)
         assert dressed.p_e == pytest.approx(expected, rel=1e-9)
 
@@ -68,32 +57,28 @@ class TestDetection:
         with pytest.raises(ValueError):
             ReadoutModel(eps_eg=-0.1)
 
-    def test_eta_invariant_under_calibration_constant(self, params, op_point, cfg):
+    def test_eta_invariant_under_calibration_constant(self, params, detect):
         """Expressing the op point in Omega gives bit-identical results."""
-        rabi, omega_s = op_point
         rescaled = dataclasses.replace(
             params, drive_power_to_rabi=params.drive_power_to_rabi * 3.7
         )
-        a = detection_run(params, op_point, 85e-9, 0.1, opts=OPTS)
-        b = detection_run(rescaled, op_point, 85e-9, 0.1, opts=OPTS)
+        a = detection_run(params, detect, opts=OPTS)
+        b = detection_run(rescaled, detect, opts=OPTS)
         assert a.p_e == b.p_e and a.eta == b.eta
 
-    def test_nesting_enforced(self, params):
-        bad_omega_d = params.omega_ge - 3 * params.chi
+    def test_nesting_enforced(self, params, detect):
+        bad = dataclasses.replace(detect, rabi=1e8, omega_d=params.omega_ge - 3 * params.chi)
         with pytest.raises(LambdaModeError):
-            detection_run(
-                params, (1e8, TWO_PI * 10.268e9), 85e-9, 0.1,
-                omega_d=bad_omega_d, opts=OPTS,
-            )
+            detection_run(params, bad, opts=OPTS)
 
-    def test_fock_convergence_flag_clean(self, params, op_point):
+    def test_fock_convergence_flag_clean(self, params, detect):
         opts = dataclasses.replace(OPTS, fock_convergence=True)
-        out = detection_run(params, op_point, 85e-9, 0.1, opts=opts)
+        out = detection_run(params, detect, opts=opts)
         assert out.flags == ""
 
-    def test_trace_has_marker_and_observables(self, params, op_point):
-        out, traj = detection_trace(params, op_point, 85e-9, 0.1, opts=OPTS)
-        assert out == detection_run(params, op_point, 85e-9, 0.1, opts=OPTS)
+    def test_trace_has_marker_and_observables(self, params, detect):
+        out, traj = detection_trace(params, detect, opts=OPTS)
+        assert out == detection_run(params, detect, opts=OPTS)
         # pinned: the readout marker and the click one latch delay later,
         # where the run ends
         marker, t_click = sorted(traj.pinned)
@@ -103,29 +88,31 @@ class TestDetection:
         assert len(traj.times) > 100
         assert np.all(traj.trace_error < 1e-9)
 
-    def test_dark_monotone_in_power(self, params, cfg):
+    def test_dark_monotone_in_power(self, params, detect):
         """Dark counts grow with drive power over the scanned range."""
-        omega_s = cfg.get("signal_freq")
         values = [
-            dark_count(params, (params.rabi_of_dbm(p_dbm), omega_s), 85e-9, opts=OPTS)
+            detection_run(
+                params,
+                dataclasses.replace(detect, rabi=params.rabi_of_dbm(p_dbm), nbar_s=0.0),
+                opts=OPTS,
+            ).p_dark
             for p_dbm in (-78.0, -76.5, -75.0, -73.5)
         ]
         assert all(b >= a for a, b in zip(values, values[1:]))
 
 
 class TestPhotonNumberScan:
-    def test_zero_omega_d_is_not_the_default(self, params, op_point):
+    def test_zero_omega_d_is_not_the_default(self, params, detect):
         """An explicit omega_d = 0 is checked, not replaced by the default."""
+        zero = dataclasses.replace(detect, omega_d=0.0)
         with pytest.raises(LambdaModeError):
-            efficiency_vs_length(params, op_point, (85e-9,), 0.1, omega_d=0.0, opts=OPTS)
+            efficiency_vs_length(params, zero, (85e-9,), opts=OPTS)
         with pytest.raises(LambdaModeError):
-            efficiency_vs_photon_number(params, op_point, 85e-9, (0.1,), omega_d=0.0, opts=OPTS)
+            efficiency_vs_photon_number(params, zero, (0.1,), opts=OPTS)
 
-    def test_weak_limit_extrapolation(self, params, op_point):
+    def test_weak_limit_extrapolation(self, params, detect):
         """Richardson-style nbar -> 0 extrapolation matches the 0.1 value."""
-        outs = efficiency_vs_photon_number(
-            params, op_point, 85e-9, (0.025, 0.05, 0.1), opts=OPTS
-        )
+        outs = efficiency_vs_photon_number(params, detect, (0.025, 0.05, 0.1), opts=OPTS)
         etas = np.array([o.eta for o in outs])
         # linear fit in nbar, extrapolated to zero
         coeffs = np.polyfit([0.025, 0.05, 0.1], etas, 1)
@@ -134,38 +121,22 @@ class TestPhotonNumberScan:
 
 
 class TestReset:
-    def test_reset_outcome_fields(self, params, cfg):
-        out = reset_run(
-            params,
-            cfg.get("reset_freq"),
-            params.rabi_of_dbm(-72.1),
-            43.0,
-            380e-9,
-            opts=OPTS,
-        )
+    def test_reset_outcome_fields(self, params, reset):
+        out = reset_run(params, reset, opts=OPTS)
         assert 0.0 <= out.p_e_after_reset <= 1.0
         assert out.reset_stage == pytest.approx(410e-9)
         assert out.period == pytest.approx(410e-9 + 207.5e-9 + 140e-9)
         assert out.rate == pytest.approx(1.0 / out.period)
 
-    def test_reset_without_pi_equivalent(self, params, cfg):
-        kw = dict(opts=OPTS)
-        with_pi = reset_run(
-            params, cfg.get("reset_freq"), params.rabi_of_dbm(-72.1), 43.0, 380e-9,
-            with_initial_pi=True, with_baseline=False, **kw,
-        )
-        without = reset_run(
-            params, cfg.get("reset_freq"), params.rabi_of_dbm(-72.1), 43.0, 380e-9,
-            with_initial_pi=False, with_baseline=False, **kw,
-        )
+    def test_reset_without_pi_equivalent(self, params, reset):
+        with_pi = reset_run(params, reset, True, opts=OPTS, with_baseline=False)
+        without = reset_run(params, reset, False, opts=OPTS, with_baseline=False)
         assert abs(with_pi.p_e_after_reset - without.p_e_after_reset) < 0.01
 
-    def test_zero_drive_free_decay_only(self, clean_params, cfg):
+    def test_zero_drive_free_decay_only(self, clean_params, reset):
         """Without the drive the excited state only relaxes with T1."""
-        out = reset_run(
-            clean_params, cfg.get("reset_freq"), 0.0, 0.0, 380e-9,
-            opts=OPTS, with_baseline=False,
-        )
+        idle = dataclasses.replace(reset, rabi_dr=0.0, nbar_rst=0.0)
+        out = reset_run(clean_params, idle, opts=OPTS, with_baseline=False)
         sigma_e = 2 * 15e-9 / (2 * math.sqrt(2 * math.log(2)))
         t_click = 4 * sigma_e + 380e-9 + 15e-9 + 100e-9
         assert out.p_e_after_reset == pytest.approx(
@@ -174,34 +145,13 @@ class TestReset:
 
 
 class TestFullCycle:
-    def test_detection_only_period(self, params, cfg):
-        detect = DetectionSettings(
-            rabi=params.rabi_of_dbm(-75.5),
-            omega_s=cfg.get("signal_freq"),
-            t_s=85e-9,
-            nbar_s=0.1,
-            omega_d=cfg.omega_d,
-        )
+    def test_detection_only_period(self, params, detect):
         out = full_cycle(params, detect, None, opts=OPTS)
         assert out.period == pytest.approx(207.5e-9 + 140e-9)
 
-    def test_fock_check_flags_a_low_cutoff(self, params, cfg):
+    def test_fock_check_flags_a_low_cutoff(self, params, detect, reset):
         """At n_max = 1 the cutoff check of the cycle flags, so
         ``cycle --strict`` can fail (0.2 ns steps break positivity here)."""
-        detect = DetectionSettings(
-            rabi=params.rabi_of_dbm(-75.5),
-            omega_s=cfg.get("signal_freq"),
-            t_s=85e-9,
-            nbar_s=0.1,
-            omega_d=cfg.omega_d,
-        )
-        reset = ResetSettings(
-            rabi_dr=params.rabi_of_dbm(-72.1),
-            omega_rst=cfg.get("reset_freq"),
-            nbar_rst=43.0,
-            t_dr=380e-9,
-            omega_d=cfg.omega_d,
-        )
         opts = IntegratorOptions(max_step=0.1e-9, fock_convergence=True)
         out = full_cycle(params, detect, reset, opts=opts, n_max=1)
         assert out.flags.startswith("fock-unconverged:cycle_p_e:")

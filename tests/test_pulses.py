@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -63,15 +65,8 @@ def test_auto_drive_length():
     assert stage_duration(380e-9) == pytest.approx(410e-9)
 
 
-def test_detection_schedule_layout(params, cfg):
-    sched = detection_schedule(
-        params,
-        rabi=1e8,
-        omega_d=cfg.omega_d,
-        omega_s=cfg.get("signal_freq"),
-        t_s=85e-9,
-        nbar_s=0.1,
-    )
+def test_detection_schedule_layout(params, cfg, detect):
+    sched = detection_schedule(params, dataclasses.replace(detect, rabi=1e8))
     drive = sched.envelopes("drive")[0]
     signal = sched.envelopes("signal")[0]
     marker = sched.marker_times()[0]
@@ -84,15 +79,8 @@ def test_detection_schedule_layout(params, cfg):
     assert sched.frame.resonator_ref == cfg.get("signal_freq")
 
 
-def test_reset_schedule_layout(params, cfg):
-    sched = reset_schedule(
-        params,
-        rabi_dr=1e8,
-        omega_d=cfg.omega_d,
-        omega_rst=cfg.get("reset_freq"),
-        nbar_rst=43.0,
-        t_dr=380e-9,
-    )
+def test_reset_schedule_layout(params, reset):
+    sched = reset_schedule(params, dataclasses.replace(reset, rabi_dr=1e8))
     assert len(sched.pi_times()) == 1
     drive = sched.envelopes("drive")[0]
     reset = sched.envelopes("reset")[0]
