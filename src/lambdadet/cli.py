@@ -457,7 +457,9 @@ def run_sweep(
 def _dispatch(command, cfg, args, out_dir) -> int:
     """Run one command; its flags make the exit status 2 under --strict (or
     the config's ``strict``)."""
-    flags = _COMMANDS[command](cfg, _calibrated_params(cfg), args, out_dir)
+    # render reads only a CSV, so it skips the dBm calibration fit
+    params = None if command == "render" else _calibrated_params(cfg)
+    flags = _COMMANDS[command](cfg, params, args, out_dir)
     return 2 if (args.strict or cfg.get("strict")) and flags else 0
 
 

@@ -3,12 +3,16 @@
 Time propagation runs on the vectorized density matrix: the right-hand side
 is assembled once per schedule as a static superoperator plus one
 superoperator per time-dependent quadrature, so each evaluation is a handful
-of small matrix-vector products. The same Liouvillian builder backs the
-direct steady-state solve used for CW reflection.
+of small matrix-vector products. The pieces the Liouvillian is affine in are
+built once per (params, n_max) in a read-only ``Superoperators`` record;
+CW reflection assembles a whole row of Liouvillians from it and solves the
+stack at once. ``liouvillian`` builds one Liouvillian from kron products and
+is the oracle the record is checked against.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -20,12 +24,15 @@ from .hilbert import (
     ComplexOperator,
     HilbertSpace,
     annihilation,
+    build_space,
+    photon_number,
     qubit_lowering,
     qubit_number,
 )
 from .model import (
     Frame,
     collapse_operators,
+    drive_noise_channels,
     drive_quadratures,
     hamiltonian_static,
     input_quadratures,
@@ -159,10 +166,102 @@ def liouvillian(hamiltonian, collapses) -> np.ndarray:
     return sup
 
 
+@dataclass(frozen=True)
+class Superoperators:
+    """Superoperator pieces the Liouvillian is affine in, for one (params, n_max).
+
+    The pieces are the commutators of n_q, n_ph and n_q n_ph, of the drive
+    quadratures (X, Y) and of the input quadratures (P, Q); the dissipator
+    sum of ``collapse_operators``; and the drive-noise dissipators at unit
+    rate, which a pulse schedule scales by the instantaneous noise rate.
+    The number-operator commutators are diagonal, so the record keeps
+    the operators' diagonals and forms the Hamiltonian's diagonal before its
+    commutator, as ``liouvillian`` does. A commutator piece touches only
+    entries the dissipators leave zero, or on the diagonal only the
+    imaginary part, which they leave zero; summed in the order of
+    ``liouvillian``, the pieces give the kron build bit for bit. Read-only;
+    get it from ``superoperators``.
+    """
+
+    params: SystemParams
+    space: HilbertSpace
+    n_q: np.ndarray
+    n_ph: np.ndarray
+    n_q_n_ph: np.ndarray
+    drive: tuple  # -i[X, .], -i[Y, .]
+    input: tuple  # -i[P, .], -i[Q, .]
+    dissipators: np.ndarray
+    flip_up: np.ndarray  # D[sigma_plus] at unit rate, for the drive-line noise
+    flip_down: np.ndarray  # D[sigma_minus] at unit rate
+    dephasing: np.ndarray  # D[n_q] at unit rate
+
+    def cw_liouvillians(self, omega_d: float, rabi: float, omega_s, input_amp) -> np.ndarray:
+        """(B, D, D) Liouvillians of a drive at omega_d and B input tones.
+
+        Tone k sits at omega_s[k] with sqrt(kappa_ext) times its amplitude
+        equal to input_amp[k], in the frame (omega_d, omega_s[k]). Equals
+        ``liouvillian`` of ``hamiltonian_static`` plus input_amp[k] P, with
+        ``collapse_operators`` and ``drive_noise_channels``.
+        """
+        if rabi < 0:
+            raise ValueError("rabi must be >= 0")
+        omega_s = np.asarray(omega_s, dtype=float)
+        base = self.dissipators
+        for op, rate in drive_noise_channels(self.params, self.space, rabi):
+            base = base + _dissipator_superop(op.matrix, rate)
+        if rabi > 0:
+            base = base + (rabi / 2.0) * self.drive[0]
+        sups = np.empty((len(omega_s),) + base.shape, dtype=complex)
+        sups[:] = base
+        # the input commutator's entries, where every other piece is zero
+        rows, cols = np.nonzero(self.input[0])
+        amps = np.asarray(input_amp, dtype=float)[:, None]
+        sups[:, rows, cols] = amps * self.input[0][rows, cols]
+        p = self.params
+        h_diag = (
+            (p.omega_ge - omega_d) * self.n_q
+            + (p.omega_r - omega_s[:, None]) * self.n_ph
+            - 2.0 * p.chi * self.n_q_n_ph
+        )
+        diag = np.arange(base.shape[0])
+        commutator_diag = -(h_diag[:, :, None] - h_diag[:, None, :])
+        sups.imag[:, diag, diag] = commutator_diag.reshape(len(omega_s), -1)
+        return sups
+
+
+@functools.lru_cache(maxsize=8)
+def superoperators(params: SystemParams, n_max: int) -> Superoperators:
+    """The ``Superoperators`` record of (params, n_max), built on first use."""
+    space = build_space(n_max)
+    sm = qubit_lowering(space)
+    n_q = qubit_number(space)
+    n_ph = photon_number(space)
+    dissipators = np.zeros((space.dim**2,) * 2, dtype=complex)
+    for op, rate in collapse_operators(params, space):
+        if rate != 0.0:
+            dissipators = dissipators + _dissipator_superop(op.matrix, rate)
+    pieces = dict(
+        n_q=np.real(np.diag(n_q)),
+        n_ph=np.real(np.diag(n_ph)),
+        n_q_n_ph=np.real(np.diag(n_q @ n_ph)),
+        drive=tuple(_commutator_superop(q) for q in drive_quadratures(space)),
+        input=tuple(_commutator_superop(q) for q in input_quadratures(space)),
+        dissipators=dissipators,
+        flip_up=_dissipator_superop(sm.conj().T, 1.0),
+        flip_down=_dissipator_superop(sm, 1.0),
+        dephasing=_dissipator_superop(n_q, 1.0),
+    )
+    for value in pieces.values():
+        for array in value if isinstance(value, tuple) else (value,):
+            array.flags.writeable = False
+    return Superoperators(params, space, **pieces)
+
+
 def steady_state(hamiltonian, collapses, *, frame: Frame | None = None,
                  space: HilbertSpace | None = None) -> DensityState:
     """Solve L rho = 0 with unit trace by a dense linear solve.
 
+    The B = 1 case of ``steady_state_stack`` on the kron-built Liouvillian.
     Raises SteadyStateError with a nullity estimate when the Liouvillian
     kernel is degenerate or the solve fails the residual check.
     """
@@ -172,37 +271,67 @@ def steady_state(hamiltonian, collapses, *, frame: Frame | None = None,
         h = hamiltonian.matrix
     else:
         h = np.asarray(hamiltonian, dtype=complex)
-    d = h.shape[0]
-    sup = liouvillian(h, collapses)
+    (rho,), (error,) = steady_state_stack(liouvillian(h, collapses)[None])
+    if error is not None:
+        raise error
+    fr = frame if frame is not None else Frame(0.0, 0.0)
+    sp = space if space is not None else HilbertSpace(h.shape[0] // 2 - 1)
+    return DensityState(rho, math.inf, fr, sp)
 
-    mod = sup.copy()
-    trace_row = np.zeros(d * d, dtype=complex)
-    trace_row[:: d + 1] = 1.0
-    mod[0, :] = trace_row
-    rhs = np.zeros(d * d, dtype=complex)
-    rhs[0] = 1.0
+
+def steady_state_stack(sups: np.ndarray):
+    """Unit-trace kernels of a (B, D, D) stack of Liouvillians.
+
+    One stacked linear solve, with the first row of each Liouvillian
+    replaced by the trace; each point's residual is checked against that
+    point's own norm. A point that fails the check, or a stack that LAPACK
+    reports singular, goes to the SVD nullity estimate. ``sups`` is changed
+    during the solve and restored. Returns the (B, d, d) density matrices,
+    symmetrised and normalised (NaN where the solve failed), and per point
+    None or its SteadyStateError.
+    """
+    n_points, n, _ = sups.shape
+    d = math.isqrt(n)
+    flat = sups.view(np.float64).reshape(n_points, -1)
+    sup_norms = np.sqrt(np.einsum("ij,ij->i", flat, flat))
+    first_rows = sups[:, 0, :].copy()
     try:
-        x = np.linalg.solve(mod, rhs)
+        sups[:, 0, :] = 0.0
+        sups[:, 0, :: d + 1] = 1.0  # trace row
+        rhs = np.zeros((n_points, n, 1), dtype=complex)
+        rhs[:, 0, 0] = 1.0
+        xs = np.linalg.solve(sups, rhs)
+        # L x: rows 1.. are the solved system's; row 0 is the saved one
+        lx = np.matmul(sups, xs)[..., 0]
+        xs = xs[..., 0]
+        lx[:, 0] = np.einsum("ij,ij->i", first_rows, xs)
     except np.linalg.LinAlgError:
-        x = None
+        xs = None
+    finally:
+        sups[:, 0, :] = first_rows
+    if xs is None and n_points > 1:
+        points = [steady_state_stack(sups[k : k + 1]) for k in range(n_points)]
+        return np.concatenate([rho for rho, _ in points]), [err for _, (err,) in points]
 
-    sup_norm = float(np.linalg.norm(sup))
-    if x is not None:
-        residual = float(np.linalg.norm(sup @ x))
-        if residual < 1e-10 * sup_norm:
-            rho = x.reshape(d, d)
-            rho = 0.5 * (rho + rho.conj().T)
-            rho /= np.trace(rho).real
-            fr = frame if frame is not None else Frame(0.0, 0.0)
-            sp = space if space is not None else HilbertSpace(d // 2 - 1)
-            return DensityState(rho, math.inf, fr, sp)
-
-    singular_values = np.linalg.svd(sup, compute_uv=False)
-    nullity = int(np.sum(singular_values < 1e-10 * singular_values[0]))
-    raise SteadyStateError(
-        f"steady state not unique or solve failed (kernel nullity ~ {nullity})",
-        nullity=nullity,
-    )
+    rhos = np.full((n_points, d, d), np.nan, dtype=complex)
+    errors = [None] * n_points
+    if xs is not None:
+        lx = lx.view(np.float64)
+        ok = np.sqrt(np.einsum("ij,ij->i", lx, lx)) < 1e-10 * sup_norms
+        rho = xs[ok].reshape(-1, d, d)
+        rho = 0.5 * (rho + rho.conj().transpose(0, 2, 1))
+        rho /= np.trace(rho, axis1=1, axis2=2).real[:, None, None]
+        rhos[ok] = rho
+    else:
+        ok = np.zeros(n_points, dtype=bool)
+    for k in np.flatnonzero(~ok):
+        singular_values = np.linalg.svd(sups[k], compute_uv=False)
+        nullity = int(np.sum(singular_values < 1e-10 * singular_values[0]))
+        errors[k] = SteadyStateError(
+            f"steady state not unique or solve failed (kernel nullity ~ {nullity})",
+            nullity=nullity,
+        )
+    return rhos, errors
 
 
 @dataclass
@@ -223,18 +352,19 @@ class Trajectory:
 
 
 def _schedule_terms(schedule: PulseSchedule, params: SystemParams, space: HilbertSpace):
-    """Static superoperator plus (superop, f(t)) pairs for every envelope."""
+    """Static superoperator plus (superop, f(t)) pairs for every envelope.
+
+    The term superoperators come from the ``superoperators`` record. The
+    static part is the kron-built ``liouvillian``, which the record
+    reproduces bit for bit (see ``Superoperators``).
+    """
     frame = schedule.frame
     h0 = hamiltonian_static(params, frame, 0.0, frame.qubit_ref, space=space).matrix
     static = liouvillian(h0, collapse_operators(params, space))
 
-    x_q, y_q = drive_quadratures(space)
-    p_r, q_r = input_quadratures(space)
+    ops = superoperators(params, space.n_max)
     root_kext = math.sqrt(params.kappa_ext)
-
-    sm = qubit_lowering(space)
-    flip_sup = _dissipator_superop(sm.conj().T, 1.0) + _dissipator_superop(sm, 1.0)
-    deph_sup = _dissipator_superop(qubit_number(space), 1.0)
+    flip_sup = ops.flip_up + ops.flip_down
 
     terms = []
     for role, env in schedule.entries:
@@ -242,12 +372,12 @@ def _schedule_terms(schedule: PulseSchedule, params: SystemParams, space: Hilber
             continue
         if role == ROLE_DRIVE:
             detuning = env.carrier - frame.qubit_ref
-            ops = (0.5 * x_q, 0.5 * y_q)
+            sup_cos, sup_sin = (0.5 * sup for sup in ops.drive)
             # drive-line noise: incoherent rates tracking the instantaneous
             # drive power
             for sup, const in (
                 (flip_sup, params.drive_noise_per_rabi2),
-                (deph_sup, params.drive_dephasing_per_rabi2),
+                (ops.dephasing, params.drive_dephasing_per_rabi2),
             ):
                 if const > 0:
 
@@ -258,16 +388,13 @@ def _schedule_terms(schedule: PulseSchedule, params: SystemParams, space: Hilber
                     terms.append((sup, f_noise))
         elif role in (ROLE_SIGNAL, ROLE_RESET):
             detuning = env.carrier - frame.resonator_ref
-            ops = (root_kext * p_r, root_kext * q_r)
+            sup_cos, sup_sin = (root_kext * sup for sup in ops.input)
         else:
             continue
 
-        sup_cos = _commutator_superop(ops[0])
         if detuning == 0.0:
             terms.append((sup_cos, env.value))
         else:
-            sup_sin = _commutator_superop(ops[1])
-
             def f_cos(t, env=env, d=detuning):
                 return env.value(t) * math.cos(d * t)
 

@@ -19,18 +19,11 @@ import numpy as np
 from scipy.constants import hbar as HBAR
 
 from .dressed import dressed_states, matching_amplitude, transition_frequency
-from .dynamics import steady_state
+from .dynamics import steady_state_stack, superoperators
 from .errors import DipResolutionError, SteadyStateError
-from .hilbert import annihilation, build_space
-from .model import (
-    Frame,
-    collapse_operators,
-    drive_noise_channels,
-    hamiltonian_static,
-    input_quadratures,
-)
+from .hilbert import annihilation
 from .params import SystemParams
-from .sweep import fan_out, grid_argmin, increasing_grids, parabolic_refine
+from .sweep import grid_argmin, increasing_grids, parabolic_refine, parallel_map
 
 TWO_PI = 2.0 * math.pi
 PASSIVITY_TOL = 1e-6
@@ -52,6 +45,25 @@ def signal_flux_of_dbm(p_dbm: float, omega_s: float) -> float:
     return watts / (HBAR * omega_s)
 
 
+def reflection_row(params: SystemParams, omega_d: float, rabi: float, omega_s, probe_amp,
+                   *, n_max: int = 3):
+    """Reflection coefficients at one drive amplitude, one per (omega_s, probe_amp).
+
+    All points are assembled from the ``superoperators`` record and solved
+    as one stack. Returns the r values, NaN where the solve failed, and the
+    per-point SteadyStateError or None.
+    """
+    if min(probe_amp) <= 0:
+        raise ValueError("probe_amp must be > 0")
+    ops = superoperators(params, n_max)
+    root_kext = math.sqrt(params.kappa_ext)
+    sups = ops.cw_liouvillians(omega_d, rabi, omega_s, [root_kext * amp for amp in probe_amp])
+    rhos, errors = steady_state_stack(sups)
+    a_mean = np.trace(annihilation(ops.space) @ rhos, axis1=1, axis2=2)
+    r = [-1.0 + root_kext * complex(a) / amp for a, amp in zip(a_mean, probe_amp)]
+    return r, errors
+
+
 def reflection_coefficient(
     params: SystemParams,
     omega_d: float,
@@ -64,32 +76,10 @@ def reflection_coefficient(
     """Complex reflection coefficient of a weak CW probe at omega_s."""
     if probe_amp is None:
         probe_amp = default_probe_amplitude(params)
-    if probe_amp <= 0:
-        raise ValueError("probe_amp must be > 0")
-    space = build_space(n_max)
-    frame = Frame(omega_d, omega_s)
-    h = hamiltonian_static(params, frame, rabi, omega_d, space=space).matrix
-    p_quad, _ = input_quadratures(space)
-    h_total = h + math.sqrt(params.kappa_ext) * probe_amp * p_quad
-    collapses = collapse_operators(params, space) + drive_noise_channels(params, space, rabi)
-    rho = steady_state(h_total, collapses, frame=frame, space=space)
-    a_mean = complex(np.trace(annihilation(space) @ rho.matrix))
-    return -1.0 + math.sqrt(params.kappa_ext) * a_mean / probe_amp
-
-
-def probe_converged(
-    params: SystemParams,
-    omega_d: float,
-    rabi: float,
-    omega_s: float,
-    probe_amp: float,
-    tol: float = 1e-3,
-    **kw,
-) -> bool:
-    """True when halving the probe amplitude moves |r| by less than tol."""
-    r_full = reflection_coefficient(params, omega_d, rabi, omega_s, probe_amp, **kw)
-    r_half = reflection_coefficient(params, omega_d, rabi, omega_s, probe_amp / 2.0, **kw)
-    return abs(abs(r_full) - abs(r_half)) < tol
+    (r,), (error,) = reflection_row(params, omega_d, rabi, [omega_s], [probe_amp], n_max=n_max)
+    if error is not None:
+        raise error
+    return r
 
 
 @dataclass
@@ -110,14 +100,12 @@ class ReflectionMap:
             raise ValueError(f"passivity violated: max |r| = {worst}")
 
 
-def _map_point(args):
-    params, omega_d, rabi, omega_s, probe_amp, n_max = args
-    try:
-        return reflection_coefficient(
-            params, omega_d, rabi, omega_s, probe_amp, n_max=n_max
-        ), ""
-    except SteadyStateError as exc:
-        return complex(np.nan, np.nan), str(exc)
+def _map_row(args):
+    params, omega_d, rabi, freqs, probe_amp, n_max = args
+    r, errors = reflection_row(
+        params, omega_d, rabi, freqs, [probe_amp] * len(freqs), n_max=n_max
+    )
+    return r, [str(e) if e is not None else "" for e in errors]
 
 
 def dip_map(
@@ -130,18 +118,24 @@ def dip_map(
     n_max: int = 3,
     workers: int = 1,
 ) -> ReflectionMap:
-    """|r| map over the (P_d, omega_s) grid; per-point failures are recorded."""
+    """|r| map over the (P_d, omega_s) grid, one stacked solve per power row;
+    per-point failures are recorded."""
     power_grid_dbm, freq_grid = increasing_grids(power_grid_dbm, freq_grid)
     if probe_amp is None:
         probe_amp = default_probe_amplitude(params)
 
     tasks = [
-        (params, omega_d, params.rabi_of_dbm(p_dbm), omega_s, probe_amp, n_max)
+        (params, omega_d, params.rabi_of_dbm(p_dbm), freq_grid, probe_amp, n_max)
         for p_dbm in power_grid_dbm
-        for omega_s in freq_grid
     ]
-    values, flags = fan_out(_map_point, tasks, len(freq_grid), workers)
-    r = np.array(values, dtype=complex).reshape(len(power_grid_dbm), len(freq_grid))
+    rows = parallel_map(_map_row, tasks, workers)
+    r = np.array([values for values, _ in rows], dtype=complex)
+    flags = [
+        (i, j, message)
+        for i, (_, messages) in enumerate(rows)
+        for j, message in enumerate(messages)
+        if message
+    ]
     out = ReflectionMap(power_grid_dbm, freq_grid, r, probe_amp, params, omega_d, flags)
     out.validate_passivity()
     return out
@@ -192,12 +186,12 @@ def _branch_dip(
         ladder = dressed_states(params, omega_d, rabi)
         center = transition_frequency(ladder, 1, upper)
         freqs = np.linspace(center - freq_halfspan, center + freq_halfspan, freq_points)
-        mags = []
-        for omega_s in freqs:
-            amp = math.sqrt(signal_flux_of_dbm(signal_power_dbm, omega_s))
-            r = reflection_coefficient(params, omega_d, rabi, omega_s, amp, n_max=n_max)
-            mags.append(abs(r))
-        mags = np.array(mags)
+        amps = [math.sqrt(signal_flux_of_dbm(signal_power_dbm, w)) for w in freqs]
+        r, errors = reflection_row(params, omega_d, rabi, freqs, amps, n_max=n_max)
+        for error in errors:
+            if error is not None:
+                raise error
+        mags = np.array([abs(value) for value in r])
         jmin = int(np.argmin(mags))
         f_ref, log_min = parabolic_refine(freqs, np.log(np.maximum(mags, 1e-300)), jmin)
         best[i] = math.exp(log_min)

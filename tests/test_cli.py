@@ -67,11 +67,11 @@ def test_detect_with_trace(fast_cfg, tmp_path):
 def test_byte_identical_across_worker_counts(fast_cfg, tmp_path):
     out1, out2 = tmp_path / "w1", tmp_path / "w2"
     cfg = parse_config(FAST_CFG)
-    assert run_sweep(cfg, "detect-map", out_dir=out1, workers=1) == 0
-    assert run_sweep(cfg, "detect-map", out_dir=out2, workers=3) == 0
-    a = (out1 / "detect_map.csv").read_bytes()
-    b = (out2 / "detect_map.csv").read_bytes()
-    assert a == b
+    for task, workers, csv in (("detect-map", 3, "detect_map.csv"),
+                               ("reflect-map", 2, "reflect_map.csv")):
+        assert run_sweep(cfg, task, out_dir=out1, workers=1) == 0
+        assert run_sweep(cfg, task, out_dir=out2, workers=workers) == 0
+        assert (out1 / csv).read_bytes() == (out2 / csv).read_bytes()
 
 
 def test_detect_map_matches_module_call(fast_cfg, tmp_path):
@@ -175,6 +175,22 @@ def test_render_cli(tmp_path):
     )
     assert code == 0
     assert (tmp_path / "out.svg").exists()
+
+
+def test_render_skips_the_calibration_fit(tmp_path, monkeypatch):
+    """render reads only a CSV, so it never fits the dBm calibration."""
+    import lambdadet.cli
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("render fitted the dBm calibration")
+
+    monkeypatch.setattr(lambdadet.cli, "fit_drive_calibration", no_fit)
+    rows = [[x, y, x + y] for x in (0.0, 1.0) for y in (0.0, 1.0)]
+    csv = write_csv(tmp_path / "grid.csv", ["a", "b", "c"], rows)
+    out = tmp_path / "out.svg"
+    assert main(["--out", str(tmp_path), "render", str(csv), "a", "b", "c",
+                 "--svg-out", str(out)]) == 0
+    assert out.exists()
 
 
 def test_render_rerun_byte_identical(tmp_path):

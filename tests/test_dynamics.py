@@ -9,18 +9,25 @@ from hypothesis import strategies as st
 from lambdadet.dynamics import (
     DensityState,
     IntegratorOptions,
+    _commutator_superop,
+    _dissipator_superop,
+    _schedule_terms,
     free_decay,
     lindblad_rhs,
     liouvillian,
     mixed_initial_state,
     propagate,
     steady_state,
+    steady_state_stack,
+    superoperators,
 )
 from lambdadet.errors import IntegrationError, SteadyStateError
 from lambdadet.hilbert import annihilation, build_space, qubit_lowering, qubit_number
 from lambdadet.model import (
     Frame,
     collapse_operators,
+    drive_noise_channels,
+    drive_quadratures,
     hamiltonian_static,
     input_quadratures,
 )
@@ -102,6 +109,111 @@ class TestLindbladRhs:
         expected = lindblad_rhs(rho, h, collapses).reshape(-1)
         scale = np.linalg.norm(h) + sum(r * np.linalg.norm(c) ** 2 for c, r in collapses)
         assert np.max(np.abs(vec - expected)) <= 1e-12 * (scale + 1.0)
+
+
+def _cw_oracle(params, omega_d, rabi, omega_s, input_amp, n_max):
+    """Kron-built Liouvillian of a drive at omega_d and an input tone at omega_s."""
+    space = build_space(n_max)
+    h = hamiltonian_static(params, Frame(omega_d, omega_s), rabi, omega_d, space=space).matrix
+    h = h + input_amp * input_quadratures(space)[0]
+    collapses = collapse_operators(params, space) + drive_noise_channels(params, space, rabi)
+    return liouvillian(h, collapses)
+
+
+class TestSuperoperators:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n_max=st.integers(min_value=1, max_value=3),
+        detunings=st.tuples(*[st.floats(min_value=-2e9, max_value=2e9)] * 2),
+        rabi=st.floats(min_value=0.0, max_value=5e8),
+        input_amp=st.floats(min_value=0.0, max_value=1e4),
+        noise=st.tuples(*[st.floats(min_value=0.0, max_value=1e-10)] * 2),
+        init_excited_pop=st.floats(min_value=0.0, max_value=0.3),
+        gamma_phi=st.floats(min_value=0.0, max_value=1e7),
+    )
+    def test_affine_assembly_matches_kron_build(
+        self, params, n_max, detunings, rabi, input_amp, noise, init_excited_pop, gamma_phi
+    ):
+        """The record's CW Liouvillian is liouvillian(...) of the same model."""
+        p = dataclasses.replace(
+            params,
+            drive_noise_per_rabi2=noise[0],
+            drive_dephasing_per_rabi2=noise[1],
+            init_excited_pop=init_excited_pop,
+            gamma_phi=gamma_phi,
+        )
+        omega_d, omega_s = p.omega_ge - detunings[0], p.omega_r - detunings[1]
+        (sup,) = superoperators(p, n_max).cw_liouvillians(omega_d, rabi, [omega_s], [input_amp])
+        oracle = _cw_oracle(p, omega_d, rabi, omega_s, input_amp, n_max)
+        assert np.max(np.abs(sup - oracle)) <= 1e-13 * np.linalg.norm(oracle)
+
+    def test_schedule_terms_equal_kron_build(self, params, cfg):
+        """The pulsed static part and term superoperators match the kron build
+        exactly, so propagation is bit-for-bit unchanged."""
+        params = dataclasses.replace(
+            params, drive_noise_per_rabi2=1e-12, drive_dephasing_per_rabi2=1e-12
+        )
+        space = build_space(3)
+        frame = Frame(params.omega_ge, params.omega_r)
+        drive = rect((TWO_PI * 30e6, cfg.omega_d), 100e-9)
+        signal = rect((1e4, cfg.get("signal_freq")), 100e-9)
+        sched = PulseSchedule(((ROLE_DRIVE, drive), (ROLE_SIGNAL, signal)), frame, 100e-9)
+        static, terms = _schedule_terms(sched, params, space)
+
+        h0 = hamiltonian_static(params, frame, 0.0, frame.qubit_ref, space=space).matrix
+        assert np.array_equal(static, liouvillian(h0, collapse_operators(params, space)))
+        (record_static,) = superoperators(params, 3).cw_liouvillians(
+            frame.qubit_ref, 0.0, [frame.resonator_ref], [0.0]
+        )
+        assert np.array_equal(record_static, static)
+
+        sm = qubit_lowering(space)
+        x_q, y_q = drive_quadratures(space)
+        p_r, q_r = input_quadratures(space)
+        root_kext = math.sqrt(params.kappa_ext)
+        expected = [
+            _dissipator_superop(sm.conj().T, 1.0) + _dissipator_superop(sm, 1.0),
+            _dissipator_superop(qubit_number(space), 1.0),
+            _commutator_superop(0.5 * x_q),
+            _commutator_superop(0.5 * y_q),
+            _commutator_superop(root_kext * p_r),
+            _commutator_superop(root_kext * q_r),
+        ]
+        assert len(terms) == len(expected)
+        for (sup, _), want in zip(terms, expected):
+            assert np.array_equal(sup, want)
+
+    def test_record_is_cached_and_read_only(self, params):
+        ops = superoperators(params, 2)
+        assert superoperators(params, 2) is ops
+        with pytest.raises(ValueError):
+            ops.dissipators[0, 0] = 1.0
+
+
+class TestSteadyStateStack:
+    def test_failed_point_is_isolated(self, clean_params, omega_d):
+        """A Liouvillian without dissipators fails alone, with the error that
+        steady_state gives for it; the other points keep their solutions."""
+        p = clean_params
+        space = build_space(2)
+        rabi = TWO_PI * 30e6
+        freqs = p.omega_r + TWO_PI * np.array([-5e6, 0.0, 5e6])
+        amps = [30.0] * 3
+        sups = superoperators(p, 2).cw_liouvillians(omega_d, rabi, freqs, amps)
+        good, good_errors = steady_state_stack(sups.copy())
+        assert good_errors == [None] * 3
+
+        h = hamiltonian_static(p, Frame(omega_d, freqs[1]), rabi, omega_d, space=space).matrix
+        with pytest.raises(SteadyStateError) as alone:
+            steady_state(h, [])
+        assert alone.value.nullity > 1
+        sups[1] = liouvillian(h, [])
+        rhos, errors = steady_state_stack(sups)
+        assert errors[0] is None and errors[2] is None
+        assert str(errors[1]) == str(alone.value)
+        assert errors[1].nullity == alone.value.nullity
+        assert np.all(np.isnan(rhos[1]))
+        assert np.array_equal(rhos[[0, 2]], good[[0, 2]])
 
 
 class TestPropagate:

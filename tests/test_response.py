@@ -5,7 +5,16 @@ import numpy as np
 import pytest
 
 from lambdadet.dressed import dressed_states, matching_amplitude, transition_frequency
+from lambdadet.dynamics import steady_state
 from lambdadet.errors import DipResolutionError, LambdaDetError
+from lambdadet.hilbert import annihilation, build_space
+from lambdadet.model import (
+    Frame,
+    collapse_operators,
+    drive_noise_channels,
+    hamiltonian_static,
+    input_quadratures,
+)
 from lambdadet.response import (
     PASSIVITY_TOL,
     ReflectionMap,
@@ -14,12 +23,31 @@ from lambdadet.response import (
     dip_map,
     find_matching_point,
     pdiff_spectrum,
-    probe_converged,
     reflection_coefficient,
+    reflection_row,
     signal_flux_of_dbm,
 )
 
 TWO_PI = 2.0 * np.pi
+
+
+def probe_converged(params, omega_d, rabi, omega_s, probe_amp, tol=1e-3, **kw):
+    """True when halving the probe amplitude moves |r| by less than tol."""
+    r_full = reflection_coefficient(params, omega_d, rabi, omega_s, probe_amp, **kw)
+    r_half = reflection_coefficient(params, omega_d, rabi, omega_s, probe_amp / 2.0, **kw)
+    return abs(abs(r_full) - abs(r_half)) < tol
+
+
+def kron_built_r(params, omega_d, rabi, omega_s, probe_amp, n_max=3):
+    """r from steady_state on the kron-built Liouvillian of one point."""
+    space = build_space(n_max)
+    frame = Frame(omega_d, omega_s)
+    h = hamiltonian_static(params, frame, rabi, omega_d, space=space).matrix
+    h = h + math.sqrt(params.kappa_ext) * probe_amp * input_quadratures(space)[0]
+    collapses = collapse_operators(params, space) + drive_noise_channels(params, space, rabi)
+    rho = steady_state(h, collapses, frame=frame, space=space)
+    a_mean = complex(np.trace(annihilation(space) @ rho.matrix))
+    return -1.0 + math.sqrt(params.kappa_ext) * a_mean / probe_amp
 
 
 class TestReflectionCoefficient:
@@ -54,6 +82,17 @@ class TestReflectionCoefficient:
         omega_s = TWO_PI * 10.268e9
         amp = default_probe_amplitude(params)
         assert probe_converged(params, omega_d, rabi, omega_s, amp)
+
+
+def test_row_stack_matches_point_solves(params, omega_d):
+    """A map row solved as one stack gives each point's own steady-state r."""
+    rabi = params.rabi_of_dbm(-75.5)
+    freqs = TWO_PI * np.linspace(10.243e9, 10.293e9, 21)
+    amps = [math.sqrt(signal_flux_of_dbm(-145.65, w)) for w in freqs]
+    r, errors = reflection_row(params, omega_d, rabi, freqs, amps)
+    assert errors == [None] * len(freqs)
+    for value, w, amp in zip(r, freqs, amps):
+        assert abs(value - kron_built_r(params, omega_d, rabi, w, amp)) <= 1e-12
 
 
 @pytest.fixture(scope="module")
