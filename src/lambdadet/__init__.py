@@ -33,6 +33,7 @@ from .dynamics import (
     liouvillian,
     mixed_initial_state,
     propagate,
+    propagate_batch,
     steady_state,
 )
 from .hilbert import ComplexOperator, HilbertSpace, build_space

@@ -1,22 +1,30 @@
 """Lindblad master-equation engine.
 
-Time propagation runs on the vectorized density matrix: the right-hand side
-is assembled once per schedule as a static superoperator plus one
-superoperator per time-dependent quadrature, so each evaluation is a handful
-of small matrix-vector products. The pieces the Liouvillian is affine in are
-built once per (params, n_max) in a read-only ``Superoperators`` record;
-CW reflection assembles a whole row of Liouvillians from it and solves the
-stack at once. ``liouvillian`` builds one Liouvillian from kron products and
-is the oracle the record is checked against.
+Time propagation runs on the vectorized density matrix with fixed-step RK4
+over a (D, B) block: B schedules that share one timeline (the columns of a
+map row) advance together. Each schedule's right-hand side is a static
+superoperator plus one superoperator per time-dependent quadrature; the
+batch stacks the static part and the term superoperators into one sparse
+``[static | terms...]`` block, so each evaluation is one product with the
+coefficient-scaled state block plus each column's diagonal. The
+coefficients are tabulated once per sample interval, one row per RK4
+stage. ``propagate`` is the B = 1 case. The pieces the Liouvillian is
+affine in are built once per (params, n_max) in a read-only
+``Superoperators`` record; CW reflection assembles a whole row of
+Liouvillians from it and solves the stack at once. ``liouvillian`` builds
+one Liouvillian from kron products and is the oracle the record is checked
+against.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
+from scipy import sparse
 from scipy.integrate import solve_ivp
 
 from .errors import IntegrationError, SteadyStateError
@@ -39,7 +47,7 @@ from .model import (
     qubit_flip,
 )
 from .params import SystemParams
-from .pulses import ROLE_DRIVE, ROLE_RESET, ROLE_SIGNAL, PulseSchedule
+from .pulses import ROLE_DRIVE, ROLE_RESET, ROLE_SIGNAL, PulseEnvelope, PulseSchedule
 
 TRACE_TOL = 1e-9
 HERM_TOL = 1e-10
@@ -92,20 +100,6 @@ class DensityState:
     def min_eigenvalue(self) -> float:
         herm = 0.5 * (self.matrix + self.matrix.conj().T)
         return float(np.linalg.eigvalsh(herm)[0])
-
-    def validate(self, trace_tol=TRACE_TOL, herm_tol=HERM_TOL, pos_tol=POSITIVITY_TOL):
-        if self.trace_error() > trace_tol:
-            raise IntegrationError(
-                f"trace error {self.trace_error():.2e} exceeds {trace_tol:.0e} at t={self.time:.3e}"
-            )
-        if self.hermiticity_error() > herm_tol:
-            raise IntegrationError(
-                f"hermiticity error {self.hermiticity_error():.2e} at t={self.time:.3e}"
-            )
-        if self.min_eigenvalue() < pos_tol:
-            raise IntegrationError(
-                f"negative eigenvalue {self.min_eigenvalue():.2e} at t={self.time:.3e}"
-            )
 
 
 def mixed_initial_state(space: HilbertSpace, excited_pop: float, frame: Frame) -> DensityState:
@@ -194,6 +188,23 @@ class Superoperators:
     flip_up: np.ndarray  # D[sigma_plus] at unit rate, for the drive-line noise
     flip_down: np.ndarray  # D[sigma_minus] at unit rate
     dephasing: np.ndarray  # D[n_q] at unit rate
+
+    @functools.cached_property
+    def pulse_terms(self) -> tuple:
+        """Term superoperators of a pulse schedule, indexed by the ``TERM_*``
+        blocks: the drive-line flips D[s+] + D[s-] and dephasing D[n_q] at
+        unit rate, -i[X/2, .] and -i[Y/2, .] of the drive, and
+        sqrt(kappa_ext) times -i[P, .] and -i[Q, .] of the inputs."""
+        root_kext = math.sqrt(self.params.kappa_ext)
+        terms = (
+            self.flip_up + self.flip_down,
+            self.dephasing,
+            *(0.5 * sup for sup in self.drive),
+            *(root_kext * sup for sup in self.input),
+        )
+        for sup in terms:
+            sup.flags.writeable = False
+        return terms
 
     def cw_liouvillians(self, omega_d: float, rabi: float, omega_s, input_amp) -> np.ndarray:
         """(B, D, D) Liouvillians of a drive at omega_d and B input tones.
@@ -351,59 +362,131 @@ class Trajectory:
     pinned: dict = field(default_factory=dict)
 
 
-def _schedule_terms(schedule: PulseSchedule, params: SystemParams, space: HilbertSpace):
-    """Static superoperator plus (superop, f(t)) pairs for every envelope.
+# blocks of ``Superoperators.pulse_terms``; a quadrature's sine term is at +1
+TERM_FLIP, TERM_DEPHASING, TERM_DRIVE, TERM_INPUT = 0, 1, 2, 4
 
-    The term superoperators come from the ``superoperators`` record. The
-    static part is the kron-built ``liouvillian``, which the record
-    reproduces bit for bit (see ``Superoperators``).
+
+class TermCoefficient(NamedTuple):
+    """f(t) of one schedule term, whose superoperator is ``pulse_terms[block]``.
+
+    c v(t)^2 for drive-line noise (``noise`` = c > 0); otherwise the envelope
+    v(t), times cos or sin of ``detuning`` t for a carrier off the frame.
+    """
+
+    block: int
+    envelope: PulseEnvelope
+    noise: float = 0.0
+    detuning: float = 0.0
+    sine: bool = False
+
+    def of(self, v: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """The coefficient at times t, from the envelope's values v there."""
+        if self.noise:
+            return self.noise * v * v
+        if self.detuning == 0.0:
+            return v
+        return v * (np.sin if self.sine else np.cos)(self.detuning * t)
+
+
+def _schedule_terms(schedule: PulseSchedule, params: SystemParams, space: HilbertSpace):
+    """Static superoperator plus (superop, TermCoefficient) pairs for every
+    envelope.
+
+    The term superoperators are the record's ``pulse_terms``. The static
+    part is the kron-built ``liouvillian``, which the record reproduces bit
+    for bit (see ``Superoperators``).
     """
     frame = schedule.frame
     h0 = hamiltonian_static(params, frame, 0.0, frame.qubit_ref, space=space).matrix
     static = liouvillian(h0, collapse_operators(params, space))
 
-    ops = superoperators(params, space.n_max)
-    root_kext = math.sqrt(params.kappa_ext)
-    flip_sup = ops.flip_up + ops.flip_down
-
-    terms = []
+    coefficients = []
     for role, env in schedule.entries:
         if env.amplitude == 0.0:
             continue
         if role == ROLE_DRIVE:
-            detuning = env.carrier - frame.qubit_ref
-            sup_cos, sup_sin = (0.5 * sup for sup in ops.drive)
+            block, detuning = TERM_DRIVE, env.carrier - frame.qubit_ref
             # drive-line noise: incoherent rates tracking the instantaneous
             # drive power
-            for sup, const in (
-                (flip_sup, params.drive_noise_per_rabi2),
-                (ops.dephasing, params.drive_dephasing_per_rabi2),
+            for noise_block, const in (
+                (TERM_FLIP, params.drive_noise_per_rabi2),
+                (TERM_DEPHASING, params.drive_dephasing_per_rabi2),
             ):
                 if const > 0:
-
-                    def f_noise(t, env=env, c=const):
-                        v = env.value(t)
-                        return c * v * v
-
-                    terms.append((sup, f_noise))
+                    coefficients.append(TermCoefficient(noise_block, env, noise=const))
         elif role in (ROLE_SIGNAL, ROLE_RESET):
-            detuning = env.carrier - frame.resonator_ref
-            sup_cos, sup_sin = (root_kext * sup for sup in ops.input)
+            block, detuning = TERM_INPUT, env.carrier - frame.resonator_ref
         else:
             continue
+        coefficients.append(TermCoefficient(block, env, detuning=detuning))
+        if detuning != 0.0:
+            coefficients.append(TermCoefficient(block + 1, env, detuning=detuning, sine=True))
+    sups = superoperators(params, space.n_max).pulse_terms
+    return static, [(sups[c.block], c) for c in coefficients]
 
-        if detuning == 0.0:
-            terms.append((sup_cos, env.value))
-        else:
-            def f_cos(t, env=env, d=detuning):
-                return env.value(t) * math.cos(d * t)
 
-            def f_sin(t, env=env, d=detuning):
-                return env.value(t) * math.sin(d * t)
+class _StackedRHS:
+    """Right-hand side of B schedules on one timeline, as one sparse product.
 
-            terms.append((sup_cos, f_cos))
-            terms.append((sup_sin, f_sin))
-    return static, terms
+    Column b evolves under its static superoperator S_b plus
+    sum_k f_bk(t) T_k over the batch's term superoperators T_k. The S_b may
+    differ on the diagonal only (the frame's references enter there), so
+    the CSR block [S_offdiag | T_1 ... T_K] acts on the stacked state block
+    [x; f_1 x; ...; f_K x] and each column's diagonal is applied apart.
+    """
+
+    def __init__(self, schedules, params: SystemParams, space: HilbertSpace):
+        diagonals, columns = [], []
+        for sched in schedules:
+            static, terms = _schedule_terms(sched, params, space)
+            diagonals.append(static.diagonal().copy())
+            np.fill_diagonal(static, 0.0)
+            if not columns:
+                offdiag = static
+            elif not np.array_equal(static, offdiag):
+                raise ValueError("the static parts of a batch may differ on the diagonal only")
+            columns.append(terms)
+        self.diagonal = np.array(diagonals).T  # (D, B)
+        dim = len(diagonals[0])
+
+        blocks = sorted({c.block for terms in columns for _, c in terms})
+        sups = superoperators(params, space.n_max).pulse_terms
+        self.matrix = sparse.hstack(
+            [sparse.csr_array(offdiag)] + [sparse.csr_array(sups[k]) for k in blocks],
+            format="csr",
+        )
+
+        # (block position, column, coefficient, envelope key) of every term;
+        # an envelope's value does not depend on its carrier
+        self._entries = [
+            (blocks.index(c.block), b, c, replace(c.envelope, carrier=0.0))
+            for b, terms in enumerate(columns)
+            for _, c in terms
+        ]
+        self._shape = (len(blocks), len(schedules))
+        self._z = np.empty(((len(blocks) + 1) * dim, len(schedules)), dtype=complex)
+        self._z_terms = self._z[dim:].reshape(len(blocks), dim, len(schedules))
+        self._dim = dim
+
+    def table(self, times: np.ndarray) -> np.ndarray:
+        """(len(times), K, B) coefficients: each distinct envelope is
+        evaluated once per time, and every term that shares it reuses the
+        value."""
+        out = np.zeros((len(times),) + self._shape)
+        values = {}
+        for k, b, c, key in self._entries:
+            if key not in values:
+                values[key] = c.envelope.values(times)
+            out[:, k, b] += c.of(values[key], times)
+        return out
+
+    def __call__(self, x: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
+        """dx/dt of the (D, B) block x under one (K, B) table row."""
+        self._z[: self._dim] = x
+        np.multiply(coefficients[:, None, :], x, out=self._z_terms)
+        y = self.matrix @ self._z
+        y += self.diagonal * x
+        return y
 
 
 def _segment_boundaries(schedule: PulseSchedule, t0: float, t1: float):
@@ -422,6 +505,212 @@ def _sample_times(schedule: PulseSchedule, t0: float, t1: float, sample_dt: floa
     return np.unique(times)
 
 
+def _rk4_interval(rhs: _StackedRHS, x: np.ndarray, t: float, t_next: float, max_step: float):
+    """Fixed-step RK4 of the block x from t to t_next, with the coefficient
+    table of this interval: one row per RK4 stage."""
+    span = t_next - t
+    nsteps = max(1, int(math.ceil(span / max_step)))
+    if span / nsteps < 1e-18:
+        raise IntegrationError("step size underflow")
+    # stage times interpolated from the exact endpoints so the last stage
+    # never lands past an envelope edge at t_next
+    edges = t + span * (np.arange(nsteps + 1) / nsteps)
+    edges[-1] = t_next
+    ta, tb = edges[:-1], edges[1:]
+    steps = tb - ta
+    tm = ta + 0.5 * steps
+    table = rhs.table(np.stack([ta, tm, tm, tb], axis=1).reshape(-1))
+    for i, h in enumerate(steps.tolist()):
+        k1 = rhs(x, table[4 * i])
+        k2 = rhs(x + 0.5 * h * k1, table[4 * i + 1])
+        k3 = rhs(x + 0.5 * h * k2, table[4 * i + 2])
+        k4 = rhs(x + h * k3, table[4 * i + 3])
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return x
+
+
+def _check_message(t, trace_error, herm_error, min_eigenvalue) -> str:
+    """The first per-sample check a state fails, as ``propagate`` reports it,
+    or an empty string."""
+    if trace_error > TRACE_TOL:
+        return f"trace error {trace_error:.2e} exceeds {TRACE_TOL:.0e} at t={t:.3e}"
+    if herm_error > HERM_TOL:
+        return f"hermiticity error {herm_error:.2e} at t={t:.3e}"
+    if min_eigenvalue < POSITIVITY_TOL:
+        return f"negative eigenvalue {min_eigenvalue:.2e} at t={t:.3e}"
+    if trace_error > TRACE_DRIFT_LIMIT:
+        return f"trace drift {trace_error:.2e} exceeds {TRACE_DRIFT_LIMIT:.0e}"
+    return ""
+
+
+class _SampleLog:
+    """Checks and observables of a (D, B) block at every sample.
+
+    A column that fails a check keeps that first error and is zeroed, so it
+    stays finite and costs nothing in later checks; the other columns go on.
+    """
+
+    def __init__(self, space: HilbertSpace, n_cols: int, pin_times):
+        d = space.dim
+        self.space, self.pin_times = space, pin_times
+        self.diag = np.arange(d) * (d + 1)
+        self.n_q = np.real(np.diag(qubit_number(space)))
+        self.n_ph = (np.arange(d) // 2).astype(float)
+        self.a_row = annihilation(space).T.reshape(-1)  # Tr(a rho) = a_row . vec(rho)
+        self.errors = [None] * n_cols
+        self.times, self.p_e, self.photons, self.field, self.drift = [], [], [], [], []
+        self.pinned = {}
+
+    def record(self, t: float, x: np.ndarray):
+        d = self.space.dim
+        live = [b for b, error in enumerate(self.errors) if error is None]
+        rhos = x[:, live].T.reshape(-1, d, d)
+        drift = np.abs(np.trace(rhos, axis1=1, axis2=2).real - 1.0)
+        herm = np.abs(rhos - rhos.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+        finite = np.isfinite(rhos).all(axis=(1, 2))
+        min_eig = np.full(len(live), np.nan)
+        if finite.any():
+            hermitian = 0.5 * (rhos[finite] + rhos[finite].conj().transpose(0, 2, 1))
+            min_eig[finite] = np.linalg.eigvalsh(hermitian)[:, 0]
+        for k, b in enumerate(live):
+            if finite[k]:
+                message = _check_message(t, drift[k], herm[k], min_eig[k])
+            else:
+                message = f"non-finite density matrix at t={t:.3e}"
+            if message:
+                self.errors[b] = IntegrationError(message)
+                x[:, b] = 0.0
+        pops = x[self.diag].real
+        trace_error = np.full(x.shape[1], np.nan)
+        trace_error[live] = drift
+        self.times.append(t)
+        self.p_e.append(self.n_q @ pops)
+        self.photons.append(self.n_ph @ pops)
+        self.field.append(self.a_row @ x)
+        self.drift.append(trace_error)
+        if t in self.pin_times:
+            self.pinned[t] = x.copy()
+
+    def trajectories(self, frames, t_end: float) -> list:
+        """Per column: its Trajectory, or the IntegrationError it failed with."""
+        d = self.space.dim
+        series = (self.p_e, self.photons, self.field, self.drift)
+        p_e, photons, field_, drift = map(np.array, series)
+        out = []
+        for b, (frame, error) in enumerate(zip(frames, self.errors)):
+            if error is not None:
+                out.append(error)
+                continue
+            pinned = {
+                t: DensityState(x[:, b].reshape(d, d).copy(), t, frame, self.space)
+                for t, x in self.pinned.items()
+            }
+            out.append(Trajectory(
+                times=np.array(self.times),
+                p_excited=p_e[:, b],
+                photon_number=photons[:, b],
+                field=field_[:, b],
+                trace_error=drift[:, b],
+                final=pinned[t_end],
+                pinned=pinned,
+            ))
+        return out
+
+
+def _flip_permutation(space: HilbertSpace) -> np.ndarray:
+    """Indices that map vec(rho) to vec(F rho F) for the qubit flip F, a
+    permutation matrix."""
+    p = np.argmax(qubit_flip(space).real, axis=1)
+    return (p[:, None] * space.dim + p[None, :]).reshape(-1)
+
+
+def propagate_batch(
+    rho0s,
+    schedules,
+    params: SystemParams,
+    opts: IntegratorOptions = IntegratorOptions(),
+    *,
+    until: float | None = None,
+    extra_samples=(),
+) -> list:
+    """Propagate B schedules that share one timeline as one (D, B) block.
+
+    The schedules must share duration, readout markers and pi times, and the
+    initial states their time tag and space: the columns of a map row,
+    which differ in amplitudes, carriers and the frame's references. Each
+    column is checked at every sample as ``propagate`` checks its state; a
+    column that fails a check stops there, and the others go on. Returns
+    per column its Trajectory or the IntegrationError it failed with. A
+    failure of the timeline itself (step-size underflow, a failed adaptive
+    solve) raises. The adaptive solver picks its own steps, so it runs the
+    columns one at a time.
+    """
+    first = schedules[0]
+    for rho0, sched in zip(rho0s, schedules, strict=True):
+        if rho0.frame != sched.frame:
+            raise ValueError("initial state frame does not match the schedule frame")
+        timeline = (sched.duration, sched.marker_times(), sched.pi_times())
+        if timeline != (first.duration, first.marker_times(), first.pi_times()):
+            raise ValueError("the schedules of a batch must share one timeline")
+        if (rho0.time, rho0.space) != (rho0s[0].time, rho0s[0].space):
+            raise ValueError("the initial states of a batch must share time and space")
+    if opts.method != METHOD_FIXED_RK4 and len(schedules) > 1:
+        return [
+            propagate_batch([r], [s], params, opts, until=until, extra_samples=extra_samples)[0]
+            for r, s in zip(rho0s, schedules)
+        ]
+
+    space = rho0s[0].space
+    rhs = _StackedRHS(schedules, params, space)
+    t_end = first.duration if until is None else max(until, first.duration)
+    t_start = rho0s[0].time
+    if t_end < t_start:
+        raise ValueError("schedule ends before the initial state's time tag")
+    sample_times = _sample_times(first, t_start, t_end, opts.sample_dt, extra_samples)
+    pin_times = set(first.marker_times()) | set(extra_samples) | {t_end}
+    log = _SampleLog(space, len(schedules), pin_times)
+    flip = _flip_permutation(space)
+
+    x = np.stack([rho0.matrix.reshape(-1) for rho0 in rho0s], axis=1).astype(complex)
+    segments, pi_events = _segment_boundaries(first, t_start, t_end)
+    # pi pulse exactly at the start acts before any evolution
+    for t_pi in pi_events:
+        if t_pi == t_start:
+            x = x[flip]
+    log.record(t_start, x)
+
+    for seg_start, seg_end in segments:
+        if seg_end > seg_start:
+            seg_samples = sample_times[(sample_times > seg_start) & (sample_times <= seg_end)]
+            if len(seg_samples) == 0 or seg_samples[-1] != seg_end:
+                seg_samples = np.append(seg_samples, seg_end)
+            if opts.method == METHOD_FIXED_RK4:
+                t = seg_start
+                for t_next in seg_samples:
+                    x = _rk4_interval(rhs, x, t, t_next, opts.max_step)
+                    t = t_next
+                    log.record(t, x)
+            else:
+                sol = solve_ivp(
+                    lambda t, y: rhs(y[:, None], rhs.table(np.array([t]))[0])[:, 0],
+                    (seg_start, seg_end),
+                    x[:, 0],
+                    method="RK45",
+                    t_eval=seg_samples,
+                    rtol=opts.rtol,
+                    atol=opts.atol,
+                )
+                if not sol.success:
+                    raise IntegrationError(f"adaptive integrator failed: {sol.message}")
+                for t_i, x_i in zip(sol.t, sol.y.T):
+                    x = x_i[:, None].copy()
+                    log.record(t_i, x)
+        if seg_end in pi_events and seg_end > t_start:
+            x = x[flip]
+
+    return log.trajectories([s.frame for s in schedules], t_end)
+
+
 def propagate(
     rho0: DensityState,
     schedule: PulseSchedule,
@@ -434,119 +723,18 @@ def propagate(
     """Propagate over a schedule, sampling observables along the way.
 
     Instantaneous pi pulses are applied as exact qubit flips at their times.
-    Trace, Hermiticity and positivity are checked at every sample; trace
-    drift beyond 1e-6 raises IntegrationError. ``until`` extends the run past
-    the schedule (free dynamics once envelopes end); ``extra_samples`` pins
-    exact sample times, retrievable from Trajectory.pinned.
+    Trace, Hermiticity and positivity are checked at every sample; a failed
+    check, or trace drift beyond 1e-6, raises IntegrationError. ``until``
+    extends the run past the schedule (free dynamics once envelopes end);
+    ``extra_samples`` pins exact sample times, retrievable from
+    Trajectory.pinned. The B = 1 case of ``propagate_batch``.
     """
-    space = rho0.space
-    if rho0.frame != schedule.frame:
-        raise ValueError("initial state frame does not match the schedule frame")
-    static, terms = _schedule_terms(schedule, params, space)
-    flip = qubit_flip(space)
-
-    def rhs(t, x):
-        y = static @ x
-        for sup, f in terms:
-            v = f(t)
-            if v != 0.0:
-                y += v * (sup @ x)
-        return y
-
-    t_end = schedule.duration if until is None else max(until, schedule.duration)
-    t_start = rho0.time
-    if t_end < t_start:
-        raise ValueError("schedule ends before the initial state's time tag")
-    sample_times = _sample_times(schedule, t_start, t_end, opts.sample_dt, extra_samples)
-    pin_times = set(schedule.marker_times()) | set(extra_samples) | {t_end}
-
-    x = rho0.matrix.reshape(-1).astype(complex)
-    segments, pi_events = _segment_boundaries(schedule, t_start, t_end)
-
-    times_out, p_e, n_ph, a_exp, tr_err = [], [], [], [], []
-    pinned = {}
-    nq = np.real(np.diag(qubit_number(space)))
-    a_op = annihilation(space)
-    n_op = np.arange(space.dim) // 2
-
-    def record(t, x):
-        rho = x.reshape(space.dim, space.dim)
-        state = DensityState(rho.copy(), t, schedule.frame, space)
-        state.validate()
-        drift = state.trace_error()
-        if drift > TRACE_DRIFT_LIMIT:
-            raise IntegrationError(f"trace drift {drift:.2e} exceeds {TRACE_DRIFT_LIMIT:.0e}")
-        pops = np.real(np.diag(rho))
-        times_out.append(t)
-        p_e.append(float(pops @ nq))
-        n_ph.append(float(pops @ n_op))
-        a_exp.append(complex(np.trace(a_op @ rho)))
-        tr_err.append(drift)
-        if t in pin_times:
-            pinned[t] = state
-
-    # pi pulse exactly at the start acts before any evolution
-    for t_pi in pi_events:
-        if t_pi == t_start:
-            rho = x.reshape(space.dim, space.dim)
-            x = (flip @ rho @ flip).reshape(-1)
-    record(t_start, x)
-
-    for seg_start, seg_end in segments:
-        if seg_end > seg_start:
-            seg_samples = sample_times[(sample_times > seg_start) & (sample_times <= seg_end)]
-            if len(seg_samples) == 0 or seg_samples[-1] != seg_end:
-                seg_samples = np.append(seg_samples, seg_end)
-            if opts.method == METHOD_FIXED_RK4:
-                t = seg_start
-                for t_next in seg_samples:
-                    span = t_next - t
-                    nsteps = max(1, int(math.ceil(span / opts.max_step)))
-                    if span / nsteps < 1e-18:
-                        raise IntegrationError("step size underflow")
-                    # stage times interpolated from the exact endpoints so the
-                    # last stage never lands past an envelope edge at t_next
-                    t_lo = t
-                    for i in range(nsteps):
-                        ta = t_lo + span * (i / nsteps)
-                        tb = t_next if i == nsteps - 1 else t_lo + span * ((i + 1) / nsteps)
-                        h = tb - ta
-                        tm = ta + 0.5 * h
-                        k1 = rhs(ta, x)
-                        k2 = rhs(tm, x + 0.5 * h * k1)
-                        k3 = rhs(tm, x + 0.5 * h * k2)
-                        k4 = rhs(tb, x + h * k3)
-                        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                    t = t_next
-                    record(t, x)
-            else:
-                sol = solve_ivp(
-                    rhs,
-                    (seg_start, seg_end),
-                    x,
-                    method="RK45",
-                    t_eval=seg_samples,
-                    rtol=opts.rtol,
-                    atol=opts.atol,
-                )
-                if not sol.success:
-                    raise IntegrationError(f"adaptive integrator failed: {sol.message}")
-                for t_i, x_i in zip(sol.t, sol.y.T):
-                    record(t_i, x_i)
-                x = sol.y[:, -1]
-        if seg_end in pi_events and seg_end > t_start:
-            rho = x.reshape(space.dim, space.dim)
-            x = (flip @ rho @ flip).reshape(-1)
-
-    return Trajectory(
-        times=np.array(times_out),
-        p_excited=np.array(p_e),
-        photon_number=np.array(n_ph),
-        field=np.array(a_exp),
-        trace_error=np.array(tr_err),
-        final=pinned[t_end],
-        pinned=pinned,
+    (result,) = propagate_batch(
+        [rho0], [schedule], params, opts, until=until, extra_samples=extra_samples
     )
+    if isinstance(result, IntegrationError):
+        raise result
+    return result
 
 
 def free_decay(state: DensityState, params: SystemParams, duration: float) -> DensityState:

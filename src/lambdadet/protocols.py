@@ -26,6 +26,7 @@ from .dynamics import (
     Trajectory,
     mixed_initial_state,
     propagate,
+    propagate_batch,
 )
 from .errors import IntegrationError, SteadyStateError
 from .hilbert import build_space, qubit_number
@@ -35,16 +36,13 @@ from .pulses import (
     DetectionSettings,
     PulseSchedule,
     ResetSettings,
-    auto_drive_length,
     detection_schedule,
     reset_schedule,
-    stage_duration,
 )
-from .sweep import fan_out, grid_argmin, increasing_grids
+from .sweep import fan_out, grid_argmin, increasing_grids, parallel_map
 
 FOCK_CONVERGENCE_TOL = 1e-3
 READOUT_BUDGET_DEFAULT = 140e-9  # t_delay2 + acquisition, rate bookkeeping only
-DETECT_STAGE_DEFAULT = stage_duration(auto_drive_length(85e-9))  # the paper's t_s
 
 
 @dataclass(frozen=True)
@@ -121,6 +119,11 @@ def _p_excited(state: DensityState) -> float:
     return float(pops @ weights)
 
 
+def _click_time(sched, readout) -> float:
+    """The readout has latched: the last marker plus the latch delay."""
+    return sched.marker_times()[-1] + readout.latch_delay
+
+
 def _click(sched, params, readout, opts, n_max, fock_label=None):
     """Propagate through the schedule and read the click at marker + latch.
 
@@ -131,7 +134,7 @@ def _click(sched, params, readout, opts, n_max, fock_label=None):
     FOCK_CONVERGENCE_TOL is flagged under that label. Returns the click, the
     flags and the trajectory at n_max.
     """
-    t_click = sched.marker_times()[-1] + readout.latch_delay
+    t_click = _click_time(sched, readout)
 
     def read(cutoff):
         rho0 = mixed_initial_state(build_space(cutoff), params.init_excited_pop, sched.frame)
@@ -147,22 +150,38 @@ def _click(sched, params, readout, opts, n_max, fock_label=None):
     return click, flags, traj
 
 
-def _detect(params, settings, readout, opts, n_max, dark_click):
-    """Detection outcome and the trajectory of its signal run."""
-    s = settings
-    if s.rabi > 0:
-        params.check_nesting(s.omega_d)
-    click, flags, traj = _click(detection_schedule(params, s), params, readout, opts, n_max, "p_e")
+def _click_row(scheds, params, readout, opts, n_max):
+    """Clicks of schedules that share one timeline, propagated as one batch.
 
+    Returns the clicks, NaN where a column failed, and per column the
+    failure message or an empty string.
+    """
+    t_click = _click_time(scheds[0], readout)
+    space = build_space(n_max)
+    rho0s = [mixed_initial_state(space, params.init_excited_pop, s.frame) for s in scheds]
+    try:
+        results = propagate_batch(
+            rho0s, scheds, params, opts, until=t_click, extra_samples=(t_click,)
+        )
+    except IntegrationError as exc:  # the shared timeline failed
+        results = [exc] * len(scheds)
+    clicks = [
+        math.nan if isinstance(r, IntegrationError)
+        else readout.click_probability(_p_excited(r.pinned[t_click]))
+        for r in results
+    ]
+    return clicks, [str(r) if isinstance(r, IntegrationError) else "" for r in results]
+
+
+def _outcome(params, settings, click, dark_click, flags=""):
+    """Detection outcome of a click and the dark click of its drive; with
+    nbar_s = 0 the run is the dark run itself."""
+    s = settings
     if s.nbar_s > 0:
-        if dark_click is None:
-            dark_sched = detection_schedule(params, replace(s, nbar_s=0.0))
-            dark_click = _click(dark_sched, params, readout, opts, n_max)[0]
         eta = (click - dark_click) / (1.0 - math.exp(-s.nbar_s))
     else:
         dark_click = click
         eta = math.nan
-
     p_d_dbm = math.nan
     if params.drive_power_to_rabi and s.rabi > 0:
         p_d_dbm = params.dbm_of_rabi(s.rabi)
@@ -176,7 +195,19 @@ def _detect(params, settings, readout, opts, n_max, dark_click):
         omega_s=s.omega_s,
         p_d_dbm=p_d_dbm,
         flags=flags,
-    ), traj
+    )
+
+
+def _detect(params, settings, readout, opts, n_max, dark_click):
+    """Detection outcome and the trajectory of its signal run."""
+    s = settings
+    if s.rabi > 0:
+        params.check_nesting(s.omega_d)
+    click, flags, traj = _click(detection_schedule(params, s), params, readout, opts, n_max, "p_e")
+    if s.nbar_s > 0 and dark_click is None:
+        dark_sched = detection_schedule(params, replace(s, nbar_s=0.0))
+        dark_click = _click(dark_sched, params, readout, opts, n_max)[0]
+    return _outcome(params, s, click, dark_click, flags), traj
 
 
 def detection_run(
@@ -211,7 +242,7 @@ def detection_trace(
 
 
 def _detection_task(params, readout, opts, n_max, task):
-    """One detection point of a sweep: (settings, dark click or None)."""
+    """One detection point of a scan: (settings, dark click or None)."""
     settings, dark = task
     try:
         out = detection_run(params, settings, readout, opts=opts, n_max=n_max, dark_click=dark)
@@ -220,10 +251,28 @@ def _detection_task(params, readout, opts, n_max, task):
         return None, str(exc)
 
 
-def _field_grid(outcomes, name, shape):
-    """One outcome field over a grid; failed points are NaN."""
-    values = [math.nan if out is None else getattr(out, name) for out in outcomes]
-    return np.array(values, dtype=float).reshape(shape)
+def _detection_row(params, readout, opts, n_max, row):
+    """One drive power of the efficiency map as one batch: the dark run,
+    then the signal runs. Returns an outcome per column (None where it
+    failed) and the failure messages."""
+    if row[0].rabi > 0:
+        params.check_nesting(row[0].omega_d)
+    scheds = [detection_schedule(params, s) for s in row]
+    clicks, messages = _click_row(scheds, params, readout, opts, n_max)
+    outcomes = [
+        None if message else _outcome(params, s, click, clicks[0])
+        for s, click, message in zip(row, clicks, messages)
+    ]
+    return outcomes, messages
+
+
+def _field_grid(rows, name):
+    """One outcome field over the grid points of the rows; failed points
+    are NaN."""
+    return np.array(
+        [[math.nan if out is None else getattr(out, name) for out in row[1:]] for row in rows],
+        dtype=float,
+    )
 
 
 @dataclass
@@ -253,29 +302,20 @@ def efficiency_map(
 ) -> EfficiencyMap:
     """Detection efficiency over a (P_d, omega_s) grid around ``base``.
 
-    The dark run is shared per power (it does not involve the signal), and
-    the eta > 0.5 band is the omega_s interval where the frequency cut at
-    the best drive power stays above one half.
+    Each drive power is one batch on one timeline: the dark run, shared by
+    the row because it does not involve the signal, and one signal run per
+    frequency. The eta > 0.5 band is the omega_s interval where the
+    frequency cut at the best drive power stays above one half.
     """
     power_grid_dbm, freq_grid = increasing_grids(power_grid_dbm, freq_grid)
-    task = partial(_detection_task, params, readout, opts, n_max)
+    rows = []
+    for p in power_grid_dbm:
+        dark = replace(base, rabi=params.rabi_of_dbm(p), omega_s=freq_grid[0], nbar_s=0.0)
+        rows.append([dark] + [replace(dark, omega_s=f, nbar_s=base.nbar_s) for f in freq_grid])
+    task = partial(_detection_row, params, readout, opts, n_max)
+    runs, flags = fan_out(task, rows, len(freq_grid), workers, lead=1)
 
-    rows = [
-        replace(base, rabi=params.rabi_of_dbm(p), omega_s=freq_grid[0], nbar_s=0.0)
-        for p in power_grid_dbm
-    ]
-    dark_runs, flags = fan_out(task, [(s, None) for s in rows], workers=workers)
-    darks = _field_grid(dark_runs, "p_dark", len(rows))
-    points = [
-        (replace(s, omega_s=omega_s, nbar_s=base.nbar_s), float(dark))
-        for s, dark in zip(rows, darks)
-        for omega_s in freq_grid
-    ]
-    runs, point_flags = fan_out(task, points, len(freq_grid), workers)
-    flags += point_flags
-
-    shape = (len(power_grid_dbm), len(freq_grid))
-    eta = _field_grid(runs, "eta", shape)
+    eta = _field_grid(runs, "eta")
     (i, j), (p_ref, _), (f_ref, _) = grid_argmin(
         -eta, power_grid_dbm, freq_grid, IntegrationError, flags
     )
@@ -283,8 +323,8 @@ def efficiency_map(
         power_grid_dbm,
         freq_grid,
         eta,
-        _field_grid(runs, "p_e", shape),
-        _field_grid(runs, "p_dark", shape),
+        _field_grid(runs, "p_e"),
+        _field_grid(runs, "p_dark"),
         _band_above(freq_grid, eta[i, :], 0.5),
         float(p_ref),
         float(f_ref),
@@ -314,14 +354,13 @@ def _band_above(x: np.ndarray, y: np.ndarray, level: float):
 def _detection_scan(params, readout, opts, n_max, points, workers):
     """Outcomes of a one-axis detection scan; a failed point raises."""
     task = partial(_detection_task, params, readout, opts, n_max)
-    outcomes, flags = fan_out(task, points, workers=workers)
-    if flags:
-        i, _, message = flags[0]
-        settings = points[i][0]
-        raise IntegrationError(
-            f"t_s = {settings.t_s * 1e9:.0f} ns, nbar_s = {settings.nbar_s} failed: {message}"
-        )
-    return outcomes
+    results = parallel_map(task, points, workers)
+    for (settings, _), (_, message) in zip(points, results):
+        if message:
+            raise IntegrationError(
+                f"t_s = {settings.t_s * 1e9:.0f} ns, nbar_s = {settings.nbar_s} failed: {message}"
+            )
+    return [out for out, _ in results]
 
 
 def efficiency_vs_length(
@@ -364,14 +403,15 @@ def reset_run(
     opts: IntegratorOptions = IntegratorOptions(),
     n_max: int = 3,
     with_baseline: bool = True,
-    detect_stage: float = DETECT_STAGE_DEFAULT,
+    detect_stage: float,
     readout_stage: float = READOUT_BUDGET_DEFAULT,
 ) -> ResetOutcome:
     """Reset protocol: optional instant pi pulse, then drive + reset tone.
 
     ``p_e_no_reset`` is the same run with the reset tone removed (pure T1
     decay under the drive), computed unless ``with_baseline`` is False. The
-    period adds ``detect_stage`` and ``readout_stage`` to the reset stage.
+    period adds ``detect_stage`` (the detection settings' ``stage``) and
+    ``readout_stage`` to the reset stage.
     """
     s = settings
     params.check_nesting(s.omega_d)
@@ -401,15 +441,13 @@ def reset_run(
     )
 
 
-def _reset_task(params, readout, opts, n_max, settings):
-    """One reset point of a sweep, without the no-reset baseline."""
-    try:
-        out = reset_run(
-            params, settings, True, readout, opts=opts, n_max=n_max, with_baseline=False
-        )
-        return out, ""
-    except (IntegrationError, SteadyStateError) as exc:
-        return None, str(exc)
+def _reset_row(params, readout, opts, n_max, row):
+    """One drive power of the reset map as one batch: the no-reset baseline,
+    then the reset tones, each after the initial pi pulse. Returns the
+    clicks (NaN where a column failed) and the failure messages."""
+    params.check_nesting(row[0].omega_d)
+    scheds = [reset_schedule(params, s, with_initial_pi=True) for s in row]
+    return _click_row(scheds, params, readout, opts, n_max)
 
 
 @dataclass
@@ -436,24 +474,20 @@ def reset_map(
     workers: int = 1,
 ) -> ResetMap:
     """P(|e>) after the reset over a (P_dr, omega_rst) grid around ``base``,
-    with argmin."""
+    with argmin. Each drive power is one batch on one timeline: the no-reset
+    baseline and one reset run per frequency."""
     power_grid_dbm, freq_grid = increasing_grids(power_grid_dbm, freq_grid)
-    task = partial(_reset_task, params, readout, opts, n_max)
+    rows = []
+    for p in power_grid_dbm:
+        rabi_dr = params.rabi_of_dbm(p)
+        no_reset = replace(base, rabi_dr=rabi_dr, omega_rst=freq_grid[0], nbar_rst=0.0)
+        rows.append(
+            [no_reset] + [replace(no_reset, omega_rst=f, nbar_rst=base.nbar_rst) for f in freq_grid]
+        )
+    task = partial(_reset_row, params, readout, opts, n_max)
+    clicks, flags = fan_out(task, rows, len(freq_grid), workers, lead=1)
 
-    rows = [
-        replace(base, rabi_dr=params.rabi_of_dbm(p), omega_rst=freq_grid[0], nbar_rst=0.0)
-        for p in power_grid_dbm
-    ]
-    base_runs, flags = fan_out(task, rows, workers=workers)
-    points = [
-        replace(s, omega_rst=omega_rst, nbar_rst=base.nbar_rst)
-        for s in rows
-        for omega_rst in freq_grid
-    ]
-    runs, point_flags = fan_out(task, points, len(freq_grid), workers)
-    flags += point_flags
-
-    p_e = _field_grid(runs, "p_e_after_reset", (len(power_grid_dbm), len(freq_grid)))
+    p_e = np.array([row[1:] for row in clicks], dtype=float)
     (i, j), (p_ref, _), (f_ref, _) = grid_argmin(
         p_e, power_grid_dbm, freq_grid, IntegrationError, flags
     )
@@ -461,12 +495,26 @@ def reset_map(
         power_grid_dbm,
         freq_grid,
         p_e,
-        _field_grid(base_runs, "p_e_after_reset", len(rows)),
+        np.array([row[0] for row in clicks], dtype=float),
         float(p_ref),
         float(f_ref),
         float(p_e[i, j]),
         flags,
     )
+
+
+def _cycle_schedule(params, detection, *, reset):
+    """The reset stage (without its readout marker), then the detection
+    stage, as one schedule in the detection frame."""
+    entries = []
+    t0 = 0.0
+    if reset is not None:
+        r_sched = reset_schedule(params, reset, resonator_ref=detection.omega_s)
+        entries.extend(e for e in r_sched.entries if e[0] != ROLE_READOUT_MARKER)
+        t0 = r_sched.marker_times()[-1]
+    d_sched = detection_schedule(params, detection, start=t0)
+    entries.extend(d_sched.entries)
+    return PulseSchedule(tuple(entries), d_sched.frame, d_sched.duration)
 
 
 def full_cycle(
@@ -489,19 +537,9 @@ def full_cycle(
     flags hold that check and those of the fresh detection run.
     """
 
-    def cycle_schedule(detection):
-        entries = []
-        t0 = 0.0
-        if reset is not None:
-            r_sched = reset_schedule(params, reset, resonator_ref=detection.omega_s)
-            entries.extend(e for e in r_sched.entries if e[0] != ROLE_READOUT_MARKER)
-            t0 = r_sched.marker_times()[-1]
-        d_sched = detection_schedule(params, detection, start=t0)
-        entries.extend(d_sched.entries)
-        return PulseSchedule(tuple(entries), d_sched.frame, d_sched.duration)
-
-    click, flags, _ = _click(cycle_schedule(detect), params, readout, opts, n_max, "cycle_p_e")
-    dark = _click(cycle_schedule(replace(detect, nbar_s=0.0)), params, readout, opts, n_max)[0]
+    sched = partial(_cycle_schedule, params, reset=reset)
+    click, flags, _ = _click(sched(detect), params, readout, opts, n_max, "cycle_p_e")
+    dark = _click(sched(replace(detect, nbar_s=0.0)), params, readout, opts, n_max)[0]
     eta_after = (click - dark) / (1.0 - math.exp(-detect.nbar_s))
     fresh = detection_run(params, detect, readout, opts=opts, n_max=n_max)
 

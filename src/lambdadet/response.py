@@ -23,7 +23,7 @@ from .dynamics import steady_state_stack, superoperators
 from .errors import DipResolutionError, SteadyStateError
 from .hilbert import annihilation
 from .params import SystemParams
-from .sweep import grid_argmin, increasing_grids, parabolic_refine, parallel_map
+from .sweep import fan_out, grid_argmin, increasing_grids, parabolic_refine
 
 TWO_PI = 2.0 * math.pi
 PASSIVITY_TOL = 1e-6
@@ -128,14 +128,8 @@ def dip_map(
         (params, omega_d, params.rabi_of_dbm(p_dbm), freq_grid, probe_amp, n_max)
         for p_dbm in power_grid_dbm
     ]
-    rows = parallel_map(_map_row, tasks, workers)
-    r = np.array([values for values, _ in rows], dtype=complex)
-    flags = [
-        (i, j, message)
-        for i, (_, messages) in enumerate(rows)
-        for j, message in enumerate(messages)
-        if message
-    ]
+    rows, flags = fan_out(_map_row, tasks, len(freq_grid), workers)
+    r = np.array(rows, dtype=complex)
     out = ReflectionMap(power_grid_dbm, freq_grid, r, probe_amp, params, omega_d, flags)
     out.validate_passivity()
     return out
@@ -175,15 +169,16 @@ class PdiffResult:
 
 
 def _branch_dip(
-    params, omega_d, branch, power_grid_dbm, signal_power_dbm, n_max, freq_halfspan, freq_points
+    params, omega_d, branch, power_grid_dbm, ladders, signal_power_dbm, n_max, freq_halfspan,
+    freq_points,
 ):
-    """2D minimum of |r| around one Raman branch, refined along the power axis."""
+    """2D minimum of |r| around one Raman branch, refined along the power
+    axis; ``ladders`` holds the dressed ladder of each power."""
     upper = 4 if branch == 4 else 3
     best = np.full(len(power_grid_dbm), np.inf)
     best_freq = np.zeros(len(power_grid_dbm))
-    for i, p_dbm in enumerate(power_grid_dbm):
+    for i, (p_dbm, ladder) in enumerate(zip(power_grid_dbm, ladders)):
         rabi = params.rabi_of_dbm(p_dbm)
-        ladder = dressed_states(params, omega_d, rabi)
         center = transition_frequency(ladder, 1, upper)
         freqs = np.linspace(center - freq_halfspan, center + freq_halfspan, freq_points)
         amps = [math.sqrt(signal_flux_of_dbm(signal_power_dbm, w)) for w in freqs]
@@ -234,11 +229,15 @@ def pdiff_spectrum(
         anchor_dbm - power_halfspan_db, anchor_dbm + power_halfspan_db, power_points
     )
 
+    # both branches scan the same powers: diagonalise each ladder once
+    ladders = [dressed_states(params, omega_d, params.rabi_of_dbm(p)) for p in power_grid]
     p3, f3, r3 = _branch_dip(
-        params, omega_d, 3, power_grid, float(signal_power_dbm), n_max, freq_halfspan, freq_points
+        params, omega_d, 3, power_grid, ladders, float(signal_power_dbm), n_max,
+        freq_halfspan, freq_points,
     )
     p4, f4, r4 = _branch_dip(
-        params, omega_d, 4, power_grid, float(signal_power_dbm), n_max, freq_halfspan, freq_points
+        params, omega_d, 4, power_grid, ladders, float(signal_power_dbm), n_max,
+        freq_halfspan, freq_points,
     )
     return PdiffResult(p3, p4, abs(p3 - p4), f3, f4, r3, r4)
 

@@ -1,8 +1,8 @@
 """Grid fan-out across workers, grid argmin, and deterministic CSV assembly.
 
-Grid points are independent tasks; results are gathered by index so the
-output is byte-identical for any worker count. Floats are formatted with 9
-significant digits.
+The rows of a grid are independent tasks; results are gathered by index so
+the output is byte-identical for any worker count. Floats are formatted
+with 9 significant digits.
 """
 
 from __future__ import annotations
@@ -28,37 +28,46 @@ _progress_hook = None
 
 
 def set_progress_hook(hook) -> None:
-    """Install a callable(done, total) invoked per completed grid point."""
+    """Install a callable(done, total) invoked per completed task, with
+    ``done`` and ``total`` counted in grid points."""
     global _progress_hook
     _progress_hook = hook
 
 
-def parallel_map(fn, tasks, workers: int = 1):
+def parallel_map(fn, tasks, workers: int = 1, sizes=None):
     """Map fn over tasks, preserving order; workers <= 1 runs inline.
 
     Results are collected in task order regardless of completion order, so
-    downstream artifacts do not depend on the worker count. Workers are
-    spawned, not forked, because BLAS reads its thread count only when it
-    loads; a script that calls this with workers > 1 needs the usual
-    ``if __name__ == "__main__":`` guard.
+    downstream artifacts do not depend on the worker count. ``sizes`` gives
+    the grid points each task holds (default one each); the progress hook
+    counts them. Workers are spawned, not forked, because BLAS reads its
+    thread count only when it loads; a script that calls this with
+    workers > 1 needs the usual ``if __name__ == "__main__":`` guard.
     """
     tasks = list(tasks)
+    sizes = [1] * len(tasks) if sizes is None else list(sizes)
+    total = sum(sizes)
+    done = 0
     results = []
+
+    def gather(result, size):
+        nonlocal done
+        results.append(result)
+        done += size
+        if _progress_hook:
+            _progress_hook(done, total)
+
     if workers <= 1 or len(tasks) <= 1:
-        for i, task in enumerate(tasks):
-            results.append(fn(task))
-            if _progress_hook:
-                _progress_hook(i + 1, len(tasks))
+        for task, size in zip(tasks, sizes):
+            gather(fn(task), size)
         return results
     spawn = multiprocessing.get_context("spawn")
     with _environment(_WORKER_ENV), concurrent.futures.ProcessPoolExecutor(
         max_workers=workers, mp_context=spawn
     ) as pool:
         chunk = max(1, math.ceil(len(tasks) / (4 * workers)))
-        for i, result in enumerate(pool.map(fn, tasks, chunksize=chunk)):
-            results.append(result)
-            if _progress_hook:
-                _progress_hook(i + 1, len(tasks))
+        for result, size in zip(pool.map(fn, tasks, chunksize=chunk), sizes):
+            gather(result, size)
     return results
 
 
@@ -85,19 +94,21 @@ def increasing_grids(*grids):
     return arrays
 
 
-def fan_out(fn, tasks, n_cols: int = 0, workers: int = 1):
-    """Map fn over tasks laid out row-major, ``n_cols`` to a row.
+def fan_out(fn, rows, n_cols: int, workers: int = 1, lead: int = 0):
+    """Map fn over the rows of a grid with ``n_cols`` points to a row.
 
-    fn returns (value, message), with an empty message on success. Returns
-    the values in task order and the (i, j, message) flags of the failed
-    tasks; with ``n_cols`` = 0 each task stands for a whole row and j = -1.
+    fn returns (values, messages) for one row, one entry per column, with
+    an empty message where the column succeeded. The first ``lead`` columns
+    of a row are per-row runs (a dark or no-reset run), the rest are its
+    grid points. Returns the values row by row and the (i, j, message) flags
+    of the failed columns in row-major order, with j counted from the first
+    grid point, so a lead column has j < 0.
     """
     values, flags = [], []
-    for k, (value, message) in enumerate(parallel_map(fn, tasks, workers)):
-        values.append(value)
-        if message:
-            i, j = divmod(k, n_cols) if n_cols else (k, -1)
-            flags.append((i, j, message))
+    results = parallel_map(fn, rows, workers, sizes=[n_cols] * len(rows))
+    for i, (row, messages) in enumerate(results):
+        values.append(row)
+        flags += [(i, k - lead, message) for k, message in enumerate(messages) if message]
     return values, flags
 
 

@@ -311,7 +311,7 @@ def reset_map_result(params, reset):
 
 
 def test_criterion_8_reset(params, detect, reset, reset_map_result):
-    out = reset_run(params, reset, opts=OPTS)
+    out = reset_run(params, reset, opts=OPTS, detect_stage=detect.stage)
     assert out.p_e_after_reset <= 0.03
     assert out.p_e_no_reset == pytest.approx(0.49, abs=0.05)
     assert out.p_e_no_reset / out.p_e_after_reset > 10.0

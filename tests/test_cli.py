@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from lambdadet.cli import main, run_sweep
+from lambdadet import sweep
+from lambdadet.cli import _progress_printer, main, run_sweep
 from lambdadet.config import parse_config
 from lambdadet.errors import ConfigError, RenderError
 from lambdadet.render import render_heatmap
@@ -68,10 +69,34 @@ def test_byte_identical_across_worker_counts(fast_cfg, tmp_path):
     out1, out2 = tmp_path / "w1", tmp_path / "w2"
     cfg = parse_config(FAST_CFG)
     for task, workers, csv in (("detect-map", 3, "detect_map.csv"),
-                               ("reflect-map", 2, "reflect_map.csv")):
+                               ("reflect-map", 2, "reflect_map.csv"),
+                               ("reset-map", 2, "reset_map.csv")):
         assert run_sweep(cfg, task, out_dir=out1, workers=1) == 0
         assert run_sweep(cfg, task, out_dir=out2, workers=workers) == 0
         assert (out1 / csv).read_bytes() == (out2 / csv).read_bytes()
+
+
+PROGRESS_CFG = """
+max_step_ns = 0.25
+reflect_pd_grid_dBm = -77.5,-74.5,2
+reflect_freq_grid_GHz = 10.262,10.272,3
+detect_pd_grid_dBm = -76,-75,2
+detect_freq_grid_GHz = 10.264,10.272,3
+reset_pd_grid_dBm = -72.6,-71.6,2
+reset_freq_grid_GHz = 10.159,10.165,3
+"""
+
+
+@pytest.mark.parametrize("task", ["reflect-map", "detect-map", "reset-map"])
+def test_progress_line_counts_grid_points(task, tmp_path, capsys):
+    """The TTY progress line of a 2x3 map counts its 6 grid points, one row
+    task at a time; the per-row dark and no-reset runs are not points."""
+    sweep.set_progress_hook(_progress_printer)
+    try:
+        assert run_sweep(parse_config(PROGRESS_CFG), task, out_dir=tmp_path) == 0
+    finally:
+        sweep.set_progress_hook(None)
+    assert "\r3/6 grid points\r6/6 grid points\n" in capsys.readouterr().err
 
 
 def test_detect_map_matches_module_call(fast_cfg, tmp_path):

@@ -312,6 +312,44 @@ class TestPropagate:
         assert a.p_e == b.p_e and a.p_dark == b.p_dark and a.eta == b.eta
 
 
+    @settings(max_examples=6, deadline=None)
+    @given(
+        rabi_mhz=st.floats(0.0, 25.0),
+        delta_mhz=st.floats(25.0, 60.0),
+        detuning_mhz=st.floats(-8.0, 8.0),
+        flux=st.floats(0.0, 0.1),
+    )
+    def test_constant_envelopes_relax_to_steady_state(
+        self, params, rabi_mhz, delta_mhz, detuning_mhz, flux
+    ):
+        """Under a drive and a signal that stay on, a long propagation ends in
+        the steady state of the same Liouvillian (noise channels included)."""
+        p = dataclasses.replace(params, gamma=TWO_PI * 2e6)
+        space = build_space(2)
+        omega_d = p.omega_ge - TWO_PI * delta_mhz * 1e6
+        omega_s = p.omega_r + TWO_PI * detuning_mhz * 1e6
+        rabi, alpha = TWO_PI * rabi_mhz * 1e6, math.sqrt(flux * p.kappa)
+        frame = Frame(omega_d, omega_s)
+        h = hamiltonian_static(p, frame, rabi, omega_d, space=space).matrix
+        h = h + math.sqrt(p.kappa_ext) * alpha * input_quadratures(space)[0]
+        collapses = collapse_operators(p, space) + drive_noise_channels(p, space, rabi)
+        rho_ss = steady_state(h, collapses).matrix
+        # run for 20 e-folds of the slowest relaxation
+        rates = np.sort(-np.linalg.eigvals(liouvillian(h, collapses)).real)
+        duration = 20.0 / rates[1]
+        sched = PulseSchedule(
+            ((ROLE_DRIVE, rect((rabi, omega_d), duration)),
+             (ROLE_SIGNAL, rect((alpha, omega_s), duration))),
+            frame,
+            duration,
+        )
+        traj = propagate(
+            mixed_initial_state(space, p.init_excited_pop, frame), sched, p,
+            IntegratorOptions(max_step=0.5e-9, sample_dt=duration / 20),
+        )
+        assert np.max(np.abs(traj.final.matrix - rho_ss)) < 1e-7
+
+
 class TestSteadyState:
     def test_undriven_ground_state(self, clean_params):
         space = build_space(2)

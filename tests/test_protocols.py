@@ -4,15 +4,24 @@ import math
 import numpy as np
 import pytest
 
-from lambdadet.dynamics import IntegratorOptions
-from lambdadet.errors import LambdaModeError
+from lambdadet.dynamics import (
+    IntegratorOptions,
+    mixed_initial_state,
+    propagate,
+    propagate_batch,
+)
+from lambdadet.errors import IntegrationError, LambdaModeError
+from lambdadet.hilbert import build_space
 from lambdadet.protocols import (
     ReadoutModel,
+    _cycle_schedule,
     detection_run,
     detection_trace,
+    efficiency_map,
     efficiency_vs_length,
     efficiency_vs_photon_number,
     full_cycle,
+    reset_map,
     reset_run,
 )
 
@@ -121,22 +130,25 @@ class TestPhotonNumberScan:
 
 
 class TestReset:
-    def test_reset_outcome_fields(self, params, reset):
-        out = reset_run(params, reset, opts=OPTS)
+    def test_reset_outcome_fields(self, params, reset, detect):
+        out = reset_run(params, reset, opts=OPTS, detect_stage=detect.stage)
         assert 0.0 <= out.p_e_after_reset <= 1.0
         assert out.reset_stage == pytest.approx(410e-9)
         assert out.period == pytest.approx(410e-9 + 207.5e-9 + 140e-9)
         assert out.rate == pytest.approx(1.0 / out.period)
 
-    def test_reset_without_pi_equivalent(self, params, reset):
-        with_pi = reset_run(params, reset, True, opts=OPTS, with_baseline=False)
-        without = reset_run(params, reset, False, opts=OPTS, with_baseline=False)
+    def test_reset_without_pi_equivalent(self, params, reset, detect):
+        kw = dict(opts=OPTS, with_baseline=False, detect_stage=detect.stage)
+        with_pi = reset_run(params, reset, True, **kw)
+        without = reset_run(params, reset, False, **kw)
         assert abs(with_pi.p_e_after_reset - without.p_e_after_reset) < 0.01
 
-    def test_zero_drive_free_decay_only(self, clean_params, reset):
+    def test_zero_drive_free_decay_only(self, clean_params, reset, detect):
         """Without the drive the excited state only relaxes with T1."""
         idle = dataclasses.replace(reset, rabi_dr=0.0, nbar_rst=0.0)
-        out = reset_run(clean_params, idle, opts=OPTS, with_baseline=False)
+        out = reset_run(
+            clean_params, idle, opts=OPTS, with_baseline=False, detect_stage=detect.stage
+        )
         sigma_e = 2 * 15e-9 / (2 * math.sqrt(2 * math.log(2)))
         t_click = 4 * sigma_e + 380e-9 + 15e-9 + 100e-9
         assert out.p_e_after_reset == pytest.approx(
@@ -155,3 +167,72 @@ class TestFullCycle:
         opts = IntegratorOptions(max_step=0.1e-9, fock_convergence=True)
         out = full_cycle(params, detect, reset, opts=opts, n_max=1)
         assert out.flags.startswith("fock-unconverged:cycle_p_e:")
+
+
+class TestRowBatches:
+    """A map row propagates as one batch; each of its points gives the click
+    it gives alone through ``propagate``."""
+
+    FREQS = 2 * np.pi * np.array([10.264e9, 10.268e9, 10.272e9])
+
+    def test_detection_row_matches_single_runs(self, params, detect):
+        emap = efficiency_map(params, detect, [-75.5], self.FREQS, opts=OPTS)
+        dark = detection_run(
+            params, dataclasses.replace(detect, omega_s=self.FREQS[0], nbar_s=0.0), opts=OPTS
+        )
+        for j, omega_s in enumerate(self.FREQS):
+            alone = detection_run(
+                params, dataclasses.replace(detect, omega_s=omega_s), opts=OPTS,
+                dark_click=dark.p_dark,
+            )
+            assert abs(emap.p_e[0, j] - alone.p_e) <= 1e-12
+            assert abs(emap.p_dark[0, j] - dark.p_dark) <= 1e-12
+            assert abs(emap.eta[0, j] - alone.eta) <= 1e-12
+
+    def test_reset_row_matches_single_runs(self, params, reset, detect):
+        freqs = 2 * np.pi * np.array([10.159e9, 10.165e9])
+        rmap = reset_map(params, reset, [-72.1], freqs, opts=OPTS)
+        kw = dict(opts=OPTS, detect_stage=detect.stage)
+        baseline = reset_run(
+            params, dataclasses.replace(reset, omega_rst=freqs[0]), with_baseline=True, **kw
+        )
+        assert abs(rmap.p_e_no_reset[0] - baseline.p_e_no_reset) <= 1e-12
+        for j, omega_rst in enumerate(freqs):
+            alone = reset_run(
+                params, dataclasses.replace(reset, omega_rst=omega_rst), with_baseline=False, **kw
+            )
+            assert abs(rmap.p_e[0, j] - alone.p_e_after_reset) <= 1e-12
+
+    def test_cycle_schedules_batch_with_oscillating_terms(self, params, detect, reset):
+        """The cycle's reset tone sits off the detection frame (cos and sin
+        terms); its signal and dark schedules share one timeline. (A 0.2 ns
+        step breaks positivity in the cycle, so this runs at 0.1 ns.)"""
+        opts = IntegratorOptions(max_step=0.1e-9)
+        scheds = [
+            _cycle_schedule(params, d, reset=reset)
+            for d in (detect, dataclasses.replace(detect, nbar_s=0.0))
+        ]
+        space = build_space(3)
+        rho0s = [mixed_initial_state(space, params.init_excited_pop, s.frame) for s in scheds]
+        batch = propagate_batch(rho0s, scheds, params, opts)
+        for rho0, sched, traj in zip(rho0s, scheds, batch):
+            alone = propagate(rho0, sched, params, opts)
+            assert np.array_equal(traj.times, alone.times)
+            assert np.max(np.abs(traj.p_excited - alone.p_excited)) <= 1e-12
+            assert np.max(np.abs(traj.final.matrix - alone.final.matrix)) <= 1e-12
+
+    def test_failed_column_is_isolated(self, params, detect):
+        """A signal 3 GHz off the resonator breaks RK4 at a 0.25 ns step: that
+        point is NaN and flagged with the message propagate raises for it
+        alone, and the other points are untouched."""
+        opts = IntegratorOptions(max_step=0.25e-9)
+        freqs = np.append(self.FREQS[:2], 2 * np.pi * 13.3e9)
+        emap = efficiency_map(params, detect, [-75.5], freqs, opts=opts)
+        with pytest.raises(IntegrationError) as alone:
+            detection_run(params, dataclasses.replace(detect, omega_s=freqs[2]), opts=opts,
+                          dark_click=0.0)
+        assert emap.flags == [(0, 2, str(alone.value))]
+        assert np.isnan(emap.eta[0, 2]) and np.isnan(emap.p_e[0, 2])
+        good = efficiency_map(params, detect, [-75.5], freqs[:2], opts=opts)
+        assert np.array_equal(emap.p_e[:, :2], good.p_e)
+        assert np.array_equal(emap.eta[:, :2], good.eta)

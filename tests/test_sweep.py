@@ -22,12 +22,17 @@ def test_workers_run_one_blas_thread(monkeypatch):
     assert os.environ["OPENBLAS_NUM_THREADS"] == "7"
 
 
+def _halve_row(row):
+    values, messages = zip(*map(_halve, row))
+    return list(values), list(messages)
+
+
 def test_fan_out_flags_row_major():
-    values, flags = fan_out(_halve, [2, -1, 4, 6, 8, -3], n_cols=3)
-    assert values == [1.0, None, 2.0, 3.0, 4.0, None]
+    values, flags = fan_out(_halve_row, [[2, -1, 4], [6, 8, -3]], n_cols=3)
+    assert values == [[1.0, None, 2.0], [3.0, 4.0, None]]
     assert flags == [(0, 1, "negative -1"), (1, 2, "negative -3")]
-    # one task per row: the flag's column is -1
-    assert fan_out(_halve, [0, -5])[1] == [(1, -1, "negative -5")]
+    # a lead column (the per-row run) is flagged with j = -1
+    assert fan_out(_halve_row, [[0, 2], [-5, 2]], n_cols=1, lead=1)[1] == [(1, -1, "negative -5")]
 
 
 def test_increasing_grids():

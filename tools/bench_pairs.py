@@ -1,0 +1,149 @@
+#!/usr/bin/env python3
+"""Alternating parent/change pairs of ``perfbench/run.py``, written as a BENCH_*.json.
+
+    python3 tools/bench_pairs.py --parent ../parent --change . \\
+        --workload pulsed_maps --seeds 20-29 --claim "wall_s on pulsed_maps improves" \\
+        --trace-seed 20 --also cw_spectroscopy:30-34 --also single_cycle:35-39 \\
+        --out BENCH_pulsed_maps.json
+
+``--parent`` and ``--change`` are two checkouts of the repository (a git
+archive of each commit will do). Each pair runs ``perfbench/run.py
+--trace 0`` once in each checkout with the same seed: the parent first in
+even pairs, the change first in odd ones. Pick seeds that were not used
+while the change was written. The summary gives per end-to-end metric the
+median and quartiles of each side, the pairs the change won, the ratio of
+the medians and the parent's interquartile range, next to the metric's
+bound in BENCHMARK.json. ``--trace-seed`` adds one traced run per side with
+the per-layer metrics; each ``--also`` adds pairs of another workload, to
+show that it does not get worse.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SIDES = ("parent", "change")
+
+
+def seed_range(text):
+    lo, _, hi = text.partition("-")
+    return list(range(int(lo), int(hi or lo) + 1))
+
+
+def run(checkout: Path, workload: str, seed: int, trace: int, seconds: float | None):
+    """One perfbench run; returns its summary line and its full record."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--trace", str(trace)]
+    if seconds is not None:
+        cmd += ["--seconds", str(seconds)]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
+    line = json.loads(proc.stdout.strip().splitlines()[-1])
+    run_id = f"{workload}-seed{seed}-trace{trace}"
+    record = json.loads((checkout / "bench_out" / "results" / f"{run_id}.json").read_text())
+    return line, record
+
+
+def pairs(checkouts, workload, seeds, seconds):
+    out, machine = [], None
+    for k, seed in enumerate(seeds):
+        order = SIDES if k % 2 == 0 else SIDES[::-1]
+        entry = {"pair": k, "seed": seed, "first": order[0]}
+        for side in order:
+            line, record = run(checkouts[side], workload, seed, 0, seconds)
+            machine = machine or record["machine"]
+            entry[side] = {m: round(v["value"], 4) for m, v in line["metrics"].items()}
+            entry[f"{side}_correct"] = line["correct"]
+            entry[f"{side}_failed"] = f"{line['failed']}/{line['attempted']}"
+        out.append(entry)
+        print(f"{workload} pair {k} seed {seed}: "
+              + ", ".join(f"{s} {entry[s]['wall_s']:.3f} s" for s in SIDES), file=sys.stderr)
+    return out, machine
+
+
+def summary(entries, bounds):
+    """Per end-to-end metric: medians, quartiles, pairs won, ratio, parent IQR."""
+    out = {}
+    for metric, (bound, better) in bounds.items():
+        side = {s: [e[s][metric] for e in entries] for s in SIDES}
+        stats = {}
+        for s in SIDES:
+            q1, median, q3 = statistics.quantiles(side[s], n=4, method="inclusive")
+            stats[s] = {"median": round(median, 4), "q1": round(q1, 4), "q3": round(q3, 4)}
+        sign = 1 if better == "lower" else -1
+        won = sum(sign * (c - p) < 0 for p, c in zip(side["parent"], side["change"]))
+        out[metric] = {
+            **stats,
+            "change_better_in_pairs": f"{won}/{len(entries)}",
+            "median_ratio_change_over_parent":
+                round(stats["change"]["median"] / stats["parent"]["median"], 4),
+            "parent_iqr": round(stats["parent"]["q3"] - stats["parent"]["q1"], 4),
+            "bound": bound,
+        }
+    return out
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", type=Path, required=True)
+    parser.add_argument("--change", type=Path, required=True)
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seeds", type=seed_range, required=True, help="e.g. 20-29")
+    parser.add_argument("--claim", default="")
+    parser.add_argument("--parent-commit", default="")
+    parser.add_argument("--trace-seed", type=int)
+    parser.add_argument("--also", action="append", default=[], help="workload:seeds")
+    parser.add_argument("--seconds", type=float, help="passed on to perfbench/run.py")
+    parser.add_argument("--note", default="", help="what was checked on the outputs")
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args(argv)
+
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    bounds = {m["name"]: (m["bound"], m["better"]) for m in bench["end_to_end"]}
+    checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    seconds = "" if args.seconds is None else f" --seconds {args.seconds:g}"
+
+    entries, machine = pairs(checkouts, args.workload, args.seeds, args.seconds)
+    record = {
+        "workload": args.workload,
+        "claim": args.claim,
+        "command": f"python3 perfbench/run.py --workload {args.workload} --seed SEED "
+                   f"--trace 0{seconds or ' (default --seconds 20)'}",
+        "method": "Alternating pairs: in even pairs the parent runs first, in odd pairs the "
+                  f"change does. Seeds {args.seeds[0]}-{args.seeds[-1]}, none of them used "
+                  "while the change was written. Quartiles are statistics.quantiles(n=4, "
+                  "method='inclusive'). Each side runs the perfbench/ files of its own "
+                  "checkout. Written by tools/bench_pairs.py.",
+        "parent_commit": args.parent_commit or "unknown",
+        "machine": {k: machine[k] for k in ("nproc", "cpus_usable", "cpu_model", "python",
+                                            "numpy", "scipy", "blas", "blas_threads", "workers")},
+        "pairs": entries,
+        "summary": summary(entries, bounds),
+    }
+    if args.trace_seed is not None:
+        record[f"traced_seed{args.trace_seed}"] = {
+            side: {m: v["value"] for m, v in
+                   run(checkouts[side], args.workload, args.trace_seed, 1, args.seconds)[0]
+                   ["metrics"].items()}
+            for side in SIDES
+        }
+    others = {}
+    for spec in args.also:
+        workload, _, seeds = spec.partition(":")
+        other, _ = pairs(checkouts, workload, seed_range(seeds), args.seconds)
+        others[workload] = {"pairs": other, "summary": summary(other, bounds)}
+    if others:
+        record["other_workloads_no_regression"] = others
+    if args.note:
+        record["outputs"] = args.note
+    args.out.write_text(json.dumps(record, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
