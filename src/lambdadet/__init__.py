@@ -46,6 +46,7 @@ from .protocols import (
     ReadoutModel,
     ResetOutcome,
     ResetSettings,
+    dark_counts,
     detection_run,
     efficiency_map,
     efficiency_vs_length,

@@ -14,6 +14,7 @@ import os
 import sys
 from dataclasses import fields as dc_fields
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 from . import config as cfgmod
@@ -29,6 +30,7 @@ from .protocols import (
     CycleOutcome,
     DetectionOutcome,
     ResetOutcome,
+    dark_counts,
     detection_run,
     detection_trace,
     efficiency_map,
@@ -270,16 +272,21 @@ def cmd_scan_ts(cfg, params, args, out_dir):
 
 
 def cmd_scan_ns(cfg, params, args, out_dir):
+    # one batch per pulse length; the pulse lengths are the unit of --workers
     base = cfg.detection_settings(params)
-    outcomes = []
-    for t_s in cfg.get("ns_ts_list"):
-        outcomes += efficiency_vs_photon_number(
-            params,
-            replace(base, t_s=t_s),
-            cfg.get("nbar_list"),
-            cfg.readout_model(),
-            **_sweep_options(cfg, args),
-        )
+    nbar_list = cfg.get("nbar_list")
+    scan = partial(
+        efficiency_vs_photon_number,
+        params,
+        nbar_values=nbar_list,
+        readout=cfg.readout_model(),
+        **_options(cfg),
+    )
+    bases = [replace(base, t_s=t_s) for t_s in cfg.get("ns_ts_list")]
+    per_t_s = sweep.parallel_map(
+        scan, bases, args.workers or cfg.get("workers"), sizes=[len(nbar_list)] * len(bases)
+    )
+    outcomes = [outcome for group in per_t_s for outcome in group]
     path = sweep.write_csv(
         out_dir / "scan_ns.csv",
         _outcome_header(DetectionOutcome),
@@ -290,16 +297,18 @@ def cmd_scan_ns(cfg, params, args, out_dir):
 
 
 def cmd_dark(cfg, params, args, out_dir):
-    base = replace(cfg.detection_settings(params), nbar_s=0.0)
-    rows, flags = [], ""
-    for p_dbm in cfg.get("dark_pd_grid").values():
-        settings = replace(base, rabi=params.rabi_of_dbm(p_dbm))
-        outcome = detection_run(params, settings, cfg.readout_model(), **_options(cfg))
-        rows.append([p_dbm, outcome.p_dark])
-        flags += outcome.flags
+    grid = cfg.get("dark_pd_grid").values()
+    outcomes = dark_counts(
+        params,
+        cfg.detection_settings(params),
+        [params.rabi_of_dbm(p_dbm) for p_dbm in grid],
+        cfg.readout_model(),
+        **_options(cfg),
+    )
+    rows = [[p_dbm, o.p_dark] for p_dbm, o in zip(grid, outcomes)]
     path = sweep.write_csv(out_dir / "dark.csv", ["p_d_dbm", "p_dark"], rows)
     print(f"wrote {path} ({len(rows)} rows)")
-    return flags
+    return "".join(o.flags for o in outcomes)
 
 
 def cmd_reset(cfg, params, args, out_dir):

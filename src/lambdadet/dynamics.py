@@ -1,8 +1,9 @@
 """Lindblad master-equation engine.
 
 Time propagation runs on the vectorized density matrix with fixed-step RK4
-over a (D, B) block: B schedules that share one timeline (the columns of a
-map row) advance together. Each schedule's right-hand side is a static
+over a (D, B) block: B schedules that share one timeline advance together
+(the columns of a map row, or the runs of one operating point such as a
+signal run and its dark run). Each schedule's right-hand side is a static
 superoperator plus one superoperator per time-dependent quadrature; the
 batch stacks the static part and the term superoperators into one sparse
 ``[static | terms...]`` block, so each evaluation is one product with the
@@ -636,8 +637,9 @@ def propagate_batch(
     """Propagate B schedules that share one timeline as one (D, B) block.
 
     The schedules must share duration, readout markers and pi times, and the
-    initial states their time tag and space: the columns of a map row,
-    which differ in amplitudes, carriers and the frame's references. Each
+    initial states their time tag and space. They may differ in amplitudes,
+    carriers and the frame's references: the columns of a map row, a signal
+    run and its dark run, a reset run and its no-reset baseline. Each
     column is checked at every sample as ``propagate`` checks its state; a
     column that fails a check stops there, and the others go on. Returns
     per column its Trajectory or the IntegrationError it failed with. A

@@ -10,6 +10,12 @@ with an empty signal pulse. Efficiency subtracts it:
     eta = (P_e - P_dark) / (1 - exp(-nbar_s))
 
 with the coherent-pulse vacuum probability exp(-nbar_s).
+
+Runs that share one pulse timeline and differ only in amplitudes and
+carriers propagate as one ``propagate_batch`` through ``_clicks``: a signal
+run and its dark run, a reset run and its no-reset baseline, the dark run
+and the points of an nbar_s scan, the dark runs of several drive powers,
+and each row of a map. Batching leaves every click as it is alone.
 """
 
 from __future__ import annotations
@@ -25,10 +31,10 @@ from .dynamics import (
     IntegratorOptions,
     Trajectory,
     mixed_initial_state,
-    propagate,
+    propagate,  # re-exported; the protocols themselves call propagate_batch
     propagate_batch,
 )
-from .errors import IntegrationError, SteadyStateError
+from .errors import IntegrationError
 from .hilbert import build_space, qubit_number
 from .params import SystemParams
 from .pulses import (
@@ -119,58 +125,80 @@ def _p_excited(state: DensityState) -> float:
     return float(pops @ weights)
 
 
-def _click_time(sched, readout) -> float:
-    """The readout has latched: the last marker plus the latch delay."""
-    return sched.marker_times()[-1] + readout.latch_delay
+@dataclass(frozen=True)
+class _Click:
+    """One column of a click batch: the click (NaN where the run failed),
+    the run's Trajectory at n_max or the IntegrationError it failed with,
+    and its Fock-cutoff flag ("" when converged or unchecked)."""
+
+    value: float
+    run: Trajectory | IntegrationError
+    flag: str = ""
+
+    @property
+    def failed(self) -> bool:
+        return isinstance(self.run, IntegrationError)
+
+    @property
+    def message(self) -> str:
+        """The failure message, else the flag: a map column's entry."""
+        return str(self.run) if self.failed else self.flag
 
 
-def _click(sched, params, readout, opts, n_max, fock_label=None):
-    """Propagate through the schedule and read the click at marker + latch.
-
-    The drive tail keeps acting while the readout latches, so the adiabatic
-    dressed component returns to |g> and only genuine excitation counts.
-    With ``fock_label`` and ``opts.fock_convergence`` the click is read again
-    at n_max + 1 on the same schedule; a relative change above
-    FOCK_CONVERGENCE_TOL is flagged under that label. Returns the click, the
-    flags and the trajectory at n_max.
-    """
-    t_click = _click_time(sched, readout)
-
-    def read(cutoff):
-        rho0 = mixed_initial_state(build_space(cutoff), params.init_excited_pop, sched.frame)
-        traj = propagate(rho0, sched, params, opts, until=t_click, extra_samples=(t_click,))
-        return readout.click_probability(_p_excited(traj.pinned[t_click])), traj
-
-    click, traj = read(n_max)
-    flags = ""
-    if fock_label and opts.fock_convergence:
-        change = abs(read(n_max + 1)[0] - click) / max(abs(click), 1e-9)
-        if change > FOCK_CONVERGENCE_TOL:
-            flags = f"fock-unconverged:{fock_label}:{change:.2e};"
-    return click, flags, traj
-
-
-def _click_row(scheds, params, readout, opts, n_max):
+def _clicks(scheds, params, readout, opts, n_max, labels=()) -> list[_Click]:
     """Clicks of schedules that share one timeline, propagated as one batch.
 
-    Returns the clicks, NaN where a column failed, and per column the
-    failure message or an empty string.
+    Each run is read at its last readout marker plus the latch delay. The
+    drive tail keeps acting while the readout latches, so the adiabatic
+    dressed component returns to |g> and only genuine excitation counts.
+    ``labels`` names the Fock check of the leading columns ("" for none).
+    With ``opts.fock_convergence`` the labelled columns that succeeded are
+    read again at n_max + 1 as one batch: a relative change above
+    FOCK_CONVERGENCE_TOL gives the flag ``fock-unconverged:<label>:<change>``,
+    and a failure there fails the column.
     """
-    t_click = _click_time(scheds[0], readout)
-    space = build_space(n_max)
-    rho0s = [mixed_initial_state(space, params.init_excited_pop, s.frame) for s in scheds]
-    try:
-        results = propagate_batch(
-            rho0s, scheds, params, opts, until=t_click, extra_samples=(t_click,)
-        )
-    except IntegrationError as exc:  # the shared timeline failed
-        results = [exc] * len(scheds)
-    clicks = [
-        math.nan if isinstance(r, IntegrationError)
-        else readout.click_probability(_p_excited(r.pinned[t_click]))
-        for r in results
-    ]
-    return clicks, [str(r) if isinstance(r, IntegrationError) else "" for r in results]
+    t_click = scheds[0].marker_times()[-1] + readout.latch_delay
+
+    def read(columns, cutoff):
+        space = build_space(cutoff)
+        batch = [scheds[b] for b in columns]
+        rho0s = [mixed_initial_state(space, params.init_excited_pop, s.frame) for s in batch]
+        try:
+            runs = propagate_batch(
+                rho0s, batch, params, opts, until=t_click, extra_samples=(t_click,)
+            )
+        except IntegrationError as exc:  # the shared timeline failed
+            runs = [exc] * len(batch)
+        return [
+            _Click(math.nan, run) if isinstance(run, IntegrationError)
+            else _Click(readout.click_probability(_p_excited(run.pinned[t_click])), run)
+            for run in runs
+        ]
+
+    clicks = read(range(len(scheds)), n_max)
+    checked = [b for b, label in enumerate(labels) if label and not clicks[b].failed]
+    if opts.fock_convergence and checked:
+        for b, finer in zip(checked, read(checked, n_max + 1)):
+            if finer.failed:
+                clicks[b] = finer
+                continue
+            change = abs(finer.value - clicks[b].value) / max(abs(clicks[b].value), 1e-9)
+            if change > FOCK_CONVERGENCE_TOL:
+                clicks[b] = replace(clicks[b], flag=f"fock-unconverged:{labels[b]}:{change:.2e}")
+    return clicks
+
+
+def _checked(clicks: list[_Click]) -> list[_Click]:
+    """The clicks of a single-point batch; raises the first column's error."""
+    for click in clicks:
+        if click.failed:
+            raise click.run
+    return clicks
+
+
+def _flags(clicks: list[_Click]) -> str:
+    """The Fock flags of single-point clicks, each ended by ';'."""
+    return "".join(f"{c.flag};" for c in clicks if c.flag)
 
 
 def _outcome(params, settings, click, dark_click, flags=""):
@@ -199,15 +227,17 @@ def _outcome(params, settings, click, dark_click, flags=""):
 
 
 def _detect(params, settings, readout, opts, n_max, dark_click):
-    """Detection outcome and the trajectory of its signal run."""
+    """Detection outcome and the trajectory of its signal run. Without
+    ``dark_click`` the signal run and its dark run are one batch."""
     s = settings
     if s.rabi > 0:
         params.check_nesting(s.omega_d)
-    click, flags, traj = _click(detection_schedule(params, s), params, readout, opts, n_max, "p_e")
-    if s.nbar_s > 0 and dark_click is None:
-        dark_sched = detection_schedule(params, replace(s, nbar_s=0.0))
-        dark_click = _click(dark_sched, params, readout, opts, n_max)[0]
-    return _outcome(params, s, click, dark_click, flags), traj
+    runs = [s] if s.nbar_s == 0 or dark_click is not None else [s, replace(s, nbar_s=0.0)]
+    scheds = [detection_schedule(params, r) for r in runs]
+    clicks = _checked(_clicks(scheds, params, readout, opts, n_max, ("p_e",)))
+    if len(clicks) > 1:
+        dark_click = clicks[1].value
+    return _outcome(params, s, clicks[0].value, dark_click, _flags(clicks)), clicks[0].run
 
 
 def detection_run(
@@ -241,29 +271,27 @@ def detection_trace(
     return _detect(params, settings, readout, opts, n_max, None)
 
 
-def _detection_task(params, readout, opts, n_max, task):
-    """One detection point of a scan: (settings, dark click or None)."""
-    settings, dark = task
+def _detection_task(params, readout, opts, n_max, settings):
+    """One point of the t_s scan: its outcome, or None and the failure."""
     try:
-        out = detection_run(params, settings, readout, opts=opts, n_max=n_max, dark_click=dark)
-        return out, ""
-    except (IntegrationError, SteadyStateError) as exc:
+        return detection_run(params, settings, readout, opts=opts, n_max=n_max), ""
+    except IntegrationError as exc:
         return None, str(exc)
 
 
 def _detection_row(params, readout, opts, n_max, row):
     """One drive power of the efficiency map as one batch: the dark run,
     then the signal runs. Returns an outcome per column (None where it
-    failed) and the failure messages."""
+    failed) and per column its failure message or Fock flag."""
     if row[0].rabi > 0:
         params.check_nesting(row[0].omega_d)
     scheds = [detection_schedule(params, s) for s in row]
-    clicks, messages = _click_row(scheds, params, readout, opts, n_max)
+    clicks = _clicks(scheds, params, readout, opts, n_max, ("",) + ("p_e",) * (len(row) - 1))
     outcomes = [
-        None if message else _outcome(params, s, click, clicks[0])
-        for s, click, message in zip(row, clicks, messages)
+        None if c.failed else _outcome(params, s, c.value, clicks[0].value)
+        for s, c in zip(row, clicks)
     ]
-    return outcomes, messages
+    return outcomes, [c.message for c in clicks]
 
 
 def _field_grid(rows, name):
@@ -351,16 +379,10 @@ def _band_above(x: np.ndarray, y: np.ndarray, level: float):
     return (float(lo), float(hi))
 
 
-def _detection_scan(params, readout, opts, n_max, points, workers):
-    """Outcomes of a one-axis detection scan; a failed point raises."""
-    task = partial(_detection_task, params, readout, opts, n_max)
-    results = parallel_map(task, points, workers)
-    for (settings, _), (_, message) in zip(points, results):
-        if message:
-            raise IntegrationError(
-                f"t_s = {settings.t_s * 1e9:.0f} ns, nbar_s = {settings.nbar_s} failed: {message}"
-            )
-    return [out for out, _ in results]
+def _scan_failure(settings, message) -> IntegrationError:
+    return IntegrationError(
+        f"t_s = {settings.t_s * 1e9:.0f} ns, nbar_s = {settings.nbar_s} failed: {message}"
+    )
 
 
 def efficiency_vs_length(
@@ -373,9 +395,16 @@ def efficiency_vs_length(
     n_max: int = 3,
     workers: int = 1,
 ) -> list[DetectionOutcome]:
-    """eta(t_s) with the drive length auto-adjusted per point."""
-    points = [(replace(base, t_s=t_s), None) for t_s in t_s_values]
-    return _detection_scan(params, readout, opts, n_max, points, workers)
+    """eta(t_s) with the drive length auto-adjusted per point. Each point
+    has its own timeline, so points are the unit of ``workers``; a failed
+    point raises."""
+    points = [replace(base, t_s=t_s) for t_s in t_s_values]
+    task = partial(_detection_task, params, readout, opts, n_max)
+    results = parallel_map(task, points, workers)
+    for settings, (_, message) in zip(points, results):
+        if message:
+            raise _scan_failure(settings, message)
+    return [out for out, _ in results]
 
 
 def efficiency_vs_photon_number(
@@ -386,12 +415,42 @@ def efficiency_vs_photon_number(
     *,
     opts: IntegratorOptions = IntegratorOptions(),
     n_max: int = 3,
-    workers: int = 1,
 ) -> list[DetectionOutcome]:
-    """eta(nbar_s) at fixed pulse length; the dark run is shared."""
-    dark = detection_run(params, replace(base, nbar_s=0.0), readout, opts=opts, n_max=n_max)
-    points = [(replace(base, nbar_s=nbar), dark.p_dark) for nbar in nbar_values]
-    return _detection_scan(params, readout, opts, n_max, points, workers)
+    """eta(nbar_s) at fixed pulse length, as one batch on one timeline: the
+    dark run, shared by the points, then one signal run per nbar_s. A
+    failed run raises."""
+    if base.rabi > 0:
+        params.check_nesting(base.omega_d)
+    runs = [replace(base, nbar_s=nbar) for nbar in (0.0, *nbar_values)]
+    scheds = [detection_schedule(params, s) for s in runs]
+    clicks = _clicks(scheds, params, readout, opts, n_max, ("",) + ("p_e",) * len(nbar_values))
+    for settings, click in zip(runs, clicks):
+        if click.failed:
+            raise _scan_failure(settings, click.message)
+    return [
+        _outcome(params, s, c.value, clicks[0].value, _flags([c]))
+        for s, c in zip(runs[1:], clicks[1:])
+    ]
+
+
+def dark_counts(
+    params: SystemParams,
+    base: DetectionSettings,
+    rabis,
+    readout: ReadoutModel = ReadoutModel(),
+    *,
+    opts: IntegratorOptions = IntegratorOptions(),
+    n_max: int = 3,
+) -> list[DetectionOutcome]:
+    """Dark runs (nbar_s = 0) of ``base`` at several drive amplitudes, as
+    one batch: the amplitude does not change the timeline. A failed run
+    raises its error."""
+    runs = [replace(base, rabi=rabi, nbar_s=0.0) for rabi in rabis]
+    if any(s.rabi > 0 for s in runs):
+        params.check_nesting(base.omega_d)
+    scheds = [detection_schedule(params, s) for s in runs]
+    clicks = _checked(_clicks(scheds, params, readout, opts, n_max, ("p_e",) * len(runs)))
+    return [_outcome(params, s, c.value, None, _flags([c])) for s, c in zip(runs, clicks)]
 
 
 def reset_run(
@@ -409,17 +468,17 @@ def reset_run(
     """Reset protocol: optional instant pi pulse, then drive + reset tone.
 
     ``p_e_no_reset`` is the same run with the reset tone removed (pure T1
-    decay under the drive), computed unless ``with_baseline`` is False. The
-    period adds ``detect_stage`` (the detection settings' ``stage``) and
-    ``readout_stage`` to the reset stage.
+    decay under the drive), computed unless ``with_baseline`` is False; the
+    two runs are one batch. The period adds ``detect_stage`` (the detection
+    settings' ``stage``) and ``readout_stage`` to the reset stage.
     """
     s = settings
     params.check_nesting(s.omega_d)
-    schedule = partial(reset_schedule, params, with_initial_pi=with_initial_pi)
-    p_after, flags, _ = _click(schedule(s), params, readout, opts, n_max, "p_e")
-    p_no_reset = math.nan
-    if with_baseline:
-        p_no_reset = _click(schedule(replace(s, nbar_rst=0.0)), params, readout, opts, n_max)[0]
+    runs = [s, replace(s, nbar_rst=0.0)] if with_baseline else [s]
+    scheds = [reset_schedule(params, r, with_initial_pi=with_initial_pi) for r in runs]
+    clicks = _checked(_clicks(scheds, params, readout, opts, n_max, ("p_e",)))
+    p_after = clicks[0].value
+    p_no_reset = clicks[1].value if with_baseline else math.nan
 
     period = s.stage + detect_stage + readout_stage
     p_dr_dbm = math.nan
@@ -437,17 +496,19 @@ def reset_run(
         readout_stage=readout_stage,
         period=period,
         rate=1.0 / period,
-        flags=flags,
+        flags=_flags(clicks),
     )
 
 
 def _reset_row(params, readout, opts, n_max, row):
     """One drive power of the reset map as one batch: the no-reset baseline,
     then the reset tones, each after the initial pi pulse. Returns the
-    clicks (NaN where a column failed) and the failure messages."""
+    clicks (NaN where a column failed) and per column its failure message
+    or Fock flag."""
     params.check_nesting(row[0].omega_d)
     scheds = [reset_schedule(params, s, with_initial_pi=True) for s in row]
-    return _click_row(scheds, params, readout, opts, n_max)
+    clicks = _clicks(scheds, params, readout, opts, n_max, ("",) + ("p_e",) * (len(row) - 1))
+    return [c.value for c in clicks], [c.message for c in clicks]
 
 
 @dataclass
@@ -532,14 +593,16 @@ def full_cycle(
     The whole cycle runs as a single schedule in the detection frame; the
     reset tone enters as an explicitly oscillating term at its carrier
     detuning. The period uses the nominal stage bookkeeping (plateau plus
-    one t_rise per edge, plus the readout budget). With
-    ``opts.fock_convergence`` the cycle click is re-read at n_max + 1; the
-    flags hold that check and those of the fresh detection run.
+    one t_rise per edge, plus the readout budget). The cycle's signal and
+    dark runs are one batch; the fresh detection, on its own timeline, is
+    another. With ``opts.fock_convergence`` the cycle click is re-read at
+    n_max + 1; the flags hold that check and those of the fresh detection.
     """
-
-    sched = partial(_cycle_schedule, params, reset=reset)
-    click, flags, _ = _click(sched(detect), params, readout, opts, n_max, "cycle_p_e")
-    dark = _click(sched(replace(detect, nbar_s=0.0)), params, readout, opts, n_max)[0]
+    scheds = [
+        _cycle_schedule(params, d, reset=reset) for d in (detect, replace(detect, nbar_s=0.0))
+    ]
+    clicks = _checked(_clicks(scheds, params, readout, opts, n_max, ("cycle_p_e",)))
+    click, dark = (c.value for c in clicks)
     eta_after = (click - dark) / (1.0 - math.exp(-detect.nbar_s))
     fresh = detection_run(params, detect, readout, opts=opts, n_max=n_max)
 
@@ -552,5 +615,5 @@ def full_cycle(
         p_e_after_reset=dark,
         period=period,
         rate=1.0 / period,
-        flags=flags + fresh.flags,
+        flags=_flags(clicks) + fresh.flags,
     )

@@ -267,8 +267,7 @@ def test_criterion_6_pulse_scans(params, cfg, detect):
     flat_ok = {}
     for t_s in cfg.get("ns_ts_list"):
         nb_outs = efficiency_vs_photon_number(
-            params, dataclasses.replace(detect, t_s=t_s), (0.03, 0.1, 0.3, 1.0),
-            opts=OPTS, workers=WORKERS,
+            params, dataclasses.replace(detect, t_s=t_s), (0.03, 0.1, 0.3, 1.0), opts=OPTS
         )
         nb_etas = np.array([o.eta for o in nb_outs])
         spread = (nb_etas.max() - nb_etas.min()) / nb_etas.max()

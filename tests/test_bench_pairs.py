@@ -1,0 +1,72 @@
+"""tools/bench_pairs.py on synthetic perfbench results; no benchmark runs."""
+
+import importlib.util
+import json
+import types
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+
+
+@pytest.fixture(scope="module")
+def bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_seed_range(bench_pairs):
+    assert bench_pairs.seed_range("20-23") == [20, 21, 22, 23]
+    assert bench_pairs.seed_range("7") == [7]
+
+
+def test_summary_of_synthetic_pairs(bench_pairs):
+    parent = [3.0, 3.2, 3.4, 3.6, 3.8]
+    change = [2.5, 2.6, 3.5, 2.7, 2.8]
+    entries = [
+        {"parent": {"wall_s": p, "rate": p}, "change": {"wall_s": c, "rate": c}}
+        for p, c in zip(parent, change)
+    ]
+    out = bench_pairs.summary(entries, {"wall_s": (0.25, "lower"), "rate": (0.1, "higher")})
+    wall = out["wall_s"]
+    assert wall["parent"] == {"median": 3.4, "q1": 3.2, "q3": 3.6}
+    assert wall["change"] == {"median": 2.7, "q1": 2.6, "q3": 2.8}
+    assert wall["change_better_in_pairs"] == "4/5"
+    assert wall["median_ratio_change_over_parent"] == round(2.7 / 3.4, 4)
+    assert wall["parent_iqr"] == 0.4
+    assert wall["bound"] == 0.25
+    assert out["rate"]["change_better_in_pairs"] == "1/5"
+
+
+def _no_run(*args, **kwargs):
+    raise AssertionError("no benchmark run was expected")
+
+
+@pytest.mark.parametrize("seeds, also", [("5", []), ("5-6", ["pulsed_maps:7"])])
+def test_fewer_than_two_seeds_are_rejected_before_any_run(bench_pairs, monkeypatch, tmp_path,
+                                                          seeds, also):
+    monkeypatch.setattr(bench_pairs, "run", _no_run)
+    argv = ["--parent", str(tmp_path), "--change", str(tmp_path), "--workload", "single_cycle",
+            "--seeds", seeds, "--out", str(tmp_path / "bench.json")]
+    for spec in also:
+        argv += ["--also", spec]
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(argv)
+    assert exc.value.code == 2
+    assert not (tmp_path / "bench.json").exists()
+
+
+@pytest.mark.parametrize("correct, failed", [(False, 0), (True, 1)])
+def test_a_failed_run_stops_the_pairs(bench_pairs, monkeypatch, tmp_path, correct, failed):
+    line = {"correct": correct, "attempted": 3, "failed": failed, "metrics": {}}
+    done = types.SimpleNamespace(stdout=json.dumps(line) + "\n")
+    monkeypatch.setattr(bench_pairs.subprocess, "run", lambda *args, **kwargs: done)
+    checkouts = {"parent": tmp_path, "change": tmp_path}
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.pairs(checkouts, "single_cycle", [4, 5], None)
+    assert str(exc.value) == (
+        f"single_cycle pair 0 seed 4, parent: correct {correct}, failed {failed}/3"
+    )

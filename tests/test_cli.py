@@ -281,6 +281,37 @@ def test_strict_scans_fail_on_fock_flags(task, tmp_path):
     assert "fock-unconverged:p_e:" in csv
 
 
+@pytest.mark.parametrize("task", ["detect-map", "reset-map"])
+def test_strict_maps_fail_on_fock_flags(task, tmp_path):
+    """The maps re-read their grid points at n_max + 1: at n_max = 1 and
+    nbar_s = 1 every point flags, keeps its value, and --strict exits 2."""
+    text = (
+        "n_max = 1\nnbar_s = 1.0\n"
+        "detect_pd_grid_dBm = -76,-75,2\ndetect_freq_grid_GHz = 10.264,10.268,2\n"
+        "reset_pd_grid_dBm = -72.6,-71.6,2\nreset_freq_grid_GHz = 10.159,10.162,2\n"
+    )
+    csv = f"{task.replace('-', '_')}.csv"
+    for fock, code in (("true", 2), ("false", 0)):
+        cfg = tmp_path / f"fock_{fock}.cfg"
+        cfg.write_text(text + f"fock_convergence = {fock}\n")
+        out = tmp_path / fock
+        assert main(["--config", str(cfg), "--out", str(out), "--strict", task]) == code
+        _, cols = read_csv(out / csv)
+        assert len(cols["p_e"]) == 4 and np.all(np.isfinite(cols["p_e"]))
+    assert (tmp_path / "true" / csv).read_bytes() == (tmp_path / "false" / csv).read_bytes()
+
+
+def test_detect_fails_cleanly_when_one_run_fails(tmp_path, capsys):
+    """A signal 3 GHz off the resonator breaks RK4 at a 0.25 ns step while
+    its dark run, in the same batch, does not: detect ends in an error line."""
+    bad = tmp_path / "off.cfg"
+    bad.write_text("max_step_ns = 0.25\nsignal_freq_GHz = 13.3\n")
+    assert main(["--config", str(bad), "--out", str(tmp_path), "detect"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "line, key",
     [

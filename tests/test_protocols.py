@@ -15,6 +15,8 @@ from lambdadet.hilbert import build_space
 from lambdadet.protocols import (
     ReadoutModel,
     _cycle_schedule,
+    _p_excited,
+    dark_counts,
     detection_run,
     detection_trace,
     efficiency_map,
@@ -24,6 +26,7 @@ from lambdadet.protocols import (
     reset_map,
     reset_run,
 )
+from lambdadet.pulses import detection_schedule, reset_schedule
 
 OPTS = IntegratorOptions(max_step=0.2e-9)
 
@@ -236,3 +239,66 @@ class TestRowBatches:
         good = efficiency_map(params, detect, [-75.5], freqs[:2], opts=opts)
         assert np.array_equal(emap.p_e[:, :2], good.p_e)
         assert np.array_equal(emap.eta[:, :2], good.eta)
+
+
+def _click_alone(params, sched, opts, n_max=3, readout=ReadoutModel()):
+    """The click of one schedule through a B = 1 ``propagate``."""
+    t_click = sched.marker_times()[-1] + readout.latch_delay
+    rho0 = mixed_initial_state(build_space(n_max), params.init_excited_pop, sched.frame)
+    traj = propagate(rho0, sched, params, opts, until=t_click, extra_samples=(t_click,))
+    return readout.click_probability(_p_excited(traj.pinned[t_click]))
+
+
+class TestSinglePointBatches:
+    """Runs on one timeline propagate as one batch; each click equals the
+    B = 1 ``propagate`` click bit for bit."""
+
+    def test_detection_signal_and_dark(self, params, detect):
+        out = detection_run(params, detect, opts=OPTS)
+        dark = dataclasses.replace(detect, nbar_s=0.0)
+        assert out.p_e == _click_alone(params, detection_schedule(params, detect), OPTS)
+        assert out.p_dark == _click_alone(params, detection_schedule(params, dark), OPTS)
+
+    def test_reset_and_baseline(self, params, reset, detect):
+        out = reset_run(params, reset, opts=OPTS, detect_stage=detect.stage)
+        baseline = dataclasses.replace(reset, nbar_rst=0.0)
+        assert out.p_e_after_reset == _click_alone(params, reset_schedule(params, reset), OPTS)
+        assert out.p_e_no_reset == _click_alone(params, reset_schedule(params, baseline), OPTS)
+
+    def test_cycle_signal_and_dark(self, params, detect, reset):
+        opts = IntegratorOptions(max_step=0.1e-9)  # 0.2 ns breaks positivity in the cycle
+        out = full_cycle(params, detect, reset, opts=opts)
+        dark = _cycle_schedule(params, dataclasses.replace(detect, nbar_s=0.0), reset=reset)
+        assert out.p_e_after_reset == _click_alone(params, dark, opts)
+        assert out.eta_fresh == detection_run(params, detect, opts=opts).eta
+
+    def test_photon_number_scan(self, params, detect):
+        nbars = (0.05, 0.1, 0.3)
+        outs = efficiency_vs_photon_number(params, detect, nbars, opts=OPTS)
+        dark = detection_run(params, dataclasses.replace(detect, nbar_s=0.0), opts=OPTS)
+        for nbar, out in zip(nbars, outs):
+            alone = detection_run(
+                params, dataclasses.replace(detect, nbar_s=nbar), opts=OPTS, dark_click=dark.p_dark
+            )
+            assert out == alone
+
+    def test_dark_counts(self, params, detect):
+        rabis = [params.rabi_of_dbm(p) for p in (-77.0, -75.5)] + [0.0]
+        outs = dark_counts(params, detect, rabis, opts=OPTS)
+        for rabi, out in zip(rabis, outs):
+            alone = detection_run(params, dataclasses.replace(detect, rabi=rabi, nbar_s=0.0),
+                                  opts=OPTS)
+            assert (out.rabi, out.p_e, out.p_dark) == (rabi, alone.p_e, alone.p_dark)
+
+    def test_failed_column_raises_its_propagate_error(self, params, detect):
+        """A signal 3 GHz off the resonator breaks RK4 at a 0.25 ns step; its
+        dark run does not. The batch raises what propagate raises for the
+        signal schedule alone."""
+        opts = IntegratorOptions(max_step=0.25e-9)
+        off = dataclasses.replace(detect, omega_s=2 * np.pi * 13.3e9)
+        with pytest.raises(IntegrationError) as alone:
+            _click_alone(params, detection_schedule(params, off), opts)
+        _click_alone(params, detection_schedule(params, dataclasses.replace(off, nbar_s=0.0)), opts)
+        with pytest.raises(IntegrationError) as batched:
+            detection_run(params, off, opts=opts)
+        assert str(batched.value) == str(alone.value)

@@ -36,14 +36,21 @@ def seed_range(text):
     return list(range(int(lo), int(hi or lo) + 1))
 
 
-def run(checkout: Path, workload: str, seed: int, trace: int, seconds: float | None):
-    """One perfbench run; returns its summary line and its full record."""
+def run(checkout: Path, workload: str, seed: int, trace: int, seconds: float | None, where):
+    """One perfbench run; returns its summary line and its full record.
+
+    A run whose outputs fail a check, or that reports failed operations,
+    ends the tool with a message naming ``where`` it happened.
+    """
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--trace", str(trace)]
     if seconds is not None:
         cmd += ["--seconds", str(seconds)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
     line = json.loads(proc.stdout.strip().splitlines()[-1])
+    if line["correct"] is not True or line["failed"]:
+        raise SystemExit(f"{where}: correct {line['correct']}, "
+                         f"failed {line['failed']}/{line['attempted']}")
     run_id = f"{workload}-seed{seed}-trace{trace}"
     record = json.loads((checkout / "bench_out" / "results" / f"{run_id}.json").read_text())
     return line, record
@@ -55,7 +62,8 @@ def pairs(checkouts, workload, seeds, seconds):
         order = SIDES if k % 2 == 0 else SIDES[::-1]
         entry = {"pair": k, "seed": seed, "first": order[0]}
         for side in order:
-            line, record = run(checkouts[side], workload, seed, 0, seconds)
+            where = f"{workload} pair {k} seed {seed}, {side}"
+            line, record = run(checkouts[side], workload, seed, 0, seconds, where)
             machine = machine or record["machine"]
             entry[side] = {m: round(v["value"], 4) for m, v in line["metrics"].items()}
             entry[f"{side}_correct"] = line["correct"]
@@ -102,6 +110,11 @@ def main(argv=None):
     parser.add_argument("--note", default="", help="what was checked on the outputs")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
+    also = [(workload, seed_range(seeds)) for workload, _, seeds in
+            (spec.partition(":") for spec in args.also)]
+    for workload, seeds in [(args.workload, args.seeds)] + also:
+        if len(seeds) < 2:  # quartiles need two runs a side
+            parser.error(f"{workload}: at least 2 seeds are needed, got {len(seeds)}")
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     bounds = {m["name"]: (m["bound"], m["better"]) for m in bench["end_to_end"]}
@@ -126,16 +139,18 @@ def main(argv=None):
         "summary": summary(entries, bounds),
     }
     if args.trace_seed is not None:
-        record[f"traced_seed{args.trace_seed}"] = {
-            side: {m: v["value"] for m, v in
-                   run(checkouts[side], args.workload, args.trace_seed, 1, args.seconds)[0]
-                   ["metrics"].items()}
+        traced = {
+            side: run(checkouts[side], args.workload, args.trace_seed, 1, args.seconds,
+                      f"{args.workload} traced seed {args.trace_seed}, {side}")[0]
             for side in SIDES
         }
+        record[f"traced_seed{args.trace_seed}"] = {
+            side: {m: v["value"] for m, v in line["metrics"].items()}
+            for side, line in traced.items()
+        }
     others = {}
-    for spec in args.also:
-        workload, _, seeds = spec.partition(":")
-        other, _ = pairs(checkouts, workload, seed_range(seeds), args.seconds)
+    for workload, seeds in also:
+        other, _ = pairs(checkouts, workload, seeds, args.seconds)
         others[workload] = {"pairs": other, "summary": summary(other, bounds)}
     if others:
         record["other_workloads_no_regression"] = others
