@@ -15,7 +15,9 @@ median and quartiles of each side, the pairs the change won, the ratio of
 the medians and the parent's interquartile range, next to the metric's
 bound in BENCHMARK.json. ``--trace-seed`` adds one traced run per side with
 the per-layer metrics; each ``--also`` adds pairs of another workload, to
-show that it does not get worse.
+show that it does not get worse. Each workload needs at least two seeds,
+and a run whose outputs fail a check or that reports failed operations
+stops the tool, naming the pair.
 """
 
 from __future__ import annotations
@@ -139,14 +141,12 @@ def main(argv=None):
         "summary": summary(entries, bounds),
     }
     if args.trace_seed is not None:
-        traced = {
-            side: run(checkouts[side], args.workload, args.trace_seed, 1, args.seconds,
-                      f"{args.workload} traced seed {args.trace_seed}, {side}")[0]
-            for side in SIDES
-        }
         record[f"traced_seed{args.trace_seed}"] = {
-            side: {m: v["value"] for m, v in line["metrics"].items()}
-            for side, line in traced.items()
+            side: {m: v["value"] for m, v in
+                   run(checkouts[side], args.workload, args.trace_seed, 1, args.seconds,
+                       f"{args.workload} traced seed {args.trace_seed}, {side}")[0]
+                   ["metrics"].items()}
+            for side in SIDES
         }
     others = {}
     for workload, seeds in also:
