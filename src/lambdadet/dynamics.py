@@ -9,9 +9,12 @@ batch stacks the static part and the term superoperators into one sparse
 ``[static | terms...]`` block, so each evaluation is one product with the
 coefficient-scaled state block plus each column's diagonal. The
 coefficients are tabulated once per sample interval, one row per RK4
-stage. ``propagate`` is the B = 1 case. The pieces the Liouvillian is
-affine in are built once per (params, n_max) in a read-only
-``Superoperators`` record; CW reflection assembles a whole row of
+stage. A column whose coefficients are exactly constant over an interval
+(a pulse plateau, or the zero tail after the pulses) advances instead by
+one cached matrix, its RK4 step map R(hL)^n: the same method, without
+the stage-by-stage products. ``propagate`` is the B = 1 case. The pieces
+the Liouvillian is affine in are built once per (params, n_max) in a
+read-only ``Superoperators`` record; CW reflection assembles a whole row of
 Liouvillians from it and solves the stack at once. ``liouvillian`` builds
 one Liouvillian from kron products and is the oracle the record is checked
 against.
@@ -456,6 +459,7 @@ class _StackedRHS:
             [sparse.csr_array(offdiag)] + [sparse.csr_array(sups[k]) for k in blocks],
             format="csr",
         )
+        self._offdiag, self._terms = offdiag, [sups[k] for k in blocks]
 
         # (block position, column, coefficient, envelope key) of every term;
         # an envelope's value does not depend on its carrier
@@ -465,9 +469,9 @@ class _StackedRHS:
             for _, c in terms
         ]
         self._shape = (len(blocks), len(schedules))
-        self._z = np.empty(((len(blocks) + 1) * dim, len(schedules)), dtype=complex)
-        self._z_terms = self._z[dim:].reshape(len(blocks), dim, len(schedules))
         self._dim = dim
+        self._blocks = {}  # columns -> (z, z_terms, diagonal) of that sub-block
+        self._maps = {}  # (column, h, n, coefficients) -> R(hL)^n
 
     def table(self, times: np.ndarray) -> np.ndarray:
         """(len(times), K, B) coefficients: each distinct envelope is
@@ -481,13 +485,43 @@ class _StackedRHS:
             out[:, k, b] += c.of(values[key], times)
         return out
 
-    def __call__(self, x: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
-        """dx/dt of the (D, B) block x under one (K, B) table row."""
-        self._z[: self._dim] = x
-        np.multiply(coefficients[:, None, :], x, out=self._z_terms)
-        y = self.matrix @ self._z
-        y += self.diagonal * x
+    def __call__(self, x: np.ndarray, coefficients: np.ndarray, cols=()) -> np.ndarray:
+        """dx/dt of the (D, B') block x of the columns ``cols`` (all when
+        empty) under one (K, B') table row."""
+        if cols not in self._blocks:
+            diagonal = self.diagonal[:, list(cols)] if cols else self.diagonal
+            k, d, width = self._shape[0], self._dim, diagonal.shape[1]
+            z = np.empty(((k + 1) * d, width), dtype=complex)
+            self._blocks[cols] = (z, z[d:].reshape(k, d, width), diagonal)
+        z, z_terms, diagonal = self._blocks[cols]
+        z[: self._dim] = x
+        np.multiply(coefficients[:, None, :], x, out=z_terms)
+        y = self.matrix @ z
+        y += diagonal * x
         return y
+
+    def step_map(self, b: int, coefficients: np.ndarray, h: float, n: int) -> np.ndarray:
+        """R(hL)^n: n RK4 steps of size h of column b under its constant (K,)
+        coefficients, as one matrix.
+
+        On a linear system with constant coefficients one RK4 step is the
+        stability polynomial R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 of hL,
+        where L is the column's dense Liouvillian. Cached per (b, h, n,
+        coefficients) for the life of the batch.
+        """
+        key = (b, h, n, coefficients.tobytes())
+        if key not in self._maps:
+            generator = self._offdiag + np.diag(self.diagonal[:, b])
+            for f, term in zip(coefficients.tolist(), self._terms):
+                if f:
+                    generator = generator + f * term
+            step = h * generator
+            eye = np.eye(self._dim)
+            poly = eye + step / 4.0
+            for k in (3.0, 2.0, 1.0):  # Horner form
+                poly = eye + (step @ poly) / k
+            self._maps[key] = np.linalg.matrix_power(poly, n)
+        return self._maps[key]
 
 
 def _segment_boundaries(schedule: PulseSchedule, t0: float, t1: float):
@@ -508,7 +542,14 @@ def _sample_times(schedule: PulseSchedule, t0: float, t1: float, sample_dt: floa
 
 def _rk4_interval(rhs: _StackedRHS, x: np.ndarray, t: float, t_next: float, max_step: float):
     """Fixed-step RK4 of the block x from t to t_next, with the coefficient
-    table of this interval: one row per RK4 stage."""
+    table of this interval: one row per RK4 stage.
+
+    A column whose table rows are all exactly equal has constant
+    coefficients over the interval: it advances by its cached step map
+    R(hL)^n with h = span / n, the same RK4 as one matrix product. The other
+    columns advance stage by stage as one sub-block. The choice is made per
+    column, so a column's result does not depend on its batch mates.
+    """
     span = t_next - t
     nsteps = max(1, int(math.ceil(span / max_step)))
     if span / nsteps < 1e-18:
@@ -521,11 +562,29 @@ def _rk4_interval(rhs: _StackedRHS, x: np.ndarray, t: float, t_next: float, max_
     steps = tb - ta
     tm = ta + 0.5 * steps
     table = rhs.table(np.stack([ta, tm, tm, tb], axis=1).reshape(-1))
+    constant = (table == table[0]).all(axis=(0, 1))
+    if not constant.any():
+        return _rk4_stages(rhs, x, table, steps)
+    out = np.empty_like(x)
+    for b in np.flatnonzero(constant).tolist():
+        step_map = rhs.step_map(b, table[0, :, b], span / nsteps, nsteps)
+        # a contiguous copy, so the product is the same at any batch width
+        out[:, b] = step_map @ np.ascontiguousarray(x[:, b])
+    cols = tuple(np.flatnonzero(~constant).tolist())
+    if cols:
+        out[:, cols] = _rk4_stages(rhs, x[:, cols], table[:, :, cols], steps, cols)
+    return out
+
+
+def _rk4_stages(rhs: _StackedRHS, x: np.ndarray, table: np.ndarray, steps: np.ndarray,
+                cols=()):
+    """RK4 of the columns ``cols`` (all when empty) stage by stage: x is
+    their (D, B') block and table their (4 len(steps), K, B') coefficients."""
     for i, h in enumerate(steps.tolist()):
-        k1 = rhs(x, table[4 * i])
-        k2 = rhs(x + 0.5 * h * k1, table[4 * i + 1])
-        k3 = rhs(x + 0.5 * h * k2, table[4 * i + 2])
-        k4 = rhs(x + h * k3, table[4 * i + 3])
+        k1 = rhs(x, table[4 * i], cols)
+        k2 = rhs(x + 0.5 * h * k1, table[4 * i + 1], cols)
+        k3 = rhs(x + 0.5 * h * k2, table[4 * i + 2], cols)
+        k4 = rhs(x + h * k3, table[4 * i + 3], cols)
         x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return x
 
@@ -740,11 +799,10 @@ def propagate(
 
 
 def free_decay(state: DensityState, params: SystemParams, duration: float) -> DensityState:
-    """Evolve under the static frame Hamiltonian and dissipators only.
-
-    Used for the readout stage, where all pulses are off. Computed exactly
-    through the Liouvillian exponential.
-    """
+    """Evolve under the static frame Hamiltonian and dissipators only, as
+    with every pulse off; computed exactly through the Liouvillian
+    exponential. The protocols do not call it: they propagate to the click
+    by RK4, on step maps where every pulse is off."""
     if duration <= 0:
         return state
     from scipy.linalg import expm

@@ -595,15 +595,18 @@ def full_cycle(
     detuning. The period uses the nominal stage bookkeeping (plateau plus
     one t_rise per edge, plus the readout budget). The cycle's signal and
     dark runs are one batch; the fresh detection, on its own timeline, is
-    another. With ``opts.fock_convergence`` the cycle click is re-read at
-    n_max + 1; the flags hold that check and those of the fresh detection.
+    another. With nbar_s = 0 the signal run is the dark run: it runs once
+    and eta_after_reset is NaN. With ``opts.fock_convergence`` the cycle
+    click is re-read at n_max + 1; the flags hold that check and those of
+    the fresh detection.
     """
-    scheds = [
-        _cycle_schedule(params, d, reset=reset) for d in (detect, replace(detect, nbar_s=0.0))
-    ]
+    runs = [detect] if detect.nbar_s == 0 else [detect, replace(detect, nbar_s=0.0)]
+    scheds = [_cycle_schedule(params, d, reset=reset) for d in runs]
     clicks = _checked(_clicks(scheds, params, readout, opts, n_max, ("cycle_p_e",)))
-    click, dark = (c.value for c in clicks)
-    eta_after = (click - dark) / (1.0 - math.exp(-detect.nbar_s))
+    click, dark = clicks[0].value, clicks[-1].value
+    eta_after = math.nan
+    if detect.nbar_s > 0:
+        eta_after = (click - dark) / (1.0 - math.exp(-detect.nbar_s))
     fresh = detection_run(params, detect, readout, opts=opts, n_max=n_max)
 
     period = detect.stage + readout_stage

@@ -39,6 +39,32 @@ def test_summary_of_synthetic_pairs(bench_pairs):
     assert wall["parent_iqr"] == 0.4
     assert wall["bound"] == 0.25
     assert out["rate"]["change_better_in_pairs"] == "1/5"
+    # 4/5 pairs is below 9 in 10, though the medians are 0.7 apart
+    assert wall["gain_rule_met"] is False and wall["within_bound"] is True
+    # a higher-is-better metric 21% lower is outside a 0.1 bound
+    assert out["rate"]["gain_rule_met"] is False and out["rate"]["within_bound"] is False
+
+
+def _entries(parent, change):
+    return [{"parent": {"wall_s": p}, "change": {"wall_s": c}} for p, c in zip(parent, change)]
+
+
+@pytest.mark.parametrize("change, gain, within", [
+    # 9 wins and a tie, medians 1.0 apart against a parent IQR of 0.45
+    ([2.0, 2.1, 2.2, 2.3, 2.4, 2.5, 2.6, 2.7, 2.8, 3.9], True, True),
+    # 8 wins, a tie and a loss
+    ([2.0, 2.1, 2.2, 2.3, 2.4, 2.5, 2.6, 2.7, 3.8, 4.0], False, True),
+    # 10 wins, but the medians are 0.4 apart against a parent IQR of 0.45
+    ([2.6, 2.7, 2.8, 2.9, 3.0, 3.1, 3.2, 3.3, 3.4, 3.5], False, True),
+    # 20% slower is within a 0.25 bound; 30% slower is not
+    ([3.6, 3.72, 3.84, 3.96, 4.08, 4.2, 4.32, 4.44, 4.56, 4.68], False, True),
+    ([3.9, 4.03, 4.16, 4.29, 4.42, 4.55, 4.68, 4.81, 4.94, 5.07], False, False),
+])
+def test_summary_verdicts(bench_pairs, change, gain, within):
+    parent = [3.0, 3.1, 3.2, 3.3, 3.4, 3.5, 3.6, 3.7, 3.8, 3.9]
+    wall = bench_pairs.summary(_entries(parent, change), {"wall_s": (0.25, "lower")})["wall_s"]
+    assert wall["parent"]["median"] == 3.45 and wall["parent_iqr"] == 0.45
+    assert (wall["gain_rule_met"], wall["within_bound"]) == (gain, within)
 
 
 def _no_run(*args, **kwargs):

@@ -312,6 +312,18 @@ def test_detect_fails_cleanly_when_one_run_fails(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_cycle_without_signal_photons(tmp_path, capsys):
+    """With nbar_s = 0 the cycle's signal run is its dark run: eta after
+    reset is NaN, as detect's eta is, and the task ends without an error."""
+    cfg = tmp_path / "dark.cfg"
+    cfg.write_text("nbar_s = 0\n")
+    assert main(["--config", str(cfg), "--out", str(tmp_path), "cycle"]) == 0
+    assert "error:" not in capsys.readouterr().err
+    _, cols = read_csv(tmp_path / "cycle.csv")
+    assert np.isnan(cols["eta_after_reset"][0]) and np.isnan(cols["eta_fresh"][0])
+    assert 0.0 < cols["p_e_after_reset"][0] < 0.05
+
+
 @pytest.mark.parametrize(
     "line, key",
     [

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from lambdadet.dynamics import (
     DensityState,
     IntegratorOptions,
+    _StackedRHS,
     _commutator_superop,
     _dissipator_superop,
     _schedule_terms,
@@ -17,6 +18,7 @@ from lambdadet.dynamics import (
     liouvillian,
     mixed_initial_state,
     propagate,
+    propagate_batch,
     steady_state,
     steady_state_stack,
     superoperators,
@@ -30,15 +32,18 @@ from lambdadet.model import (
     drive_quadratures,
     hamiltonian_static,
     input_quadratures,
+    qubit_flip,
 )
 from lambdadet.pulses import (
     KIND_RECT,
     ROLE_DRIVE,
     ROLE_PI,
+    ROLE_RESET,
     ROLE_SIGNAL,
     PulseEnvelope,
     PulseSchedule,
     instant_pi,
+    reset_schedule,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -292,6 +297,95 @@ class TestPropagate:
         rho0 = mixed_initial_state(space, 0.0, frame)
         with pytest.raises(IntegrationError):
             propagate(rho0, sched, p, IntegratorOptions(max_step=20e-9, sample_dt=20e-9))
+
+    def test_step_maps_match_stage_by_stage_rk4(self, params, reset, monkeypatch):
+        """A reset schedule holds its drive and reset tone flat for 380 ns and
+        ends in a zero tail up to the click; those intervals advance by cached
+        step maps. Every pinned state equals a stage-by-stage RK4 on the same
+        step grid, run here on the kron-built ``liouvillian``."""
+        step_map, uses = _StackedRHS.step_map, []
+
+        def spy(rhs, b, coefficients, h, n):
+            uses.append((h, n))
+            return step_map(rhs, b, coefficients, h, n)
+
+        monkeypatch.setattr(_StackedRHS, "step_map", spy)
+        space = build_space(3)
+        sched = reset_schedule(params, reset)
+        t_click = sched.marker_times()[-1] + 100e-9
+        opts = IntegratorOptions()
+        rho0 = mixed_initial_state(space, params.init_excited_pop, sched.frame)
+        traj = propagate(rho0, sched, params, opts, until=t_click, extra_samples=(t_click,))
+        assert len(uses) > len(traj.times) / 2
+
+        # both tones sit on the frame's references, so
+        # L(t) = L0 + v_d L_drive + v_d^2 L_noise + v_r L_reset
+        frame, envelopes = sched.frame, dict(sched.entries)
+        assert envelopes[ROLE_DRIVE].carrier == frame.qubit_ref
+        assert envelopes[ROLE_RESET].carrier == frame.resonator_ref
+        h0 = hamiltonian_static(params, frame, 0.0, frame.qubit_ref, space=space).matrix
+        l0 = liouvillian(h0, collapse_operators(params, space))
+        l_drive = liouvillian(drive_quadratures(space)[0] / 2.0, [])
+        l_noise = liouvillian(np.zeros_like(h0), drive_noise_channels(params, space, 1.0))
+        l_reset = liouvillian(math.sqrt(params.kappa_ext) * input_quadratures(space)[0], [])
+        generators = {}
+
+        def generator(t):
+            v_d, v_r = envelopes[ROLE_DRIVE].value(t), envelopes[ROLE_RESET].value(t)
+            if (v_d, v_r) not in generators:
+                generators[v_d, v_r] = l0 + v_d * l_drive + v_d**2 * l_noise + v_r * l_reset
+            return generators[v_d, v_r]
+
+        flip = qubit_flip(space)  # the reset stage's pi pulse at t = 0
+        x = (flip @ rho0.matrix @ flip).reshape(-1)
+        states = {traj.times[0]: x}
+        for t, t_next in zip(traj.times[:-1], traj.times[1:]):
+            n = max(1, math.ceil((t_next - t) / opts.max_step))
+            edges = t + (t_next - t) * (np.arange(n + 1) / n)
+            edges[-1] = t_next
+            for ta, tb in zip(edges[:-1], edges[1:]):
+                h, tm = tb - ta, ta + 0.5 * (tb - ta)
+                k1 = generator(ta) @ x
+                k2 = generator(tm) @ (x + 0.5 * h * k1)
+                k3 = generator(tm) @ (x + 0.5 * h * k2)
+                k4 = generator(tb) @ (x + h * k3)
+                x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            states[t_next] = x
+        assert set(traj.pinned) == {sched.marker_times()[-1], t_click}
+        for t, state in traj.pinned.items():
+            assert np.max(np.abs(state.matrix.reshape(-1) - states[t])) <= 1e-12
+
+    def test_checks_fire_inside_step_map_intervals(self, clean_params, monkeypatch):
+        """Rect drives are constant, so every interval runs on a step map. At
+        a 20 ns step the 50 MHz column breaks positivity: it fails with the
+        message ``propagate`` raises for it alone, and the 5 MHz column beside
+        it is its B = 1 run."""
+
+        def no_stages(*args):
+            raise AssertionError("a constant interval ran stage by stage")
+
+        monkeypatch.setattr(_StackedRHS, "__call__", no_stages)
+        p = dataclasses.replace(clean_params, gamma=0.0)
+        space = build_space(1)
+        frame = Frame(p.omega_ge, p.omega_r)
+        duration = 60e-9
+        strong, weak = (
+            PulseSchedule(((ROLE_DRIVE, rect((TWO_PI * mhz * 1e6, p.omega_ge), duration)),),
+                          frame, duration)
+            for mhz in (50.0, 5.0)
+        )
+        rho0 = mixed_initial_state(space, 0.0, frame)
+        opts = IntegratorOptions(max_step=20e-9, sample_dt=20e-9)
+        batch = propagate_batch([rho0, rho0], [strong, weak], p, opts)
+        with pytest.raises(IntegrationError) as alone:
+            propagate(rho0, strong, p, opts)
+        assert str(alone.value).startswith("negative eigenvalue")
+        assert isinstance(batch[0], IntegrationError)
+        assert str(batch[0]) == str(alone.value)
+        weak_alone = propagate(rho0, weak, p, opts)
+        assert np.array_equal(batch[1].times, weak_alone.times)
+        assert np.array_equal(batch[1].p_excited, weak_alone.p_excited)
+        assert np.array_equal(batch[1].final.matrix, weak_alone.final.matrix)
 
     def test_adaptive_matches_fixed(self, params, detect):
         from lambdadet.protocols import detection_run

@@ -13,7 +13,11 @@ even pairs, the change first in odd ones. Pick seeds that were not used
 while the change was written. The summary gives per end-to-end metric the
 median and quartiles of each side, the pairs the change won, the ratio of
 the medians and the parent's interquartile range, next to the metric's
-bound in BENCHMARK.json. ``--trace-seed`` adds one traced run per side with
+bound in BENCHMARK.json, with two verdicts: ``gain_rule_met`` (at least
+9 in 10 pairs won and a gap between the medians wider than the parent's
+interquartile range) and ``within_bound`` (the change's median no worse
+than the parent's by more than the bound, a fraction of the parent's
+median). ``--trace-seed`` adds one traced run per side with
 the per-layer metrics; each ``--also`` adds pairs of another workload, to
 show that it does not get worse. Each workload needs at least two seeds,
 and a run whose outputs fail a check or that reports failed operations
@@ -77,16 +81,24 @@ def pairs(checkouts, workload, seeds, seconds):
 
 
 def summary(entries, bounds):
-    """Per end-to-end metric: medians, quartiles, pairs won, ratio, parent IQR."""
+    """Per end-to-end metric: medians, quartiles, pairs won, ratio, parent
+    IQR, and two verdicts.
+
+    ``gain_rule_met``: the change wins at least 9 in 10 pairs (ties count
+    for neither) and its median is better than the parent's by more than
+    the parent's interquartile range. ``within_bound``: the change's median
+    is no worse than the parent's by more than the metric's bound, read as
+    a fraction of the parent's median.
+    """
     out = {}
     for metric, (bound, better) in bounds.items():
         side = {s: [e[s][metric] for e in entries] for s in SIDES}
-        stats = {}
-        for s in SIDES:
-            q1, median, q3 = statistics.quantiles(side[s], n=4, method="inclusive")
-            stats[s] = {"median": round(median, 4), "q1": round(q1, 4), "q3": round(q3, 4)}
+        quartiles = {s: statistics.quantiles(side[s], n=4, method="inclusive") for s in SIDES}
+        stats = {s: {"median": round(median, 4), "q1": round(q1, 4), "q3": round(q3, 4)}
+                 for s, (q1, median, q3) in quartiles.items()}
         sign = 1 if better == "lower" else -1
         won = sum(sign * (c - p) < 0 for p, c in zip(side["parent"], side["change"]))
+        (p_q1, p_median, p_q3), c_median = quartiles["parent"], quartiles["change"][1]
         out[metric] = {
             **stats,
             "change_better_in_pairs": f"{won}/{len(entries)}",
@@ -94,6 +106,9 @@ def summary(entries, bounds):
                 round(stats["change"]["median"] / stats["parent"]["median"], 4),
             "parent_iqr": round(stats["parent"]["q3"] - stats["parent"]["q1"], 4),
             "bound": bound,
+            "gain_rule_met":
+                10 * won >= 9 * len(entries) and sign * (p_median - c_median) > p_q3 - p_q1,
+            "within_bound": sign * (c_median - p_median) <= bound * abs(p_median),
         }
     return out
 
