@@ -13,13 +13,10 @@ even pairs, the change first in odd ones. Pick seeds that were not used
 while the change was written. The summary gives per end-to-end metric the
 median and quartiles of each side, the pairs the change won, the ratio of
 the medians and the parent's interquartile range, next to the metric's
-bound in BENCHMARK.json, with two verdicts: ``gain_rule_met`` (at least
-9 in 10 pairs won and a gap between the medians wider than the parent's
-interquartile range) and ``within_bound`` (the change's median no worse
-than the parent's by more than the bound, a fraction of the parent's
-median). ``--trace-seed`` adds one traced run per side with
-the per-layer metrics; each ``--also`` adds pairs of another workload, to
-show that it does not get worse. Each workload needs at least two seeds,
+bound in BENCHMARK.json, and the verdicts ``gain_rule_met`` and
+``within_bound`` (see ``summary``). ``--trace-seed`` adds one traced run
+per side with the per-layer metrics; each ``--also`` adds pairs of
+another workload, to show that it does not get worse. Each workload needs at least two seeds,
 and a run whose outputs fail a check or that reports failed operations
 stops the tool, naming the pair.
 """
