@@ -186,6 +186,7 @@ def cmd_calibrate(cfg, params, args, out_dir):
         ["p_s_dbm", "p_diff_db", "residual_db", "offset_db"],
         [[result.p_s_dbm, result.p_diff_db, result.residual_db, result.p_s_dbm - nominal]],
     )
+    return result.flags
 
 
 def _options(cfg):

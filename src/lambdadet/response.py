@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.constants import hbar as HBAR
+from scipy.optimize import brentq
 
 from .dressed import dressed_states, matching_amplitude, transition_frequency
 from .dynamics import steady_state_stack, superoperators
@@ -263,6 +264,15 @@ class SignalPowerCalibration:
     p_s_dbm: float
     p_diff_db: float
     residual_db: float
+    flags: str = ""
+
+
+class _Converged(Exception):
+    """Ends the root search at the first power whose P_diff is within tol."""
+
+    def __init__(self, point: SignalPowerCalibration):
+        super().__init__()
+        self.point = point
 
 
 def calibrate_signal_power(
@@ -275,33 +285,42 @@ def calibrate_signal_power(
 ) -> SignalPowerCalibration:
     """Signal power whose dip separation reproduces the target P_diff.
 
-    Bisection on the signal power in dBm; P_diff grows monotonically with
-    signal power, so the bracket just needs to straddle the target. The
-    per-branch power window is widened so the dips stay interior across the
-    whole bracket.
+    Brent's bracketed root finder (``scipy.optimize.brentq``) on the signal
+    power in dBm; P_diff grows monotonically with signal power, so the
+    bracket just needs to straddle the target. The search returns the first
+    evaluated power with |P_diff - target| < tol_db. If the bracket narrows
+    below 0.02 dB first, it returns the evaluated power with the smallest
+    residual, flagged ``p_diff-unconverged:<residual>;``. The per-branch
+    power window is widened so the dips stay interior across the whole
+    bracket.
     """
-    lo, hi = bracket_dbm
+    lo, hi = (float(p) for p in bracket_dbm)
+    if not lo < hi:
+        raise DipResolutionError(f"P_diff bracket [{lo}, {hi}] dBm is empty: it needs lo < hi")
     pdiff_kw.setdefault("power_halfspan_db", 8.0)
     pdiff_kw.setdefault("power_points", 33)
+    evaluated = {}
 
-    def value(p_s):
-        return pdiff_spectrum(params, omega_d, p_s, **pdiff_kw).p_diff_db
+    def residual(p_s):
+        # brentq evaluates the bracket ends again: those come from the cache
+        if p_s not in evaluated:
+            p_diff = pdiff_spectrum(params, omega_d, p_s, **pdiff_kw).p_diff_db
+            if not math.isfinite(p_diff):
+                raise DipResolutionError(f"P_diff at {p_s:.3f} dBm is not finite: {p_diff}")
+            evaluated[p_s] = SignalPowerCalibration(p_s, p_diff, p_diff - target_db)
+            if abs(p_diff - target_db) < tol_db:
+                raise _Converged(evaluated[p_s])
+        return evaluated[p_s].residual_db
 
-    f_lo, f_hi = value(lo) - target_db, value(hi) - target_db
-    if f_lo > 0 or f_hi < 0:
-        raise DipResolutionError(
-            f"P_diff bracket does not straddle {target_db} dB: "
-            f"[{f_lo + target_db:.2f}, {f_hi + target_db:.2f}] dB"
-        )
-    while hi - lo > 0.02:
-        mid = 0.5 * (lo + hi)
-        f_mid = value(mid) - target_db
-        if abs(f_mid) < tol_db:
-            return SignalPowerCalibration(mid, f_mid + target_db, f_mid)
-        if f_mid < 0:
-            lo = mid
-        else:
-            hi = mid
-    mid = 0.5 * (lo + hi)
-    f_mid = value(mid) - target_db
-    return SignalPowerCalibration(mid, f_mid + target_db, f_mid)
+    try:
+        f_lo, f_hi = residual(lo), residual(hi)
+        if f_lo > 0 or f_hi < 0:
+            raise DipResolutionError(
+                f"P_diff bracket does not straddle {target_db} dB: "
+                f"[{f_lo + target_db:.2f}, {f_hi + target_db:.2f}] dB"
+            )
+        brentq(residual, lo, hi, xtol=0.02, disp=False)
+    except _Converged as stop:
+        return stop.point
+    best = min(evaluated.values(), key=lambda point: abs(point.residual_db))
+    return replace(best, flags=f"p_diff-unconverged:{best.residual_db:.2e};")

@@ -301,6 +301,50 @@ def test_strict_maps_fail_on_fock_flags(task, tmp_path):
     assert (tmp_path / "true" / csv).read_bytes() == (tmp_path / "false" / csv).read_bytes()
 
 
+def _count_pdiff_calls(monkeypatch, p_diff=None):
+    """Wraps (or, given ``p_diff``, replaces) pdiff_spectrum; returns its call list."""
+    from types import SimpleNamespace
+
+    from lambdadet import response
+
+    calls, real = [], response.pdiff_spectrum
+
+    def counted(params, omega_d, p_s, **kw):
+        calls.append(p_s)
+        if p_diff is None:
+            return real(params, omega_d, p_s, **kw)
+        return SimpleNamespace(p_diff_db=p_diff(p_s))
+
+    monkeypatch.setattr(response, "pdiff_spectrum", counted)
+    return calls
+
+
+def test_calibrate_default_config(tmp_path, monkeypatch):
+    """The default calibration reaches P_diff = 6 dB within tol in at most
+    5 pdiff_spectrum calls, so --strict exits 0."""
+    monkeypatch.delenv("LAMBDADET_CONFIG", raising=False)
+    calls = _count_pdiff_calls(monkeypatch)
+    assert main(["--out", str(tmp_path), "--strict", "calibrate"]) == 0
+    assert len(calls) <= 5
+    header, cols = read_csv(tmp_path / "calibrate.csv")
+    assert header == ["p_s_dbm", "p_diff_db", "residual_db", "offset_db"]
+    assert len(cols["p_s_dbm"]) == 1
+    assert abs(cols["residual_db"][0]) < 0.05
+    assert cols["p_diff_db"][0] == pytest.approx(6.0 + cols["residual_db"][0], abs=1e-8)
+    assert cols["p_s_dbm"][0] == pytest.approx(calls[-1], abs=1e-5)
+
+
+def test_strict_calibrate_fails_when_pdiff_never_converges(tmp_path, monkeypatch):
+    """P_diff jumps across 6 dB without meeting tol: the CSV still holds the
+    closest evaluated power, and only --strict exits 2."""
+    monkeypatch.delenv("LAMBDADET_CONFIG", raising=False)
+    _count_pdiff_calls(monkeypatch, lambda p_s: 5.0 if p_s < -146.3 else 6.5)
+    assert main(["--out", str(tmp_path), "calibrate"]) == 0
+    assert main(["--out", str(tmp_path), "--strict", "calibrate"]) == 2
+    _, cols = read_csv(tmp_path / "calibrate.csv")
+    assert (cols["p_s_dbm"][0], cols["residual_db"][0]) == (-141.0, 0.5)
+
+
 def test_detect_fails_cleanly_when_one_run_fails(tmp_path, capsys):
     """A signal 3 GHz off the resonator breaks RK4 at a 0.25 ns step while
     its dark run, in the same batch, does not: detect ends in an error line."""

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from lambdadet.dressed import dressed_states, matching_amplitude, transition_fre
 from lambdadet.dynamics import steady_state
 from lambdadet.errors import DipResolutionError, LambdaDetError
 from lambdadet.hilbert import annihilation, build_space
+from lambdadet import response
 from lambdadet.model import (
     Frame,
     collapse_operators,
@@ -18,6 +20,7 @@ from lambdadet.model import (
 from lambdadet.response import (
     PASSIVITY_TOL,
     ReflectionMap,
+    calibrate_signal_power,
     calibration_params,
     default_probe_amplitude,
     dip_map,
@@ -221,3 +224,83 @@ class TestPdiff:
         res = pdiff_spectrum(cal, signal_power_dbm=-145.65)
         assert res.omega_dip3 == pytest.approx(TWO_PI * 10.227e9, abs=TWO_PI * 3e6)
         assert res.omega_dip4 == pytest.approx(TWO_PI * 10.262e9, abs=TWO_PI * 3e6)
+
+
+def _cubic(p_s):
+    """A synthetic P_diff, monotone in P_s, that crosses 6 dB at -146.3 dBm."""
+    x = p_s + 146.3
+    return 6.0 + 0.6 * x + 0.05 * x**3
+
+
+@pytest.fixture
+def fake_pdiff(monkeypatch):
+    """Replaces pdiff_spectrum by a synthetic P_diff; returns the powers it saw."""
+    calls = []
+
+    def install(p_diff):
+        def fake(params, omega_d, p_s, **kw):
+            calls.append(p_s)
+            return SimpleNamespace(p_diff_db=p_diff(p_s))
+
+        monkeypatch.setattr(response, "pdiff_spectrum", fake)
+        return calls
+
+    return install
+
+
+class TestCalibrateSignalPower:
+    def test_stops_at_the_first_power_within_tol(self, fake_pdiff):
+        calls = fake_pdiff(_cubic)
+        cal = calibrate_signal_power(None)
+        # bisection on the same bracket evaluates 7 powers
+        assert calls == pytest.approx([-150.0, -141.0, -147.2182, -146.8449, -146.3701], abs=1e-4)
+        assert cal.p_s_dbm == calls[-1]
+        assert cal.p_diff_db == _cubic(cal.p_s_dbm)
+        assert cal.residual_db == pytest.approx(cal.p_diff_db - 6.0)
+        assert abs(cal.residual_db) < 0.05
+        assert all(abs(_cubic(p) - 6.0) >= 0.05 for p in calls[:-1])
+        assert cal.flags == ""
+
+    @pytest.mark.parametrize("end, n_calls", [(-150.0, 1), (-141.0, 2)])
+    def test_a_bracket_end_within_tol_is_returned(self, fake_pdiff, end, n_calls):
+        calls = fake_pdiff(lambda p_s: 6.0 + 0.3 * (p_s - end))
+        cal = calibrate_signal_power(None)
+        assert len(calls) == n_calls
+        assert (cal.p_s_dbm, cal.p_diff_db, cal.flags) == (end, 6.0, "")
+
+    def test_xtol_fallback_returns_the_best_evaluated_point(self, fake_pdiff):
+        calls = fake_pdiff(_cubic)
+        cal = calibrate_signal_power(None, tol_db=1e-9)
+        residuals = [_cubic(p) - 6.0 for p in calls]
+        best = min(range(len(calls)), key=lambda k: abs(residuals[k]))
+        assert best != len(calls) - 1  # the last power is not the closest one
+        assert (cal.p_s_dbm, cal.residual_db) == (calls[best], residuals[best])
+        assert cal.flags == f"p_diff-unconverged:{residuals[best]:.2e};"
+
+    def test_a_jump_across_the_target_ends_at_the_smaller_residual(self, fake_pdiff):
+        calls = fake_pdiff(lambda p_s: 5.0 if p_s < -146.3 else 6.5)
+        cal = calibrate_signal_power(None)
+        assert max(calls[2:]) - min(calls[2:]) < 5.0  # the bracket narrows
+        assert (cal.p_s_dbm, cal.residual_db) == (-141.0, 0.5)
+        assert cal.flags == "p_diff-unconverged:5.00e-01;"
+
+    @pytest.mark.parametrize("bracket", [(-141.0, -150.0), (-146.0, -146.0), (math.nan, -141.0)])
+    def test_empty_bracket(self, fake_pdiff, bracket):
+        calls = fake_pdiff(_cubic)
+        with pytest.raises(DipResolutionError, match="empty"):
+            calibrate_signal_power(None, bracket_dbm=bracket)
+        assert calls == []
+
+    @pytest.mark.parametrize("shift", [-20.0, 20.0])
+    def test_bracket_that_does_not_straddle(self, fake_pdiff, shift):
+        fake_pdiff(lambda p_s: _cubic(p_s) + shift)
+        with pytest.raises(DipResolutionError, match="does not straddle"):
+            calibrate_signal_power(None)
+
+    @pytest.mark.parametrize("bad_end", [-150.0, -141.0])
+    @pytest.mark.parametrize("bad_value", [math.nan, math.inf])
+    def test_non_finite_pdiff_at_a_bracket_end(self, fake_pdiff, bad_end, bad_value):
+        calls = fake_pdiff(lambda p_s: bad_value if p_s == bad_end else _cubic(p_s))
+        with pytest.raises(DipResolutionError, match="not finite"):
+            calibrate_signal_power(None)
+        assert calls[-1] == bad_end
