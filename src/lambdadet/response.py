@@ -268,11 +268,8 @@ class SignalPowerCalibration:
 
 
 class _Converged(Exception):
-    """Ends the root search at the first power whose P_diff is within tol."""
-
-    def __init__(self, point: SignalPowerCalibration):
-        super().__init__()
-        self.point = point
+    """Ends the root search at the first power whose P_diff is within tol;
+    its argument is that power's SignalPowerCalibration."""
 
 
 def calibrate_signal_power(
@@ -294,7 +291,7 @@ def calibrate_signal_power(
     power window is widened so the dips stay interior across the whole
     bracket.
     """
-    lo, hi = (float(p) for p in bracket_dbm)
+    lo, hi = bracket_dbm
     if not lo < hi:
         raise DipResolutionError(f"P_diff bracket [{lo}, {hi}] dBm is empty: it needs lo < hi")
     pdiff_kw.setdefault("power_halfspan_db", 8.0)
@@ -321,6 +318,6 @@ def calibrate_signal_power(
             )
         brentq(residual, lo, hi, xtol=0.02, disp=False)
     except _Converged as stop:
-        return stop.point
+        return stop.args[0]
     best = min(evaluated.values(), key=lambda point: abs(point.residual_db))
     return replace(best, flags=f"p_diff-unconverged:{best.residual_db:.2e};")
