@@ -28,7 +28,6 @@ from .dynamics import (
     DensityState,
     IntegratorOptions,
     Trajectory,
-    free_decay,
     lindblad_rhs,
     liouvillian,
     mixed_initial_state,

@@ -105,6 +105,20 @@ class DensityState:
         herm = 0.5 * (self.matrix + self.matrix.conj().T)
         return float(np.linalg.eigvalsh(herm)[0])
 
+    def in_frame(self, frame: Frame) -> DensityState:
+        """The same state in ``frame``, exactly: with Delta = (new - old
+        resonator reference) n_ph + (new - old qubit reference) n_q on the
+        basis states and t the time tag, element (j, k) gains the phase
+        exp(+i (Delta_j - Delta_k) t). A diagonal unitary, so trace,
+        Hermiticity and eigenvalues are unchanged; the diagonal is kept
+        bit for bit."""
+        d_ph = frame.resonator_ref - self.frame.resonator_ref
+        d_q = frame.qubit_ref - self.frame.qubit_ref
+        n_ph, n_q = (np.real(np.diag(op(self.space))) for op in (photon_number, qubit_number))
+        delta = d_ph * n_ph + d_q * n_q
+        phase = np.exp(1j * np.subtract.outer(delta, delta) * self.time)
+        return DensityState(phase * self.matrix, self.time, frame, self.space)
+
 
 def mixed_initial_state(space: HilbertSpace, excited_pop: float, frame: Frame) -> DensityState:
     """(1 - p)|g,0><g,0| + p|e,0><e,0| at t = 0."""
@@ -797,22 +811,3 @@ def propagate(
         raise result
     return result
 
-
-def free_decay(state: DensityState, params: SystemParams, duration: float) -> DensityState:
-    """Evolve under the static frame Hamiltonian and dissipators only, as
-    with every pulse off; computed exactly through the Liouvillian
-    exponential. The protocols do not call it: they propagate to the click
-    by RK4, on step maps where every pulse is off."""
-    if duration <= 0:
-        return state
-    from scipy.linalg import expm
-
-    space = state.space
-    h0 = hamiltonian_static(
-        params, state.frame, 0.0, state.frame.qubit_ref, space=space
-    ).matrix
-    sup = liouvillian(h0, collapse_operators(params, space))
-    x = expm(sup * duration) @ state.matrix.reshape(-1)
-    return DensityState(
-        x.reshape(space.dim, space.dim), state.time + duration, state.frame, space
-    )

@@ -36,6 +36,7 @@ from .dynamics import (
 )
 from .errors import IntegrationError
 from .hilbert import build_space, qubit_number
+from .model import Frame
 from .params import SystemParams
 from .pulses import (
     ROLE_READOUT_MARKER,
@@ -145,30 +146,53 @@ class _Click:
         return str(self.run) if self.failed else self.flag
 
 
-def _clicks(scheds, params, readout, opts, n_max, labels=()) -> list[_Click]:
+def _runs(rho0s, scheds, params, opts, **kwargs) -> list:
+    """``propagate_batch`` with a failure of the shared timeline given to
+    every column."""
+    try:
+        return propagate_batch(rho0s, scheds, params, opts, **kwargs)
+    except IntegrationError as exc:
+        return [exc] * len(scheds)
+
+
+def _clicks(scheds, params, readout, opts, n_max, labels=(), first=()) -> list[_Click]:
     """Clicks of schedules that share one timeline, propagated as one batch.
 
     Each run is read at its last readout marker plus the latch delay. The
     drive tail keeps acting while the readout latches, so the adiabatic
     dressed component returns to |g> and only genuine excitation counts.
-    ``labels`` names the Fock check of the leading columns ("" for none).
-    With ``opts.fock_convergence`` the labelled columns that succeeded are
-    read again at n_max + 1 as one batch: a relative change above
-    FOCK_CONVERGENCE_TOL gives the flag ``fock-unconverged:<label>:<change>``,
-    and a failure there fails the column.
+    ``first`` gives per column a first stage, in its own frame, that ends
+    where the column's schedule takes over: the runs start there, and each
+    column's state at that time moves into its schedule's frame
+    (``DensityState.in_frame``). A column that fails in the first stage
+    fails. ``labels`` names the Fock check of the leading columns ("" for
+    none). With ``opts.fock_convergence`` the labelled columns that
+    succeeded are read again at n_max + 1 as one batch, through every
+    stage: a relative change above FOCK_CONVERGENCE_TOL gives the flag
+    ``fock-unconverged:<label>:<change>``, and a failure there fails the
+    column.
     """
     t_click = scheds[0].marker_times()[-1] + readout.latch_delay
 
     def read(columns, cutoff):
         space = build_space(cutoff)
-        batch = [scheds[b] for b in columns]
-        rho0s = [mixed_initial_state(space, params.init_excited_pop, s.frame) for s in batch]
-        try:
-            runs = propagate_batch(
-                rho0s, batch, params, opts, until=t_click, extra_samples=(t_click,)
-            )
-        except IntegrationError as exc:  # the shared timeline failed
-            runs = [exc] * len(batch)
+        starts = [
+            mixed_initial_state(space, params.init_excited_pop, (first or scheds)[b].frame)
+            for b in columns
+        ]
+        if first:  # a column that fails here keeps its error
+            starts = [
+                run if isinstance(run, IntegrationError) else run.final.in_frame(scheds[b].frame)
+                for b, run in zip(columns, _runs(starts, [first[b] for b in columns], params, opts))
+            ]
+        runs = list(starts)
+        live = [k for k, start in enumerate(starts) if not isinstance(start, IntegrationError)]
+        if live:
+            batch = [scheds[columns[k]] for k in live]
+            finished = _runs([starts[k] for k in live], batch, params, opts,
+                             until=t_click, extra_samples=(t_click,))
+            for k, run in zip(live, finished):
+                runs[k] = run
         return [
             _Click(math.nan, run) if isinstance(run, IntegrationError)
             else _Click(readout.click_probability(_p_excited(run.pinned[t_click])), run)
@@ -565,8 +589,18 @@ def reset_map(
 
 
 def _cycle_schedule(params, detection, *, reset):
-    """The reset stage (without its readout marker), then the detection
-    stage, as one schedule in the detection frame."""
+    """The cycle's stages: the reset stage's first part (None without a
+    reset stage), then the whole cycle in the detection frame.
+
+    The cycle is the reset stage without its readout marker, then the
+    detection stage from that marker's time t0. Run from t = 0, the second
+    schedule alone is the cycle in one frame, where the reset tone is an
+    oscillating term. The first holds the same entries in the reset tone's
+    frame, where its plateau is static, and ends at t0; the second then
+    runs from t0. Both keep every entry, since pulse tails cross t0: the
+    falling edges of the reset drive and tone end after it, and the signal
+    pulse starts before it.
+    """
     entries = []
     t0 = 0.0
     if reset is not None:
@@ -575,7 +609,10 @@ def _cycle_schedule(params, detection, *, reset):
         t0 = r_sched.marker_times()[-1]
     d_sched = detection_schedule(params, detection, start=t0)
     entries.extend(d_sched.entries)
-    return PulseSchedule(tuple(entries), d_sched.frame, d_sched.duration)
+    cycle = PulseSchedule(tuple(entries), d_sched.frame, d_sched.duration)
+    if reset is None:
+        return None, cycle
+    return PulseSchedule(cycle.entries, Frame(reset.omega_d, reset.omega_rst), t0), cycle
 
 
 def full_cycle(
@@ -590,10 +627,12 @@ def full_cycle(
 ) -> CycleOutcome:
     """Reset stage followed by detection on the post-reset state.
 
-    The whole cycle runs as a single schedule in the detection frame; the
-    reset tone enters as an explicitly oscillating term at its carrier
-    detuning. The period uses the nominal stage bookkeeping (plateau plus
-    one t_rise per edge, plus the readout budget). The cycle's signal and
+    The cycle runs in two stages, each in its own frame (see
+    ``_cycle_schedule``): up to the reset stage's readout marker in the
+    reset tone's frame, where the reset plateau is static, then in the
+    detection frame, where the signal is; at the marker the state changes
+    frame exactly. The period uses the nominal stage bookkeeping (plateau
+    plus one t_rise per edge, plus the readout budget). The cycle's signal and
     dark runs are one batch; the fresh detection, on its own timeline, is
     another. With nbar_s = 0 the signal run is the dark run: it runs once
     and eta_after_reset is NaN. With ``opts.fock_convergence`` the cycle
@@ -601,8 +640,9 @@ def full_cycle(
     the fresh detection.
     """
     runs = [detect] if detect.nbar_s == 0 else [detect, replace(detect, nbar_s=0.0)]
-    scheds = [_cycle_schedule(params, d, reset=reset) for d in runs]
-    clicks = _checked(_clicks(scheds, params, readout, opts, n_max, ("cycle_p_e",)))
+    firsts, scheds = zip(*(_cycle_schedule(params, d, reset=reset) for d in runs))
+    first = () if reset is None else firsts
+    clicks = _checked(_clicks(scheds, params, readout, opts, n_max, ("cycle_p_e",), first))
     click, dark = clicks[0].value, clicks[-1].value
     eta_after = math.nan
     if detect.nbar_s > 0:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 from scipy.constants import hbar as HBAR
@@ -202,6 +203,30 @@ def _branch_dip(
     return float(p_ref), float(best_freq[imin]), math.exp(log_r)
 
 
+class _PowerScan(NamedTuple):
+    """The part of ``pdiff_spectrum`` that does not depend on the signal
+    power: the drive frequency, the drive-power grid around the matching
+    amplitude, and the dressed ladder of each grid power."""
+
+    omega_d: float
+    powers: np.ndarray
+    ladders: list
+
+
+def _power_scan(params, omega_d, power_halfspan_db, power_points) -> _PowerScan:
+    if omega_d is None:
+        omega_d = params.omega_ge - TWO_PI * 46e6
+    params.check_nesting(omega_d)
+    rabi_star = matching_amplitude(params, omega_d)
+    anchor_dbm = 20.0 * math.log10(rabi_star / params.require_calibration())
+    powers = np.linspace(
+        anchor_dbm - power_halfspan_db, anchor_dbm + power_halfspan_db, power_points
+    )
+    # both branches scan the same powers: diagonalise each ladder once
+    ladders = [dressed_states(params, omega_d, params.rabi_of_dbm(p)) for p in powers]
+    return _PowerScan(omega_d, powers, ladders)
+
+
 def pdiff_spectrum(
     params: SystemParams,
     omega_d: float | None = None,
@@ -212,6 +237,7 @@ def pdiff_spectrum(
     freq_halfspan: float = TWO_PI * 10e6,
     freq_points: int = 21,
     n_max: int = 3,
+    scan: _PowerScan | None = None,
 ) -> PdiffResult:
     """Drive-power separation of the two impedance-matching dips.
 
@@ -219,19 +245,13 @@ def pdiff_spectrum(
     chip). Each branch is minimized over a (P_d, omega_s) window centered on
     its dressed transition; P_diff is the dip separation along P_d in dB,
     which only involves drive-amplitude ratios and therefore does not depend
-    on the dBm calibration constant.
+    on the dBm calibration constant. ``scan``, which a caller scanning
+    several signal powers builds once, holds the power grid of ``omega_d``,
+    ``power_halfspan_db`` and ``power_points`` and takes their place.
     """
-    if omega_d is None:
-        omega_d = params.omega_ge - TWO_PI * 46e6
-    params.check_nesting(omega_d)
-    rabi_star = matching_amplitude(params, omega_d)
-    anchor_dbm = 20.0 * math.log10(rabi_star / params.require_calibration())
-    power_grid = np.linspace(
-        anchor_dbm - power_halfspan_db, anchor_dbm + power_halfspan_db, power_points
-    )
-
-    # both branches scan the same powers: diagonalise each ladder once
-    ladders = [dressed_states(params, omega_d, params.rabi_of_dbm(p)) for p in power_grid]
+    if scan is None:
+        scan = _power_scan(params, omega_d, power_halfspan_db, power_points)
+    omega_d, power_grid, ladders = scan
     p3, f3, r3 = _branch_dip(
         params, omega_d, 3, power_grid, ladders, float(signal_power_dbm), n_max,
         freq_halfspan, freq_points,
@@ -289,13 +309,15 @@ def calibrate_signal_power(
     below 0.02 dB first, it returns the evaluated power with the smallest
     residual, flagged ``p_diff-unconverged:<residual>;``. The per-branch
     power window is widened so the dips stay interior across the whole
-    bracket.
+    bracket; its grid and dressed ladders do not depend on the signal
+    power, so the search builds them once.
     """
     lo, hi = bracket_dbm
     if not lo < hi:
         raise DipResolutionError(f"P_diff bracket [{lo}, {hi}] dBm is empty: it needs lo < hi")
-    pdiff_kw.setdefault("power_halfspan_db", 8.0)
-    pdiff_kw.setdefault("power_points", 33)
+    pdiff_kw["scan"] = _power_scan(
+        params, omega_d, pdiff_kw.pop("power_halfspan_db", 8.0), pdiff_kw.pop("power_points", 33)
+    )
     evaluated = {}
 
     def residual(p_s):

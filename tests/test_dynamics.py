@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from lambdadet.dynamics import (
     DensityState,
@@ -13,7 +14,6 @@ from lambdadet.dynamics import (
     _commutator_superop,
     _dissipator_superop,
     _schedule_terms,
-    free_decay,
     lindblad_rhs,
     liouvillian,
     mixed_initial_state,
@@ -537,11 +537,61 @@ class TestSteadyState:
 
 
 def test_free_decay_helper(clean_params):
+    """With every pulse off, ``propagate`` gives the exponential of the
+    kron-built Liouvillian: pure T1 decay from |e>."""
     space = build_space(1)
     frame = Frame(clean_params.omega_ge, clean_params.omega_r)
     state = mixed_initial_state(space, 1.0, frame)
-    later = free_decay(state, clean_params, 200e-9)
-    nq = qubit_number(space)
-    p_e = np.trace(nq @ later.matrix).real
+    later = propagate(state, PulseSchedule((), frame, 200e-9), clean_params).final
+    h0 = hamiltonian_static(clean_params, frame, 0.0, frame.qubit_ref, space=space).matrix
+    sup = liouvillian(h0, collapse_operators(clean_params, space))
+    exact = (expm(sup * 200e-9) @ state.matrix.reshape(-1)).reshape(space.dim, space.dim)
+    assert np.max(np.abs(later.matrix - exact)) <= 1e-9
+    p_e = np.trace(qubit_number(space) @ later.matrix).real
     assert p_e == pytest.approx(math.exp(-clean_params.gamma * 200e-9), rel=1e-9)
     assert later.time == pytest.approx(200e-9)
+
+
+class TestInFrame:
+    """A frame change is an exact diagonal phase on the density matrix."""
+
+    FRAMES = (
+        Frame(TWO_PI * 6.2e9, TWO_PI * 10.162e9),
+        Frame(TWO_PI * 6.2e9, TWO_PI * 10.268e9),
+        Frame(TWO_PI * 6.21e9, TWO_PI * 10.3e9),
+    )
+
+    @staticmethod
+    def _state(frame, seed=3, n_max=3, time=446e-9):
+        """A random full-rank density matrix with every coherence nonzero."""
+        rng = np.random.default_rng(seed)
+        space = build_space(n_max)
+        g = rng.normal(size=(space.dim,) * 2) + 1j * rng.normal(size=(space.dim,) * 2)
+        rho = g @ g.conj().T
+        return DensityState(rho / np.trace(rho).real, time, frame, space)
+
+    def test_round_trip(self):
+        a, b, _ = self.FRAMES
+        state = self._state(a)
+        back = state.in_frame(b).in_frame(a)
+        assert back.frame == a and back.time == state.time
+        assert np.max(np.abs(back.matrix - state.matrix)) <= 1e-15
+
+    def test_composes(self):
+        # phases of up to ~1e3 rad at t = 446 ns, so rounding allows ~1e-13
+        a, b, c = self.FRAMES
+        state = self._state(a)
+        via_b = state.in_frame(b).in_frame(c)
+        assert np.max(np.abs(via_b.matrix - state.in_frame(c).matrix)) <= 1e-12
+        assert np.max(np.abs(state.in_frame(c).matrix - state.matrix)) > 0.01
+
+    def test_trace_hermiticity_and_spectrum_unchanged(self):
+        a, _, c = self.FRAMES
+        state = self._state(a)
+        moved = state.in_frame(c)
+        assert np.array_equal(np.diag(moved.matrix), np.diag(state.matrix))
+        assert moved.trace_error() == state.trace_error()
+        assert moved.hermiticity_error() <= 1e-16
+        assert np.allclose(
+            np.linalg.eigvalsh(moved.matrix), np.linalg.eigvalsh(state.matrix), rtol=0, atol=1e-15
+        )

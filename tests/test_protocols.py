@@ -4,16 +4,28 @@ import math
 import numpy as np
 import pytest
 
+from scipy.integrate import solve_ivp
+
 from lambdadet.dynamics import (
     IntegratorOptions,
+    liouvillian,
     mixed_initial_state,
     propagate,
     propagate_batch,
 )
 from lambdadet.errors import IntegrationError, LambdaModeError
 from lambdadet.hilbert import build_space
+from lambdadet.model import (
+    collapse_operators,
+    drive_noise_channels,
+    drive_quadratures,
+    hamiltonian_static,
+    input_quadratures,
+    qubit_flip,
+)
 from lambdadet.protocols import (
     ReadoutModel,
+    _clicks,
     _cycle_schedule,
     _p_excited,
     dark_counts,
@@ -26,7 +38,14 @@ from lambdadet.protocols import (
     reset_map,
     reset_run,
 )
-from lambdadet.pulses import detection_schedule, reset_schedule
+from lambdadet.pulses import (
+    KIND_FLAT_TOP,
+    ROLE_DRIVE,
+    ROLE_RESET,
+    ROLE_SIGNAL,
+    detection_schedule,
+    reset_schedule,
+)
 
 OPTS = IntegratorOptions(max_step=0.2e-9)
 
@@ -166,10 +185,40 @@ class TestFullCycle:
 
     def test_fock_check_flags_a_low_cutoff(self, params, detect, reset):
         """At n_max = 1 the cutoff check of the cycle flags, so
-        ``cycle --strict`` can fail (0.2 ns steps break positivity here)."""
-        opts = IntegratorOptions(max_step=0.1e-9, fock_convergence=True)
+        ``cycle --strict`` can fail."""
+        opts = dataclasses.replace(OPTS, fock_convergence=True)
         out = full_cycle(params, detect, reset, opts=opts, n_max=1)
         assert out.flags.startswith("fock-unconverged:cycle_p_e:")
+
+    @pytest.mark.parametrize("max_step", [0.2e-9, 0.5e-9])
+    def test_coarse_steps_pass_the_checks(self, params, detect, reset, cycle_default_step,
+                                          max_step):
+        """Each stage runs in a frame where its strong tone is static, so
+        coarse steps pass every per-sample check and land on the click of
+        the default 0.1 ns step. In one frame both steps break positivity."""
+        out = full_cycle(params, detect, reset, opts=IntegratorOptions(max_step=max_step))
+        assert abs(out.p_e_after_reset - cycle_default_step.p_e_after_reset) <= 1e-6
+        assert abs(out.eta_after_reset - cycle_default_step.eta_after_reset) <= 1e-6
+
+    def test_two_stages_beat_one_frame_against_dop853(self, params, detect, reset, capsys):
+        """The cycle click, signal and dark, in both frames against DOP853 on
+        the same schedule: the two-stage run is within 2e-8 and no worse
+        than the one-frame run, where the reset tone oscillates."""
+        opts = IntegratorOptions(max_step=0.1e-9)
+        errors = {}
+        for d in (detect, dataclasses.replace(detect, nbar_s=0.0)):
+            _, one_frame = _cycle_schedule(params, d, reset=reset)
+            reference = _dop853_click(params, one_frame)
+            errors[d.nbar_s] = (
+                abs(_click_alone(params, one_frame, opts) - reference),
+                abs(_cycle_click_alone(params, d, reset, opts) - reference),
+            )
+        with capsys.disabled():
+            for nbar_s, (one, two) in errors.items():
+                print(f"\ncycle click, nbar_s = {nbar_s}: error against DOP853 "
+                      f"{one:.2e} in one frame, {two:.2e} in two stages")
+        for one, two in errors.values():
+            assert two <= 2e-8 and two <= one
 
 
 class TestRowBatches:
@@ -207,22 +256,25 @@ class TestRowBatches:
             assert abs(rmap.p_e[0, j] - alone.p_e_after_reset) <= 1e-12
 
     def test_cycle_schedules_batch_with_oscillating_terms(self, params, detect, reset):
-        """The cycle's reset tone sits off the detection frame (cos and sin
-        terms); its signal and dark schedules share one timeline. (A 0.2 ns
-        step breaks positivity in the cycle, so this runs at 0.1 ns.)"""
-        opts = IntegratorOptions(max_step=0.1e-9)
-        scheds = [
+        """In each stage of the cycle a tone sits off the frame (cos and sin
+        terms): the signal pulse's rising tail in the reset tone's frame,
+        the reset tone's falling tail in the detection frame. The signal and
+        dark runs of each stage share one timeline and batch as they run
+        alone."""
+        firsts, scheds = zip(*(
             _cycle_schedule(params, d, reset=reset)
             for d in (detect, dataclasses.replace(detect, nbar_s=0.0))
-        ]
+        ))
         space = build_space(3)
-        rho0s = [mixed_initial_state(space, params.init_excited_pop, s.frame) for s in scheds]
-        batch = propagate_batch(rho0s, scheds, params, opts)
-        for rho0, sched, traj in zip(rho0s, scheds, batch):
-            alone = propagate(rho0, sched, params, opts)
-            assert np.array_equal(traj.times, alone.times)
-            assert np.max(np.abs(traj.p_excited - alone.p_excited)) <= 1e-12
-            assert np.max(np.abs(traj.final.matrix - alone.final.matrix)) <= 1e-12
+        rho0s = [mixed_initial_state(space, params.init_excited_pop, s.frame) for s in firsts]
+        for stage in (firsts, scheds):
+            batch = propagate_batch(rho0s, stage, params, OPTS)
+            for rho0, sched, traj in zip(rho0s, stage, batch):
+                alone = propagate(rho0, sched, params, OPTS)
+                assert np.array_equal(traj.times, alone.times)
+                assert np.max(np.abs(traj.p_excited - alone.p_excited)) <= 1e-12
+                assert np.max(np.abs(traj.final.matrix - alone.final.matrix)) <= 1e-12
+            rho0s = [traj.final.in_frame(s.frame) for traj, s in zip(batch, scheds)]
 
     def test_failed_column_is_isolated(self, params, detect):
         """A signal 3 GHz off the resonator breaks RK4 at a 0.25 ns step: that
@@ -240,13 +292,99 @@ class TestRowBatches:
         assert np.array_equal(emap.p_e[:, :2], good.p_e)
         assert np.array_equal(emap.eta[:, :2], good.eta)
 
+    def test_column_failed_in_the_first_stage_is_isolated(self, params, detect):
+        """Two-stage runs: a signal 3 GHz off the resonator breaks RK4 at a
+        0.25 ns step in the first stage. That column fails with the message
+        ``propagate`` raises for its first stage alone; the other column
+        gives the click of its two stages run alone."""
+        opts = IntegratorOptions(max_step=0.25e-9)
+        runs = (detect, dataclasses.replace(detect, omega_s=2 * np.pi * 13.3e9))
+        firsts = [detection_schedule(params, d) for d in runs]
+        scheds = [detection_schedule(params, d, start=firsts[0].duration) for d in runs]
+        good, bad = _clicks(scheds, params, ReadoutModel(), opts, 3, first=firsts)
+        rho0s = [mixed_initial_state(build_space(3), params.init_excited_pop, s.frame)
+                 for s in firsts]
+        with pytest.raises(IntegrationError) as alone:
+            propagate(rho0s[1], firsts[1], params, opts)
+        assert bad.failed and str(bad.run) == str(alone.value) and math.isnan(bad.value)
+        mid = propagate(rho0s[0], firsts[0], params, opts).final.in_frame(scheds[0].frame)
+        assert good.value == _click_alone(params, scheds[0], opts, rho0=mid)
 
-def _click_alone(params, sched, opts, n_max=3, readout=ReadoutModel()):
-    """The click of one schedule through a B = 1 ``propagate``."""
+
+def _click_alone(params, sched, opts, n_max=3, readout=ReadoutModel(), rho0=None):
+    """The click of one schedule through a B = 1 ``propagate``, from the
+    initial mixture at t = 0 or from ``rho0``."""
     t_click = sched.marker_times()[-1] + readout.latch_delay
-    rho0 = mixed_initial_state(build_space(n_max), params.init_excited_pop, sched.frame)
+    if rho0 is None:
+        rho0 = mixed_initial_state(build_space(n_max), params.init_excited_pop, sched.frame)
     traj = propagate(rho0, sched, params, opts, until=t_click, extra_samples=(t_click,))
     return readout.click_probability(_p_excited(traj.pinned[t_click]))
+
+
+def _cycle_click_alone(params, detect, reset, opts, n_max=3):
+    """The click of the two-stage cycle through B = 1 ``propagate`` calls."""
+    first, sched = _cycle_schedule(params, detect, reset=reset)
+    rho0 = mixed_initial_state(build_space(n_max), params.init_excited_pop, first.frame)
+    mid = propagate(rho0, first, params, opts).final.in_frame(sched.frame)
+    return _click_alone(params, sched, opts, rho0=mid)
+
+
+def _dop853_click(params, sched, n_max=3, readout=ReadoutModel()):
+    """The click of a schedule that starts with a pi pulse, by DOP853
+    (rtol 1e-11) on a Liouvillian built here from kron products, split at
+    every support and plateau edge. The carriers follow the conventions of
+    ``drive_quadratures`` and ``input_quadratures``."""
+    space = build_space(n_max)
+    frame = sched.frame
+    h0 = hamiltonian_static(params, frame, 0.0, frame.qubit_ref, space=space).matrix
+    root_kext = math.sqrt(params.kappa_ext)
+    blocks = [liouvillian(h0, collapse_operators(params, space))]
+    terms = []  # (envelope, detuning, noise) for the blocks after the static one
+    for role, env in sched.entries:
+        if env.amplitude == 0.0:
+            continue
+        if role == ROLE_DRIVE:
+            detuning, quads = env.carrier - frame.qubit_ref, drive_quadratures(space)
+            blocks += [liouvillian(q / 2.0, []) for q in quads]
+            blocks.append(liouvillian(np.zeros_like(h0), drive_noise_channels(params, space, 1.0)))
+            terms.append((env, detuning, True))
+        elif role in (ROLE_SIGNAL, ROLE_RESET):
+            detuning, quads = env.carrier - frame.resonator_ref, input_quadratures(space)
+            blocks += [liouvillian(root_kext * q, []) for q in quads]
+            terms.append((env, detuning, False))
+    stacked = np.concatenate(blocks)
+
+    def rhs(t, x):
+        coefficients = [1.0]
+        for env, detuning, noise in terms:
+            v = env.value(t)
+            coefficients += [v * math.cos(detuning * t), v * math.sin(detuning * t)]
+            if noise:
+                coefficients.append(v * v)
+        return np.asarray(coefficients) @ (stacked @ x).reshape(len(blocks), -1)
+
+    t_click = sched.marker_times()[-1] + readout.latch_delay
+    edges = {0.0, t_click}
+    for _, env in sched.entries:
+        edges.update(env.support())
+        if env.kind == KIND_FLAT_TOP:
+            edges.update((env.center - env.width / 2.0, env.center + env.width / 2.0))
+    edges = sorted(t for t in edges if 0.0 <= t <= t_click)
+    flip = qubit_flip(space)
+    rho0 = mixed_initial_state(space, params.init_excited_pop, frame).matrix
+    x = (flip @ rho0 @ flip).reshape(-1).astype(complex)
+    for ta, tb in zip(edges[:-1], edges[1:]):
+        sol = solve_ivp(rhs, (ta, tb), x, method="DOP853", rtol=1e-11, atol=1e-13)
+        assert sol.success, sol.message
+        x = sol.y[:, -1]
+    p_e = np.real(np.diag(x.reshape(space.dim, space.dim)))[1::2].sum()
+    return readout.click_probability(float(p_e))
+
+
+@pytest.fixture(scope="module")
+def cycle_default_step(params, detect, reset):
+    """``full_cycle`` at the paper's point and the default 0.1 ns step."""
+    return full_cycle(params, detect, reset, opts=IntegratorOptions(max_step=0.1e-9))
 
 
 class TestSinglePointBatches:
@@ -265,11 +403,12 @@ class TestSinglePointBatches:
         assert out.p_e_after_reset == _click_alone(params, reset_schedule(params, reset), OPTS)
         assert out.p_e_no_reset == _click_alone(params, reset_schedule(params, baseline), OPTS)
 
-    def test_cycle_signal_and_dark(self, params, detect, reset):
-        opts = IntegratorOptions(max_step=0.1e-9)  # 0.2 ns breaks positivity in the cycle
-        out = full_cycle(params, detect, reset, opts=opts)
-        dark = _cycle_schedule(params, dataclasses.replace(detect, nbar_s=0.0), reset=reset)
-        assert out.p_e_after_reset == _click_alone(params, dark, opts)
+    def test_cycle_signal_and_dark(self, params, detect, reset, cycle_default_step):
+        """The cycle's dark click equals the two-stage chain run alone."""
+        opts = IntegratorOptions(max_step=0.1e-9)
+        out = cycle_default_step
+        dark = dataclasses.replace(detect, nbar_s=0.0)
+        assert out.p_e_after_reset == _cycle_click_alone(params, dark, reset, opts)
         assert out.eta_fresh == detection_run(params, detect, opts=opts).eta
 
     def test_photon_number_scan(self, params, detect):

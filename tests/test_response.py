@@ -218,6 +218,12 @@ class TestPdiff:
                 cal, signal_power_dbm=-138.0, power_halfspan_db=1.5, power_points=7
             )
 
+    def test_shared_power_scan_gives_the_same_result(self, params, cfg):
+        cal = calibration_params(params, cfg.get("gamma_calibration"))
+        alone = pdiff_spectrum(cal, signal_power_dbm=-145.65, power_points=17, freq_points=15)
+        scan = response._power_scan(cal, None, 6.0, 17)
+        assert pdiff_spectrum(cal, None, -145.65, freq_points=15, scan=scan) == alone
+
     def test_dip_frequencies_match_reported_cross_sections(self, params, cfg):
         """The two branch dips sit at the reported 10.227 / 10.262 GHz."""
         cal = calibration_params(params, cfg.get("gamma_calibration"))
@@ -234,7 +240,8 @@ def _cubic(p_s):
 
 @pytest.fixture
 def fake_pdiff(monkeypatch):
-    """Replaces pdiff_spectrum by a synthetic P_diff; returns the powers it saw."""
+    """Replaces pdiff_spectrum by a synthetic P_diff, and the power scan it
+    would share by nothing; returns the powers it saw."""
     calls = []
 
     def install(p_diff):
@@ -243,6 +250,7 @@ def fake_pdiff(monkeypatch):
             return SimpleNamespace(p_diff_db=p_diff(p_s))
 
         monkeypatch.setattr(response, "pdiff_spectrum", fake)
+        monkeypatch.setattr(response, "_power_scan", lambda *args: None)
         return calls
 
     return install
@@ -276,6 +284,22 @@ class TestCalibrateSignalPower:
         assert best != len(calls) - 1  # the last power is not the closest one
         assert (cal.p_s_dbm, cal.residual_db) == (calls[best], residuals[best])
         assert cal.flags == f"p_diff-unconverged:{residuals[best]:.2e};"
+
+    def test_every_pdiff_call_shares_one_power_scan(self, monkeypatch):
+        scans, seen = [], []
+
+        def scan(*args):
+            scans.append(args)
+            return "scan"
+
+        def fake(params, omega_d, p_s, **kw):
+            seen.append(kw["scan"])
+            return SimpleNamespace(p_diff_db=_cubic(p_s))
+
+        monkeypatch.setattr(response, "_power_scan", scan)
+        monkeypatch.setattr(response, "pdiff_spectrum", fake)
+        calibrate_signal_power(None)
+        assert scans == [(None, None, 8.0, 33)] and seen == ["scan"] * 5
 
     @pytest.mark.parametrize("bracket", [(-141.0, -150.0), (-146.0, -146.0), (math.nan, -141.0)])
     def test_empty_bracket(self, fake_pdiff, bracket):
