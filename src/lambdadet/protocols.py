@@ -36,7 +36,6 @@ from .dynamics import (
 )
 from .errors import IntegrationError
 from .hilbert import build_space, qubit_number
-from .model import Frame
 from .params import SystemParams
 from .pulses import (
     ROLE_READOUT_MARKER,
@@ -589,30 +588,28 @@ def reset_map(
 
 
 def _cycle_schedule(params, detection, *, reset):
-    """The cycle's stages: the reset stage's first part (None without a
-    reset stage), then the whole cycle in the detection frame.
+    """The cycle as two stage schedules (first, second); without a reset
+    stage, (None, the detection schedule).
 
     The cycle is the reset stage without its readout marker, then the
-    detection stage from that marker's time t0. Run from t = 0, the second
-    schedule alone is the cycle in one frame, where the reset tone is an
-    oscillating term. The first holds the same entries in the reset tone's
-    frame, where its plateau is static, and ends at t0; the second then
-    runs from t0. Both keep every entry, since pulse tails cross t0: the
-    falling edges of the reset drive and tone end after it, and the signal
-    pulse starts before it.
+    detection stage from that marker's time t0. The first schedule holds
+    these entries in the reset tone's frame, where the reset plateau is
+    static, and ends at t0. The second holds them in the detection frame
+    and runs from t0; run from t = 0 on its own, it is the whole cycle in
+    one frame, where the reset tone oscillates. Both keep every entry,
+    since pulse tails cross t0: the falling edges of the reset drive and
+    tone end after it, and the signal pulse starts before it.
     """
-    entries = []
-    t0 = 0.0
-    if reset is not None:
-        r_sched = reset_schedule(params, reset, resonator_ref=detection.omega_s)
-        entries.extend(e for e in r_sched.entries if e[0] != ROLE_READOUT_MARKER)
-        t0 = r_sched.marker_times()[-1]
-    d_sched = detection_schedule(params, detection, start=t0)
-    entries.extend(d_sched.entries)
-    cycle = PulseSchedule(tuple(entries), d_sched.frame, d_sched.duration)
     if reset is None:
-        return None, cycle
-    return PulseSchedule(cycle.entries, Frame(reset.omega_d, reset.omega_rst), t0), cycle
+        return None, detection_schedule(params, detection)
+    r_sched = reset_schedule(params, reset)
+    t0 = r_sched.marker_times()[-1]
+    d_sched = detection_schedule(params, detection, start=t0)
+    entries = tuple(e for e in r_sched.entries if e[0] != ROLE_READOUT_MARKER) + d_sched.entries
+    return (
+        PulseSchedule(entries, r_sched.frame, t0),
+        PulseSchedule(entries, d_sched.frame, d_sched.duration),
+    )
 
 
 def full_cycle(

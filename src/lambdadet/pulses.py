@@ -251,7 +251,6 @@ def reset_schedule(
     *,
     with_initial_pi: bool = True,
     start: float = 0.0,
-    resonator_ref: float | None = None,
 ) -> PulseSchedule:
     """Reset stage: optional instantaneous pi pulse, then drive + reset tone.
 
@@ -277,9 +276,8 @@ def reset_schedule(
     entries.append(
         (ROLE_READOUT_MARKER, readout_marker(marker_t, params.omega_r - 2.0 * params.chi))
     )
-    ref = s.omega_rst if resonator_ref is None else resonator_ref
     duration = max([marker_t] + [env.support()[1] for _, env in entries])
-    return PulseSchedule(tuple(entries), Frame(s.omega_d, ref), duration)
+    return PulseSchedule(tuple(entries), Frame(s.omega_d, s.omega_rst), duration)
 
 
 def stage_duration(t_plateau: float, t_rise: float = T_RISE_DEFAULT) -> float:

@@ -3,7 +3,6 @@ import math
 
 import numpy as np
 import pytest
-
 from scipy.integrate import solve_ivp
 
 from lambdadet.dynamics import (
