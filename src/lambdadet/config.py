@@ -16,6 +16,7 @@ from types import MappingProxyType
 
 import numpy as np
 
+from .dynamics import IntegratorOptions
 from .errors import ConfigError
 from .params import SystemParams
 from .pulses import DetectionSettings, ResetSettings
@@ -81,6 +82,8 @@ class _Key:
         return f"{self.stem}_{self.suffix}" if self.suffix else self.stem
 
     def check_range(self, value: float, line_no=None):
+        if not math.isfinite(value):
+            raise ConfigError(f"{self.canonical} = {value:g} must be finite", line_no)
         if self.lo is not None and (value < self.lo or (self.lo_open and value == self.lo)):
             rule = ">" if self.lo_open else ">="
             raise ConfigError(f"{self.canonical} = {value:g} must be {rule} {self.lo:g}", line_no)
@@ -122,12 +125,9 @@ _KEYS = [
     _Key("readout_budget", "ns", "float", _ns(140.0), lo=0.0),
     # numerics
     _Key("n_max", None, "int", 3, lo=1),
-    _Key("integrator_method", None, "str", "fixed_rk4"),
-    _Key("max_step", "ns", "float", _ns(0.1), lo=0.0),
-    _Key("rtol", None, "float", 1e-8, lo=0.0),
-    _Key("atol", None, "float", 1e-10, lo=0.0),
-    _Key("sample_dt", "ns", "float", _ns(1.0), lo=0.0),
-    _Key("fock_convergence", None, "bool", False),
+    _Key("max_step", "ns", "float", IntegratorOptions.max_step, lo=0.0),
+    _Key("sample_dt", "ns", "float", IntegratorOptions.sample_dt, lo=0.0),
+    _Key("fock_convergence", None, "bool", IntegratorOptions.fock_convergence),
     _Key("probe_flux", None, "float", 0.0, lo=0.0),  # 0 = converged weak default
     # input-power calibration
     _Key("pdiff_signal_power", "dBm", "float", -145.65),
@@ -199,6 +199,8 @@ def _parse_scalar(key: _Key, raw: str, scale: float, line_no: int):
             count = int(parts[2])
         except ValueError:
             raise ConfigError(f"{key.canonical}: malformed grid {raw!r}", line_no)
+        for value in (lo, hi):
+            key.check_range(value, line_no)
         log = False
         if len(parts) == 4:
             if parts[3] not in ("linear", "log"):
@@ -212,9 +214,12 @@ def _parse_scalar(key: _Key, raw: str, scale: float, line_no: int):
             raise ConfigError(f"{key.canonical}: {exc}", line_no)
     if key.kind == "list":
         try:
-            return tuple(float(p.strip()) * scale for p in raw.split(",") if p.strip())
+            values = tuple(float(p.strip()) for p in raw.split(",") if p.strip())
         except ValueError:
             raise ConfigError(f"{key.canonical}: malformed list {raw!r}", line_no)
+        for value in values:
+            key.check_range(value, line_no)
+        return tuple(value * scale for value in values)
     raise AssertionError(f"unhandled kind {key.kind}")
 
 
@@ -319,15 +324,10 @@ class RunConfig:
     def omega_d(self) -> float:
         return self.values["omega_ge"] - self.values["delta_drive"]
 
-    def integrator_options(self):
-        from .dynamics import IntegratorOptions
-
+    def integrator_options(self) -> IntegratorOptions:
         v = self.values
         return IntegratorOptions(
-            method=v["integrator_method"],
             max_step=v["max_step"],
-            rtol=v["rtol"],
-            atol=v["atol"],
             sample_dt=v["sample_dt"],
             fock_convergence=v["fock_convergence"],
         )

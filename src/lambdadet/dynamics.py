@@ -25,11 +25,10 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 from scipy import sparse
-from scipy.integrate import solve_ivp
 
 from .errors import IntegrationError, SteadyStateError
 from .hilbert import (
@@ -58,31 +57,24 @@ HERM_TOL = 1e-10
 POSITIVITY_TOL = -1e-8
 TRACE_DRIFT_LIMIT = 1e-6
 
-METHOD_FIXED_RK4 = "fixed_rk4"
-METHOD_ADAPTIVE_RK45 = "adaptive_rk45"
-
 
 @dataclass(frozen=True)
 class IntegratorOptions:
-    """Propagation controls.
+    """Propagation controls, and the defaults of the matching config keys.
 
-    ``max_step`` bounds both the fixed RK4 step and the adaptive solver's
-    step. ``fock_convergence`` asks protocol-level callers to re-run at
-    n_max + 1 and compare scalar outputs.
+    ``max_step`` bounds the step of fixed-step RK4, the one integrator,
+    which ``method`` names. ``fock_convergence`` asks protocol-level
+    callers to re-run at n_max + 1 and compare scalar outputs.
     """
 
-    method: str = METHOD_FIXED_RK4
+    method: ClassVar[str] = "fixed_rk4"
     max_step: float = 0.1e-9
-    rtol: float = 1e-8
-    atol: float = 1e-10
     sample_dt: float = 1.0e-9
     fock_convergence: bool = False
 
     def __post_init__(self):
-        if self.method not in (METHOD_FIXED_RK4, METHOD_ADAPTIVE_RK45):
-            raise ValueError(f"unknown integrator_method {self.method!r}")
-        for name in ("max_step", "rtol", "atol", "sample_dt"):
-            if getattr(self, name) <= 0:
+        for name in ("max_step", "sample_dt"):
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name):g}")
 
 
@@ -716,9 +708,7 @@ def propagate_batch(
     column is checked at every sample as ``propagate`` checks its state; a
     column that fails a check stops there, and the others go on. Returns
     per column its Trajectory or the IntegrationError it failed with. A
-    failure of the timeline itself (step-size underflow, a failed adaptive
-    solve) raises. The adaptive solver picks its own steps, so it runs the
-    columns one at a time.
+    failure of the timeline itself (step-size underflow) raises.
     """
     first = schedules[0]
     for rho0, sched in zip(rho0s, schedules, strict=True):
@@ -729,12 +719,6 @@ def propagate_batch(
             raise ValueError("the schedules of a batch must share one timeline")
         if (rho0.time, rho0.space) != (rho0s[0].time, rho0s[0].space):
             raise ValueError("the initial states of a batch must share time and space")
-    if opts.method != METHOD_FIXED_RK4 and len(schedules) > 1:
-        return [
-            propagate_batch([r], [s], params, opts, until=until, extra_samples=extra_samples)[0]
-            for r, s in zip(rho0s, schedules)
-        ]
-
     space = rho0s[0].space
     rhs = _StackedRHS(schedules, params, space)
     t_end = first.duration if until is None else max(until, first.duration)
@@ -759,27 +743,11 @@ def propagate_batch(
             seg_samples = sample_times[(sample_times > seg_start) & (sample_times <= seg_end)]
             if len(seg_samples) == 0 or seg_samples[-1] != seg_end:
                 seg_samples = np.append(seg_samples, seg_end)
-            if opts.method == METHOD_FIXED_RK4:
-                t = seg_start
-                for t_next in seg_samples:
-                    x = _rk4_interval(rhs, x, t, t_next, opts.max_step)
-                    t = t_next
-                    log.record(t, x)
-            else:
-                sol = solve_ivp(
-                    lambda t, y: rhs(y[:, None], rhs.table(np.array([t]))[0])[:, 0],
-                    (seg_start, seg_end),
-                    x[:, 0],
-                    method="RK45",
-                    t_eval=seg_samples,
-                    rtol=opts.rtol,
-                    atol=opts.atol,
-                )
-                if not sol.success:
-                    raise IntegrationError(f"adaptive integrator failed: {sol.message}")
-                for t_i, x_i in zip(sol.t, sol.y.T):
-                    x = x_i[:, None].copy()
-                    log.record(t_i, x)
+            t = seg_start
+            for t_next in seg_samples:
+                x = _rk4_interval(rhs, x, t, t_next, opts.max_step)
+                t = t_next
+                log.record(t, x)
         if seg_end in pi_events and seg_end > t_start:
             x = x[flip]
 

@@ -85,14 +85,21 @@ def test_fewer_than_two_seeds_are_rejected_before_any_run(bench_pairs, monkeypat
     assert not (tmp_path / "bench.json").exists()
 
 
-@pytest.mark.parametrize("correct, failed", [(False, 0), (True, 1)])
-def test_a_failed_run_stops_the_pairs(bench_pairs, monkeypatch, tmp_path, correct, failed):
+@pytest.mark.parametrize("correct, failed, code", [(False, 0, 0), (True, 1, 0), (None, 0, 3)],
+                         ids=["False-0", "True-1", "crash"])
+def test_a_failed_run_stops_the_pairs(bench_pairs, monkeypatch, tmp_path, correct, failed, code):
     line = {"correct": correct, "attempted": 3, "failed": failed, "metrics": {}}
-    done = types.SimpleNamespace(stdout=json.dumps(line) + "\n")
+    stderr = "".join(f"line {k}\n" for k in range(12)) + "ValueError: no config\n"
+    done = types.SimpleNamespace(stdout=json.dumps(line) + "\n" if code == 0 else "",
+                                 stderr=stderr, returncode=code)
     monkeypatch.setattr(bench_pairs.subprocess, "run", lambda *args, **kwargs: done)
     checkouts = {"parent": tmp_path, "change": tmp_path}
     with pytest.raises(SystemExit) as exc:
         bench_pairs.pairs(checkouts, "single_cycle", [4, 5], None)
-    assert str(exc.value) == (
-        f"single_cycle pair 0 seed 4, parent: correct {correct}, failed {failed}/3"
-    )
+    where = "single_cycle pair 0 seed 4, parent"
+    if code:
+        # the exit code and the last 10 lines of stderr
+        tail = "".join(f"line {k}\n" for k in range(3, 12)) + "ValueError: no config"
+        assert str(exc.value) == f"{where}: exit code 3\n{tail}"
+    else:
+        assert str(exc.value) == f"{where}: correct {correct}, failed {failed}/3"

@@ -372,10 +372,18 @@ def test_cycle_without_signal_photons(tmp_path, capsys):
     "line, key",
     [
         ("integrator_method = rk4", "integrator_method"),
+        ("rtol = 1e-8", "rtol"),
+        ("atol = 1e-10", "atol"),
         ("max_step_ns = 0", "max_step"),
+        ("max_step_ns = nan", "max_step"),
+        ("sample_dt_ns = inf", "sample_dt"),
         ("kappa_MHz = 0", "kappa"),
+        ("kappa_MHz = inf", "kappa"),
         ("t_s_ns = 0", "t_s"),
+        ("t_s_ns = nan", "t_s"),
         ("t_dr_ns = 0", "t_dr"),
+        ("detect_pd_grid_dBm = -78,nan,3", "detect_pd_grid"),
+        ("ts_list_ns = 85,-inf", "ts_list"),
     ],
 )
 def test_rejected_values_are_config_errors(line, key, tmp_path, capsys):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from lambdadet.config import (
     parse_config,
     serialize_config,
 )
+from lambdadet.dynamics import IntegratorOptions
 from lambdadet.errors import ConfigError
 
 TWO_PI = 2.0 * np.pi
@@ -27,6 +30,27 @@ def test_empty_file_gives_device_defaults():
 
 def test_bundled_file_matches_defaults():
     assert parse_config(default_config_text()).params == parse_config("").params
+
+
+def test_integrator_defaults_have_one_source():
+    """An empty config runs at ``IntegratorOptions()``, to the last bit of
+    ``max_step``."""
+    assert parse_config("").integrator_options() == IntegratorOptions()
+
+
+def test_integrator_options_hold_only_the_rk4_controls():
+    names = [f.name for f in dataclasses.fields(IntegratorOptions)]
+    assert names == ["max_step", "sample_dt", "fock_convergence"]
+    assert IntegratorOptions().method == "fixed_rk4"
+    with pytest.raises(TypeError):
+        IntegratorOptions(method="adaptive_rk45")
+
+
+@pytest.mark.parametrize("name", ["max_step", "sample_dt"])
+def test_integrator_steps_must_be_positive_numbers(name):
+    for bad in (0.0, -1e-10, float("nan")):
+        with pytest.raises(ValueError, match=name):
+            IntegratorOptions(**{name: bad})
 
 
 def test_time_key_round_trip():

@@ -387,15 +387,26 @@ class TestPropagate:
         assert np.array_equal(batch[1].p_excited, weak_alone.p_excited)
         assert np.array_equal(batch[1].final.matrix, weak_alone.final.matrix)
 
-    def test_adaptive_matches_fixed(self, params, detect):
+    def test_rk4_click_matches_dop853(self, params, detect, capsys):
+        """The default-step RK4 clicks of ``detection_run`` at the paper's
+        point, signal and dark, against DOP853 on the same schedules, within
+        perfbench's reference tolerance of 1e-6."""
         from lambdadet.protocols import detection_run
+        from lambdadet.pulses import detection_schedule
+        from test_protocols import _dop853_click
 
-        fixed = detection_run(params, detect, opts=IntegratorOptions(max_step=0.1e-9))
-        adaptive = detection_run(
-            params, detect,
-            opts=IntegratorOptions(method="adaptive_rk45", rtol=1e-9, atol=1e-12),
-        )
-        assert adaptive.p_e == pytest.approx(fixed.p_e, rel=1e-5)
+        out = detection_run(params, detect)
+        errors = {
+            name: abs(click - _dop853_click(params, detection_schedule(params, d)))
+            for name, click, d in (
+                ("signal", out.p_e, detect),
+                ("dark", out.p_dark, dataclasses.replace(detect, nbar_s=0.0)),
+            )
+        }
+        with capsys.disabled():
+            print("\ndetection click error against DOP853: "
+                  + ", ".join(f"{name} {err:.2e}" for name, err in errors.items()))
+        assert max(errors.values()) <= 1e-6
 
     def test_bit_identical_repeat(self, params, detect):
         from lambdadet.protocols import detection_run

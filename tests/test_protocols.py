@@ -329,10 +329,10 @@ def _cycle_click_alone(params, detect, reset, opts, n_max=3):
 
 
 def _dop853_click(params, sched, n_max=3, readout=ReadoutModel()):
-    """The click of a schedule that starts with a pi pulse, by DOP853
-    (rtol 1e-11) on a Liouvillian built here from kron products, split at
-    every support and plateau edge. The carriers follow the conventions of
-    ``drive_quadratures`` and ``input_quadratures``."""
+    """The click of a schedule by DOP853 (rtol 1e-11) on a Liouvillian
+    built here from kron products, split at every support and plateau edge
+    and at its pi pulses, which flip the qubit exactly. The carriers follow
+    the conventions of ``drive_quadratures`` and ``input_quadratures``."""
     space = build_space(n_max)
     frame = sched.frame
     h0 = hamiltonian_static(params, frame, 0.0, frame.qubit_ref, space=space).matrix
@@ -363,16 +363,18 @@ def _dop853_click(params, sched, n_max=3, readout=ReadoutModel()):
         return np.asarray(coefficients) @ (stacked @ x).reshape(len(blocks), -1)
 
     t_click = sched.marker_times()[-1] + readout.latch_delay
-    edges = {0.0, t_click}
+    pi_times = set(sched.pi_times())
+    edges = {0.0, t_click} | pi_times
     for _, env in sched.entries:
         edges.update(env.support())
         if env.kind == KIND_FLAT_TOP:
             edges.update((env.center - env.width / 2.0, env.center + env.width / 2.0))
     edges = sorted(t for t in edges if 0.0 <= t <= t_click)
     flip = qubit_flip(space)
-    rho0 = mixed_initial_state(space, params.init_excited_pop, frame).matrix
-    x = (flip @ rho0 @ flip).reshape(-1).astype(complex)
+    x = mixed_initial_state(space, params.init_excited_pop, frame).matrix.reshape(-1)
     for ta, tb in zip(edges[:-1], edges[1:]):
+        if ta in pi_times:
+            x = (flip @ x.reshape(space.dim, space.dim) @ flip).reshape(-1)
         sol = solve_ivp(rhs, (ta, tb), x, method="DOP853", rtol=1e-11, atol=1e-13)
         assert sol.success, sol.message
         x = sol.y[:, -1]

@@ -17,8 +17,8 @@ bound in BENCHMARK.json, and the verdicts ``gain_rule_met`` and
 ``within_bound`` (see ``summary``). ``--trace-seed`` adds one traced run
 per side with the per-layer metrics; each ``--also`` adds pairs of
 another workload, to show that it does not get worse. Each workload needs at least two seeds,
-and a run whose outputs fail a check or that reports failed operations
-stops the tool, naming the pair.
+and a run that crashes, whose outputs fail a check or that reports failed
+operations stops the tool, naming the pair.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+STDERR_LINES = 10  # of a failed run, in the message that stops the tool
 
 
 def seed_range(text):
@@ -42,14 +43,18 @@ def seed_range(text):
 def run(checkout: Path, workload: str, seed: int, trace: int, seconds: float | None, where):
     """One perfbench run; returns its summary line and its full record.
 
-    A run whose outputs fail a check, or that reports failed operations,
-    ends the tool with a message naming ``where`` it happened.
+    A run that exits non-zero, whose outputs fail a check, or that reports
+    failed operations ends the tool with a message naming ``where`` it
+    happened; a non-zero exit adds its code and the end of its stderr.
     """
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--trace", str(trace)]
     if seconds is not None:
         cmd += ["--seconds", str(seconds)]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    if proc.returncode != 0:
+        tail = "\n".join(proc.stderr.strip().splitlines()[-STDERR_LINES:])
+        raise SystemExit(f"{where}: exit code {proc.returncode}\n{tail}")
     line = json.loads(proc.stdout.strip().splitlines()[-1])
     if line["correct"] is not True or line["failed"]:
         raise SystemExit(f"{where}: correct {line['correct']}, "
