@@ -427,7 +427,6 @@ def test_criterion_10_engineering_invariants(params, detect, tmp_path):
     cfg_small = parse_config(
         "detect_pd_grid_dBm = -76,-75,3\n"
         "detect_freq_grid_GHz = 10.264,10.272,3\n"
-        "max_step_ns = 0.25\n"
     )
     out1, out2 = tmp_path / "w1", tmp_path / "w2"
     run_sweep(cfg_small, "detect-map", out_dir=out1, workers=1)

@@ -10,7 +10,6 @@ from lambdadet.sweep import read_csv, write_csv
 
 FAST_CFG = """
 # small grids so CLI tests stay quick
-max_step_ns = 0.25
 dressed_pd_grid_dBm = -80,-70,50
 reflect_pd_grid_dBm = -77.5,-74.5,5
 reflect_freq_grid_GHz = 10.262,10.272,5
@@ -77,7 +76,6 @@ def test_byte_identical_across_worker_counts(fast_cfg, tmp_path):
 
 
 PROGRESS_CFG = """
-max_step_ns = 0.25
 reflect_pd_grid_dBm = -77.5,-74.5,2
 reflect_freq_grid_GHz = 10.262,10.272,3
 detect_pd_grid_dBm = -76,-75,2

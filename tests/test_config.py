@@ -38,6 +38,15 @@ def test_integrator_defaults_have_one_source():
     assert parse_config("").integrator_options() == IntegratorOptions()
 
 
+def test_saved_default_config_runs_at_the_default_step():
+    """A serialized default config reads back as ``IntegratorOptions()``.
+    It writes ``max_step_ns = 0.25``, and 0.25 x 1e-9 is 1e-9 scaled by a
+    power of two, so it is exactly the default 0.25e-9 (0.1 x 1e-9 was one
+    ulp above 0.1e-9)."""
+    saved = serialize_config(parse_config(""))
+    assert parse_config(saved).integrator_options() == IntegratorOptions()
+
+
 def test_integrator_options_hold_only_the_rk4_controls():
     names = [f.name for f in dataclasses.fields(IntegratorOptions)]
     assert names == ["max_step", "sample_dt", "fock_convergence"]

@@ -244,6 +244,18 @@ class TestPropagate:
         expected = np.sin(rabi * traj.times / 2) ** 2
         assert np.max(np.abs(traj.p_excited - expected)) < 1e-4
 
+    def test_default_step_meets_the_rabi_closed_form(self, clean_params):
+        """At the default step a 20 MHz resonant Rabi flop over 100 ns stays
+        within 1e-7 of sin^2(Omega t / 2), the bound of perfbench's
+        closed-form check. A step of 1/3 ns or more misses it."""
+        p = dataclasses.replace(clean_params, gamma=0.0)
+        frame = Frame(p.omega_ge, p.omega_r)
+        rabi, duration = TWO_PI * 20e6, 100e-9
+        sched = PulseSchedule(((ROLE_DRIVE, rect((rabi, p.omega_ge), duration)),), frame, duration)
+        rho0 = mixed_initial_state(build_space(1), 0.0, frame)
+        traj = propagate(rho0, sched, p, IntegratorOptions())
+        assert np.max(np.abs(traj.p_excited - np.sin(rabi * traj.times / 2) ** 2)) < 1e-7
+
     def test_driven_cavity_reaches_analytic_steady_state(self, clean_params):
         p = clean_params
         space = build_space(3)
@@ -390,10 +402,11 @@ class TestPropagate:
     def test_rk4_click_matches_dop853(self, params, detect, capsys):
         """The default-step RK4 clicks of ``detection_run`` at the paper's
         point, signal and dark, against DOP853 on the same schedules, within
-        perfbench's reference tolerance of 1e-6."""
+        the 1e-7 click budget of ``IntegratorOptions`` (a tenth of
+        perfbench's reference tolerance)."""
         from lambdadet.protocols import detection_run
         from lambdadet.pulses import detection_schedule
-        from test_protocols import _dop853_click
+        from test_protocols import CLICK_BUDGET, _dop853_click
 
         out = detection_run(params, detect)
         errors = {
@@ -406,7 +419,7 @@ class TestPropagate:
         with capsys.disabled():
             print("\ndetection click error against DOP853: "
                   + ", ".join(f"{name} {err:.2e}" for name, err in errors.items()))
-        assert max(errors.values()) <= 1e-6
+        assert max(errors.values()) <= CLICK_BUDGET
 
     def test_bit_identical_repeat(self, params, detect):
         from lambdadet.protocols import detection_run

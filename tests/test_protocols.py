@@ -47,6 +47,8 @@ from lambdadet.pulses import (
 )
 
 OPTS = IntegratorOptions(max_step=0.2e-9)
+CLICK_BUDGET = 1e-7  # the default step's error budget, stated on IntegratorOptions
+ETA_BUDGET = 2e-7
 
 
 class TestDetection:
@@ -190,24 +192,27 @@ class TestFullCycle:
         assert out.flags.startswith("fock-unconverged:cycle_p_e:")
 
     @pytest.mark.parametrize("max_step", [0.2e-9, 0.5e-9])
-    def test_coarse_steps_pass_the_checks(self, params, detect, reset, cycle_default_step,
+    def test_coarse_steps_pass_the_checks(self, params, detect, reset, cycle_fine_reference,
                                           max_step):
         """Each stage runs in a frame where its strong tone is static, so
         coarse steps pass every per-sample check and land on the click of
-        the default 0.1 ns step. In one frame both steps break positivity."""
+        the fine 0.1 ns reference run. In one frame both steps break
+        positivity."""
         out = full_cycle(params, detect, reset, opts=IntegratorOptions(max_step=max_step))
-        assert abs(out.p_e_after_reset - cycle_default_step.p_e_after_reset) <= 1e-6
-        assert abs(out.eta_after_reset - cycle_default_step.eta_after_reset) <= 1e-6
+        assert abs(out.p_e_after_reset - cycle_fine_reference.p_e_after_reset) <= 1e-6
+        assert abs(out.eta_after_reset - cycle_fine_reference.eta_after_reset) <= 1e-6
 
-    def test_two_stages_beat_one_frame_against_dop853(self, params, detect, reset, capsys):
+    def test_two_stages_beat_one_frame_against_dop853(self, params, detect, reset,
+                                                      dop853_clicks, capsys):
         """The cycle click, signal and dark, in both frames against DOP853 on
         the same schedule: the two-stage run is within 2e-8 and no worse
         than the one-frame run, where the reset tone oscillates."""
         opts = IntegratorOptions(max_step=0.1e-9)
         errors = {}
-        for d in (detect, dataclasses.replace(detect, nbar_s=0.0)):
+        dark = dataclasses.replace(detect, nbar_s=0.0)
+        for d, run in ((detect, "cycle signal"), (dark, "cycle dark")):
             _, one_frame = _cycle_schedule(params, d, reset=reset)
-            reference = _dop853_click(params, one_frame)
+            reference = dop853_clicks[run]
             errors[d.nbar_s] = (
                 abs(_click_alone(params, one_frame, opts) - reference),
                 abs(_cycle_click_alone(params, d, reset, opts) - reference),
@@ -383,9 +388,91 @@ def _dop853_click(params, sched, n_max=3, readout=ReadoutModel()):
 
 
 @pytest.fixture(scope="module")
-def cycle_default_step(params, detect, reset):
-    """``full_cycle`` at the paper's point and the default 0.1 ns step."""
+def cycle_fine_reference(params, detect, reset):
+    """``full_cycle`` at the paper's point and a fine 0.1 ns step, the
+    reference run of the coarse-step tests."""
     return full_cycle(params, detect, reset, opts=IntegratorOptions(max_step=0.1e-9))
+
+
+@pytest.fixture(scope="module")
+def dop853_clicks(params, detect, reset):
+    """The DOP853 clicks of the paper's point by run: detection signal and
+    dark, reset and its no-reset baseline, and the cycle's signal and dark
+    runs, each cycle run on its whole schedule in the detection frame."""
+    dark = dataclasses.replace(detect, nbar_s=0.0)
+    schedules = {
+        "detect signal": detection_schedule(params, detect),
+        "detect dark": detection_schedule(params, dark),
+        "reset": reset_schedule(params, reset),
+        "reset baseline": reset_schedule(params, dataclasses.replace(reset, nbar_rst=0.0)),
+        "cycle signal": _cycle_schedule(params, detect, reset=reset)[1],
+        "cycle dark": _cycle_schedule(params, dark, reset=reset)[1],
+    }
+    return {run: _dop853_click(params, sched) for run, sched in schedules.items()}
+
+
+def _check_step_budget(label, quantities, references, capsys):
+    """Runs ``quantities(opts)`` at the default step and at half of it and
+    checks each default-step value against its DOP853 reference and its
+    half-step value: within ETA_BUDGET for an eta, CLICK_BUDGET for a
+    click."""
+    default = quantities(IntegratorOptions())
+    half = quantities(IntegratorOptions(max_step=IntegratorOptions().max_step / 2))
+    errors = {name: (value - references[name], value - half[name])
+              for name, value in default.items()}
+    with capsys.disabled():
+        print(f"\n{label} at the default step, error against DOP853 / against half the step: "
+              + ", ".join(f"{name} {ref:+.1e} / {hlf:+.1e}" for name, (ref, hlf) in errors.items()))
+    for name, (against_reference, against_half) in errors.items():
+        budget = ETA_BUDGET if name.startswith("eta") else CLICK_BUDGET
+        assert abs(against_reference) <= budget and abs(against_half) <= budget, name
+
+
+class TestStepBudget:
+    """At the paper's point and the default step, every click lies within
+    CLICK_BUDGET and every eta within ETA_BUDGET of DOP853 and of the run
+    at half the step."""
+
+    def test_detection(self, params, detect, dop853_clicks, capsys):
+        signal, dark = dop853_clicks["detect signal"], dop853_clicks["detect dark"]
+        vacuum = 1.0 - math.exp(-detect.nbar_s)
+
+        def quantities(opts):
+            out = detection_run(params, detect, opts=opts)
+            return {"signal": out.p_e, "dark": out.p_dark, "eta": out.eta}
+
+        references = {"signal": signal, "dark": dark, "eta": (signal - dark) / vacuum}
+        _check_step_budget("detection_run", quantities, references, capsys)
+
+    def test_reset(self, params, detect, reset, dop853_clicks, capsys):
+        def quantities(opts):
+            out = reset_run(params, reset, opts=opts, detect_stage=detect.stage)
+            return {"reset": out.p_e_after_reset, "no-reset baseline": out.p_e_no_reset}
+
+        references = {"reset": dop853_clicks["reset"],
+                      "no-reset baseline": dop853_clicks["reset baseline"]}
+        _check_step_budget("reset_run", quantities, references, capsys)
+
+    def test_cycle(self, params, detect, reset, dop853_clicks, capsys):
+        vacuum = 1.0 - math.exp(-detect.nbar_s)
+
+        def quantities(opts):
+            out = full_cycle(params, detect, reset, opts=opts)
+            return {
+                "signal": out.p_e_after_reset + out.eta_after_reset * vacuum,
+                "dark": out.p_e_after_reset,
+                "eta": out.eta_fresh,
+                "eta after reset": out.eta_after_reset,
+            }
+
+        clicks = dop853_clicks
+        references = {
+            "signal": clicks["cycle signal"],
+            "dark": clicks["cycle dark"],
+            "eta": (clicks["detect signal"] - clicks["detect dark"]) / vacuum,
+            "eta after reset": (clicks["cycle signal"] - clicks["cycle dark"]) / vacuum,
+        }
+        _check_step_budget("full_cycle", quantities, references, capsys)
 
 
 class TestSinglePointBatches:
@@ -404,10 +491,10 @@ class TestSinglePointBatches:
         assert out.p_e_after_reset == _click_alone(params, reset_schedule(params, reset), OPTS)
         assert out.p_e_no_reset == _click_alone(params, reset_schedule(params, baseline), OPTS)
 
-    def test_cycle_signal_and_dark(self, params, detect, reset, cycle_default_step):
+    def test_cycle_signal_and_dark(self, params, detect, reset, cycle_fine_reference):
         """The cycle's dark click equals the two-stage chain run alone."""
         opts = IntegratorOptions(max_step=0.1e-9)
-        out = cycle_default_step
+        out = cycle_fine_reference
         dark = dataclasses.replace(detect, nbar_s=0.0)
         assert out.p_e_after_reset == _cycle_click_alone(params, dark, reset, opts)
         assert out.eta_fresh == detection_run(params, detect, opts=opts).eta
