@@ -410,12 +410,11 @@ class TermCoefficient(NamedTuple):
 
 
 def _schedule_terms(schedule: PulseSchedule, params: SystemParams, space: HilbertSpace):
-    """Static superoperator plus (superop, TermCoefficient) pairs for every
-    envelope.
+    """Static superoperator plus the TermCoefficient of every envelope term.
 
-    The term superoperators are the record's ``pulse_terms``. The static
-    part is the kron-built ``liouvillian``, which the record reproduces bit
-    for bit (see ``Superoperators``).
+    A term's superoperator is the record's ``pulse_terms[block]``. The
+    static part is the kron-built ``liouvillian``, which the record
+    reproduces bit for bit (see ``Superoperators``).
     """
     frame = schedule.frame
     h0 = hamiltonian_static(params, frame, 0.0, frame.qubit_ref, space=space).matrix
@@ -442,8 +441,7 @@ def _schedule_terms(schedule: PulseSchedule, params: SystemParams, space: Hilber
         coefficients.append(TermCoefficient(block, env, detuning=detuning))
         if detuning != 0.0:
             coefficients.append(TermCoefficient(block + 1, env, detuning=detuning, sine=True))
-    sups = superoperators(params, space.n_max).pulse_terms
-    return static, [(sups[c.block], c) for c in coefficients]
+    return static, coefficients
 
 
 class _StackedRHS:
@@ -470,7 +468,7 @@ class _StackedRHS:
         self.diagonal = np.array(diagonals).T  # (D, B)
         dim = len(diagonals[0])
 
-        blocks = sorted({c.block for terms in columns for _, c in terms})
+        blocks = sorted({c.block for terms in columns for c in terms})
         sups = superoperators(params, space.n_max).pulse_terms
         self.matrix = sparse.hstack(
             [sparse.csr_array(offdiag)] + [sparse.csr_array(sups[k]) for k in blocks],
@@ -483,7 +481,7 @@ class _StackedRHS:
         self._entries = [
             (blocks.index(c.block), b, c, replace(c.envelope, carrier=0.0))
             for b, terms in enumerate(columns)
-            for _, c in terms
+            for c in terms
         ]
         self._shape = (len(blocks), len(schedules))
         self._dim = dim
@@ -541,17 +539,11 @@ class _StackedRHS:
         return self._maps[key]
 
 
-def _segment_boundaries(schedule: PulseSchedule, t0: float, t1: float):
-    """Pi-pulse times split the integration into segments."""
-    events = sorted(t for t in schedule.pi_times() if t0 <= t <= t1)
-    bounds = [t0] + events + [t1]
-    return [(bounds[i], bounds[i + 1]) for i in range(len(bounds) - 1)], events
-
-
 def _sample_times(schedule: PulseSchedule, t0: float, t1: float, sample_dt: float, extra=()):
+    """Samples every ~sample_dt from t0 to t1, pinned at markers, pi pulses and ``extra``."""
     n = max(1, int(math.ceil((t1 - t0) / sample_dt)))
     times = np.linspace(t0, t1, n + 1)
-    pins = [t for t in list(schedule.marker_times()) + list(extra) if t0 < t < t1]
+    pins = [t for t in (*schedule.marker_times(), *schedule.pi_times(), *extra) if t0 < t < t1]
     if pins:
         times = np.concatenate([times, np.array(pins)])
     return np.unique(times)
@@ -742,24 +734,15 @@ def propagate_batch(
     flip = _flip_permutation(space)
 
     x = np.stack([rho0.matrix.reshape(-1) for rho0 in rho0s], axis=1).astype(complex)
-    segments, pi_events = _segment_boundaries(first, t_start, t_end)
-    # pi pulse exactly at the start acts before any evolution
-    for t_pi in pi_events:
-        if t_pi == t_start:
-            x = x[flip]
+    pi_times = set(first.pi_times())
+    if t_start in pi_times:  # acts before the first record
+        x = x[flip]
     log.record(t_start, x)
-
-    for seg_start, seg_end in segments:
-        if seg_end > seg_start:
-            seg_samples = sample_times[(sample_times > seg_start) & (sample_times <= seg_end)]
-            if len(seg_samples) == 0 or seg_samples[-1] != seg_end:
-                seg_samples = np.append(seg_samples, seg_end)
-            t = seg_start
-            for t_next in seg_samples:
-                x = _rk4_interval(rhs, x, t, t_next, opts.max_step)
-                t = t_next
-                log.record(t, x)
-        if seg_end in pi_events and seg_end > t_start:
+    # each sample is recorded, then a pi pulse due at its time flips the qubit
+    for t, t_next in zip(sample_times[:-1].tolist(), sample_times[1:].tolist()):
+        x = _rk4_interval(rhs, x, t, t_next, opts.max_step)
+        log.record(t_next, x)
+        if t_next in pi_times:
             x = x[flip]
 
     return log.trajectories([s.frame for s in schedules], t_end)

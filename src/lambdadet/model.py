@@ -44,13 +44,12 @@ def hamiltonian_static(
     omega_d: float,
     *,
     space: HilbertSpace,
-    lambda_mode: bool = False,
 ) -> ComplexOperator:
     """Static Hamiltonian in the given frame.
 
     Raises NonStaticFrameError if rabi > 0 with frame.qubit_ref != omega_d,
-    because the drive term would oscillate. When ``lambda_mode`` is set the
-    nesting condition is validated.
+    because the drive term would oscillate. The nesting condition is checked
+    by the callers that need it: the schedule builders, the dressed ladder.
     """
     if rabi < 0:
         raise ValueError("rabi must be >= 0")
@@ -59,8 +58,6 @@ def hamiltonian_static(
             "drive at omega_d oscillates in this frame (qubit_ref != omega_d); "
             "use dynamics.propagate for time-dependent evolution"
         )
-    if lambda_mode and rabi > 0:
-        params.check_nesting(omega_d)
 
     nq = qubit_number(space)
     nph = photon_number(space)

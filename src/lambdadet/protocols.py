@@ -11,8 +11,10 @@ with an empty signal pulse. Efficiency subtracts it:
 
 with the coherent-pulse vacuum probability exp(-nbar_s).
 
-Runs that share one pulse timeline and differ only in amplitudes and
-carriers propagate as one ``propagate_batch`` through ``_clicks``: a signal
+Every protocol has one shape: settings, a schedule builder, one ``_clicks``
+batch, the outcome. The builders check the drive's nesting condition, so a
+bad drive fails before anything propagates. Runs on one pulse timeline that
+differ only in amplitudes and carriers are one ``propagate_batch``: a signal
 run and its dark run, a reset run and its no-reset baseline, the dark run
 and the points of an nbar_s scan, the dark runs of several drive powers,
 and each row of a map. Batching leaves every click as it is alone.
@@ -224,21 +226,21 @@ def _flags(clicks: list[_Click]) -> str:
     return "".join(f"{c.flag};" for c in clicks if c.flag)
 
 
-def _outcome(params, settings, click, dark_click, flags=""):
+def _outcome(params, settings, click, dark, flags=""):
     """Detection outcome of a click and the dark click of its drive; with
     nbar_s = 0 the run is the dark run itself."""
     s = settings
     if s.nbar_s > 0:
-        eta = (click - dark_click) / (1.0 - math.exp(-s.nbar_s))
+        eta = (click - dark) / (1.0 - math.exp(-s.nbar_s))
     else:
-        dark_click = click
+        dark = click
         eta = math.nan
     p_d_dbm = math.nan
     if params.drive_power_to_rabi and s.rabi > 0:
         p_d_dbm = params.dbm_of_rabi(s.rabi)
     return DetectionOutcome(
         p_e=click,
-        p_dark=dark_click,
+        p_dark=dark,
         eta=eta,
         nbar_s=s.nbar_s,
         t_s=s.t_s,
@@ -249,18 +251,14 @@ def _outcome(params, settings, click, dark_click, flags=""):
     )
 
 
-def _detect(params, settings, readout, opts, n_max, dark_click):
-    """Detection outcome and the trajectory of its signal run. Without
-    ``dark_click`` the signal run and its dark run are one batch."""
+def _detect(params, settings, readout, opts, n_max):
+    """Detection outcome and the trajectory of its signal run; the signal
+    run and its dark run are one batch."""
     s = settings
-    if s.rabi > 0:
-        params.check_nesting(s.omega_d)
-    runs = [s] if s.nbar_s == 0 or dark_click is not None else [s, replace(s, nbar_s=0.0)]
+    runs = [s] if s.nbar_s == 0 else [s, replace(s, nbar_s=0.0)]
     scheds = [detection_schedule(params, r) for r in runs]
     clicks = _checked(_clicks(scheds, params, readout, opts, n_max, ("p_e",)))
-    if len(clicks) > 1:
-        dark_click = clicks[1].value
-    return _outcome(params, s, clicks[0].value, dark_click, _flags(clicks)), clicks[0].run
+    return _outcome(params, s, clicks[0].value, clicks[-1].value, _flags(clicks)), clicks[0].run
 
 
 def detection_run(
@@ -270,15 +268,15 @@ def detection_run(
     *,
     opts: IntegratorOptions = IntegratorOptions(),
     n_max: int = 3,
-    dark_click: float | None = None,
 ) -> DetectionOutcome:
     """Single detection protocol run at one operating point.
 
-    The dark count is computed by the identical run with nbar_s = 0 (or
-    reused from ``dark_click`` when sweeping a map at fixed drive power).
-    With nbar_s = 0 this returns P_e = P_dark exactly and eta = nan.
+    The dark count is the identical run with nbar_s = 0, batched with the
+    signal run. With nbar_s = 0 this returns P_e = P_dark exactly and
+    eta = nan. A drive outside the nesting condition raises
+    LambdaModeError before anything propagates.
     """
-    return _detect(params, settings, readout, opts, n_max, dark_click)[0]
+    return _detect(params, settings, readout, opts, n_max)[0]
 
 
 def detection_trace(
@@ -291,7 +289,7 @@ def detection_trace(
 ) -> tuple[DetectionOutcome, Trajectory]:
     """The outcome of ``detection_run`` together with the sampled trajectory
     of its signal run (for --trace-out dumps)."""
-    return _detect(params, settings, readout, opts, n_max, None)
+    return _detect(params, settings, readout, opts, n_max)
 
 
 def _detection_task(params, readout, opts, n_max, settings):
@@ -302,26 +300,20 @@ def _detection_task(params, readout, opts, n_max, settings):
         return None, str(exc)
 
 
-def _detection_row(params, readout, opts, n_max, row):
-    """One drive power of the efficiency map as one batch: the dark run,
-    then the signal runs. Returns an outcome per column (None where it
-    failed) and per column its failure message or Fock flag."""
-    if row[0].rabi > 0:
-        params.check_nesting(row[0].omega_d)
-    scheds = [detection_schedule(params, s) for s in row]
+def _click_row(params, readout, opts, n_max, schedule, row):
+    """One drive power of a map as one batch: the row's own run (dark or
+    no-reset), then its grid points, each built by ``schedule``. Returns
+    the clicks (NaN where a column failed) and per column its failure
+    message or Fock flag."""
+    scheds = [schedule(params, s) for s in row]
     clicks = _clicks(scheds, params, readout, opts, n_max, ("",) + ("p_e",) * (len(row) - 1))
-    outcomes = [
-        None if c.failed else _outcome(params, s, c.value, clicks[0].value)
-        for s, c in zip(row, clicks)
-    ]
-    return outcomes, [c.message for c in clicks]
+    return [c.value for c in clicks], [c.message for c in clicks]
 
 
-def _field_grid(rows, name):
-    """One outcome field over the grid points of the rows; failed points
-    are NaN."""
+def _field_grid(outcomes, name):
+    """One outcome field over the grid; failed points are NaN."""
     return np.array(
-        [[math.nan if out is None else getattr(out, name) for out in row[1:]] for row in rows],
+        [[math.nan if out is None else getattr(out, name) for out in row] for row in outcomes],
         dtype=float,
     )
 
@@ -363,8 +355,11 @@ def efficiency_map(
     for p in power_grid_dbm:
         dark = replace(base, rabi=params.rabi_of_dbm(p), omega_s=freq_grid[0], nbar_s=0.0)
         rows.append([dark] + [replace(dark, omega_s=f, nbar_s=base.nbar_s) for f in freq_grid])
-    task = partial(_detection_row, params, readout, opts, n_max)
-    runs, flags = fan_out(task, rows, len(freq_grid), workers, lead=1)
+    task = partial(_click_row, params, readout, opts, n_max, detection_schedule)
+    clicks, flags = fan_out(task, rows, len(freq_grid), workers, lead=1)
+    # a successful click is finite: the sample log rejects non-finite states
+    runs = [[None if math.isnan(c) else _outcome(params, s, c, row_clicks[0])
+             for s, c in zip(row[1:], row_clicks[1:])] for row, row_clicks in zip(rows, clicks)]
 
     eta = _field_grid(runs, "eta")
     (i, j), (p_ref, _), (f_ref, _) = grid_argmin(
@@ -442,8 +437,6 @@ def efficiency_vs_photon_number(
     """eta(nbar_s) at fixed pulse length, as one batch on one timeline: the
     dark run, shared by the points, then one signal run per nbar_s. A
     failed run raises."""
-    if base.rabi > 0:
-        params.check_nesting(base.omega_d)
     runs = [replace(base, nbar_s=nbar) for nbar in (0.0, *nbar_values)]
     scheds = [detection_schedule(params, s) for s in runs]
     clicks = _clicks(scheds, params, readout, opts, n_max, ("",) + ("p_e",) * len(nbar_values))
@@ -469,8 +462,6 @@ def dark_counts(
     one batch: the amplitude does not change the timeline. A failed run
     raises its error."""
     runs = [replace(base, rabi=rabi, nbar_s=0.0) for rabi in rabis]
-    if any(s.rabi > 0 for s in runs):
-        params.check_nesting(base.omega_d)
     scheds = [detection_schedule(params, s) for s in runs]
     clicks = _checked(_clicks(scheds, params, readout, opts, n_max, ("p_e",) * len(runs)))
     return [_outcome(params, s, c.value, None, _flags([c])) for s, c in zip(runs, clicks)]
@@ -484,24 +475,22 @@ def reset_run(
     *,
     opts: IntegratorOptions = IntegratorOptions(),
     n_max: int = 3,
-    with_baseline: bool = True,
     detect_stage: float,
     readout_stage: float = READOUT_BUDGET_DEFAULT,
 ) -> ResetOutcome:
     """Reset protocol: optional instant pi pulse, then drive + reset tone.
 
     ``p_e_no_reset`` is the same run with the reset tone removed (pure T1
-    decay under the drive), computed unless ``with_baseline`` is False; the
-    two runs are one batch. The period adds ``detect_stage`` (the detection
+    decay under the drive); the two runs are one batch. A drive outside
+    the nesting condition raises LambdaModeError, at any amplitude, before
+    anything propagates. The period adds ``detect_stage`` (the detection
     settings' ``stage``) and ``readout_stage`` to the reset stage.
     """
     s = settings
-    params.check_nesting(s.omega_d)
-    runs = [s, replace(s, nbar_rst=0.0)] if with_baseline else [s]
+    runs = [s, replace(s, nbar_rst=0.0)]
     scheds = [reset_schedule(params, r, with_initial_pi=with_initial_pi) for r in runs]
     clicks = _checked(_clicks(scheds, params, readout, opts, n_max, ("p_e",)))
-    p_after = clicks[0].value
-    p_no_reset = clicks[1].value if with_baseline else math.nan
+    p_after, p_no_reset = (c.value for c in clicks)
 
     period = s.stage + detect_stage + readout_stage
     p_dr_dbm = math.nan
@@ -521,17 +510,6 @@ def reset_run(
         rate=1.0 / period,
         flags=_flags(clicks),
     )
-
-
-def _reset_row(params, readout, opts, n_max, row):
-    """One drive power of the reset map as one batch: the no-reset baseline,
-    then the reset tones, each after the initial pi pulse. Returns the
-    clicks (NaN where a column failed) and per column its failure message
-    or Fock flag."""
-    params.check_nesting(row[0].omega_d)
-    scheds = [reset_schedule(params, s, with_initial_pi=True) for s in row]
-    clicks = _clicks(scheds, params, readout, opts, n_max, ("",) + ("p_e",) * (len(row) - 1))
-    return [c.value for c in clicks], [c.message for c in clicks]
 
 
 @dataclass
@@ -568,7 +546,7 @@ def reset_map(
         rows.append(
             [no_reset] + [replace(no_reset, omega_rst=f, nbar_rst=base.nbar_rst) for f in freq_grid]
         )
-    task = partial(_reset_row, params, readout, opts, n_max)
+    task = partial(_click_row, params, readout, opts, n_max, reset_schedule)
     clicks, flags = fan_out(task, rows, len(freq_grid), workers, lead=1)
 
     p_e = np.array([row[1:] for row in clicks], dtype=float)
@@ -587,9 +565,8 @@ def reset_map(
     )
 
 
-def _cycle_schedule(params, detection, *, reset):
-    """The cycle as two stage schedules (first, second); without a reset
-    stage, (None, the detection schedule).
+def _cycle_schedule(params, detection, reset):
+    """The cycle as two stage schedules (first, second).
 
     The cycle is the reset stage without its readout marker, then the
     detection stage from that marker's time t0. The first schedule holds
@@ -600,8 +577,6 @@ def _cycle_schedule(params, detection, *, reset):
     since pulse tails cross t0: the falling edges of the reset drive and
     tone end after it, and the signal pulse starts before it.
     """
-    if reset is None:
-        return None, detection_schedule(params, detection)
     r_sched = reset_schedule(params, reset)
     t0 = r_sched.marker_times()[-1]
     d_sched = detection_schedule(params, detection, start=t0)
@@ -615,7 +590,7 @@ def _cycle_schedule(params, detection, *, reset):
 def full_cycle(
     params: SystemParams,
     detect: DetectionSettings,
-    reset: ResetSettings | None,
+    reset: ResetSettings,
     readout: ReadoutModel = ReadoutModel(),
     *,
     opts: IntegratorOptions = IntegratorOptions(),
@@ -634,21 +609,19 @@ def full_cycle(
     another. With nbar_s = 0 the signal run is the dark run: it runs once
     and eta_after_reset is NaN. With ``opts.fock_convergence`` the cycle
     click is re-read at n_max + 1; the flags hold that check and those of
-    the fresh detection.
+    the fresh detection. A detection or reset drive outside the nesting
+    condition raises LambdaModeError before anything propagates.
     """
     runs = [detect] if detect.nbar_s == 0 else [detect, replace(detect, nbar_s=0.0)]
-    firsts, scheds = zip(*(_cycle_schedule(params, d, reset=reset) for d in runs))
-    first = () if reset is None else firsts
-    clicks = _checked(_clicks(scheds, params, readout, opts, n_max, ("cycle_p_e",), first))
+    firsts, scheds = zip(*(_cycle_schedule(params, d, reset) for d in runs))
+    clicks = _checked(_clicks(scheds, params, readout, opts, n_max, ("cycle_p_e",), firsts))
     click, dark = clicks[0].value, clicks[-1].value
     eta_after = math.nan
     if detect.nbar_s > 0:
         eta_after = (click - dark) / (1.0 - math.exp(-detect.nbar_s))
     fresh = detection_run(params, detect, readout, opts=opts, n_max=n_max)
 
-    period = detect.stage + readout_stage
-    if reset is not None:
-        period += reset.stage
+    period = detect.stage + readout_stage + reset.stage
     return CycleOutcome(
         eta_after_reset=eta_after,
         eta_fresh=fresh.eta,

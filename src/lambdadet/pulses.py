@@ -223,13 +223,16 @@ def detection_schedule(
 
     The drive plateau (duration t_d = 1.5 t_s + 50 ns) is centered on the
     Gaussian signal pulse; the readout marker sits at t_d/2 + t_rise after
-    the common center.
+    the common center. A drive (rabi > 0) must meet the nesting condition
+    (``SystemParams.check_nesting``).
     """
     s = settings
     if s.t_s <= 0:
         raise ValueError("t_s must be > 0")
     if s.nbar_s < 0:
         raise ValueError("nbar_s must be >= 0")
+    if s.rabi > 0:
+        params.check_nesting(s.omega_d)
     t_d = auto_drive_length(s.t_s)
     edge_sigma = 2.0 * s.t_rise * SIGMA_PER_FWHM
     lead = GAUSS_TRUNC_SIGMAS * edge_sigma
@@ -246,28 +249,26 @@ def detection_schedule(
 
 
 def reset_schedule(
-    params: SystemParams,
-    settings: ResetSettings,
-    *,
-    with_initial_pi: bool = True,
-    start: float = 0.0,
+    params: SystemParams, settings: ResetSettings, *, with_initial_pi: bool = True
 ) -> PulseSchedule:
     """Reset stage: optional instantaneous pi pulse, then drive + reset tone.
 
     The reset tone is a flat-top co-terminated with the drive and carries
-    nbar_rst photons in total.
+    nbar_rst photons in total. The drive must meet the nesting condition
+    (``SystemParams.check_nesting``), whatever its amplitude.
     """
     s = settings
     if s.t_dr <= 0:
         raise ValueError("t_dr must be > 0")
+    params.check_nesting(s.omega_d)
     edge_sigma = 2.0 * s.t_rise * SIGMA_PER_FWHM
     lead = GAUSS_TRUNC_SIGMAS * edge_sigma
-    center = start + lead + s.t_dr / 2.0
+    center = lead + s.t_dr / 2.0
     marker_t = center + s.t_dr / 2.0 + s.t_rise
 
     entries = []
     if with_initial_pi:
-        entries.append((ROLE_PI, instant_pi(start)))
+        entries.append((ROLE_PI, instant_pi(0.0)))
     entries.append((ROLE_DRIVE, flat_top_drive(s.rabi_dr, s.t_dr, center, s.omega_d, s.t_rise)))
     if s.nbar_rst > 0:
         entries.append(

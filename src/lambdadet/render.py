@@ -21,6 +21,7 @@ _STOPS = [
     (0.369214, 0.788888, 0.382914),
     (0.993248, 0.906157, 0.143936),
 ]
+_NO_VALUE = "#bdbdbd"  # a cell whose value is NaN: a failed map point
 
 
 def _color(u: float) -> str:
@@ -51,8 +52,10 @@ def render_heatmap(
 ) -> Path:
     """Render a grid CSV (x, y, z columns) to an SVG heatmap.
 
-    Marks the grid argmin with a circle and the argmax with a cross. Raises
-    RenderError for missing columns or an empty/degenerate grid.
+    Marks the grid argmin with a circle and the argmax with a cross. A cell
+    without a finite value (a failed map point) is grey, outside the colour
+    range and the marks. Raises RenderError for missing columns, a
+    degenerate or incomplete grid, or no finite value.
     """
     header, cols = read_csv(csv_path)
     for name in (x_col, y_col, z_col):
@@ -69,13 +72,19 @@ def render_heatmap(
             f"need at least a 2x2 grid, got {len(x_vals)}x{len(y_vals)} unique values"
         )
     grid = np.full((len(y_vals), len(x_vals)), np.nan)
+    filled = np.zeros(grid.shape, dtype=bool)
     xi = np.searchsorted(x_vals, xs)
     yi = np.searchsorted(y_vals, ys)
     grid[yi, xi] = zs
-    if np.any(np.isnan(grid)):
-        raise RenderError("grid is not complete: some (x, y) cells are missing")
+    filled[yi, xi] = True
+    if not filled.all():
+        missing = f"{np.count_nonzero(~filled)} of {filled.size}"
+        raise RenderError(f"grid is not complete: {missing} (x, y) cells are missing")
+    finite = np.isfinite(grid)
+    if not finite.any():
+        raise RenderError(f"no cell of the grid has a finite {z_col!r} value")
 
-    z_lo, z_hi = float(np.min(grid)), float(np.max(grid))
+    z_lo, z_hi = float(np.min(grid[finite])), float(np.max(grid[finite]))
     z_span = z_hi - z_lo if z_hi > z_lo else 1.0
 
     margin_l, margin_r, margin_t, margin_b = 80, 110, 40, 60
@@ -95,15 +104,15 @@ def render_heatmap(
     ]
     for j in range(len(y_vals)):
         for i in range(len(x_vals)):
-            u = (grid[j, i] - z_lo) / z_span
+            fill = _color((grid[j, i] - z_lo) / z_span) if finite[j, i] else _NO_VALUE
             x0, y0 = cell_origin(i, j)
             parts.append(
                 f'<rect x="{_fmt(x0)}" y="{_fmt(y0)}" width="{_fmt(cell_w)}" '
-                f'height="{_fmt(cell_h)}" fill="{_color(u)}"/>'
+                f'height="{_fmt(cell_h)}" fill="{fill}"/>'
             )
 
-    j_min, i_min = np.unravel_index(int(np.argmin(grid)), grid.shape)
-    j_max, i_max = np.unravel_index(int(np.argmax(grid)), grid.shape)
+    j_min, i_min = np.unravel_index(int(np.argmin(np.where(finite, grid, np.inf))), grid.shape)
+    j_max, i_max = np.unravel_index(int(np.argmax(np.where(finite, grid, -np.inf))), grid.shape)
     x0, y0 = cell_origin(i_min, j_min)
     cx, cy = x0 + cell_w / 2, y0 + cell_h / 2
     parts.append(

@@ -103,3 +103,33 @@ def test_a_failed_run_stops_the_pairs(bench_pairs, monkeypatch, tmp_path, correc
         assert str(exc.value) == f"{where}: exit code 3\n{tail}"
     else:
         assert str(exc.value) == f"{where}: correct {correct}, failed {failed}/3"
+
+
+def test_pairs_compare_outputs(bench_pairs, monkeypatch, tmp_path):
+    """Each pair compares the two runs' outputs_sha256, and each workload
+    records in how many pairs they were identical."""
+    machine = dict.fromkeys(("nproc", "cpus_usable", "cpu_model", "python", "numpy", "scipy",
+                             "blas", "blas_threads", "workers"), "x")
+    metrics = {m: {"value": 1.0} for m in ("setup_s", "wall_s", "peak_rss_mb")}
+
+    def fake_run(checkout, workload, seed, trace, seconds, where):
+        # the change writes a different detect_map.csv at seed 5 of pulsed_maps
+        moved = checkout.name == "change" and (workload, seed) == ("pulsed_maps", 5)
+        digests = {"detect_map.csv": "b" if moved else "a", "cycle.csv": "c"}
+        line = {"correct": True, "attempted": 1, "failed": 0, "metrics": metrics}
+        return line, {"machine": machine, "outputs_sha256": digests}
+
+    monkeypatch.setattr(bench_pairs, "run", fake_run)
+    (tmp_path / "parent").mkdir()
+    (tmp_path / "change").mkdir()
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["--parent", str(tmp_path / "parent"),
+                             "--change", str(tmp_path / "change"), "--workload", "pulsed_maps",
+                             "--seeds", "4-6", "--also", "single_cycle:7-8",
+                             "--out", str(out)]) == 0
+    record = json.loads(out.read_text())
+    assert [e["outputs_identical"] for e in record["pairs"]] == [True, False, True]
+    assert record["outputs_identical_in_pairs"] == "2/3"
+    other = record["other_workloads_no_regression"]["single_cycle"]
+    assert [e["outputs_identical"] for e in other["pairs"]] == [True, True]
+    assert other["outputs_identical_in_pairs"] == "2/2"

@@ -189,6 +189,31 @@ def test_render_degenerate_grid(tmp_path):
         render_heatmap(csv, "x", "y", "z", tmp_path / "bad.svg")
 
 
+def test_render_draws_failed_points(tmp_path):
+    """A map writes a failed point as NaN: render draws that cell grey and
+    takes the colour range and the marks over the other cells."""
+    rows = [[0.0, 0.0, 1.0], [0.0, 1.0, 3.0], [1.0, 0.0, float("nan")], [1.0, 1.0, 2.0]]
+    csv = write_csv(tmp_path / "grid.csv", ["a", "b", "c"], rows)
+    out = tmp_path / "out.svg"
+    assert main(["--out", str(tmp_path), "render", str(csv), "a", "b", "c",
+                 "--svg-out", str(out)]) == 0
+    text = out.read_text()
+    assert text.count('fill="#bdbdbd"') == 1
+    assert ">3</text>" in text and ">1</text>" in text  # colour bar ends
+    assert "nan" not in text
+
+
+def test_render_rejects_missing_and_valueless_grids(tmp_path):
+    cells = [[x, y] for x in (0.0, 1.0) for y in (0.0, 1.0)]
+    missing = write_csv(tmp_path / "missing.csv", ["x", "y", "z"], [c + [1.0] for c in cells[:3]])
+    with pytest.raises(RenderError, match="1 of 4 .* cells are missing"):
+        render_heatmap(missing, "x", "y", "z", tmp_path / "bad.svg")
+    empty = write_csv(tmp_path / "empty.csv", ["x", "y", "z"], [c + [float("nan")] for c in cells])
+    with pytest.raises(RenderError, match="no cell of the grid has a finite 'z' value"):
+        render_heatmap(empty, "x", "y", "z", tmp_path / "bad.svg")
+    assert not (tmp_path / "bad.svg").exists()
+
+
 def test_render_cli(tmp_path):
     rows = [[x, y, x * y] for x in (0.0, 1.0, 2.0) for y in (0.0, 1.0)]
     csv = write_csv(tmp_path / "grid.csv", ["a", "b", "c"], rows)

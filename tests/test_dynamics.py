@@ -153,8 +153,9 @@ class TestSuperoperators:
         assert np.max(np.abs(sup - oracle)) <= 1e-13 * np.linalg.norm(oracle)
 
     def test_schedule_terms_equal_kron_build(self, params, cfg):
-        """The pulsed static part and term superoperators match the kron build
-        exactly, so propagation is bit-for-bit unchanged."""
+        """The pulsed static part and the term superoperators that the
+        coefficients index in ``pulse_terms`` match the kron build exactly,
+        so propagation is bit-for-bit unchanged."""
         params = dataclasses.replace(
             params, drive_noise_per_rabi2=1e-12, drive_dephasing_per_rabi2=1e-12
         )
@@ -163,7 +164,8 @@ class TestSuperoperators:
         drive = rect((TWO_PI * 30e6, cfg.omega_d), 100e-9)
         signal = rect((1e4, cfg.get("signal_freq")), 100e-9)
         sched = PulseSchedule(((ROLE_DRIVE, drive), (ROLE_SIGNAL, signal)), frame, 100e-9)
-        static, terms = _schedule_terms(sched, params, space)
+        static, coefficients = _schedule_terms(sched, params, space)
+        pulse_terms = superoperators(params, 3).pulse_terms
 
         h0 = hamiltonian_static(params, frame, 0.0, frame.qubit_ref, space=space).matrix
         assert np.array_equal(static, liouvillian(h0, collapse_operators(params, space)))
@@ -184,9 +186,9 @@ class TestSuperoperators:
             _commutator_superop(root_kext * p_r),
             _commutator_superop(root_kext * q_r),
         ]
-        assert len(terms) == len(expected)
-        for (sup, _), want in zip(terms, expected):
-            assert np.array_equal(sup, want)
+        assert len(coefficients) == len(expected)
+        for c, want in zip(coefficients, expected):
+            assert np.array_equal(pulse_terms[c.block], want)
 
     def test_record_is_cached_and_read_only(self, params):
         ops = superoperators(params, 2)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lambdadet.errors import LambdaModeError, NonStaticFrameError
+from lambdadet.errors import NonStaticFrameError
 from lambdadet.hilbert import build_space
 from lambdadet.model import Frame, collapse_operators, hamiltonian_static
 
@@ -61,15 +61,6 @@ def test_non_static_error(params):
             1e6,
             params.omega_ge - TWO_PI * 49e6,
             space=build_space(1),
-        )
-
-
-def test_nesting_checked_in_lambda_mode(params):
-    omega_d = params.omega_ge - 3.0 * params.chi
-    with pytest.raises(LambdaModeError):
-        hamiltonian_static(
-            params, Frame(omega_d, omega_d), 1e6, omega_d,
-            space=build_space(1), lambda_mode=True,
         )
 
 

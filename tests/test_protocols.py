@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from lambdadet import protocols
 from lambdadet.dynamics import (
     IntegratorOptions,
     liouvillian,
@@ -161,7 +162,7 @@ class TestReset:
         assert out.rate == pytest.approx(1.0 / out.period)
 
     def test_reset_without_pi_equivalent(self, params, reset, detect):
-        kw = dict(opts=OPTS, with_baseline=False, detect_stage=detect.stage)
+        kw = dict(opts=OPTS, detect_stage=detect.stage)
         with_pi = reset_run(params, reset, True, **kw)
         without = reset_run(params, reset, False, **kw)
         assert abs(with_pi.p_e_after_reset - without.p_e_after_reset) < 0.01
@@ -169,9 +170,7 @@ class TestReset:
     def test_zero_drive_free_decay_only(self, clean_params, reset, detect):
         """Without the drive the excited state only relaxes with T1."""
         idle = dataclasses.replace(reset, rabi_dr=0.0, nbar_rst=0.0)
-        out = reset_run(
-            clean_params, idle, opts=OPTS, with_baseline=False, detect_stage=detect.stage
-        )
+        out = reset_run(clean_params, idle, opts=OPTS, detect_stage=detect.stage)
         sigma_e = 2 * 15e-9 / (2 * math.sqrt(2 * math.log(2)))
         t_click = 4 * sigma_e + 380e-9 + 15e-9 + 100e-9
         assert out.p_e_after_reset == pytest.approx(
@@ -180,9 +179,22 @@ class TestReset:
 
 
 class TestFullCycle:
-    def test_detection_only_period(self, params, detect):
-        out = full_cycle(params, detect, None, opts=OPTS)
-        assert out.period == pytest.approx(207.5e-9 + 140e-9)
+    def test_reset_drive_outside_nesting_raises(self, params, detect, reset):
+        """The cycle checks its reset drive as ``reset_run`` does."""
+        bad = dataclasses.replace(reset, omega_d=params.omega_ge - 3 * params.chi)
+        with pytest.raises(LambdaModeError):
+            full_cycle(params, detect, bad, opts=OPTS)
+
+    def test_detection_drive_outside_nesting_raises_before_propagating(
+        self, params, detect, reset, monkeypatch
+    ):
+        def no_propagation(*args, **kwargs):
+            raise AssertionError("propagate_batch ran before the nesting check")
+
+        monkeypatch.setattr(protocols, "propagate_batch", no_propagation)
+        bad = dataclasses.replace(detect, omega_d=params.omega_ge - 3 * params.chi)
+        with pytest.raises(LambdaModeError):
+            full_cycle(params, bad, reset, opts=OPTS)
 
     def test_fock_check_flags_a_low_cutoff(self, params, detect, reset):
         """At n_max = 1 the cutoff check of the cycle flags, so
@@ -237,10 +249,7 @@ class TestRowBatches:
             params, dataclasses.replace(detect, omega_s=self.FREQS[0], nbar_s=0.0), opts=OPTS
         )
         for j, omega_s in enumerate(self.FREQS):
-            alone = detection_run(
-                params, dataclasses.replace(detect, omega_s=omega_s), opts=OPTS,
-                dark_click=dark.p_dark,
-            )
+            alone = detection_run(params, dataclasses.replace(detect, omega_s=omega_s), opts=OPTS)
             assert abs(emap.p_e[0, j] - alone.p_e) <= 1e-12
             assert abs(emap.p_dark[0, j] - dark.p_dark) <= 1e-12
             assert abs(emap.eta[0, j] - alone.eta) <= 1e-12
@@ -249,14 +258,10 @@ class TestRowBatches:
         freqs = 2 * np.pi * np.array([10.159e9, 10.165e9])
         rmap = reset_map(params, reset, [-72.1], freqs, opts=OPTS)
         kw = dict(opts=OPTS, detect_stage=detect.stage)
-        baseline = reset_run(
-            params, dataclasses.replace(reset, omega_rst=freqs[0]), with_baseline=True, **kw
-        )
+        baseline = reset_run(params, dataclasses.replace(reset, omega_rst=freqs[0]), **kw)
         assert abs(rmap.p_e_no_reset[0] - baseline.p_e_no_reset) <= 1e-12
         for j, omega_rst in enumerate(freqs):
-            alone = reset_run(
-                params, dataclasses.replace(reset, omega_rst=omega_rst), with_baseline=False, **kw
-            )
+            alone = reset_run(params, dataclasses.replace(reset, omega_rst=omega_rst), **kw)
             assert abs(rmap.p_e[0, j] - alone.p_e_after_reset) <= 1e-12
 
     def test_cycle_schedules_batch_with_oscillating_terms(self, params, detect, reset):
@@ -288,8 +293,7 @@ class TestRowBatches:
         freqs = np.append(self.FREQS[:2], 2 * np.pi * 13.3e9)
         emap = efficiency_map(params, detect, [-75.5], freqs, opts=opts)
         with pytest.raises(IntegrationError) as alone:
-            detection_run(params, dataclasses.replace(detect, omega_s=freqs[2]), opts=opts,
-                          dark_click=0.0)
+            detection_run(params, dataclasses.replace(detect, omega_s=freqs[2]), opts=opts)
         assert emap.flags == [(0, 2, str(alone.value))]
         assert np.isnan(emap.eta[0, 2]) and np.isnan(emap.p_e[0, 2])
         good = efficiency_map(params, detect, [-75.5], freqs[:2], opts=opts)
@@ -502,11 +506,8 @@ class TestSinglePointBatches:
     def test_photon_number_scan(self, params, detect):
         nbars = (0.05, 0.1, 0.3)
         outs = efficiency_vs_photon_number(params, detect, nbars, opts=OPTS)
-        dark = detection_run(params, dataclasses.replace(detect, nbar_s=0.0), opts=OPTS)
         for nbar, out in zip(nbars, outs):
-            alone = detection_run(
-                params, dataclasses.replace(detect, nbar_s=nbar), opts=OPTS, dark_click=dark.p_dark
-            )
+            alone = detection_run(params, dataclasses.replace(detect, nbar_s=nbar), opts=OPTS)
             assert out == alone
 
     def test_dark_counts(self, params, detect):

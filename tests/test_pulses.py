@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from lambdadet.errors import LambdaModeError
 from lambdadet.pulses import (
     KIND_FLAT_TOP,
     KIND_GAUSSIAN,
@@ -87,6 +88,20 @@ def test_reset_schedule_layout(params, reset):
     assert drive.center == reset.center
     assert drive.width == reset.width
     assert reset.photon_content() == pytest.approx(43.0, rel=1e-9)
+
+
+def test_builders_check_nesting(params, detect, reset):
+    """Both builders reject a drive outside 0 < omega_ge - omega_d < 2 chi;
+    the detection builder only when the drive is on."""
+    omega_d = params.omega_ge - 3.0 * params.chi
+    with pytest.raises(LambdaModeError):
+        detection_schedule(params, dataclasses.replace(detect, omega_d=omega_d))
+    with pytest.raises(LambdaModeError):
+        reset_schedule(params, dataclasses.replace(reset, omega_d=omega_d))
+    with pytest.raises(LambdaModeError):
+        reset_schedule(params, dataclasses.replace(reset, rabi_dr=0.0, omega_d=omega_d))
+    off = detection_schedule(params, dataclasses.replace(detect, rabi=0.0, omega_d=omega_d))
+    assert off.frame.qubit_ref == omega_d
 
 
 def test_envelope_validation():

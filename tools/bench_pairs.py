@@ -14,7 +14,9 @@ while the change was written. The summary gives per end-to-end metric the
 median and quartiles of each side, the pairs the change won, the ratio of
 the medians and the parent's interquartile range, next to the metric's
 bound in BENCHMARK.json, and the verdicts ``gain_rule_met`` and
-``within_bound`` (see ``summary``). ``--trace-seed`` adds one traced run
+``within_bound`` (see ``summary``). Each pair also compares the two runs'
+``outputs_sha256``, and each workload records in how many pairs every
+output was identical. ``--trace-seed`` adds one traced run
 per side with the per-layer metrics; each ``--also`` adds pairs of
 another workload, to show that it does not get worse. Each workload needs at least two seeds,
 and a run that crashes, whose outputs fail a check or that reports failed
@@ -65,21 +67,30 @@ def run(checkout: Path, workload: str, seed: int, trace: int, seconds: float | N
 
 
 def pairs(checkouts, workload, seeds, seconds):
+    """The pairs of one workload, each with both sides' end-to-end metrics
+    and whether the two runs wrote identical outputs (``outputs_sha256``)."""
     out, machine = [], None
     for k, seed in enumerate(seeds):
         order = SIDES if k % 2 == 0 else SIDES[::-1]
-        entry = {"pair": k, "seed": seed, "first": order[0]}
+        entry, digests = {"pair": k, "seed": seed, "first": order[0]}, {}
         for side in order:
             where = f"{workload} pair {k} seed {seed}, {side}"
             line, record = run(checkouts[side], workload, seed, 0, seconds, where)
             machine = machine or record["machine"]
+            digests[side] = record["outputs_sha256"]
             entry[side] = {m: round(v["value"], 4) for m, v in line["metrics"].items()}
             entry[f"{side}_correct"] = line["correct"]
             entry[f"{side}_failed"] = f"{line['failed']}/{line['attempted']}"
+        entry["outputs_identical"] = digests["parent"] == digests["change"]
         out.append(entry)
         print(f"{workload} pair {k} seed {seed}: "
               + ", ".join(f"{s} {entry[s]['wall_s']:.3f} s" for s in SIDES), file=sys.stderr)
     return out, machine
+
+
+def identical_outputs(entries) -> str:
+    """In how many pairs the two sides wrote identical outputs."""
+    return f"{sum(e['outputs_identical'] for e in entries)}/{len(entries)}"
 
 
 def summary(entries, bounds):
@@ -155,6 +166,7 @@ def main(argv=None):
         "machine": {k: machine[k] for k in ("nproc", "cpus_usable", "cpu_model", "python",
                                             "numpy", "scipy", "blas", "blas_threads", "workers")},
         "pairs": entries,
+        "outputs_identical_in_pairs": identical_outputs(entries),
         "summary": summary(entries, bounds),
     }
     if args.trace_seed is not None:
@@ -168,7 +180,8 @@ def main(argv=None):
     others = {}
     for workload, seeds in also:
         other, _ = pairs(checkouts, workload, seeds, args.seconds)
-        others[workload] = {"pairs": other, "summary": summary(other, bounds)}
+        others[workload] = {"pairs": other, "outputs_identical_in_pairs": identical_outputs(other),
+                            "summary": summary(other, bounds)}
     if others:
         record["other_workloads_no_regression"] = others
     if args.note:
