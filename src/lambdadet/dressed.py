@@ -107,20 +107,16 @@ def raman_rates(ladder: DressedLadder, params: SystemParams) -> RamanRates:
     return RamanRates(rates[(3, 1)], rates[(3, 2)], rates[(4, 1)], rates[(4, 2)])
 
 
-def transition_frequency(
-    ladder: DressedLadder, i: int, j: int, lab_frame: Frame | None = None
-) -> float:
-    """Signal-photon frequency of the |i~> -> |j~> transition.
+def transition_frequency(ladder: DressedLadder, i: int, j: int) -> float:
+    """Signal-photon frequency of the |i~> -> |j~> transition, in absolute
+    rad/s.
 
     The allowed pairs cross the doublets once, so the transition adds one
-    resonator photon and its lab frequency is (E_j - E_i) + omega_d. The
-    result is expressed relative to ``lab_frame.resonator_ref`` (absolute
-    rad/s for the default lab frame).
+    resonator photon and its lab frequency is (E_j - E_i) + omega_d.
     """
     if (i, j) not in _ALLOWED_PAIRS:
         raise ValueError(f"transition pair ({i}, {j}) not in {_ALLOWED_PAIRS}")
-    ref = 0.0 if lab_frame is None else lab_frame.resonator_ref
-    return ladder.energy(j) - ladder.energy(i) + ladder.omega_d - ref
+    return ladder.energy(j) - ladder.energy(i) + ladder.omega_d
 
 
 def matching_amplitude(

@@ -2,18 +2,18 @@
 
 Time propagation runs on the vectorized density matrix with fixed-step RK4
 over a (D, B) block: B schedules that share one timeline advance together
-(the columns of a map row, or the runs of one operating point such as a
-signal run and its dark run). Each schedule's right-hand side is a static
-superoperator plus one superoperator per time-dependent quadrature; the
-batch stacks the static part and the term superoperators into one sparse
-``[static | terms...]`` block, so each evaluation is one product with the
-coefficient-scaled state block plus each column's diagonal. The
-coefficients are tabulated once per sample interval, one row per RK4
-stage. A column whose coefficients are exactly constant over an interval
-(a pulse plateau, or the zero tail after the pulses) advances instead by
-one cached matrix, its RK4 step map R(hL)^n: the same method, without
-the stage-by-stage products. ``propagate`` is the B = 1 case. The pieces
-the Liouvillian is affine in are built once per (params, n_max) in a
+(the columns of a block of map rows, or the runs of one operating point
+such as a signal run and its dark run). Each schedule's right-hand side is
+a static superoperator plus one superoperator per time-dependent
+quadrature; the batch stacks the static part and the term superoperators
+into one sparse ``[static | terms...]`` block, so each evaluation is one
+product with the coefficient-scaled state block plus each column's
+diagonal. The coefficients are tabulated once per sample interval, one row
+per RK4 stage. A column whose coefficients are exactly constant over an
+interval (a pulse plateau, or the zero tail after the pulses) advances
+instead by one cached matrix, its RK4 step map R(hL)^n: the same method,
+without the stage-by-stage products. ``propagate`` is the B = 1 case. The
+pieces the Liouvillian is affine in are built once per (params, n_max) in a
 read-only ``Superoperators`` record; CW reflection assembles a whole row of
 Liouvillians from it and solves the stack at once. ``liouvillian`` builds
 one Liouvillian from kron products and is the oracle the record is checked
@@ -476,13 +476,17 @@ class _StackedRHS:
         )
         self._offdiag, self._terms = offdiag, [sups[k] for k in blocks]
 
-        # (block position, column, coefficient, envelope key) of every term;
-        # an envelope's value does not depend on its carrier
+        # (block position, column, coefficient, envelope index) of every
+        # term; an envelope's value does not depend on its carrier, so the
+        # terms whose envelopes differ only in carrier share one index
+        envelopes = {}
         self._entries = [
-            (blocks.index(c.block), b, c, replace(c.envelope, carrier=0.0))
+            (blocks.index(c.block), b, c,
+             envelopes.setdefault(replace(c.envelope, carrier=0.0), len(envelopes)))
             for b, terms in enumerate(columns)
             for c in terms
         ]
+        self._envelopes = list(envelopes)
         self._shape = (len(blocks), len(schedules))
         self._dim = dim
         self._blocks = {}  # columns -> (z, z_terms, diagonal) of that sub-block
@@ -493,11 +497,9 @@ class _StackedRHS:
         evaluated once per time, and every term that shares it reuses the
         value."""
         out = np.zeros((len(times),) + self._shape)
-        values = {}
-        for k, b, c, key in self._entries:
-            if key not in values:
-                values[key] = c.envelope.values(times)
-            out[:, k, b] += c.of(values[key], times)
+        values = [envelope.values(times) for envelope in self._envelopes]
+        for k, b, c, e in self._entries:
+            out[:, k, b] += c.of(values[e], times)
         return out
 
     def __call__(self, x: np.ndarray, coefficients: np.ndarray, cols=()) -> np.ndarray:
@@ -706,12 +708,13 @@ def propagate_batch(
 
     The schedules must share duration, readout markers and pi times, and the
     initial states their time tag and space. They may differ in amplitudes,
-    carriers and the frame's references: the columns of a map row, a signal
-    run and its dark run, a reset run and its no-reset baseline. Each
-    column is checked at every sample as ``propagate`` checks its state; a
-    column that fails a check stops there, and the others go on. Returns
-    per column its Trajectory or the IntegrationError it failed with. A
-    failure of the timeline itself (step-size underflow) raises.
+    carriers and the frame's references: the columns of a block of map
+    rows, a signal run and its dark run, a reset run and its no-reset
+    baseline. Each column is checked at every sample as ``propagate``
+    checks its state; a column that fails a check stops there, and the
+    others go on. Returns per column its Trajectory or the IntegrationError
+    it failed with. A failure of the timeline itself (step-size underflow)
+    raises.
     """
     first = schedules[0]
     for rho0, sched in zip(rho0s, schedules, strict=True):

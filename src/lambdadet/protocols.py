@@ -17,7 +17,8 @@ bad drive fails before anything propagates. Runs on one pulse timeline that
 differ only in amplitudes and carriers are one ``propagate_batch``: a signal
 run and its dark run, a reset run and its no-reset baseline, the dark run
 and the points of an nbar_s scan, the dark runs of several drive powers,
-and each row of a map. Batching leaves every click as it is alone.
+and each block of consecutive map rows (``sweep.fan_out``). Batching leaves
+every click as it is alone.
 """
 
 from __future__ import annotations
@@ -300,14 +301,19 @@ def _detection_task(params, readout, opts, n_max, settings):
         return None, str(exc)
 
 
-def _click_row(params, readout, opts, n_max, schedule, row):
-    """One drive power of a map as one batch: the row's own run (dark or
-    no-reset), then its grid points, each built by ``schedule``. Returns
-    the clicks (NaN where a column failed) and per column its failure
-    message or Fock flag."""
-    scheds = [schedule(params, s) for s in row]
-    clicks = _clicks(scheds, params, readout, opts, n_max, ("",) + ("p_e",) * (len(row) - 1))
-    return [c.value for c in clicks], [c.message for c in clicks]
+def _click_rows(params, readout, opts, n_max, schedule, rows):
+    """Consecutive drive powers of a map as one batch. A row is its own run
+    (dark or no-reset), then its grid points, each built by ``schedule``.
+    Returns per row the clicks (NaN where a column failed) and per column
+    its failure message or Fock flag."""
+    scheds = [schedule(params, s) for row in rows for s in row]
+    labels = [label for row in rows for label in ("",) + ("p_e",) * (len(row) - 1)]
+    clicks = iter(_clicks(scheds, params, readout, opts, n_max, labels))
+    out = []
+    for row in rows:
+        row_clicks = [next(clicks) for _ in row]
+        out.append(([c.value for c in row_clicks], [c.message for c in row_clicks]))
+    return out
 
 
 def _field_grid(outcomes, name):
@@ -345,17 +351,19 @@ def efficiency_map(
 ) -> EfficiencyMap:
     """Detection efficiency over a (P_d, omega_s) grid around ``base``.
 
-    Each drive power is one batch on one timeline: the dark run, shared by
-    the row because it does not involve the signal, and one signal run per
-    frequency. The eta > 0.5 band is the omega_s interval where the
-    frequency cut at the best drive power stays above one half.
+    Each drive power is a row on one timeline: the dark run, shared by the
+    row because it does not involve the signal, and one signal run per
+    frequency. A block of consecutive rows propagates as one batch, and its
+    clicks are those of each row alone. The eta > 0.5 band is the omega_s
+    interval where the frequency cut at the best drive power stays above
+    one half.
     """
     power_grid_dbm, freq_grid = increasing_grids(power_grid_dbm, freq_grid)
     rows = []
     for p in power_grid_dbm:
         dark = replace(base, rabi=params.rabi_of_dbm(p), omega_s=freq_grid[0], nbar_s=0.0)
         rows.append([dark] + [replace(dark, omega_s=f, nbar_s=base.nbar_s) for f in freq_grid])
-    task = partial(_click_row, params, readout, opts, n_max, detection_schedule)
+    task = partial(_click_rows, params, readout, opts, n_max, detection_schedule)
     clicks, flags = fan_out(task, rows, len(freq_grid), workers, lead=1)
     # a successful click is finite: the sample log rejects non-finite states
     runs = [[None if math.isnan(c) else _outcome(params, s, c, row_clicks[0])
@@ -536,8 +544,9 @@ def reset_map(
     workers: int = 1,
 ) -> ResetMap:
     """P(|e>) after the reset over a (P_dr, omega_rst) grid around ``base``,
-    with argmin. Each drive power is one batch on one timeline: the no-reset
-    baseline and one reset run per frequency."""
+    with argmin. Each drive power is a row on one timeline: the no-reset
+    baseline and one reset run per frequency. A block of consecutive rows
+    propagates as one batch, and its clicks are those of each row alone."""
     power_grid_dbm, freq_grid = increasing_grids(power_grid_dbm, freq_grid)
     rows = []
     for p in power_grid_dbm:
@@ -546,7 +555,7 @@ def reset_map(
         rows.append(
             [no_reset] + [replace(no_reset, omega_rst=f, nbar_rst=base.nbar_rst) for f in freq_grid]
         )
-    task = partial(_click_row, params, readout, opts, n_max, reset_schedule)
+    task = partial(_click_rows, params, readout, opts, n_max, reset_schedule)
     clicks, flags = fan_out(task, rows, len(freq_grid), workers, lead=1)
 
     p_e = np.array([row[1:] for row in clicks], dtype=float)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -102,12 +103,16 @@ class ReflectionMap:
             raise ValueError(f"passivity violated: max |r| = {worst}")
 
 
-def _map_row(args):
-    params, omega_d, rabi, freqs, probe_amp, n_max = args
-    r, errors = reflection_row(
-        params, omega_d, rabi, freqs, [probe_amp] * len(freqs), n_max=n_max
-    )
-    return r, [str(e) if e is not None else "" for e in errors]
+def _map_rows(params, omega_d, freqs, probe_amp, n_max, rabis):
+    """Reflection rows of consecutive drive amplitudes, one stacked solve
+    after another: per row the r values and per point its failure message."""
+    out = []
+    for rabi in rabis:
+        r, errors = reflection_row(
+            params, omega_d, rabi, freqs, [probe_amp] * len(freqs), n_max=n_max
+        )
+        out.append((r, [str(e) if e is not None else "" for e in errors]))
+    return out
 
 
 def dip_map(
@@ -126,11 +131,9 @@ def dip_map(
     if probe_amp is None:
         probe_amp = default_probe_amplitude(params)
 
-    tasks = [
-        (params, omega_d, params.rabi_of_dbm(p_dbm), freq_grid, probe_amp, n_max)
-        for p_dbm in power_grid_dbm
-    ]
-    rows, flags = fan_out(_map_row, tasks, len(freq_grid), workers)
+    task = partial(_map_rows, params, omega_d, freq_grid, probe_amp, n_max)
+    rabis = [params.rabi_of_dbm(p_dbm) for p_dbm in power_grid_dbm]
+    rows, flags = fan_out(task, rabis, len(freq_grid), workers)
     r = np.array(rows, dtype=complex)
     out = ReflectionMap(power_grid_dbm, freq_grid, r, probe_amp, params, omega_d, flags)
     out.validate_passivity()

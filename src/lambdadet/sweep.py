@@ -1,8 +1,8 @@
 """Grid fan-out across workers, grid argmin, and deterministic CSV assembly.
 
-The rows of a grid are independent tasks; results are gathered by index so
-the output is byte-identical for any worker count. Floats are formatted
-with 9 significant digits.
+The rows of a grid are independent; a task is a block of consecutive rows,
+and results are gathered by index so the output is byte-identical for any
+worker count. Floats are formatted with 9 significant digits.
 """
 
 from __future__ import annotations
@@ -17,6 +17,22 @@ from pathlib import Path
 import numpy as np
 
 FLOAT_FORMAT = "%.9g"
+
+# Columns to one propagated batch at most. A map's rows go to the workers in
+# blocks of consecutive whole rows, each block one batch: a wider batch pays
+# the per-interval Python work (coefficient table, RK4 stage dispatch) once
+# for more columns, but each constant column caches its 64 KB RK4 step maps
+# for the life of the batch (about 2.3 a column on the default detect-map, 7
+# on the default reset-map). The default maps at workers=1 on a 2-core VM,
+# as CPU s in-process (best of 3, one BLAS thread) and the CLI's peak RSS;
+# at 12 each row is its own batch:
+#   BATCH_COLUMNS            12     24     36     48     whole map
+#   detect-map (12/row) s    2.66   1.93   1.86   1.61   1.59
+#                       MB   84.4   86.6   88.8   91.1
+#   reset-map  (10/row) s    2.10   1.67   1.56   1.73   1.51
+#                       MB   87.1   92.0   96.9  101.9
+# 24 takes most of the gain and keeps both maps within 10% of that RSS.
+BATCH_COLUMNS = 24
 
 # Each worker process runs a single BLAS thread. The matrices are small, and
 # a multi-threaded BLAS in every worker oversubscribes the cores: its idle
@@ -94,19 +110,37 @@ def increasing_grids(*grids):
     return arrays
 
 
-def fan_out(fn, rows, n_cols: int, workers: int = 1, lead: int = 0):
-    """Map fn over the rows of a grid with ``n_cols`` points to a row.
+def row_blocks(n_rows: int, row_width: int, workers: int = 1) -> list[range]:
+    """Consecutive, near-equal blocks of rows, in row order: at least one
+    per worker while rows last, and no more than BATCH_COLUMNS columns to a
+    block unless a single row is wider."""
+    rows_per_block = max(1, BATCH_COLUMNS // max(1, row_width))
+    count = max(min(workers, n_rows), math.ceil(n_rows / rows_per_block))
+    if count == 0:
+        return []
+    size, extra = divmod(n_rows, count)
+    bounds = [k * size + min(k, extra) for k in range(count + 1)]
+    return [range(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
 
-    fn returns (values, messages) for one row, one entry per column, with
-    an empty message where the column succeeded. The first ``lead`` columns
-    of a row are per-row runs (a dark or no-reset run), the rest are its
-    grid points. Returns the values row by row and the (i, j, message) flags
-    of the failed columns in row-major order, with j counted from the first
-    grid point, so a lead column has j < 0.
+
+def fan_out(fn, rows, n_cols: int, workers: int = 1, lead: int = 0):
+    """Map fn over the rows of a grid with ``n_cols`` points to a row, a
+    block of consecutive rows (``row_blocks``) per task.
+
+    fn takes a list of consecutive rows and returns per row (values,
+    messages), one entry per column, with an empty message where the column
+    succeeded. The first ``lead`` columns of a row are per-row runs (a dark
+    or no-reset run), the rest are its grid points; a block's width counts
+    both, its progress only the grid points. Returns the values row by row
+    and the (i, j, message) flags of the failed columns in row-major order,
+    with j counted from the first grid point, so a lead column has j < 0.
     """
+    rows = list(rows)
+    blocks = row_blocks(len(rows), n_cols + lead, workers)
+    tasks = [rows[b.start : b.stop] for b in blocks]
+    results = parallel_map(fn, tasks, workers, sizes=[n_cols * len(b) for b in blocks])
     values, flags = [], []
-    results = parallel_map(fn, rows, workers, sizes=[n_cols] * len(rows))
-    for i, (row, messages) in enumerate(results):
+    for i, (row, messages) in enumerate(r for block in results for r in block):
         values.append(row)
         flags += [(i, k - lead, message) for k, message in enumerate(messages) if message]
     return values, flags

@@ -14,7 +14,6 @@ from lambdadet.dressed import (
     transition_frequency,
 )
 from lambdadet.errors import LambdaModeError, MatchingPointError
-from lambdadet.model import Frame
 
 TWO_PI = 2.0 * np.pi
 
@@ -189,10 +188,3 @@ def test_transition_frequency_reported_anchors(params, omega_d):
     rabi_rst = params.rabi_of_dbm(-72.1)
     w23 = transition_frequency(dressed_states(params, omega_d, rabi_rst), 2, 3)
     assert abs(w23 - TWO_PI * 10.162e9) < TWO_PI * 5e6
-
-
-def test_transition_frequency_frame_relative(params, omega_d):
-    ladder = dressed_states(params, omega_d, TWO_PI * 31e6)
-    absolute = transition_frequency(ladder, 1, 4)
-    relative = transition_frequency(ladder, 1, 4, Frame(0.0, TWO_PI * 10e9))
-    assert absolute - relative == pytest.approx(TWO_PI * 10e9)

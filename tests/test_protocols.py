@@ -46,6 +46,7 @@ from lambdadet.pulses import (
     detection_schedule,
     reset_schedule,
 )
+from lambdadet.sweep import row_blocks
 
 OPTS = IntegratorOptions(max_step=0.2e-9)
 CLICK_BUDGET = 1e-7  # the default step's error budget, stated on IntegratorOptions
@@ -238,8 +239,9 @@ class TestFullCycle:
 
 
 class TestRowBatches:
-    """A map row propagates as one batch; each of its points gives the click
-    it gives alone through ``propagate``."""
+    """A block of consecutive map rows propagates as one batch; each of its
+    points gives the click it gives alone through ``propagate``, and each
+    row the values it gives alone."""
 
     FREQS = 2 * np.pi * np.array([10.264e9, 10.268e9, 10.272e9])
 
@@ -263,6 +265,24 @@ class TestRowBatches:
         for j, omega_rst in enumerate(freqs):
             alone = reset_run(params, dataclasses.replace(reset, omega_rst=omega_rst), **kw)
             assert abs(rmap.p_e[0, j] - alone.p_e_after_reset) <= 1e-12
+
+    def test_map_rows_match_each_row_alone(self, params, detect, reset):
+        """Several drive powers in one batch give, bit for bit, the values
+        of each power's row run alone: no row couples to another."""
+        powers = [-76.0, -75.5, -75.0]
+        assert row_blocks(len(powers), 1 + len(self.FREQS)) == [range(3)]
+        emap = efficiency_map(params, detect, powers, self.FREQS, opts=OPTS)
+        for i, p in enumerate(powers):
+            alone = efficiency_map(params, detect, [p], self.FREQS, opts=OPTS)
+            for name in ("p_e", "p_dark", "eta"):
+                assert np.array_equal(getattr(emap, name)[i], getattr(alone, name)[0])
+        powers = [-72.6, -72.1]
+        freqs = 2 * np.pi * np.array([10.159e9, 10.165e9])
+        rmap = reset_map(params, reset, powers, freqs, opts=OPTS)
+        for i, p in enumerate(powers):
+            alone = reset_map(params, reset, [p], freqs, opts=OPTS)
+            assert np.array_equal(rmap.p_e[i], alone.p_e[0])
+            assert rmap.p_e_no_reset[i] == alone.p_e_no_reset[0]
 
     def test_cycle_schedules_batch_with_oscillating_terms(self, params, detect, reset):
         """In each stage of the cycle a tone sits off the frame (cos and sin

@@ -3,8 +3,9 @@ import os
 import numpy as np
 import pytest
 
+from lambdadet import sweep
 from lambdadet.errors import IntegrationError
-from lambdadet.sweep import fan_out, grid_argmin, increasing_grids, parallel_map
+from lambdadet.sweep import BATCH_COLUMNS, fan_out, grid_argmin, increasing_grids, parallel_map
 
 
 def _halve(x):
@@ -22,17 +23,53 @@ def test_workers_run_one_blas_thread(monkeypatch):
     assert os.environ["OPENBLAS_NUM_THREADS"] == "7"
 
 
-def _halve_row(row):
-    values, messages = zip(*map(_halve, row))
-    return list(values), list(messages)
+def _halve_rows(rows):
+    out = []
+    for row in rows:
+        values, messages = zip(*map(_halve, row))
+        out.append((list(values), list(messages)))
+    return out
 
 
-def test_fan_out_flags_row_major():
-    values, flags = fan_out(_halve_row, [[2, -1, 4], [6, 8, -3]], n_cols=3)
-    assert values == [[1.0, None, 2.0], [3.0, 4.0, None]]
-    assert flags == [(0, 1, "negative -1"), (1, 2, "negative -3")]
-    # a lead column (the per-row run) is flagged with j = -1
-    assert fan_out(_halve_row, [[0, 2], [-5, 2]], n_cols=1, lead=1)[1] == [(1, -1, "negative -5")]
+# (rows, grid points to a row, lead columns, workers)
+FAN_OUT_CASES = [
+    (2, 3, 0, 1),  # one block
+    (2, 1, 1, 1),
+    (11, 11, 1, 1),  # the default detect-map: 132 columns
+    (10, 9, 1, 3),  # the default reset-map
+    (10, 6, 1, 1),  # rows of 7 columns: whole rows to a block, within BATCH_COLUMNS
+    (3, 2, 1, 5),  # more workers than rows: one row to a block
+    (4, BATCH_COLUMNS + 1, 0, 1),  # a row wider than a batch: one row to a block
+    (0, 3, 1, 2),
+]
+
+
+def test_fan_out_flags_row_major(monkeypatch):
+    """Blocks of consecutive rows, at least one per worker while rows last
+    and no wider than BATCH_COLUMNS unless one row is; values come back in
+    row order and flags row-major, with a lead column's j < 0."""
+    tasks = []
+
+    def serial(fn, blocks, workers, sizes):
+        tasks[:] = zip(blocks, sizes)
+        return [fn(block) for block in blocks]
+
+    monkeypatch.setattr(sweep, "parallel_map", serial)
+    for n_rows, n_cols, lead, workers in FAN_OUT_CASES:
+        width = lead + n_cols
+        rows = [[-(width * i + k) if (i + k) % 4 == 1 else width * i + k for k in range(width)]
+                for i in range(n_rows)]
+        values, flags = fan_out(_halve_rows, rows, n_cols, workers, lead=lead)
+        assert values == [[x / 2 if x >= 0 else None for x in row] for row in rows]
+        assert flags == [(i, k - lead, f"negative {x}")
+                         for i, row in enumerate(rows) for k, x in enumerate(row) if x < 0]
+        blocks = [block for block, _ in tasks]
+        assert [row for block in blocks for row in block] == rows
+        assert len(blocks) >= min(workers, n_rows)
+        assert all(len(block) * width <= BATCH_COLUMNS or len(block) == 1 for block in blocks)
+        assert max(map(len, blocks), default=0) - min(map(len, blocks), default=0) <= 1
+        # progress counts the grid points of a block, not its lead columns
+        assert [size for _, size in tasks] == [n_cols * len(block) for block in blocks]
 
 
 def test_increasing_grids():
