@@ -48,8 +48,7 @@ from .protocols import (
     dark_counts,
     detection_run,
     efficiency_map,
-    efficiency_vs_length,
-    efficiency_vs_photon_number,
+    efficiency_scan,
     full_cycle,
     reset_map,
     reset_run,

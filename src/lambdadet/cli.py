@@ -13,7 +13,6 @@ import math
 import os
 import sys
 from dataclasses import fields as dc_fields
-from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -34,8 +33,7 @@ from .protocols import (
     detection_run,
     detection_trace,
     efficiency_map,
-    efficiency_vs_length,
-    efficiency_vs_photon_number,
+    efficiency_scan,
     full_cycle,
     reset_map,
     reset_run,
@@ -66,24 +64,33 @@ def _calibrated_params(cfg: cfgmod.RunConfig):
     return params
 
 
-def _outcome_row(outcome):
-    return [getattr(outcome, f.name) for f in dc_fields(outcome)]
+def _write_csv(path, header, rows):
+    """Write one CSV of a task and report it."""
+    path = sweep.write_csv(path, header, rows)
+    print(f"wrote {path} ({len(rows)} rows)")
 
 
-def _outcome_header(outcome_cls):
-    return [f.name for f in dc_fields(outcome_cls)]
+def _outcome_table(cls, outcomes):
+    """Header and rows of outcome dataclasses of type ``cls``, and their
+    joined flags."""
+    names = [f.name for f in dc_fields(cls)]
+    rows = [[getattr(o, name) for name in names] for o in outcomes]
+    return names, rows, "".join(o.flags for o in outcomes)
 
 
-def _write_trace(traj, path):
-    rows = [
-        (t, pe, n, a.real, a.imag, err)
-        for t, pe, n, a, err in zip(
-            traj.times, traj.p_excited, traj.photon_number, traj.field, traj.trace_error
-        )
+def _grid_rows(powers, freqs, cells):
+    """Rows of a (power, frequency) map in power-major order: the power, the
+    frequency in GHz, then ``cells(i, j)``."""
+    return [
+        [p, f / (TWO_PI * 1e9), *cells(i, j)]
+        for i, p in enumerate(powers)
+        for j, f in enumerate(freqs)
     ]
-    return sweep.write_csv(
-        path, ["t_s", "p_e", "photon_number", "re_a", "im_a", "trace_error"], rows
-    )
+
+
+def _reflection_cells(r):
+    """|r|, |r| in dB and arg r of one reflection coefficient."""
+    return abs(r), 20.0 * math.log10(max(abs(r), 1e-300)), math.atan2(r.imag, r.real)
 
 
 def cmd_dressed(cfg, params, args, out_dir):
@@ -121,8 +128,7 @@ def cmd_dressed(cfg, params, args, out_dir):
         "omega14_rad_s",
         "omega23_rad_s",
     ]
-    path = sweep.write_csv(out_dir / "dressed.csv", header, rows)
-    print(f"wrote {path} ({len(rows)} rows)")
+    _write_csv(out_dir / "dressed.csv", header, rows)
 
 
 def cmd_reflect_map(cfg, params, args, out_dir):
@@ -140,23 +146,10 @@ def cmd_reflect_map(cfg, params, args, out_dir):
         n_max=cfg.get("n_max"),
         workers=args.workers or cfg.get("workers"),
     )
-    rows = []
-    for i, p_dbm in enumerate(rmap.p_d_dbm):
-        for j, omega_s in enumerate(rmap.omega_s):
-            r = rmap.r[i, j]
-            rows.append(
-                [
-                    p_dbm,
-                    omega_s / (TWO_PI * 1e9),
-                    abs(r),
-                    20.0 * math.log10(max(abs(r), 1e-300)),
-                    math.atan2(r.imag, r.real),
-                ]
-            )
+    rows = _grid_rows(rmap.p_d_dbm, rmap.omega_s, lambda i, j: _reflection_cells(rmap.r[i, j]))
     header = ["P_d_dBm", "omega_s_GHz", "abs_r", "abs_r_dB", "arg_r"]
-    path = sweep.write_csv(out_dir / "reflect_map.csv", header, rows)
+    _write_csv(out_dir / "reflect_map.csv", header, rows)
     point = find_matching_point(rmap)
-    print(f"wrote {path} ({len(rows)} rows)")
     print(
         f"matching point: P_d = {point.p_d_dbm:.2f} dBm, "
         f"omega_s/2pi = {point.omega_s / TWO_PI / 1e9:.6f} GHz, "
@@ -181,7 +174,7 @@ def cmd_calibrate(cfg, params, args, out_dir):
         f"(offset {result.p_s_dbm - nominal:+.2f} dB from {nominal} dBm), "
         f"P_diff residual {result.residual_db:+.3f} dB"
     )
-    sweep.write_csv(
+    _write_csv(
         out_dir / "calibrate.csv",
         ["p_s_dbm", "p_diff_db", "residual_db", "offset_db"],
         [[result.p_s_dbm, result.p_diff_db, result.residual_db, result.p_s_dbm - nominal]],
@@ -204,16 +197,21 @@ def cmd_detect(cfg, params, args, out_dir):
         outcome, traj = detection_trace(params, settings, cfg.readout_model(), **_options(cfg))
     else:
         outcome = detection_run(params, settings, cfg.readout_model(), **_options(cfg))
-    path = sweep.write_csv(
-        out_dir / "detect.csv", _outcome_header(DetectionOutcome), [_outcome_row(outcome)]
-    )
-    print(f"wrote {path}")
+    header, rows, flags = _outcome_table(DetectionOutcome, [outcome])
+    _write_csv(out_dir / "detect.csv", header, rows)
     print(
         f"P_e = {outcome.p_e:.4f}, P_dark = {outcome.p_dark:.4f}, eta = {outcome.eta:.4f}"
     )
     if args.trace_out:
-        print(f"wrote {_write_trace(traj, out_dir / 'detect_trace.csv')}")
-    return outcome.flags
+        rows = [
+            [t, pe, n, a.real, a.imag, err]
+            for t, pe, n, a, err in zip(
+                traj.times, traj.p_excited, traj.photon_number, traj.field, traj.trace_error
+            )
+        ]
+        header = ["t_s", "p_e", "photon_number", "re_a", "im_a", "trace_error"]
+        _write_csv(out_dir / "detect_trace.csv", header, rows)
+    return flags
 
 
 def cmd_detect_map(cfg, params, args, out_dir):
@@ -225,21 +223,12 @@ def cmd_detect_map(cfg, params, args, out_dir):
         cfg.readout_model(),
         **_sweep_options(cfg, args),
     )
-    rows = []
-    for i, p_dbm in enumerate(emap.p_d_dbm):
-        for j, omega_s in enumerate(emap.omega_s):
-            rows.append(
-                [
-                    p_dbm,
-                    omega_s / (TWO_PI * 1e9),
-                    emap.eta[i, j],
-                    emap.p_e[i, j],
-                    emap.p_dark[i, j],
-                ]
-            )
+    rows = _grid_rows(
+        emap.p_d_dbm, emap.omega_s,
+        lambda i, j: (emap.eta[i, j], emap.p_e[i, j], emap.p_dark[i, j]),
+    )
     header = ["p_d_dbm", "omega_s_GHz", "eta", "p_e", "p_dark"]
-    path = sweep.write_csv(out_dir / "detect_map.csv", header, rows)
-    print(f"wrote {path} ({len(rows)} rows)")
+    _write_csv(out_dir / "detect_map.csv", header, rows)
     print(
         f"eta_max = {emap.eta_max:.4f} at {emap.argmax_p_d_dbm:.2f} dBm, "
         f"{emap.argmax_omega_s / TWO_PI / 1e9:.6f} GHz"
@@ -253,48 +242,24 @@ def cmd_detect_map(cfg, params, args, out_dir):
     return emap.flags
 
 
-def cmd_scan_ts(cfg, params, args, out_dir):
-    outcomes = efficiency_vs_length(
+def cmd_scan(name, t_s_key, nbar_key, cfg, params, args, out_dir):
+    """scan-ts (``nbar_key`` None: the operating point's nbar_s) and scan-ns:
+    one batch per pulse length, the pulse lengths the unit of --workers."""
+    base = cfg.detection_settings(params)
+    outcomes = efficiency_scan(
         params,
-        cfg.detection_settings(params),
-        cfg.get("ts_list"),
+        base,
+        cfg.get(t_s_key),
+        cfg.get(nbar_key) if nbar_key else (base.nbar_s,),
         cfg.readout_model(),
         **_sweep_options(cfg, args),
     )
-    path = sweep.write_csv(
-        out_dir / "scan_ts.csv",
-        _outcome_header(DetectionOutcome),
-        [_outcome_row(o) for o in outcomes],
-    )
-    print(f"wrote {path} ({len(outcomes)} rows)")
-    best = max(outcomes, key=lambda o: o.eta)
-    print(f"max eta = {best.eta:.4f} at t_s = {best.t_s * 1e9:.0f} ns")
-    return "".join(o.flags for o in outcomes)
-
-
-def cmd_scan_ns(cfg, params, args, out_dir):
-    # one batch per pulse length; the pulse lengths are the unit of --workers
-    base = cfg.detection_settings(params)
-    nbar_list = cfg.get("nbar_list")
-    scan = partial(
-        efficiency_vs_photon_number,
-        params,
-        nbar_values=nbar_list,
-        readout=cfg.readout_model(),
-        **_options(cfg),
-    )
-    bases = [replace(base, t_s=t_s) for t_s in cfg.get("ns_ts_list")]
-    per_t_s = sweep.parallel_map(
-        scan, bases, args.workers or cfg.get("workers"), sizes=[len(nbar_list)] * len(bases)
-    )
-    outcomes = [outcome for group in per_t_s for outcome in group]
-    path = sweep.write_csv(
-        out_dir / "scan_ns.csv",
-        _outcome_header(DetectionOutcome),
-        [_outcome_row(o) for o in outcomes],
-    )
-    print(f"wrote {path} ({len(outcomes)} rows)")
-    return "".join(o.flags for o in outcomes)
+    header, rows, flags = _outcome_table(DetectionOutcome, outcomes)
+    _write_csv(out_dir / f"{name}.csv", header, rows)
+    if not nbar_key:
+        best = max(outcomes, key=lambda o: o.eta)
+        print(f"max eta = {best.eta:.4f} at t_s = {best.t_s * 1e9:.0f} ns")
+    return flags
 
 
 def cmd_dark(cfg, params, args, out_dir):
@@ -307,8 +272,7 @@ def cmd_dark(cfg, params, args, out_dir):
         **_options(cfg),
     )
     rows = [[p_dbm, o.p_dark] for p_dbm, o in zip(grid, outcomes)]
-    path = sweep.write_csv(out_dir / "dark.csv", ["p_d_dbm", "p_dark"], rows)
-    print(f"wrote {path} ({len(rows)} rows)")
+    _write_csv(out_dir / "dark.csv", ["p_d_dbm", "p_dark"], rows)
     return "".join(o.flags for o in outcomes)
 
 
@@ -322,16 +286,14 @@ def cmd_reset(cfg, params, args, out_dir):
         readout_stage=cfg.get("readout_budget"),
         **_options(cfg),
     )
-    path = sweep.write_csv(
-        out_dir / "reset.csv", _outcome_header(ResetOutcome), [_outcome_row(outcome)]
-    )
-    print(f"wrote {path}")
+    header, rows, flags = _outcome_table(ResetOutcome, [outcome])
+    _write_csv(out_dir / "reset.csv", header, rows)
     print(
         f"P_e after reset = {outcome.p_e_after_reset:.4f}, "
         f"without reset pulse = {outcome.p_e_no_reset:.4f}, "
         f"period = {outcome.period * 1e9:.0f} ns ({outcome.rate / 1e6:.2f} MHz)"
     )
-    return outcome.flags
+    return flags
 
 
 def cmd_reset_map(cfg, params, args, out_dir):
@@ -343,15 +305,11 @@ def cmd_reset_map(cfg, params, args, out_dir):
         cfg.readout_model(),
         **_sweep_options(cfg, args),
     )
-    rows = []
-    for i, p_dbm in enumerate(rmap.p_dr_dbm):
-        for j, omega_rst in enumerate(rmap.omega_rst):
-            rows.append(
-                [p_dbm, omega_rst / (TWO_PI * 1e9), rmap.p_e[i, j], rmap.p_e_no_reset[i]]
-            )
+    rows = _grid_rows(
+        rmap.p_dr_dbm, rmap.omega_rst, lambda i, j: (rmap.p_e[i, j], rmap.p_e_no_reset[i])
+    )
     header = ["p_dr_dbm", "omega_rst_GHz", "p_e", "p_e_no_reset"]
-    path = sweep.write_csv(out_dir / "reset_map.csv", header, rows)
-    print(f"wrote {path} ({len(rows)} rows)")
+    _write_csv(out_dir / "reset_map.csv", header, rows)
     print(
         f"P_e min = {rmap.p_e_min:.4f} at {rmap.argmin_p_dr_dbm:.2f} dBm, "
         f"{rmap.argmin_omega_rst / TWO_PI / 1e9:.6f} GHz"
@@ -368,15 +326,13 @@ def cmd_cycle(cfg, params, args, out_dir):
         readout_stage=cfg.get("readout_budget"),
         **_options(cfg),
     )
-    path = sweep.write_csv(
-        out_dir / "cycle.csv", _outcome_header(CycleOutcome), [_outcome_row(outcome)]
-    )
-    print(f"wrote {path}")
+    header, rows, flags = _outcome_table(CycleOutcome, [outcome])
+    _write_csv(out_dir / "cycle.csv", header, rows)
     print(
         f"eta after reset = {outcome.eta_after_reset:.4f} (fresh {outcome.eta_fresh:.4f}), "
         f"period = {outcome.period * 1e9:.0f} ns, rate = {outcome.rate / 1e6:.2f} MHz"
     )
-    return outcome.flags
+    return flags
 
 
 def cmd_render(cfg, params, args, out_dir):
@@ -391,8 +347,8 @@ _COMMANDS = {
     "calibrate": cmd_calibrate,
     "detect": cmd_detect,
     "detect-map": cmd_detect_map,
-    "scan-ts": cmd_scan_ts,
-    "scan-ns": cmd_scan_ns,
+    "scan-ts": partial(cmd_scan, "scan_ts", "ts_list", None),
+    "scan-ns": partial(cmd_scan, "scan_ns", "ns_ts_list", "nbar_list"),
     "dark": cmd_dark,
     "reset": cmd_reset,
     "reset-map": cmd_reset_map,

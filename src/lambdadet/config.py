@@ -257,8 +257,17 @@ def parse_config(text: str) -> "RunConfig":
 
 
 def load_config(path) -> "RunConfig":
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    """Parse the config file at ``path``; a file that cannot be read as
+    UTF-8 text raises ConfigError naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8 text: {exc.reason} "
+                          f"at byte {exc.start}") from None
+    return parse_config(text)
 
 
 def default_config_text() -> str:

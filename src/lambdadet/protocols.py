@@ -15,10 +15,10 @@ Every protocol has one shape: settings, a schedule builder, one ``_clicks``
 batch, the outcome. The builders check the drive's nesting condition, so a
 bad drive fails before anything propagates. Runs on one pulse timeline that
 differ only in amplitudes and carriers are one ``propagate_batch``: a signal
-run and its dark run, a reset run and its no-reset baseline, the dark run
-and the points of an nbar_s scan, the dark runs of several drive powers,
-and each block of consecutive map rows (``sweep.fan_out``). Batching leaves
-every click as it is alone.
+run and its dark run, a reset run and its no-reset baseline, one pulse
+length of an efficiency scan (its dark run and one signal run per nbar_s),
+the dark runs of several drive powers, and each block of consecutive map
+rows (``sweep.fan_out``). Batching leaves every click as it is alone.
 """
 
 from __future__ import annotations
@@ -293,14 +293,6 @@ def detection_trace(
     return _detect(params, settings, readout, opts, n_max)
 
 
-def _detection_task(params, readout, opts, n_max, settings):
-    """One point of the t_s scan: its outcome, or None and the failure."""
-    try:
-        return detection_run(params, settings, readout, opts=opts, n_max=n_max), ""
-    except IntegrationError as exc:
-        return None, str(exc)
-
-
 def _click_rows(params, readout, opts, n_max, schedule, rows):
     """Consecutive drive powers of a map as one batch. A row is its own run
     (dark or no-reset), then its grid points, each built by ``schedule``.
@@ -405,56 +397,45 @@ def _band_above(x: np.ndarray, y: np.ndarray, level: float):
     return (float(lo), float(hi))
 
 
-def _scan_failure(settings, message) -> IntegrationError:
-    return IntegrationError(
-        f"t_s = {settings.t_s * 1e9:.0f} ns, nbar_s = {settings.nbar_s} failed: {message}"
-    )
+def _scan_batch(params, readout, opts, n_max, nbar_values, base):
+    """One pulse length of an efficiency scan as one batch: the dark run,
+    shared by the points, then one signal run per nbar_s. A failed run
+    raises, naming its t_s and nbar_s (0 for the dark run)."""
+    runs = [replace(base, nbar_s=nbar) for nbar in (0.0, *nbar_values)]
+    scheds = [detection_schedule(params, s) for s in runs]
+    clicks = _clicks(scheds, params, readout, opts, n_max, ("",) + ("p_e",) * len(nbar_values))
+    for s, click in zip(runs, clicks):
+        if click.failed:
+            raise IntegrationError(
+                f"t_s = {s.t_s * 1e9:.0f} ns, nbar_s = {s.nbar_s} failed: {click.message}"
+            )
+    return [
+        _outcome(params, s, c.value, clicks[0].value, _flags([c]))
+        for s, c in zip(runs[1:], clicks[1:])
+    ]
 
 
-def efficiency_vs_length(
+def efficiency_scan(
     params: SystemParams,
     base: DetectionSettings,
     t_s_values,
+    nbar_values,
     readout: ReadoutModel = ReadoutModel(),
     *,
     opts: IntegratorOptions = IntegratorOptions(),
     n_max: int = 3,
     workers: int = 1,
 ) -> list[DetectionOutcome]:
-    """eta(t_s) with the drive length auto-adjusted per point. Each point
-    has its own timeline, so points are the unit of ``workers``; a failed
-    point raises."""
-    points = [replace(base, t_s=t_s) for t_s in t_s_values]
-    task = partial(_detection_task, params, readout, opts, n_max)
-    results = parallel_map(task, points, workers)
-    for settings, (_, message) in zip(points, results):
-        if message:
-            raise _scan_failure(settings, message)
-    return [out for out, _ in results]
-
-
-def efficiency_vs_photon_number(
-    params: SystemParams,
-    base: DetectionSettings,
-    nbar_values,
-    readout: ReadoutModel = ReadoutModel(),
-    *,
-    opts: IntegratorOptions = IntegratorOptions(),
-    n_max: int = 3,
-) -> list[DetectionOutcome]:
-    """eta(nbar_s) at fixed pulse length, as one batch on one timeline: the
-    dark run, shared by the points, then one signal run per nbar_s. A
+    """eta over pulse lengths t_s and photon numbers nbar_s, with the drive
+    length auto-adjusted per pulse length; the outcomes run over nbar_s
+    within t_s. Each pulse length is one batch on its own timeline
+    (``_scan_batch``), so pulse lengths are the unit of ``workers``. A
     failed run raises."""
-    runs = [replace(base, nbar_s=nbar) for nbar in (0.0, *nbar_values)]
-    scheds = [detection_schedule(params, s) for s in runs]
-    clicks = _clicks(scheds, params, readout, opts, n_max, ("",) + ("p_e",) * len(nbar_values))
-    for settings, click in zip(runs, clicks):
-        if click.failed:
-            raise _scan_failure(settings, click.message)
-    return [
-        _outcome(params, s, c.value, clicks[0].value, _flags([c]))
-        for s, c in zip(runs[1:], clicks[1:])
-    ]
+    nbar_values = tuple(nbar_values)
+    bases = [replace(base, t_s=t_s) for t_s in t_s_values]
+    task = partial(_scan_batch, params, readout, opts, n_max, nbar_values)
+    per_t_s = parallel_map(task, bases, workers, sizes=[len(nbar_values)] * len(bases))
+    return [outcome for group in per_t_s for outcome in group]
 
 
 def dark_counts(
@@ -624,17 +605,14 @@ def full_cycle(
     runs = [detect] if detect.nbar_s == 0 else [detect, replace(detect, nbar_s=0.0)]
     firsts, scheds = zip(*(_cycle_schedule(params, d, reset) for d in runs))
     clicks = _checked(_clicks(scheds, params, readout, opts, n_max, ("cycle_p_e",), firsts))
-    click, dark = clicks[0].value, clicks[-1].value
-    eta_after = math.nan
-    if detect.nbar_s > 0:
-        eta_after = (click - dark) / (1.0 - math.exp(-detect.nbar_s))
+    cycle = _outcome(params, detect, clicks[0].value, clicks[-1].value)
     fresh = detection_run(params, detect, readout, opts=opts, n_max=n_max)
 
     period = detect.stage + readout_stage + reset.stage
     return CycleOutcome(
-        eta_after_reset=eta_after,
+        eta_after_reset=cycle.eta,
         eta_fresh=fresh.eta,
-        p_e_after_reset=dark,
+        p_e_after_reset=cycle.p_dark,
         period=period,
         rate=1.0 / period,
         flags=_flags(clicks) + fresh.flags,

@@ -55,16 +55,23 @@ def render_heatmap(
     Marks the grid argmin with a circle and the argmax with a cross. A cell
     without a finite value (a failed map point) is grey, outside the colour
     range and the marks. Raises RenderError for missing columns, a
-    degenerate or incomplete grid, or no finite value.
+    degenerate or incomplete grid, or no finite value, and for a CSV that
+    cannot be read, is empty, has a row of the wrong length or a
+    non-numeric cell in a plotted column.
     """
-    header, cols = read_csv(csv_path)
+    try:
+        header, cols = read_csv(csv_path)
+    except (OSError, ValueError) as exc:  # UnicodeDecodeError is a ValueError
+        reason = getattr(exc, "strerror", None) or exc
+        raise RenderError(f"cannot read {csv_path}: {reason}") from None
     for name in (x_col, y_col, z_col):
         if name not in cols:
             raise RenderError(f"column {name!r} not in CSV header {header}")
+        text = [v for v in cols[name] if isinstance(v, str)]
+        if text:
+            raise RenderError(f"column {name!r} holds a non-numeric cell {text[0]!r}")
 
-    xs = np.array([float(v) for v in cols[x_col]])
-    ys = np.array([float(v) for v in cols[y_col]])
-    zs = np.array([float(v) for v in cols[z_col]])
+    xs, ys, zs = (np.array(cols[name], dtype=float) for name in (x_col, y_col, z_col))
     x_vals = np.unique(xs)
     y_vals = np.unique(ys)
     if len(x_vals) < 2 or len(y_vals) < 2:

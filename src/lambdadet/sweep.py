@@ -207,16 +207,19 @@ def write_csv(path, header, rows) -> Path:
 def read_csv(path):
     """Read a CSV written by write_csv: (header, column dict of float lists).
 
-    Non-numeric cells are kept as strings.
+    Non-numeric cells are kept as strings. An empty file, or a row whose
+    cell count differs from the header's, raises ValueError.
     """
     text = Path(path).read_text(encoding="utf-8")
-    lines = [ln for ln in text.splitlines() if ln]
+    lines = [(n, ln) for n, ln in enumerate(text.splitlines(), 1) if ln]
     if not lines:
-        raise ValueError(f"{path}: empty CSV")
-    header = lines[0].split(",")
+        raise ValueError("empty CSV")
+    header = lines[0][1].split(",")
     columns = {name: [] for name in header}
-    for ln in lines[1:]:
+    for n, ln in lines[1:]:
         cells = ln.split(",")
+        if len(cells) != len(header):
+            raise ValueError(f"line {n} has {len(cells)} cells, the header {len(header)}")
         for name, cell in zip(header, cells):
             try:
                 columns[name].append(float(cell))

@@ -31,8 +31,7 @@ from lambdadet.protocols import (
     detection_run,
     detection_trace,
     efficiency_map,
-    efficiency_vs_length,
-    efficiency_vs_photon_number,
+    efficiency_scan,
     full_cycle,
     reset_map,
     reset_run,
@@ -256,7 +255,7 @@ def test_criterion_5_power_colocation(eff_map_11, reflect_map_21):
 
 def test_criterion_6_pulse_scans(params, cfg, detect):
     t_s_grid = cfg.get("ts_list")
-    outs = efficiency_vs_length(params, detect, t_s_grid, opts=OPTS, workers=WORKERS)
+    outs = efficiency_scan(params, detect, t_s_grid, (detect.nbar_s,), opts=OPTS, workers=WORKERS)
     etas = np.array([o.eta for o in outs])
     best = int(np.argmax(etas))
     # non-monotone with an interior maximum in the 55..144 ns bracket
@@ -266,9 +265,7 @@ def test_criterion_6_pulse_scans(params, cfg, detect):
 
     flat_ok = {}
     for t_s in cfg.get("ns_ts_list"):
-        nb_outs = efficiency_vs_photon_number(
-            params, dataclasses.replace(detect, t_s=t_s), (0.03, 0.1, 0.3, 1.0), opts=OPTS
-        )
+        nb_outs = efficiency_scan(params, detect, (t_s,), (0.03, 0.1, 0.3, 1.0), opts=OPTS)
         nb_etas = np.array([o.eta for o in nb_outs])
         spread = (nb_etas.max() - nb_etas.min()) / nb_etas.max()
         flat_ok[t_s] = spread

@@ -18,7 +18,7 @@ reflect_freq_grid_GHz = 10.262,10.272,5
 detect_pd_grid_dBm = -76,-75,3
 detect_freq_grid_GHz = 10.264,10.272,3
 ts_list_ns = 55,85
-ns_ts_list_ns = 85
+ns_ts_list_ns = 55,85
 nbar_list = 0.05,0.1
 dark_pd_grid_dBm = -76,-75,2
 reset_pd_grid_dBm = -72.6,-71.6,2
@@ -67,11 +67,14 @@ def test_detect_with_trace(fast_cfg, tmp_path):
 
 
 def test_byte_identical_across_worker_counts(fast_cfg, tmp_path):
+    """The maps fan out blocks of rows, the scans their two pulse lengths."""
     out1, out2 = tmp_path / "w1", tmp_path / "w2"
     cfg = parse_config(FAST_CFG)
     for task, workers, csv in (("detect-map", 3, "detect_map.csv"),
                                ("reflect-map", 2, "reflect_map.csv"),
-                               ("reset-map", 2, "reset_map.csv")):
+                               ("reset-map", 2, "reset_map.csv"),
+                               ("scan-ts", 2, "scan_ts.csv"),
+                               ("scan-ns", 2, "scan_ns.csv")):
         assert run_sweep(cfg, task, out_dir=out1, workers=1) == 0
         assert run_sweep(cfg, task, out_dir=out2, workers=workers) == 0
         assert (out1 / csv).read_bytes() == (out2 / csv).read_bytes()
@@ -252,6 +255,48 @@ def test_render_rerun_byte_identical(tmp_path):
     s1 = render_heatmap(csv, "a", "b", "c", tmp_path / "one.svg").read_bytes()
     s2 = render_heatmap(csv, "a", "b", "c", tmp_path / "two.svg").read_bytes()
     assert s1 == s2
+
+
+def _exits_with_error_line(argv, capsys):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    return err
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+@pytest.mark.parametrize("via", ["--config", "env"])
+def test_unreadable_config_is_an_error_line(kind, via, tmp_path, capsys, monkeypatch):
+    path = tmp_path / "device.cfg"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not-utf8":
+        path.write_bytes(b"n_max = 3\n# \xff\xfe\n")
+    argv = ["--out", str(tmp_path), "detect"]
+    if via == "env":
+        monkeypatch.setenv("LAMBDADET_CONFIG", str(path))
+    else:
+        argv = ["--config", str(path)] + argv
+    assert str(path) in _exits_with_error_line(argv, capsys)
+
+
+@pytest.mark.parametrize(
+    "kind, text, message",
+    [
+        ("missing", None, "No such file"),
+        ("empty", "", "empty CSV"),
+        ("short row", "x,y,z\n0,0,1\n0,1\n1,0,2\n1,1,3\n", "line 3 has 2 cells"),
+        ("non-numeric", "x,y,z\n0,0,1\n0,1,abc\n1,0,2\n1,1,3\n", "'z' holds a non-numeric"),
+    ],
+)
+def test_unreadable_render_csv_is_an_error_line(kind, text, message, tmp_path, capsys):
+    csv = tmp_path / "grid.csv"
+    if text is not None:
+        csv.write_text(text)
+    argv = ["--out", str(tmp_path), "render", str(csv), "x", "y", "z"]
+    assert message in _exits_with_error_line(argv, capsys)
+    assert not (tmp_path / "grid.svg").exists()
 
 
 def test_bad_config_exit_code(tmp_path):

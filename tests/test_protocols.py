@@ -32,8 +32,7 @@ from lambdadet.protocols import (
     detection_run,
     detection_trace,
     efficiency_map,
-    efficiency_vs_length,
-    efficiency_vs_photon_number,
+    efficiency_scan,
     full_cycle,
     reset_map,
     reset_run,
@@ -140,13 +139,13 @@ class TestPhotonNumberScan:
         """An explicit omega_d = 0 is checked, not replaced by the default."""
         zero = dataclasses.replace(detect, omega_d=0.0)
         with pytest.raises(LambdaModeError):
-            efficiency_vs_length(params, zero, (85e-9,), opts=OPTS)
+            efficiency_scan(params, zero, (85e-9,), (zero.nbar_s,), opts=OPTS)
         with pytest.raises(LambdaModeError):
-            efficiency_vs_photon_number(params, zero, (0.1,), opts=OPTS)
+            efficiency_scan(params, zero, (zero.t_s,), (0.1,), opts=OPTS)
 
     def test_weak_limit_extrapolation(self, params, detect):
         """Richardson-style nbar -> 0 extrapolation matches the 0.1 value."""
-        outs = efficiency_vs_photon_number(params, detect, (0.025, 0.05, 0.1), opts=OPTS)
+        outs = efficiency_scan(params, detect, (detect.t_s,), (0.025, 0.05, 0.1), opts=OPTS)
         etas = np.array([o.eta for o in outs])
         # linear fit in nbar, extrapolated to zero
         coeffs = np.polyfit([0.025, 0.05, 0.1], etas, 1)
@@ -525,7 +524,7 @@ class TestSinglePointBatches:
 
     def test_photon_number_scan(self, params, detect):
         nbars = (0.05, 0.1, 0.3)
-        outs = efficiency_vs_photon_number(params, detect, nbars, opts=OPTS)
+        outs = efficiency_scan(params, detect, (detect.t_s,), nbars, opts=OPTS)
         for nbar, out in zip(nbars, outs):
             alone = detection_run(params, dataclasses.replace(detect, nbar_s=nbar), opts=OPTS)
             assert out == alone
