@@ -66,7 +66,10 @@ def _calibrated_params(cfg: cfgmod.RunConfig):
 
 def _write_csv(path, header, rows):
     """Write one CSV of a task and report it."""
-    path = sweep.write_csv(path, header, rows)
+    try:
+        path = sweep.write_csv(path, header, rows)
+    except OSError as exc:  # e.g. --out names a regular file
+        raise LambdaDetError(f"cannot write {path}: {exc.strerror}: {exc.filename}") from None
     print(f"wrote {path} ({len(rows)} rows)")
 
 

@@ -28,7 +28,6 @@ from dataclasses import dataclass, field, replace
 from typing import ClassVar, NamedTuple
 
 import numpy as np
-from scipy import sparse
 
 from .errors import IntegrationError, SteadyStateError
 from .hilbert import (
@@ -455,6 +454,8 @@ class _StackedRHS:
     """
 
     def __init__(self, schedules, params: SystemParams, space: HilbertSpace):
+        from scipy import sparse  # loaded at the first propagation, not at import
+
         diagonals, columns = [], []
         for sched in schedules:
             static, terms = _schedule_terms(sched, params, space)

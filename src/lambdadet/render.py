@@ -57,7 +57,8 @@ def render_heatmap(
     range and the marks. Raises RenderError for missing columns, a
     degenerate or incomplete grid, or no finite value, and for a CSV that
     cannot be read, is empty, has a row of the wrong length or a
-    non-numeric cell in a plotted column.
+    non-numeric cell in a plotted column, or an SVG path that cannot be
+    written (such as a directory).
     """
     try:
         header, cols = read_csv(csv_path)
@@ -181,6 +182,9 @@ def render_heatmap(
     parts.append("</svg>")
 
     out_path = Path(out_path)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    out_path.write_text("\n".join(parts) + "\n", encoding="utf-8")
+    try:
+        out_path.parent.mkdir(parents=True, exist_ok=True)
+        out_path.write_text("\n".join(parts) + "\n", encoding="utf-8")
+    except OSError as exc:  # e.g. out_path is a directory
+        raise RenderError(f"cannot write {out_path}: {exc.strerror}: {exc.filename}") from None
     return out_path

@@ -18,8 +18,6 @@ from functools import partial
 from typing import NamedTuple
 
 import numpy as np
-from scipy.constants import hbar as HBAR
-from scipy.optimize import brentq
 
 from .dressed import dressed_states, matching_amplitude, transition_frequency
 from .dynamics import steady_state_stack, superoperators
@@ -29,6 +27,9 @@ from .params import SystemParams
 from .sweep import fan_out, grid_argmin, increasing_grids, parabolic_refine
 
 TWO_PI = 2.0 * math.pi
+# the reduced Planck constant from the SI's exact h; equal to
+# scipy.constants.hbar, without loading scipy at import
+HBAR = 6.62607015e-34 / TWO_PI
 PASSIVITY_TOL = 1e-6
 
 # weak-probe default: photon flux small against the qubit return rate so the
@@ -315,6 +316,8 @@ def calibrate_signal_power(
     bracket; its grid and dressed ladders do not depend on the signal
     power, so the search builds them once.
     """
+    from scipy.optimize import brentq  # loaded here: only calibration needs it
+
     lo, hi = bracket_dbm
     if not lo < hi:
         raise DipResolutionError(f"P_diff bracket [{lo}, {hi}] dBm is empty: it needs lo < hi")

@@ -7,10 +7,8 @@ worker count. Floats are formatted with 9 significant digits.
 
 from __future__ import annotations
 
-import concurrent.futures
 import contextlib
 import math
-import multiprocessing
 import os
 from pathlib import Path
 
@@ -77,6 +75,9 @@ def parallel_map(fn, tasks, workers: int = 1, sizes=None):
         for task, size in zip(tasks, sizes):
             gather(fn(task), size)
         return results
+    import concurrent.futures
+    import multiprocessing
+
     spawn = multiprocessing.get_context("spawn")
     with _environment(_WORKER_ENV), concurrent.futures.ProcessPoolExecutor(
         max_workers=workers, mp_context=spawn

@@ -299,6 +299,27 @@ def test_unreadable_render_csv_is_an_error_line(kind, text, message, tmp_path, c
     assert not (tmp_path / "grid.svg").exists()
 
 
+def test_out_naming_a_file_is_an_error_line(fast_cfg, tmp_path, capsys):
+    """--out names an existing regular file, so no CSV can go under it."""
+    out = tmp_path / "taken"
+    out.write_text("kept\n")
+    argv = ["--config", str(fast_cfg), "--out", str(out), "dressed"]
+    assert str(out / "dressed.csv") in _exits_with_error_line(argv, capsys)
+    assert out.read_text() == "kept\n"
+
+
+def test_svg_out_naming_a_directory_is_an_error_line(tmp_path, capsys):
+    rows = [[x, y, x + y] for x in (0.0, 1.0) for y in (0.0, 1.0)]
+    csv = write_csv(tmp_path / "grid.csv", ["a", "b", "c"], rows)
+    target = tmp_path / "svgs"
+    target.mkdir()
+    with pytest.raises(RenderError, match="Is a directory"):
+        render_heatmap(csv, "a", "b", "c", target)
+    argv = ["render", str(csv), "a", "b", "c", "--svg-out", str(target)]
+    assert f"cannot write {target}" in _exits_with_error_line(argv, capsys)
+    assert list(target.iterdir()) == []
+
+
 def test_bad_config_exit_code(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("kappa_ext_ratio = 7\n")

@@ -53,6 +53,14 @@ def kron_built_r(params, omega_d, rabi, omega_s, probe_amp, n_max=3):
     return -1.0 + math.sqrt(params.kappa_ext) * a_mean / probe_amp
 
 
+def test_hbar_is_scipys():
+    """response.HBAR comes from the SI's exact h, so that the package need
+    not load scipy.constants; it is scipy's value bit for bit."""
+    from scipy.constants import hbar
+
+    assert response.HBAR == hbar
+
+
 class TestReflectionCoefficient:
     def test_far_detuned_full_reflection(self, clean_params, omega_d):
         p = clean_params

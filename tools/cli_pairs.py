@@ -1,0 +1,134 @@
+#!/usr/bin/env python3
+"""Alternating parent/change pairs of whole CLI tasks in fresh interpreters.
+
+    python3 tools/cli_pairs.py --parent ../parent --change . --pairs 10 \\
+        --out BENCH_cli.json dressed reflect-map "reflect-map --workers 2"
+
+``--parent`` and ``--change`` are two checkouts of the repository (a git
+archive of each commit will do). Each task is the argument string of one
+``python -m lambdadet.cli --out DIR <task>`` run, with the config the CLI
+picks (the built-in one unless the task names ``--config`` or
+``LAMBDADET_CONFIG`` is set); the run imports the ``src/`` of its own
+checkout. Each pair runs the task once in each checkout: the parent first
+in even pairs, the change first in odd ones. A run's wall time includes
+the interpreter's start-up and imports, and its CPU time is the
+``RUSAGE_CHILDREN`` user plus system time it added, spawned workers
+included. Each pair also records whether the two runs wrote the same
+files with the same bytes. The summary per task is ``bench_pairs.summary``
+of ``wall_s`` and ``cpu_s``, with the ``wall_s`` bound of BENCHMARK.json
+applied to both. The BLAS thread variables pass through from the calling
+environment and are recorded. A run that exits non-zero stops the tool,
+naming the pair.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import resource
+import shlex
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+from bench_pairs import ROOT, SIDES, STDERR_LINES, identical_outputs, summary
+
+THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _env(checkout: Path):
+    return dict(os.environ, PYTHONPATH=str(checkout / "src"))
+
+
+def run(checkout: Path, task: str, out_dir: Path, where):
+    """One CLI run in a fresh interpreter; returns its wall and CPU seconds."""
+    cmd = [sys.executable, "-m", "lambdadet.cli", "--out", str(out_dir), *shlex.split(task)]
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    t0 = time.perf_counter()
+    proc = subprocess.run(cmd, cwd=checkout, env=_env(checkout), capture_output=True, text=True)
+    wall = time.perf_counter() - t0
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    if proc.returncode != 0:
+        tail = "\n".join(proc.stderr.strip().splitlines()[-STDERR_LINES:])
+        raise SystemExit(f"{where}: exit code {proc.returncode}\n{tail}")
+    cpu = (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
+    return {"wall_s": round(wall, 4), "cpu_s": round(cpu, 4)}
+
+
+def outputs(out_dir: Path):
+    """The files a run wrote, by relative path, with their bytes."""
+    return {str(p.relative_to(out_dir)): p.read_bytes()
+            for p in sorted(out_dir.rglob("*")) if p.is_file()}
+
+
+def pairs(checkouts, task, n_pairs, scratch: Path):
+    """The pairs of one task, each with both sides' times and whether the
+    two runs wrote identical files."""
+    out = []
+    for k in range(n_pairs):
+        order = SIDES if k % 2 == 0 else SIDES[::-1]
+        entry, written = {"pair": k, "first": order[0]}, {}
+        for side in order:
+            out_dir = scratch / f"{k}-{side}"
+            entry[side] = run(checkouts[side], task, out_dir, f"{task!r} pair {k}, {side}")
+            written[side] = outputs(out_dir)
+        entry["outputs"] = sorted(written["change"])
+        entry["outputs_identical"] = written["parent"] == written["change"]
+        out.append(entry)
+        print(f"{task} pair {k}: "
+              + ", ".join(f"{s} {entry[s]['wall_s']:.3f} s" for s in SIDES), file=sys.stderr)
+    return out
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", type=Path, required=True)
+    parser.add_argument("--change", type=Path, required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--parent-commit", default="")
+    parser.add_argument("--out", type=Path, required=True)
+    parser.add_argument("tasks", nargs="+", help='e.g. dressed "reflect-map --workers 2"')
+    args = parser.parse_args(argv)
+    if args.pairs < 2:  # quartiles need two runs a side
+        parser.error(f"at least 2 pairs are needed, got {args.pairs}")
+
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    wall = next(m for m in bench["end_to_end"] if m["name"] == "wall_s")
+    bounds = {"wall_s": (wall["bound"], wall["better"]), "cpu_s": (wall["bound"], wall["better"])}
+    checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+
+    tasks = {}
+    with tempfile.TemporaryDirectory(prefix="cli_pairs-") as tmp:
+        for n, task in enumerate(args.tasks):
+            entries = pairs(checkouts, task, args.pairs, Path(tmp) / str(n))
+            tasks[task] = {
+                "command": f"python -m lambdadet.cli --out DIR {task}",
+                "pairs": entries,
+                "outputs_identical_in_pairs": identical_outputs(entries),
+                "summary": summary(entries, bounds),
+            }
+    record = {
+        "method": "Alternating pairs of fresh-interpreter CLI runs: in even pairs the parent "
+                  "runs first, in odd pairs the change does. wall_s is the run's wall time, "
+                  "start-up included; cpu_s its RUSAGE_CHILDREN user + system time, spawned "
+                  "workers included. Quartiles are statistics.quantiles(n=4, "
+                  "method='inclusive'). Written by tools/cli_pairs.py.",
+        "parent_commit": args.parent_commit or "unknown",
+        "machine": {
+            "nproc": os.cpu_count(),
+            "cpus_usable": len(os.sched_getaffinity(0)),
+            "python": platform.python_version(),
+            "thread_env": {key: os.environ.get(key) for key in THREAD_VARIABLES},
+        },
+        "tasks": tasks,
+    }
+    args.out.write_text(json.dumps(record, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
