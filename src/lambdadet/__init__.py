@@ -10,7 +10,6 @@ single-photon detection efficiency, dark counts, and fast-reset protocol.
 from .config import (
     GridSpec,
     RunConfig,
-    default_config_text,
     load_config,
     parse_config,
     serialize_config,
@@ -37,7 +36,7 @@ from .dynamics import (
 )
 from .hilbert import ComplexOperator, HilbertSpace, build_space
 from .model import Frame, collapse_operators, hamiltonian_static
-from .params import SystemParams, paper_device
+from .params import SystemParams
 from .protocols import (
     CycleOutcome,
     DetectionOutcome,

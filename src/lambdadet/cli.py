@@ -1,7 +1,8 @@
 """Command-line front end: sweeps, single runs, calibration, rendering.
 
-All physics inputs come from the shared key-value config (see
-paper_device.cfg); the CLI only selects the task and the output location.
+All physics inputs come from the shared key-value config (its key table,
+``config._KEYS``, holds the paper's device and operating point); the CLI
+only selects the task and the output location.
 Outputs are deterministic CSVs (9 significant digits), so repeated runs and
 different worker counts produce byte-identical artifacts.
 """
@@ -56,10 +57,7 @@ def _load_config(path: str | None) -> cfgmod.RunConfig:
 def _calibrated_params(cfg: cfgmod.RunConfig):
     params = cfg.params
     if params.drive_power_to_rabi is None:
-        omega_d_cal = params.omega_ge - cfg.get("delta_drive")
-        constant = fit_drive_calibration(
-            params, omega_d_cal, cfg.get("calibration_anchor")
-        )
+        constant = fit_drive_calibration(params, cfg.omega_d, cfg.get("calibration_anchor"))
         params = params.with_calibration(constant)
     return params
 

@@ -1,4 +1,8 @@
-"""Flat key-value configuration shared by the CLI and the protocol defaults.
+"""Flat key-value configuration: device constants, operating point, grids.
+
+The key table ``_KEYS`` holds the paper's device constants and operating
+point; the library functions take them as arguments. The one copy left
+outside the table is ``ReadoutModel``'s default latch delay.
 
 Keys carry explicit unit suffixes (_GHz, _MHz, _ns, _dBm); the bare stem is
 also accepted with strict SI units (rad/s, seconds). Frequencies written with
@@ -11,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from importlib import resources
 from types import MappingProxyType
 
 import numpy as np
@@ -93,35 +96,41 @@ class _Key:
 
 
 _KEYS = [
-    # device constants
+    # parse_config("") runs these defaults; serialize_config writes them as a file
+    # device constants (renormalized frequencies)
     _Key("omega_ge", "GHz", "float", _ghz(5.508), lo=0.0),
     _Key("omega_r", "GHz", "float", _ghz(10.256), lo=0.0),
-    _Key("chi", "MHz", "float", _mhz(34.5), lo=0.0),
+    _Key("chi", "MHz", "float", _mhz(34.5), lo=0.0),  # half the dispersive pull 2*chi = 69 MHz
     _Key("kappa", "MHz", "float", _mhz(16.2793651), lo=0.0),  # omega_r / Q, Q ~ 630
     _Key("kappa_ext_ratio", None, "float", 0.964, lo=0.0, hi=1.0),
     _Key("gamma", "MHz", "float", _mhz(0.227364), lo=0.0),  # T1 ~ 0.7 us
     _Key("gamma_phi", "MHz", "float", 0.0, lo=0.0),
     _Key("init_excited_pop", None, "float", 0.008, lo=0.0, hi=1.0),
-    _Key("drive_power_to_rabi", None, "float", 0.0, lo=0.0),
+    _Key("drive_power_to_rabi", None, "float", 0.0, lo=0.0),  # 0 = fit at calibration_anchor
+    # drive-line amplitude noise (s): qubit flips at c * Omega**2
     _Key("drive_noise_per_rabi2", None, "float", 0.0, lo=0.0),
-    _Key("drive_dephasing_per_rabi2", None, "float", 9.95e-12, lo=0.0),  # anchored to the 0.014 dark count
+    # drive-line phase noise (s): dephasing at c * Omega**2, anchored to the 0.014 dark count
+    _Key("drive_dephasing_per_rabi2", None, "float", 9.95e-12, lo=0.0),
     # protocol operating point
-    _Key("delta_drive", "MHz", "float", _mhz(49.0), lo=0.0),
-    _Key("t_rise", "ns", "float", _ns(15.0), lo=0.0),
+    _Key("delta_drive", "MHz", "float", _mhz(49.0), lo=0.0),  # omega_ge - omega_d
+    _Key("t_rise", "ns", "float", _ns(15.0), lo=0.0),  # drive edges have FWHM 2 * t_rise
     _Key("t_s", "ns", "float", _ns(85.0), lo=0.0, lo_open=True),
     _Key("nbar_s", None, "float", 0.1, lo=0.0),
     _Key("signal_freq", "GHz", "float", _ghz(10.268), lo=0.0),
     _Key("drive_power", "dBm", "float", -75.5),
-    _Key("calibration_anchor", "dBm", "float", -75.7),
+    _Key("calibration_anchor", "dBm", "float", -75.7),  # balanced point kappa_41 = kappa_42
     # reset stage
     _Key("reset_freq", "GHz", "float", _ghz(10.162), lo=0.0),
     _Key("reset_power", "dBm", "float", -72.1),
     _Key("nbar_rst", None, "float", 43.0, lo=0.0),
+    # the 410 ns reset stage minus one t_rise per edge
     _Key("t_dr", "ns", "float", _ns(380.0), lo=0.0, lo_open=True),
-    # readout model and stage budget
+    # readout model and stage budget (the phase-locked oscillator is not simulated)
     _Key("readout_eps_ge", None, "float", 0.0, lo=0.0, hi=0.5, hi_open=True),
     _Key("readout_eps_eg", None, "float", 0.0, lo=0.0, hi=0.5, hi_open=True),
+    # readout pulse (60 ns) + t_delay2 until the pump locks
     _Key("readout_latch", "ns", "float", _ns(100.0), lo=0.0),
+    # t_delay2 + acquisition, for the repetition rate only
     _Key("readout_budget", "ns", "float", _ns(140.0), lo=0.0),
     # numerics
     _Key("n_max", None, "int", 3, lo=1),
@@ -132,7 +141,7 @@ _KEYS = [
     # input-power calibration
     _Key("pdiff_signal_power", "dBm", "float", -145.65),
     _Key("pdiff_delta_drive", "MHz", "float", _mhz(46.0), lo=0.0),
-    _Key("gamma_calibration", "MHz", "float", _mhz(0.174), lo=0.0),
+    _Key("gamma_calibration", "MHz", "float", _mhz(0.174), lo=0.0),  # T1 during the CW calibration
     # sweep grids
     _Key("reflect_pd_grid", "dBm", "grid", GridSpec(-80.0, -71.0, 19)),
     _Key("reflect_freq_grid", "GHz", "grid", GridSpec(_ghz(10.243), _ghz(10.293), 21)),
@@ -268,11 +277,6 @@ def load_config(path) -> "RunConfig":
         raise ConfigError(f"config file {path} is not UTF-8 text: {exc.reason} "
                           f"at byte {exc.start}") from None
     return parse_config(text)
-
-
-def default_config_text() -> str:
-    """Text of the bundled device file."""
-    return resources.files("lambdadet").joinpath("paper_device.cfg").read_text()
 
 
 def _display(key: _Key, value) -> str:

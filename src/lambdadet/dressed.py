@@ -18,8 +18,6 @@ from .hilbert import QUBIT_E, QUBIT_G, annihilation, build_space
 from .model import Frame, hamiltonian_static
 from .params import SystemParams
 
-DELTA_DRIVE_DEFAULT = 2.0 * np.pi * 49e6  # protocol drive detuning omega_ge - omega_d
-
 _ALLOWED_PAIRS = ((1, 4), (1, 3), (2, 4), (2, 3))
 
 
@@ -172,17 +170,12 @@ def matching_amplitude(
     return float(rabi_star)
 
 
-def fit_drive_calibration(
-    params: SystemParams,
-    omega_d: float | None = None,
-    anchor_dbm: float = -75.7,
-) -> float:
+def fit_drive_calibration(params: SystemParams, omega_d: float, anchor_dbm: float) -> float:
     """Calibration constant c with Omega = c * 10**(P_dBm/20).
 
-    Anchored so that the impedance-matched amplitude at the protocol drive
-    detuning corresponds to ``anchor_dbm``.
+    Anchored so that the impedance-matched amplitude of a drive at
+    ``omega_d`` corresponds to ``anchor_dbm`` (the config's
+    ``calibration_anchor`` at its ``omega_d``).
     """
-    if omega_d is None:
-        omega_d = params.omega_ge - DELTA_DRIVE_DEFAULT
     rabi_star = matching_amplitude(params, omega_d)
     return float(rabi_star / 10.0 ** (anchor_dbm / 20.0))

@@ -42,7 +42,6 @@ from .hilbert import (
 from .model import (
     Frame,
     collapse_operators,
-    drive_noise_channels,
     drive_quadratures,
     hamiltonian_static,
     input_quadratures,
@@ -232,15 +231,23 @@ class Superoperators:
         Tone k sits at omega_s[k] with sqrt(kappa_ext) times its amplitude
         equal to input_amp[k], in the frame (omega_d, omega_s[k]). Equals
         ``liouvillian`` of ``hamiltonian_static`` plus input_amp[k] P, with
-        ``collapse_operators`` and ``drive_noise_channels``.
+        ``collapse_operators`` and ``drive_noise_channels``: the drive-line
+        noise is the record's unit-rate ``flip_up``, ``flip_down`` and
+        ``dephasing`` at the channels' rates, added in the channels' order.
         """
         if rabi < 0:
             raise ValueError("rabi must be >= 0")
         omega_s = np.asarray(omega_s, dtype=float)
+        p = self.params
         base = self.dissipators
-        for op, rate in drive_noise_channels(self.params, self.space, rabi):
-            base = base + _dissipator_superop(op.matrix, rate)
         if rabi > 0:
+            flip_rate = p.drive_noise_per_rabi2 * rabi * rabi
+            if flip_rate > 0:
+                base = base + flip_rate * self.flip_up
+                base = base + flip_rate * self.flip_down
+            deph_rate = p.drive_dephasing_per_rabi2 * rabi * rabi
+            if deph_rate > 0:
+                base = base + deph_rate * self.dephasing
             base = base + (rabi / 2.0) * self.drive[0]
         sups = np.empty((len(omega_s),) + base.shape, dtype=complex)
         sups[:] = base
@@ -248,7 +255,6 @@ class Superoperators:
         rows, cols = np.nonzero(self.input[0])
         amps = np.asarray(input_amp, dtype=float)[:, None]
         sups[:, rows, cols] = amps * self.input[0][rows, cols]
-        p = self.params
         h_diag = (
             (p.omega_ge - omega_d) * self.n_q
             + (p.omega_r - omega_s[:, None]) * self.n_ph

@@ -119,10 +119,3 @@ class SystemParams:
                 f"got (omega_ge - omega_d)/2pi = {detuning / TWO_PI / 1e6:.3f} MHz "
                 f"with 2*chi/2pi = {2 * self.chi / TWO_PI / 1e6:.3f} MHz"
             )
-
-
-def paper_device() -> SystemParams:
-    """Measured device constants bundled with the package."""
-    from .config import parse_config
-
-    return parse_config("").params

@@ -51,7 +51,6 @@ from .pulses import (
 from .sweep import fan_out, grid_argmin, increasing_grids, parallel_map
 
 FOCK_CONVERGENCE_TOL = 1e-3
-READOUT_BUDGET_DEFAULT = 140e-9  # t_delay2 + acquisition, rate bookkeeping only
 
 
 @dataclass(frozen=True)
@@ -465,7 +464,7 @@ def reset_run(
     opts: IntegratorOptions = IntegratorOptions(),
     n_max: int = 3,
     detect_stage: float,
-    readout_stage: float = READOUT_BUDGET_DEFAULT,
+    readout_stage: float,
 ) -> ResetOutcome:
     """Reset protocol: optional instant pi pulse, then drive + reset tone.
 
@@ -585,7 +584,7 @@ def full_cycle(
     *,
     opts: IntegratorOptions = IntegratorOptions(),
     n_max: int = 3,
-    readout_stage: float = READOUT_BUDGET_DEFAULT,
+    readout_stage: float,
 ) -> CycleOutcome:
     """Reset stage followed by detection on the post-reset state.
 

@@ -29,8 +29,7 @@ ROLE_RESET = "reset"
 ROLE_PI = "pi"
 ROLE_READOUT_MARKER = "readout_marker"
 
-# drive plateau covering rule and edge smoothing used throughout the protocol
-T_RISE_DEFAULT = 15e-9
+# drive plateau covering rule used throughout the protocol
 DRIVE_LENGTH_SLOPE = 1.5
 DRIVE_LENGTH_OFFSET = 50e-9
 
@@ -137,13 +136,13 @@ def gaussian_signal(nbar: float, t_s: float, center: float, carrier: float) -> P
 
 
 def flat_top_drive(
-    rabi: float, plateau: float, center: float, carrier: float, t_rise: float = T_RISE_DEFAULT
+    rabi: float, plateau: float, center: float, carrier: float, t_rise: float
 ) -> PulseEnvelope:
     return PulseEnvelope(KIND_FLAT_TOP, center, plateau, 2.0 * t_rise, rabi, carrier)
 
 
 def flat_top_input(
-    nbar: float, plateau: float, center: float, carrier: float, t_rise: float = T_RISE_DEFAULT
+    nbar: float, plateau: float, center: float, carrier: float, t_rise: float
 ) -> PulseEnvelope:
     """Flat-top resonator input carrying nbar photons in total."""
     sigma = 2.0 * t_rise * SIGMA_PER_FWHM
@@ -189,7 +188,7 @@ class DetectionSettings:
     t_s: float
     nbar_s: float
     omega_d: float
-    t_rise: float = T_RISE_DEFAULT
+    t_rise: float
 
     @property
     def stage(self) -> float:
@@ -208,7 +207,7 @@ class ResetSettings:
     nbar_rst: float
     t_dr: float
     omega_d: float
-    t_rise: float = T_RISE_DEFAULT
+    t_rise: float
 
     @property
     def stage(self) -> float:
@@ -281,6 +280,6 @@ def reset_schedule(
     return PulseSchedule(tuple(entries), Frame(s.omega_d, s.omega_rst), duration)
 
 
-def stage_duration(t_plateau: float, t_rise: float = T_RISE_DEFAULT) -> float:
+def stage_duration(t_plateau: float, t_rise: float) -> float:
     """Nominal stage duration bookkeeping: plateau plus one t_rise per edge."""
     return t_plateau + 2.0 * t_rise

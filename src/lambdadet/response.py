@@ -218,8 +218,6 @@ class _PowerScan(NamedTuple):
 
 
 def _power_scan(params, omega_d, power_halfspan_db, power_points) -> _PowerScan:
-    if omega_d is None:
-        omega_d = params.omega_ge - TWO_PI * 46e6
     params.check_nesting(omega_d)
     rabi_star = matching_amplitude(params, omega_d)
     anchor_dbm = 20.0 * math.log10(rabi_star / params.require_calibration())
@@ -233,8 +231,8 @@ def _power_scan(params, omega_d, power_halfspan_db, power_points) -> _PowerScan:
 
 def pdiff_spectrum(
     params: SystemParams,
-    omega_d: float | None = None,
-    signal_power_dbm: float = -145.65,
+    omega_d: float,
+    signal_power_dbm: float,
     *,
     power_halfspan_db: float = 6.0,
     power_points: int = 25,
@@ -249,7 +247,9 @@ def pdiff_spectrum(
     chip). Each branch is minimized over a (P_d, omega_s) window centered on
     its dressed transition; P_diff is the dip separation along P_d in dB,
     which only involves drive-amplitude ratios and therefore does not depend
-    on the dBm calibration constant. ``scan``, which a caller scanning
+    on the dBm calibration constant. The config's ``pdiff_delta_drive`` and
+    ``pdiff_signal_power`` hold the paper's drive detuning and signal
+    power. ``scan``, which a caller scanning
     several signal powers builds once, holds the power grid of ``omega_d``,
     ``power_halfspan_db`` and ``power_points`` and takes their place.
     """
@@ -298,7 +298,7 @@ class _Converged(Exception):
 
 def calibrate_signal_power(
     params: SystemParams,
-    omega_d: float | None = None,
+    omega_d: float,
     target_db: float = 6.0,
     tol_db: float = 0.05,
     bracket_dbm=(-150.0, -141.0),

@@ -148,13 +148,14 @@ def fan_out(fn, rows, n_cols: int, workers: int = 1, lead: int = 0):
 
 
 def parabolic_refine(xs: np.ndarray, ys: np.ndarray, i: int):
-    """Vertex of the parabola through (x, y) at i-1, i, i+1; falls back to i."""
+    """Vertex of the parabola through (x, y) at i-1, i, i+1; falls back to i
+    at an edge, on a triple with a non-finite y and on a non-convex triple."""
     if i == 0 or i == len(xs) - 1:
         return xs[i], ys[i]
     x0, x1, x2 = xs[i - 1], xs[i], xs[i + 1]
     y0, y1, y2 = ys[i - 1], ys[i], ys[i + 1]
     denom = (y0 - 2.0 * y1 + y2)
-    if denom <= 0:
+    if not all(map(math.isfinite, (y0, y1, y2))) or denom <= 0:
         return xs[i], ys[i]
     # uniform-spacing vertex formula is exact enough for near-uniform grids
     shift = 0.5 * (y0 - y2) / denom

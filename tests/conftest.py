@@ -5,7 +5,6 @@ import pytest
 
 from lambdadet.config import parse_config
 from lambdadet.dressed import fit_drive_calibration
-from lambdadet.pulses import DetectionSettings, ResetSettings
 
 TWO_PI = 2.0 * np.pi
 
@@ -17,14 +16,23 @@ def cfg():
 
 @pytest.fixture(scope="session")
 def params(cfg):
-    """Bundled device constants with the fitted dBm calibration."""
+    """The config's device constants with the dBm calibration the CLI fits."""
     base = cfg.params
-    return base.with_calibration(fit_drive_calibration(base))
+    return base.with_calibration(
+        fit_drive_calibration(base, cfg.omega_d, cfg.get("calibration_anchor"))
+    )
 
 
 @pytest.fixture(scope="session")
 def omega_d(cfg):
     return cfg.omega_d
+
+
+@pytest.fixture(scope="session")
+def pdiff_omega_d(cfg):
+    """The drive of the P_diff calibration, as the CLI's ``calibrate`` runs
+    it: 46 MHz below omega_ge."""
+    return cfg.get("omega_ge") - cfg.get("pdiff_delta_drive")
 
 
 @pytest.fixture(scope="session")
@@ -40,23 +48,19 @@ def clean_params(params):
 
 @pytest.fixture(scope="session")
 def detect(params, cfg):
-    """The paper's detection point: -75.5 dBm, 85 ns, nbar_s = 0.1."""
-    return DetectionSettings(
-        rabi=params.rabi_of_dbm(-75.5),
-        omega_s=cfg.get("signal_freq"),
-        t_s=85e-9,
-        nbar_s=0.1,
-        omega_d=cfg.omega_d,
-    )
+    """The paper's detection point, as the CLI runs it: -75.5 dBm, 85 ns,
+    nbar_s = 0.1."""
+    return cfg.detection_settings(params)
 
 
 @pytest.fixture(scope="session")
 def reset(params, cfg):
-    """The paper's reset point: -72.1 dBm, 43 photons over 380 ns."""
-    return ResetSettings(
-        rabi_dr=params.rabi_of_dbm(-72.1),
-        omega_rst=cfg.get("reset_freq"),
-        nbar_rst=43.0,
-        t_dr=380e-9,
-        omega_d=cfg.omega_d,
-    )
+    """The paper's reset point, as the CLI runs it: -72.1 dBm, 43 photons
+    over 380 ns."""
+    return cfg.reset_settings(params)
+
+
+@pytest.fixture(scope="session")
+def readout_stage(cfg):
+    """The readout budget of the repetition rate (140 ns)."""
+    return cfg.get("readout_budget")

@@ -306,8 +306,9 @@ def reset_map_result(params, reset):
     return reset_map(params, reset, pd, freqs, opts=OPTS, workers=WORKERS)
 
 
-def test_criterion_8_reset(params, detect, reset, reset_map_result):
-    out = reset_run(params, reset, opts=OPTS, detect_stage=detect.stage)
+def test_criterion_8_reset(params, detect, reset, readout_stage, reset_map_result):
+    out = reset_run(params, reset, opts=OPTS, detect_stage=detect.stage,
+                    readout_stage=readout_stage)
     assert out.p_e_after_reset <= 0.03
     assert out.p_e_no_reset == pytest.approx(0.49, abs=0.05)
     assert out.p_e_no_reset / out.p_e_after_reset > 10.0
@@ -325,7 +326,7 @@ def test_criterion_8_reset(params, detect, reset, reset_map_result):
     assert p_cut == pytest.approx(-72.1, abs=0.5)
 
     # full cycle timing and post-reset efficiency
-    cycle = full_cycle(params, detect, reset, opts=OPTS)
+    cycle = full_cycle(params, detect, reset, opts=OPTS, readout_stage=readout_stage)
     assert cycle.period == pytest.approx(760e-9, abs=50e-9)
     assert cycle.rate == pytest.approx(1.3e6, rel=0.07)
     assert abs(cycle.eta_after_reset - cycle.eta_fresh) <= 0.02
@@ -360,14 +361,14 @@ def test_criterion_8_reset_map_argmin(reset_map_result):
     )
 
 
-def test_criterion_9_pdiff_calibration(params, cfg):
+def test_criterion_9_pdiff_calibration(params, cfg, pdiff_omega_d):
     cal = calibration_params(params, cfg.get("gamma_calibration"))
 
     # monotone growth with signal power
     ladder = [-151.0, -148.0, -145.65, -143.5]
     values = [
         pdiff_spectrum(
-            cal, signal_power_dbm=ps, power_points=17, freq_points=15,
+            cal, pdiff_omega_d, ps, power_points=17, freq_points=15,
             power_halfspan_db=7.0,
         ).p_diff_db
         for ps in ladder
@@ -376,7 +377,7 @@ def test_criterion_9_pdiff_calibration(params, cfg):
 
     # weak-signal lossless limit
     ideal = dataclasses.replace(cal, kappa_ext_ratio=1.0, gamma=TWO_PI * 1e4)
-    weak = pdiff_spectrum(ideal, signal_power_dbm=-195.0)
+    weak = pdiff_spectrum(ideal, pdiff_omega_d, -195.0)
     assert weak.p_diff_db < 0.25
     report(
         9,
@@ -398,9 +399,9 @@ def test_criterion_9_pdiff_calibration(params, cfg):
         "input."
     ),
 )
-def test_criterion_9_pdiff_central_value(params, cfg):
+def test_criterion_9_pdiff_central_value(params, cfg, pdiff_omega_d):
     cal = calibration_params(params, cfg.get("gamma_calibration"))
-    res = pdiff_spectrum(cal, signal_power_dbm=-145.65)
+    res = pdiff_spectrum(cal, pdiff_omega_d, cfg.get("pdiff_signal_power"))
     assert res.p_diff_db == pytest.approx(6.0, abs=0.4)
 
 

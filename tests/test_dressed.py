@@ -87,11 +87,8 @@ def test_zero_drive_rates(params, omega_d):
 
 @settings(max_examples=30, deadline=None)
 @given(rabi=st.floats(min_value=1e5, max_value=2e9))
-def test_sum_rule_property(rabi):
-    from lambdadet.params import paper_device
-
-    params = paper_device()
-    omega_d = params.omega_ge - TWO_PI * 49e6
+def test_sum_rule_property(cfg, rabi):
+    params, omega_d = cfg.params, cfg.omega_d
     rates = raman_rates(dressed_states(params, omega_d, rabi), params)
     assert rates.k31 + rates.k32 == pytest.approx(params.kappa, rel=1e-9)
     assert rates.k41 + rates.k42 == pytest.approx(params.kappa, rel=1e-9)

@@ -154,23 +154,25 @@ class TestPhotonNumberScan:
 
 
 class TestReset:
-    def test_reset_outcome_fields(self, params, reset, detect):
-        out = reset_run(params, reset, opts=OPTS, detect_stage=detect.stage)
+    def test_reset_outcome_fields(self, params, reset, detect, readout_stage):
+        out = reset_run(params, reset, opts=OPTS, detect_stage=detect.stage,
+                        readout_stage=readout_stage)
         assert 0.0 <= out.p_e_after_reset <= 1.0
         assert out.reset_stage == pytest.approx(410e-9)
         assert out.period == pytest.approx(410e-9 + 207.5e-9 + 140e-9)
         assert out.rate == pytest.approx(1.0 / out.period)
 
-    def test_reset_without_pi_equivalent(self, params, reset, detect):
-        kw = dict(opts=OPTS, detect_stage=detect.stage)
+    def test_reset_without_pi_equivalent(self, params, reset, detect, readout_stage):
+        kw = dict(opts=OPTS, detect_stage=detect.stage, readout_stage=readout_stage)
         with_pi = reset_run(params, reset, True, **kw)
         without = reset_run(params, reset, False, **kw)
         assert abs(with_pi.p_e_after_reset - without.p_e_after_reset) < 0.01
 
-    def test_zero_drive_free_decay_only(self, clean_params, reset, detect):
+    def test_zero_drive_free_decay_only(self, clean_params, reset, detect, readout_stage):
         """Without the drive the excited state only relaxes with T1."""
         idle = dataclasses.replace(reset, rabi_dr=0.0, nbar_rst=0.0)
-        out = reset_run(clean_params, idle, opts=OPTS, detect_stage=detect.stage)
+        out = reset_run(clean_params, idle, opts=OPTS, detect_stage=detect.stage,
+                        readout_stage=readout_stage)
         sigma_e = 2 * 15e-9 / (2 * math.sqrt(2 * math.log(2)))
         t_click = 4 * sigma_e + 380e-9 + 15e-9 + 100e-9
         assert out.p_e_after_reset == pytest.approx(
@@ -179,14 +181,14 @@ class TestReset:
 
 
 class TestFullCycle:
-    def test_reset_drive_outside_nesting_raises(self, params, detect, reset):
+    def test_reset_drive_outside_nesting_raises(self, params, detect, reset, readout_stage):
         """The cycle checks its reset drive as ``reset_run`` does."""
         bad = dataclasses.replace(reset, omega_d=params.omega_ge - 3 * params.chi)
         with pytest.raises(LambdaModeError):
-            full_cycle(params, detect, bad, opts=OPTS)
+            full_cycle(params, detect, bad, opts=OPTS, readout_stage=readout_stage)
 
     def test_detection_drive_outside_nesting_raises_before_propagating(
-        self, params, detect, reset, monkeypatch
+        self, params, detect, reset, readout_stage, monkeypatch
     ):
         def no_propagation(*args, **kwargs):
             raise AssertionError("propagate_batch ran before the nesting check")
@@ -194,23 +196,24 @@ class TestFullCycle:
         monkeypatch.setattr(protocols, "propagate_batch", no_propagation)
         bad = dataclasses.replace(detect, omega_d=params.omega_ge - 3 * params.chi)
         with pytest.raises(LambdaModeError):
-            full_cycle(params, bad, reset, opts=OPTS)
+            full_cycle(params, bad, reset, opts=OPTS, readout_stage=readout_stage)
 
-    def test_fock_check_flags_a_low_cutoff(self, params, detect, reset):
+    def test_fock_check_flags_a_low_cutoff(self, params, detect, reset, readout_stage):
         """At n_max = 1 the cutoff check of the cycle flags, so
         ``cycle --strict`` can fail."""
         opts = dataclasses.replace(OPTS, fock_convergence=True)
-        out = full_cycle(params, detect, reset, opts=opts, n_max=1)
+        out = full_cycle(params, detect, reset, opts=opts, n_max=1, readout_stage=readout_stage)
         assert out.flags.startswith("fock-unconverged:cycle_p_e:")
 
     @pytest.mark.parametrize("max_step", [0.2e-9, 0.5e-9])
-    def test_coarse_steps_pass_the_checks(self, params, detect, reset, cycle_fine_reference,
-                                          max_step):
+    def test_coarse_steps_pass_the_checks(self, params, detect, reset, readout_stage,
+                                          cycle_fine_reference, max_step):
         """Each stage runs in a frame where its strong tone is static, so
         coarse steps pass every per-sample check and land on the click of
         the fine 0.1 ns reference run. In one frame both steps break
         positivity."""
-        out = full_cycle(params, detect, reset, opts=IntegratorOptions(max_step=max_step))
+        out = full_cycle(params, detect, reset, opts=IntegratorOptions(max_step=max_step),
+                         readout_stage=readout_stage)
         assert abs(out.p_e_after_reset - cycle_fine_reference.p_e_after_reset) <= 1e-6
         assert abs(out.eta_after_reset - cycle_fine_reference.eta_after_reset) <= 1e-6
 
@@ -255,10 +258,10 @@ class TestRowBatches:
             assert abs(emap.p_dark[0, j] - dark.p_dark) <= 1e-12
             assert abs(emap.eta[0, j] - alone.eta) <= 1e-12
 
-    def test_reset_row_matches_single_runs(self, params, reset, detect):
+    def test_reset_row_matches_single_runs(self, params, reset, detect, readout_stage):
         freqs = 2 * np.pi * np.array([10.159e9, 10.165e9])
         rmap = reset_map(params, reset, [-72.1], freqs, opts=OPTS)
-        kw = dict(opts=OPTS, detect_stage=detect.stage)
+        kw = dict(opts=OPTS, detect_stage=detect.stage, readout_stage=readout_stage)
         baseline = reset_run(params, dataclasses.replace(reset, omega_rst=freqs[0]), **kw)
         assert abs(rmap.p_e_no_reset[0] - baseline.p_e_no_reset) <= 1e-12
         for j, omega_rst in enumerate(freqs):
@@ -411,10 +414,11 @@ def _dop853_click(params, sched, n_max=3, readout=ReadoutModel()):
 
 
 @pytest.fixture(scope="module")
-def cycle_fine_reference(params, detect, reset):
+def cycle_fine_reference(params, detect, reset, readout_stage):
     """``full_cycle`` at the paper's point and a fine 0.1 ns step, the
     reference run of the coarse-step tests."""
-    return full_cycle(params, detect, reset, opts=IntegratorOptions(max_step=0.1e-9))
+    return full_cycle(params, detect, reset, opts=IntegratorOptions(max_step=0.1e-9),
+                      readout_stage=readout_stage)
 
 
 @pytest.fixture(scope="module")
@@ -467,20 +471,21 @@ class TestStepBudget:
         references = {"signal": signal, "dark": dark, "eta": (signal - dark) / vacuum}
         _check_step_budget("detection_run", quantities, references, capsys)
 
-    def test_reset(self, params, detect, reset, dop853_clicks, capsys):
+    def test_reset(self, params, detect, reset, readout_stage, dop853_clicks, capsys):
         def quantities(opts):
-            out = reset_run(params, reset, opts=opts, detect_stage=detect.stage)
+            out = reset_run(params, reset, opts=opts, detect_stage=detect.stage,
+                            readout_stage=readout_stage)
             return {"reset": out.p_e_after_reset, "no-reset baseline": out.p_e_no_reset}
 
         references = {"reset": dop853_clicks["reset"],
                       "no-reset baseline": dop853_clicks["reset baseline"]}
         _check_step_budget("reset_run", quantities, references, capsys)
 
-    def test_cycle(self, params, detect, reset, dop853_clicks, capsys):
+    def test_cycle(self, params, detect, reset, readout_stage, dop853_clicks, capsys):
         vacuum = 1.0 - math.exp(-detect.nbar_s)
 
         def quantities(opts):
-            out = full_cycle(params, detect, reset, opts=opts)
+            out = full_cycle(params, detect, reset, opts=opts, readout_stage=readout_stage)
             return {
                 "signal": out.p_e_after_reset + out.eta_after_reset * vacuum,
                 "dark": out.p_e_after_reset,
@@ -508,8 +513,9 @@ class TestSinglePointBatches:
         assert out.p_e == _click_alone(params, detection_schedule(params, detect), OPTS)
         assert out.p_dark == _click_alone(params, detection_schedule(params, dark), OPTS)
 
-    def test_reset_and_baseline(self, params, reset, detect):
-        out = reset_run(params, reset, opts=OPTS, detect_stage=detect.stage)
+    def test_reset_and_baseline(self, params, reset, detect, readout_stage):
+        out = reset_run(params, reset, opts=OPTS, detect_stage=detect.stage,
+                        readout_stage=readout_stage)
         baseline = dataclasses.replace(reset, nbar_rst=0.0)
         assert out.p_e_after_reset == _click_alone(params, reset_schedule(params, reset), OPTS)
         assert out.p_e_no_reset == _click_alone(params, reset_schedule(params, baseline), OPTS)

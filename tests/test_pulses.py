@@ -62,8 +62,8 @@ def test_flat_top_continuity():
 
 def test_auto_drive_length():
     assert auto_drive_length(85e-9) == pytest.approx(177.5e-9)
-    assert stage_duration(auto_drive_length(85e-9)) == pytest.approx(207.5e-9)
-    assert stage_duration(380e-9) == pytest.approx(410e-9)
+    assert stage_duration(auto_drive_length(85e-9), 15e-9) == pytest.approx(207.5e-9)
+    assert stage_duration(380e-9, 15e-9) == pytest.approx(410e-9)
 
 
 def test_detection_schedule_layout(params, cfg, detect):

@@ -193,7 +193,7 @@ class TestPdiff:
         flux = signal_flux_of_dbm(-145.65, TWO_PI * 10.23e9)
         assert flux == pytest.approx(4.0e5, rel=0.02)
 
-    def test_weak_signal_lossless_limit(self, clean_params):
+    def test_weak_signal_lossless_limit(self, clean_params, pdiff_omega_d):
         """Both dips coincide without internal loss at vanishing signal.
 
         The linear-response regime needs the photon flux well below the
@@ -203,39 +203,40 @@ class TestPdiff:
         p = dataclasses.replace(
             clean_params, kappa_ext_ratio=1.0, gamma=TWO_PI * 1e4
         )
-        res = pdiff_spectrum(p, signal_power_dbm=-195.0)
+        res = pdiff_spectrum(p, pdiff_omega_d, -195.0)
         assert res.p_diff_db < 0.25
 
-    def test_monotone_in_signal_power(self, params, cfg):
+    def test_monotone_in_signal_power(self, params, cfg, pdiff_omega_d):
         cal = calibration_params(params, cfg.get("gamma_calibration"))
         ladder = [-151.0, -148.0, -145.65, -143.5]
         values = [
             pdiff_spectrum(
-                cal, signal_power_dbm=ps, power_points=17, freq_points=15,
+                cal, pdiff_omega_d, ps, power_points=17, freq_points=15,
                 power_halfspan_db=7.0,
             ).p_diff_db
             for ps in ladder
         ]
         assert all(b > a for a, b in zip(values, values[1:]))
 
-    def test_unresolved_dips_error(self, params, cfg):
+    def test_unresolved_dips_error(self, params, cfg, pdiff_omega_d):
         cal = calibration_params(params, cfg.get("gamma_calibration"))
         with pytest.raises(DipResolutionError):
             # window too narrow to contain the strongly separated dips
             pdiff_spectrum(
-                cal, signal_power_dbm=-138.0, power_halfspan_db=1.5, power_points=7
+                cal, pdiff_omega_d, -138.0, power_halfspan_db=1.5, power_points=7
             )
 
-    def test_shared_power_scan_gives_the_same_result(self, params, cfg):
+    def test_shared_power_scan_gives_the_same_result(self, params, cfg, pdiff_omega_d):
         cal = calibration_params(params, cfg.get("gamma_calibration"))
-        alone = pdiff_spectrum(cal, signal_power_dbm=-145.65, power_points=17, freq_points=15)
-        scan = response._power_scan(cal, None, 6.0, 17)
-        assert pdiff_spectrum(cal, None, -145.65, freq_points=15, scan=scan) == alone
+        p_s = cfg.get("pdiff_signal_power")
+        alone = pdiff_spectrum(cal, pdiff_omega_d, p_s, power_points=17, freq_points=15)
+        scan = response._power_scan(cal, pdiff_omega_d, 6.0, 17)
+        assert pdiff_spectrum(cal, pdiff_omega_d, p_s, freq_points=15, scan=scan) == alone
 
-    def test_dip_frequencies_match_reported_cross_sections(self, params, cfg):
+    def test_dip_frequencies_match_reported_cross_sections(self, params, cfg, pdiff_omega_d):
         """The two branch dips sit at the reported 10.227 / 10.262 GHz."""
         cal = calibration_params(params, cfg.get("gamma_calibration"))
-        res = pdiff_spectrum(cal, signal_power_dbm=-145.65)
+        res = pdiff_spectrum(cal, pdiff_omega_d, cfg.get("pdiff_signal_power"))
         assert res.omega_dip3 == pytest.approx(TWO_PI * 10.227e9, abs=TWO_PI * 3e6)
         assert res.omega_dip4 == pytest.approx(TWO_PI * 10.262e9, abs=TWO_PI * 3e6)
 
@@ -249,7 +250,8 @@ def _cubic(p_s):
 @pytest.fixture
 def fake_pdiff(monkeypatch):
     """Replaces pdiff_spectrum by a synthetic P_diff, and the power scan it
-    would share by nothing; returns the powers it saw."""
+    would share by nothing; returns the powers it saw. The calibration's
+    params and drive frequency then go unused, and the tests pass None."""
     calls = []
 
     def install(p_diff):
@@ -267,7 +269,7 @@ def fake_pdiff(monkeypatch):
 class TestCalibrateSignalPower:
     def test_stops_at_the_first_power_within_tol(self, fake_pdiff):
         calls = fake_pdiff(_cubic)
-        cal = calibrate_signal_power(None)
+        cal = calibrate_signal_power(None, None)
         # bisection on the same bracket evaluates 7 powers
         assert calls == pytest.approx([-150.0, -141.0, -147.2182, -146.8449, -146.3701], abs=1e-4)
         assert cal.p_s_dbm == calls[-1]
@@ -280,13 +282,13 @@ class TestCalibrateSignalPower:
     @pytest.mark.parametrize("end, n_calls", [(-150.0, 1), (-141.0, 2)])
     def test_a_bracket_end_within_tol_is_returned(self, fake_pdiff, end, n_calls):
         calls = fake_pdiff(lambda p_s: 6.0 + 0.3 * (p_s - end))
-        cal = calibrate_signal_power(None)
+        cal = calibrate_signal_power(None, None)
         assert len(calls) == n_calls
         assert (cal.p_s_dbm, cal.p_diff_db, cal.flags) == (end, 6.0, "")
 
     def test_xtol_fallback_returns_the_best_evaluated_point(self, fake_pdiff):
         calls = fake_pdiff(_cubic)
-        cal = calibrate_signal_power(None, tol_db=1e-9)
+        cal = calibrate_signal_power(None, None, tol_db=1e-9)
         residuals = [_cubic(p) - 6.0 for p in calls]
         best = min(range(len(calls)), key=lambda k: abs(residuals[k]))
         assert best != len(calls) - 1  # the last power is not the closest one
@@ -306,26 +308,26 @@ class TestCalibrateSignalPower:
 
         monkeypatch.setattr(response, "_power_scan", scan)
         monkeypatch.setattr(response, "pdiff_spectrum", fake)
-        calibrate_signal_power(None)
+        calibrate_signal_power(None, None)
         assert scans == [(None, None, 8.0, 33)] and seen == ["scan"] * 5
 
     @pytest.mark.parametrize("bracket", [(-141.0, -150.0), (-146.0, -146.0), (math.nan, -141.0)])
     def test_empty_bracket(self, fake_pdiff, bracket):
         calls = fake_pdiff(_cubic)
         with pytest.raises(DipResolutionError, match="empty"):
-            calibrate_signal_power(None, bracket_dbm=bracket)
+            calibrate_signal_power(None, None, bracket_dbm=bracket)
         assert calls == []
 
     @pytest.mark.parametrize("shift", [-20.0, 20.0])
     def test_bracket_that_does_not_straddle(self, fake_pdiff, shift):
         fake_pdiff(lambda p_s: _cubic(p_s) + shift)
         with pytest.raises(DipResolutionError, match="does not straddle"):
-            calibrate_signal_power(None)
+            calibrate_signal_power(None, None)
 
     @pytest.mark.parametrize("bad_end", [-150.0, -141.0])
     @pytest.mark.parametrize("bad_value", [math.nan, math.inf])
     def test_non_finite_pdiff_at_a_bracket_end(self, fake_pdiff, bad_end, bad_value):
         calls = fake_pdiff(lambda p_s: bad_value if p_s == bad_end else _cubic(p_s))
         with pytest.raises(DipResolutionError, match="not finite"):
-            calibrate_signal_power(None)
+            calibrate_signal_power(None, None)
         assert calls[-1] == bad_end

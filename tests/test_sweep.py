@@ -91,6 +91,18 @@ def test_grid_argmin_refines_each_axis():
     assert (i, j, x_row, y_row) == (1, 2, rows[1], -values[1, 2])
 
 
+def test_grid_argmin_falls_back_beside_a_failed_point():
+    """A NaN neighbour of the minimum leaves that axis at the grid point;
+    the other axis is still refined."""
+    values = np.array([[3.0, 2.0, 3.0], [2.0, 1.0, np.nan], [3.0, 2.0, 3.0]])
+    (i, j), row_vertex, col_vertex = grid_argmin(
+        values, [0.0, 1.0, 2.0], [10.0, 11.0, 12.0], ValueError, []
+    )
+    assert (i, j) == (1, 1)
+    assert row_vertex == (1.0, 1.0)
+    assert col_vertex == (11.0, 1.0)
+
+
 def test_grid_argmin_all_nan_raises():
     with pytest.raises(IntegrationError, match=r"first failure at \(0, -1\): boom"):
         grid_argmin(np.full((2, 2), np.nan), [0, 1], [0, 1], IntegrationError, [(0, -1, "boom")])
