@@ -184,8 +184,9 @@ def cmd_calibrate(cfg, params, args, out_dir):
 
 
 def _options(cfg):
-    """The integrator options and Fock cutoff every protocol call takes."""
-    return dict(opts=cfg.integrator_options(), n_max=cfg.get("n_max"))
+    """The readout model, integrator options and Fock cutoff every protocol
+    call takes."""
+    return dict(readout=cfg.readout_model(), opts=cfg.integrator_options(), n_max=cfg.get("n_max"))
 
 
 def _sweep_options(cfg, args):
@@ -195,9 +196,9 @@ def _sweep_options(cfg, args):
 def cmd_detect(cfg, params, args, out_dir):
     settings = cfg.detection_settings(params)
     if args.trace_out:
-        outcome, traj = detection_trace(params, settings, cfg.readout_model(), **_options(cfg))
+        outcome, traj = detection_trace(params, settings, **_options(cfg))
     else:
-        outcome = detection_run(params, settings, cfg.readout_model(), **_options(cfg))
+        outcome = detection_run(params, settings, **_options(cfg))
     header, rows, flags = _outcome_table(DetectionOutcome, [outcome])
     _write_csv(out_dir / "detect.csv", header, rows)
     print(
@@ -221,7 +222,6 @@ def cmd_detect_map(cfg, params, args, out_dir):
         cfg.detection_settings(params),
         cfg.get("detect_pd_grid").values(),
         cfg.get("detect_freq_grid").values(),
-        cfg.readout_model(),
         **_sweep_options(cfg, args),
     )
     rows = _grid_rows(
@@ -252,7 +252,6 @@ def cmd_scan(name, t_s_key, nbar_key, cfg, params, args, out_dir):
         base,
         cfg.get(t_s_key),
         cfg.get(nbar_key) if nbar_key else (base.nbar_s,),
-        cfg.readout_model(),
         **_sweep_options(cfg, args),
     )
     header, rows, flags = _outcome_table(DetectionOutcome, outcomes)
@@ -269,7 +268,6 @@ def cmd_dark(cfg, params, args, out_dir):
         params,
         cfg.detection_settings(params),
         [params.rabi_of_dbm(p_dbm) for p_dbm in grid],
-        cfg.readout_model(),
         **_options(cfg),
     )
     rows = [[p_dbm, o.p_dark] for p_dbm, o in zip(grid, outcomes)]
@@ -282,7 +280,6 @@ def cmd_reset(cfg, params, args, out_dir):
         params,
         cfg.reset_settings(params),
         not args.no_pi,
-        cfg.readout_model(),
         detect_stage=cfg.detection_settings(params).stage,
         readout_stage=cfg.get("readout_budget"),
         **_options(cfg),
@@ -303,7 +300,6 @@ def cmd_reset_map(cfg, params, args, out_dir):
         cfg.reset_settings(params),
         cfg.get("reset_pd_grid").values(),
         cfg.get("reset_freq_grid").values(),
-        cfg.readout_model(),
         **_sweep_options(cfg, args),
     )
     rows = _grid_rows(
@@ -323,7 +319,6 @@ def cmd_cycle(cfg, params, args, out_dir):
         params,
         cfg.detection_settings(params),
         cfg.reset_settings(params),
-        cfg.readout_model(),
         readout_stage=cfg.get("readout_budget"),
         **_options(cfg),
     )

@@ -1,8 +1,8 @@
 """Flat key-value configuration: device constants, operating point, grids.
 
-The key table ``_KEYS`` holds the paper's device constants and operating
-point; the library functions take them as arguments. The one copy left
-outside the table is ``ReadoutModel``'s default latch delay.
+The key table ``_KEYS`` holds the paper's device constants, operating
+point, readout model and Fock cutoff; the library functions take them as
+arguments.
 
 Keys carry explicit unit suffixes (_GHz, _MHz, _ns, _dBm); the bare stem is
 also accepted with strict SI units (rad/s, seconds). Frequencies written with
@@ -14,7 +14,7 @@ line number.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from types import MappingProxyType
 
 import numpy as np
@@ -226,6 +226,8 @@ def _parse_scalar(key: _Key, raw: str, scale: float, line_no: int):
             values = tuple(float(p.strip()) for p in raw.split(",") if p.strip())
         except ValueError:
             raise ConfigError(f"{key.canonical}: malformed list {raw!r}", line_no)
+        if not values:
+            raise ConfigError(f"{key.canonical}: expected at least one value", line_no)
         for value in values:
             key.check_range(value, line_no)
         return tuple(value * scale for value in values)
@@ -315,35 +317,23 @@ class RunConfig:
     def get(self, stem: str):
         return self.values[stem]
 
+    def _fields(self, cls) -> dict:
+        """The values of the keys named as the fields of dataclass ``cls``."""
+        return {f.name: self.values[f.name] for f in fields(cls)}
+
     @property
     def params(self) -> SystemParams:
-        v = self.values
-        cal = v["drive_power_to_rabi"]
-        return SystemParams(
-            omega_ge=v["omega_ge"],
-            omega_r=v["omega_r"],
-            chi=v["chi"],
-            kappa=v["kappa"],
-            kappa_ext_ratio=v["kappa_ext_ratio"],
-            gamma=v["gamma"],
-            gamma_phi=v["gamma_phi"],
-            init_excited_pop=v["init_excited_pop"],
-            drive_power_to_rabi=cal if cal > 0 else None,
-            drive_noise_per_rabi2=v["drive_noise_per_rabi2"],
-            drive_dephasing_per_rabi2=v["drive_dephasing_per_rabi2"],
-        )
+        """The device constants; a drive_power_to_rabi of 0 is None (unfitted)."""
+        v = self._fields(SystemParams)
+        v["drive_power_to_rabi"] = v["drive_power_to_rabi"] or None
+        return SystemParams(**v)
 
     @property
     def omega_d(self) -> float:
         return self.values["omega_ge"] - self.values["delta_drive"]
 
     def integrator_options(self) -> IntegratorOptions:
-        v = self.values
-        return IntegratorOptions(
-            max_step=v["max_step"],
-            sample_dt=v["sample_dt"],
-            fock_convergence=v["fock_convergence"],
-        )
+        return IntegratorOptions(**self._fields(IntegratorOptions))
 
     def detection_settings(self, params: SystemParams) -> DetectionSettings:
         """Detection operating point; ``params`` converts the drive power."""

@@ -59,13 +59,15 @@ class ReadoutModel:
 
     ``eps_ge``/``eps_eg`` are assignment errors; ``latch_delay`` is the time
     between the readout marker and the moment the reflected readout pulse
-    has latched the oscillator phase (default: 60 ns readout pulse plus the
-    40 ns pump delay). Relaxation during this window loses the click.
+    has latched the oscillator phase. Relaxation during this window loses
+    the click. The fields have no defaults: the paper's readout (no
+    assignment errors, the 60 ns readout pulse plus the 40 ns pump delay)
+    lives in the config key table, as ``parse_config("").readout_model()``.
     """
 
-    eps_ge: float = 0.0
-    eps_eg: float = 0.0
-    latch_delay: float = 100e-9
+    eps_ge: float
+    eps_eg: float
+    latch_delay: float
 
     def __post_init__(self):
         for eps in (self.eps_ge, self.eps_eg):
@@ -264,10 +266,10 @@ def _detect(params, settings, readout, opts, n_max):
 def detection_run(
     params: SystemParams,
     settings: DetectionSettings,
-    readout: ReadoutModel = ReadoutModel(),
     *,
+    readout: ReadoutModel,
     opts: IntegratorOptions = IntegratorOptions(),
-    n_max: int = 3,
+    n_max: int,
 ) -> DetectionOutcome:
     """Single detection protocol run at one operating point.
 
@@ -282,10 +284,10 @@ def detection_run(
 def detection_trace(
     params: SystemParams,
     settings: DetectionSettings,
-    readout: ReadoutModel = ReadoutModel(),
     *,
+    readout: ReadoutModel,
     opts: IntegratorOptions = IntegratorOptions(),
-    n_max: int = 3,
+    n_max: int,
 ) -> tuple[DetectionOutcome, Trajectory]:
     """The outcome of ``detection_run`` together with the sampled trajectory
     of its signal run (for --trace-out dumps)."""
@@ -334,10 +336,10 @@ def efficiency_map(
     base: DetectionSettings,
     power_grid_dbm,
     freq_grid,
-    readout: ReadoutModel = ReadoutModel(),
     *,
+    readout: ReadoutModel,
     opts: IntegratorOptions = IntegratorOptions(),
-    n_max: int = 3,
+    n_max: int,
     workers: int = 1,
 ) -> EfficiencyMap:
     """Detection efficiency over a (P_d, omega_s) grid around ``base``.
@@ -419,10 +421,10 @@ def efficiency_scan(
     base: DetectionSettings,
     t_s_values,
     nbar_values,
-    readout: ReadoutModel = ReadoutModel(),
     *,
+    readout: ReadoutModel,
     opts: IntegratorOptions = IntegratorOptions(),
-    n_max: int = 3,
+    n_max: int,
     workers: int = 1,
 ) -> list[DetectionOutcome]:
     """eta over pulse lengths t_s and photon numbers nbar_s, with the drive
@@ -441,10 +443,10 @@ def dark_counts(
     params: SystemParams,
     base: DetectionSettings,
     rabis,
-    readout: ReadoutModel = ReadoutModel(),
     *,
+    readout: ReadoutModel,
     opts: IntegratorOptions = IntegratorOptions(),
-    n_max: int = 3,
+    n_max: int,
 ) -> list[DetectionOutcome]:
     """Dark runs (nbar_s = 0) of ``base`` at several drive amplitudes, as
     one batch: the amplitude does not change the timeline. A failed run
@@ -459,10 +461,10 @@ def reset_run(
     params: SystemParams,
     settings: ResetSettings,
     with_initial_pi: bool = True,
-    readout: ReadoutModel = ReadoutModel(),
     *,
+    readout: ReadoutModel,
     opts: IntegratorOptions = IntegratorOptions(),
-    n_max: int = 3,
+    n_max: int,
     detect_stage: float,
     readout_stage: float,
 ) -> ResetOutcome:
@@ -517,10 +519,10 @@ def reset_map(
     base: ResetSettings,
     power_grid_dbm,
     freq_grid,
-    readout: ReadoutModel = ReadoutModel(),
     *,
+    readout: ReadoutModel,
     opts: IntegratorOptions = IntegratorOptions(),
-    n_max: int = 3,
+    n_max: int,
     workers: int = 1,
 ) -> ResetMap:
     """P(|e>) after the reset over a (P_dr, omega_rst) grid around ``base``,
@@ -580,10 +582,10 @@ def full_cycle(
     params: SystemParams,
     detect: DetectionSettings,
     reset: ResetSettings,
-    readout: ReadoutModel = ReadoutModel(),
     *,
+    readout: ReadoutModel,
     opts: IntegratorOptions = IntegratorOptions(),
-    n_max: int = 3,
+    n_max: int,
     readout_stage: float,
 ) -> CycleOutcome:
     """Reset stage followed by detection on the post-reset state.
@@ -605,7 +607,7 @@ def full_cycle(
     firsts, scheds = zip(*(_cycle_schedule(params, d, reset) for d in runs))
     clicks = _checked(_clicks(scheds, params, readout, opts, n_max, ("cycle_p_e",), firsts))
     cycle = _outcome(params, detect, clicks[0].value, clicks[-1].value)
-    fresh = detection_run(params, detect, readout, opts=opts, n_max=n_max)
+    fresh = detection_run(params, detect, readout=readout, opts=opts, n_max=n_max)
 
     period = detect.stage + readout_stage + reset.stage
     return CycleOutcome(

@@ -50,7 +50,7 @@ def signal_flux_of_dbm(p_dbm: float, omega_s: float) -> float:
 
 
 def reflection_row(params: SystemParams, omega_d: float, rabi: float, omega_s, probe_amp,
-                   *, n_max: int = 3):
+                   *, n_max: int):
     """Reflection coefficients at one drive amplitude, one per (omega_s, probe_amp).
 
     All points are assembled from the ``superoperators`` record and solved
@@ -75,7 +75,7 @@ def reflection_coefficient(
     omega_s: float,
     probe_amp: float | None = None,
     *,
-    n_max: int = 3,
+    n_max: int,
 ) -> complex:
     """Complex reflection coefficient of a weak CW probe at omega_s."""
     if probe_amp is None:
@@ -123,7 +123,7 @@ def dip_map(
     freq_grid,
     probe_amp: float | None = None,
     *,
-    n_max: int = 3,
+    n_max: int,
     workers: int = 1,
 ) -> ReflectionMap:
     """|r| map over the (P_d, omega_s) grid, one stacked solve per power row;
@@ -229,32 +229,13 @@ def _power_scan(params, omega_d, power_halfspan_db, power_points) -> _PowerScan:
     return _PowerScan(omega_d, powers, ladders)
 
 
-def pdiff_spectrum(
-    params: SystemParams,
-    omega_d: float,
-    signal_power_dbm: float,
-    *,
-    power_halfspan_db: float = 6.0,
-    power_points: int = 25,
-    freq_halfspan: float = TWO_PI * 10e6,
-    freq_points: int = 21,
-    n_max: int = 3,
-    scan: _PowerScan | None = None,
+def _dip_separation(
+    params, scan: _PowerScan, signal_power_dbm, *, n_max, freq_halfspan=TWO_PI * 10e6,
+    freq_points=21,
 ) -> PdiffResult:
-    """Drive-power separation of the two impedance-matching dips.
-
-    The probe is a CW tone of absolute power ``signal_power_dbm`` (at the
-    chip). Each branch is minimized over a (P_d, omega_s) window centered on
-    its dressed transition; P_diff is the dip separation along P_d in dB,
-    which only involves drive-amplitude ratios and therefore does not depend
-    on the dBm calibration constant. The config's ``pdiff_delta_drive`` and
-    ``pdiff_signal_power`` hold the paper's drive detuning and signal
-    power. ``scan``, which a caller scanning
-    several signal powers builds once, holds the power grid of ``omega_d``,
-    ``power_halfspan_db`` and ``power_points`` and takes their place.
-    """
-    if scan is None:
-        scan = _power_scan(params, omega_d, power_halfspan_db, power_points)
+    """P_diff at one signal power over a built power scan. Each branch scans
+    ``freq_points`` frequencies within ``freq_halfspan`` of its dressed
+    transition at every power of the scan."""
     omega_d, power_grid, ladders = scan
     p3, f3, r3 = _branch_dip(
         params, omega_d, 3, power_grid, ladders, float(signal_power_dbm), n_max,
@@ -265,6 +246,31 @@ def pdiff_spectrum(
         freq_halfspan, freq_points,
     )
     return PdiffResult(p3, p4, abs(p3 - p4), f3, f4, r3, r4)
+
+
+def pdiff_spectrum(
+    params: SystemParams,
+    omega_d: float,
+    signal_power_dbm: float,
+    *,
+    n_max: int,
+    power_halfspan_db: float = 6.0,
+    power_points: int = 25,
+    **window,
+) -> PdiffResult:
+    """Drive-power separation of the two impedance-matching dips.
+
+    The probe is a CW tone of absolute power ``signal_power_dbm`` (at the
+    chip). Each branch is minimized over a (P_d, omega_s) window centered on
+    its dressed transition; P_diff is the dip separation along P_d in dB,
+    which only involves drive-amplitude ratios and therefore does not depend
+    on the dBm calibration constant. The config's ``pdiff_delta_drive`` and
+    ``pdiff_signal_power`` hold the paper's drive detuning and signal
+    power. ``window`` sets the frequency window of each branch
+    (``freq_halfspan``, ``freq_points``; see ``_dip_separation``).
+    """
+    scan = _power_scan(params, omega_d, power_halfspan_db, power_points)
+    return _dip_separation(params, scan, signal_power_dbm, n_max=n_max, **window)
 
 
 def calibration_params(params: SystemParams, gamma_calibration: float) -> SystemParams:
@@ -302,7 +308,11 @@ def calibrate_signal_power(
     target_db: float = 6.0,
     tol_db: float = 0.05,
     bracket_dbm=(-150.0, -141.0),
-    **pdiff_kw,
+    *,
+    n_max: int,
+    power_halfspan_db: float = 8.0,
+    power_points: int = 33,
+    **window,
 ) -> SignalPowerCalibration:
     """Signal power whose dip separation reproduces the target P_diff.
 
@@ -314,22 +324,21 @@ def calibrate_signal_power(
     residual, flagged ``p_diff-unconverged:<residual>;``. The per-branch
     power window is widened so the dips stay interior across the whole
     bracket; its grid and dressed ladders do not depend on the signal
-    power, so the search builds them once.
+    power, so the search builds them once. ``window`` is that of
+    ``pdiff_spectrum``.
     """
     from scipy.optimize import brentq  # loaded here: only calibration needs it
 
     lo, hi = bracket_dbm
     if not lo < hi:
         raise DipResolutionError(f"P_diff bracket [{lo}, {hi}] dBm is empty: it needs lo < hi")
-    pdiff_kw["scan"] = _power_scan(
-        params, omega_d, pdiff_kw.pop("power_halfspan_db", 8.0), pdiff_kw.pop("power_points", 33)
-    )
+    scan = _power_scan(params, omega_d, power_halfspan_db, power_points)
     evaluated = {}
 
     def residual(p_s):
         # brentq evaluates the bracket ends again: those come from the cache
         if p_s not in evaluated:
-            p_diff = pdiff_spectrum(params, omega_d, p_s, **pdiff_kw).p_diff_db
+            p_diff = _dip_separation(params, scan, p_s, n_max=n_max, **window).p_diff_db
             if not math.isfinite(p_diff):
                 raise DipResolutionError(f"P_diff at {p_s:.3f} dBm is not finite: {p_diff}")
             evaluated[p_s] = SignalPowerCalibration(p_s, p_diff, p_diff - target_db)

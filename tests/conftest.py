@@ -64,3 +64,16 @@ def reset(params, cfg):
 def readout_stage(cfg):
     """The readout budget of the repetition rate (140 ns)."""
     return cfg.get("readout_budget")
+
+
+@pytest.fixture(scope="session")
+def readout(cfg):
+    """The config's readout model, as the CLI reads the click with it: no
+    assignment errors, a 100 ns latch."""
+    return cfg.readout_model()
+
+
+@pytest.fixture(scope="session")
+def n_max(cfg):
+    """The config's Fock cutoff, as the CLI runs it."""
+    return cfg.get("n_max")

@@ -55,20 +55,21 @@ def report(criterion, text):
 
 
 @pytest.fixture(scope="module")
-def reflect_map_21(params, omega_d):
+def reflect_map_21(params, omega_d, n_max):
     pd = np.linspace(-80.0, -71.0, 21)
     freqs = TWO_PI * np.linspace(10.243e9, 10.293e9, 21)
-    return dip_map(params, omega_d, pd, freqs, workers=WORKERS)
+    return dip_map(params, omega_d, pd, freqs, workers=WORKERS, n_max=n_max)
 
 
 @pytest.fixture(scope="module")
-def eff_map_11(params, detect):
+def eff_map_11(params, detect, readout, n_max):
     pd = np.linspace(-78.0, -73.0, 11)
     freqs = TWO_PI * np.linspace(10.248e9, 10.288e9, 11)
-    return efficiency_map(params, detect, pd, freqs, opts=OPTS, workers=WORKERS)
+    return efficiency_map(params, detect, pd, freqs, readout=readout, opts=OPTS, n_max=n_max,
+                          workers=WORKERS)
 
 
-def test_criterion_1_analytic_oracles(clean_params):
+def test_criterion_1_analytic_oracles(clean_params, n_max):
     p = clean_params
     space = build_space(3)
 
@@ -111,7 +112,7 @@ def test_criterion_1_analytic_oracles(clean_params):
     assert cavity_rel < 1e-5
 
     # empty-cavity reflection on resonance
-    r = reflection_coefficient(p, p.omega_ge - TWO_PI * 49e6, 0.0, p.omega_r)
+    r = reflection_coefficient(p, p.omega_ge - TWO_PI * 49e6, 0.0, p.omega_r, n_max=n_max)
     one_port = (p.kappa_ext - p.kappa_int) / p.kappa
     refl_err = abs(abs(r) - one_port)
     assert refl_err < 1e-4
@@ -186,13 +187,13 @@ def test_criterion_3_matching_point(params, omega_d):
     )
 
 
-def test_criterion_4_reflection_dip(params, omega_d, reflect_map_21):
+def test_criterion_4_reflection_dip(params, omega_d, reflect_map_21, n_max):
     point = find_matching_point(reflect_map_21)
     assert not point.on_boundary
     assert point.p_d_dbm == pytest.approx(-76.0, abs=1.0)
     assert point.omega_s == pytest.approx(TWO_PI * 10.268e9, abs=TWO_PI * 5e6)
     r_direct = reflection_coefficient(
-        params, omega_d, params.rabi_of_dbm(point.p_d_dbm), point.omega_s
+        params, omega_d, params.rabi_of_dbm(point.p_d_dbm), point.omega_s, n_max=n_max
     )
     depth_db = 20 * math.log10(abs(r_direct))
     assert depth_db < -20.0
@@ -200,7 +201,8 @@ def test_criterion_4_reflection_dip(params, omega_d, reflect_map_21):
     # second dip on the |1~> -> |3~> branch
     pd = np.linspace(-78.0, -73.0, 11)
     freqs3 = TWO_PI * np.linspace(10.218e9, 10.245e9, 12)
-    branch3 = find_matching_point(dip_map(params, omega_d, pd, freqs3, workers=WORKERS))
+    branch3 = find_matching_point(dip_map(params, omega_d, pd, freqs3, workers=WORKERS,
+                                          n_max=n_max))
     assert branch3.min_abs_r < 0.3
     rabi3 = params.rabi_of_dbm(branch3.p_d_dbm)
     w13 = transition_frequency(dressed_states(params, omega_d, rabi3), 1, 3)
@@ -213,8 +215,9 @@ def test_criterion_4_reflection_dip(params, omega_d, reflect_map_21):
     )
 
 
-def test_criterion_5_detection_efficiency(params, detect, eff_map_11, reflect_map_21):
-    out = detection_run(params, detect, opts=OPTS)
+def test_criterion_5_detection_efficiency(params, detect, eff_map_11, reflect_map_21, readout,
+                                          n_max):
+    out = detection_run(params, detect, readout=readout, opts=OPTS, n_max=n_max)
     assert out.eta == pytest.approx(0.66, abs=0.08)
 
     band = eff_map_11.band_above_half
@@ -253,9 +256,10 @@ def test_criterion_5_power_colocation(eff_map_11, reflect_map_21):
     assert abs(eff_map_11.argmax_p_d_dbm - dip.p_d_dbm) <= 0.5
 
 
-def test_criterion_6_pulse_scans(params, cfg, detect):
+def test_criterion_6_pulse_scans(params, cfg, detect, readout, n_max):
     t_s_grid = cfg.get("ts_list")
-    outs = efficiency_scan(params, detect, t_s_grid, (detect.nbar_s,), opts=OPTS, workers=WORKERS)
+    outs = efficiency_scan(params, detect, t_s_grid, (detect.nbar_s,), readout=readout, opts=OPTS,
+                           n_max=n_max, workers=WORKERS)
     etas = np.array([o.eta for o in outs])
     best = int(np.argmax(etas))
     # non-monotone with an interior maximum in the 55..144 ns bracket
@@ -265,7 +269,8 @@ def test_criterion_6_pulse_scans(params, cfg, detect):
 
     flat_ok = {}
     for t_s in cfg.get("ns_ts_list"):
-        nb_outs = efficiency_scan(params, detect, (t_s,), (0.03, 0.1, 0.3, 1.0), opts=OPTS)
+        nb_outs = efficiency_scan(params, detect, (t_s,), (0.03, 0.1, 0.3, 1.0), readout=readout,
+                                  opts=OPTS, n_max=n_max)
         nb_etas = np.array([o.eta for o in nb_outs])
         spread = (nb_etas.max() - nb_etas.min()) / nb_etas.max()
         flat_ok[t_s] = spread
@@ -277,17 +282,19 @@ def test_criterion_6_pulse_scans(params, cfg, detect):
     )
 
 
-def test_criterion_7_dark_counts(params, clean_params, detect):
+def test_criterion_7_dark_counts(params, clean_params, detect, readout, n_max):
     dark = dataclasses.replace(detect, nbar_s=0.0)
-    p_dark = detection_run(params, dark, opts=OPTS).p_dark
+    p_dark = detection_run(params, dark, readout=readout, opts=OPTS, n_max=n_max).p_dark
     assert p_dark == pytest.approx(0.014, abs=0.005)
 
-    quiet = detection_run(clean_params, dataclasses.replace(dark, rabi=0.0), opts=OPTS).p_dark
+    quiet = detection_run(clean_params, dataclasses.replace(dark, rabi=0.0), readout=readout,
+                          opts=OPTS, n_max=n_max).p_dark
     assert quiet < 1e-6
 
     values = [
         detection_run(
-            params, dataclasses.replace(dark, rabi=params.rabi_of_dbm(p_dbm)), opts=OPTS
+            params, dataclasses.replace(dark, rabi=params.rabi_of_dbm(p_dbm)),
+            readout=readout, opts=OPTS, n_max=n_max,
         ).p_dark
         for p_dbm in np.linspace(-78.0, -73.0, 6)
     ]
@@ -300,15 +307,16 @@ def test_criterion_7_dark_counts(params, clean_params, detect):
 
 
 @pytest.fixture(scope="module")
-def reset_map_result(params, reset):
+def reset_map_result(params, reset, readout, n_max):
     pd = np.linspace(-74.5, -70.0, 10)
     freqs = TWO_PI * np.linspace(10.150e9, 10.174e9, 9)
-    return reset_map(params, reset, pd, freqs, opts=OPTS, workers=WORKERS)
+    return reset_map(params, reset, pd, freqs, readout=readout, opts=OPTS, n_max=n_max,
+                     workers=WORKERS)
 
 
-def test_criterion_8_reset(params, detect, reset, readout_stage, reset_map_result):
-    out = reset_run(params, reset, opts=OPTS, detect_stage=detect.stage,
-                    readout_stage=readout_stage)
+def test_criterion_8_reset(params, detect, reset, readout_stage, reset_map_result, readout, n_max):
+    out = reset_run(params, reset, readout=readout, opts=OPTS, n_max=n_max,
+                    detect_stage=detect.stage, readout_stage=readout_stage)
     assert out.p_e_after_reset <= 0.03
     assert out.p_e_no_reset == pytest.approx(0.49, abs=0.05)
     assert out.p_e_no_reset / out.p_e_after_reset > 10.0
@@ -326,7 +334,8 @@ def test_criterion_8_reset(params, detect, reset, readout_stage, reset_map_resul
     assert p_cut == pytest.approx(-72.1, abs=0.5)
 
     # full cycle timing and post-reset efficiency
-    cycle = full_cycle(params, detect, reset, opts=OPTS, readout_stage=readout_stage)
+    cycle = full_cycle(params, detect, reset, readout=readout, opts=OPTS, n_max=n_max,
+                       readout_stage=readout_stage)
     assert cycle.period == pytest.approx(760e-9, abs=50e-9)
     assert cycle.rate == pytest.approx(1.3e6, rel=0.07)
     assert abs(cycle.eta_after_reset - cycle.eta_fresh) <= 0.02
@@ -361,7 +370,7 @@ def test_criterion_8_reset_map_argmin(reset_map_result):
     )
 
 
-def test_criterion_9_pdiff_calibration(params, cfg, pdiff_omega_d):
+def test_criterion_9_pdiff_calibration(params, cfg, pdiff_omega_d, n_max):
     cal = calibration_params(params, cfg.get("gamma_calibration"))
 
     # monotone growth with signal power
@@ -369,7 +378,7 @@ def test_criterion_9_pdiff_calibration(params, cfg, pdiff_omega_d):
     values = [
         pdiff_spectrum(
             cal, pdiff_omega_d, ps, power_points=17, freq_points=15,
-            power_halfspan_db=7.0,
+            power_halfspan_db=7.0, n_max=n_max,
         ).p_diff_db
         for ps in ladder
     ]
@@ -377,7 +386,7 @@ def test_criterion_9_pdiff_calibration(params, cfg, pdiff_omega_d):
 
     # weak-signal lossless limit
     ideal = dataclasses.replace(cal, kappa_ext_ratio=1.0, gamma=TWO_PI * 1e4)
-    weak = pdiff_spectrum(ideal, pdiff_omega_d, -195.0)
+    weak = pdiff_spectrum(ideal, pdiff_omega_d, -195.0, n_max=n_max)
     assert weak.p_diff_db < 0.25
     report(
         9,
@@ -399,16 +408,16 @@ def test_criterion_9_pdiff_calibration(params, cfg, pdiff_omega_d):
         "input."
     ),
 )
-def test_criterion_9_pdiff_central_value(params, cfg, pdiff_omega_d):
+def test_criterion_9_pdiff_central_value(params, cfg, pdiff_omega_d, n_max):
     cal = calibration_params(params, cfg.get("gamma_calibration"))
-    res = pdiff_spectrum(cal, pdiff_omega_d, cfg.get("pdiff_signal_power"))
+    res = pdiff_spectrum(cal, pdiff_omega_d, cfg.get("pdiff_signal_power"), n_max=n_max)
     assert res.p_diff_db == pytest.approx(6.0, abs=0.4)
 
 
-def test_criterion_10_engineering_invariants(params, detect, tmp_path):
+def test_criterion_10_engineering_invariants(params, detect, tmp_path, readout, n_max):
     # trace / Hermiticity / positivity along a full protocol trajectory
     # (propagate validates every sample; the kept record is checked here)
-    _, traj = detection_trace(params, detect, opts=OPTS)
+    _, traj = detection_trace(params, detect, readout=readout, opts=OPTS, n_max=n_max)
     assert np.max(traj.trace_error) < 1e-9
     for state in traj.pinned.values():
         assert state.hermiticity_error() < 1e-10
@@ -416,7 +425,7 @@ def test_criterion_10_engineering_invariants(params, detect, tmp_path):
 
     # Fock-cutoff convergence below 1e-3 relative
     opts = dataclasses.replace(OPTS, fock_convergence=True)
-    out = detection_run(params, detect, opts=opts)
+    out = detection_run(params, detect, readout=readout, opts=opts, n_max=n_max)
     assert out.flags == ""
 
     # byte-identical CSVs across worker counts

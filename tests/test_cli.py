@@ -121,7 +121,7 @@ def test_detect_map_matches_module_call(fast_cfg, tmp_path):
         cfg.detection_settings(params),
         cfg.get("detect_pd_grid").values(),
         cfg.get("detect_freq_grid").values(),
-        cfg.readout_model(),
+        readout=cfg.readout_model(),
         opts=cfg.integrator_options(),
         n_max=cfg.get("n_max"),
     )
@@ -396,26 +396,27 @@ def test_strict_maps_fail_on_fock_flags(task, tmp_path):
 
 
 def _count_pdiff_calls(monkeypatch, p_diff=None):
-    """Wraps (or, given ``p_diff``, replaces) pdiff_spectrum; returns its call list."""
+    """Wraps (or, given ``p_diff``, replaces) the calibration's P_diff at one
+    signal power; returns the powers it was called at."""
     from types import SimpleNamespace
 
     from lambdadet import response
 
-    calls, real = [], response.pdiff_spectrum
+    calls, real = [], response._dip_separation
 
-    def counted(params, omega_d, p_s, **kw):
+    def counted(params, scan, p_s, **kw):
         calls.append(p_s)
         if p_diff is None:
-            return real(params, omega_d, p_s, **kw)
+            return real(params, scan, p_s, **kw)
         return SimpleNamespace(p_diff_db=p_diff(p_s))
 
-    monkeypatch.setattr(response, "pdiff_spectrum", counted)
+    monkeypatch.setattr(response, "_dip_separation", counted)
     return calls
 
 
 def test_calibrate_default_config(tmp_path, monkeypatch):
     """The default calibration reaches P_diff = 6 dB within tol in at most
-    5 pdiff_spectrum calls, so --strict exits 0."""
+    5 P_diff evaluations, so --strict exits 0."""
     monkeypatch.delenv("LAMBDADET_CONFIG", raising=False)
     calls = _count_pdiff_calls(monkeypatch)
     assert main(["--out", str(tmp_path), "--strict", "calibrate"]) == 0
@@ -478,6 +479,8 @@ def test_cycle_without_signal_photons(tmp_path, capsys):
         ("t_dr_ns = 0", "t_dr"),
         ("detect_pd_grid_dBm = -78,nan,3", "detect_pd_grid"),
         ("ts_list_ns = 85,-inf", "ts_list"),
+        ("ts_list_ns =", "ts_list"),
+        ("nbar_list =", "nbar_list"),
     ],
 )
 def test_rejected_values_are_config_errors(line, key, tmp_path, capsys):
@@ -485,7 +488,7 @@ def test_rejected_values_are_config_errors(line, key, tmp_path, capsys):
         parse_config(line + "\n")
     bad = tmp_path / "bad.cfg"
     bad.write_text(line + "\n")
-    task = "reset" if key == "t_dr" else "detect"
+    task = {"t_dr": "reset", "ts_list": "scan-ts", "nbar_list": "scan-ns"}.get(key, "detect")
     assert main(["--config", str(bad), "--out", str(tmp_path), task]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and key in err

@@ -112,6 +112,17 @@ def test_non_increasing_grid_names_its_line():
         assert "strictly increasing" in str(err.value)
 
 
+@pytest.mark.parametrize("raw, key", [("ts_list_ns =", "ts_list_ns"),
+                                      ("nbar_list = ,", "nbar_list")])
+def test_empty_list_names_its_key_and_line(raw, key):
+    """A list key needs at least one value: an empty scan has no best point
+    and no rows."""
+    with pytest.raises(ConfigError) as err:
+        parse_config(f"# comment\n{raw}\n")
+    assert "line 2" in str(err.value)
+    assert key in str(err.value)
+
+
 def test_log_grid():
     cfg = parse_config("nbar_list = 0.1,1,10\n")
     assert cfg.get("nbar_list") == (0.1, 1.0, 10.0)

@@ -401,7 +401,7 @@ class TestPropagate:
         assert np.array_equal(batch[1].p_excited, weak_alone.p_excited)
         assert np.array_equal(batch[1].final.matrix, weak_alone.final.matrix)
 
-    def test_rk4_click_matches_dop853(self, params, detect, capsys):
+    def test_rk4_click_matches_dop853(self, params, detect, capsys, readout, n_max):
         """The default-step RK4 clicks of ``detection_run`` at the paper's
         point, signal and dark, against DOP853 on the same schedules, within
         the 1e-7 click budget of ``IntegratorOptions`` (a tenth of
@@ -410,9 +410,9 @@ class TestPropagate:
         from lambdadet.pulses import detection_schedule
         from test_protocols import CLICK_BUDGET, _dop853_click
 
-        out = detection_run(params, detect)
+        out = detection_run(params, detect, readout=readout, n_max=n_max)
         errors = {
-            name: abs(click - _dop853_click(params, detection_schedule(params, d)))
+            name: abs(click - _dop853_click(params, detection_schedule(params, d), readout, n_max))
             for name, click, d in (
                 ("signal", out.p_e, detect),
                 ("dark", out.p_dark, dataclasses.replace(detect, nbar_s=0.0)),
@@ -423,12 +423,12 @@ class TestPropagate:
                   + ", ".join(f"{name} {err:.2e}" for name, err in errors.items()))
         assert max(errors.values()) <= CLICK_BUDGET
 
-    def test_bit_identical_repeat(self, params, detect):
+    def test_bit_identical_repeat(self, params, detect, readout, n_max):
         from lambdadet.protocols import detection_run
 
         opts = IntegratorOptions(max_step=0.2e-9)
-        a = detection_run(params, detect, opts=opts)
-        b = detection_run(params, detect, opts=opts)
+        a = detection_run(params, detect, readout=readout, opts=opts, n_max=n_max)
+        b = detection_run(params, detect, readout=readout, opts=opts, n_max=n_max)
         assert a.p_e == b.p_e and a.p_dark == b.p_dark and a.eta == b.eta
 
 

@@ -58,76 +58,79 @@ class TestDetection:
         nbar = 0.1
         assert 1.0 - math.exp(-nbar) == pytest.approx(0.09516, abs=1e-5)
 
-    def test_dark_run_identity(self, params, detect):
-        out = detection_run(params, dataclasses.replace(detect, nbar_s=0.0), opts=OPTS)
+    def test_dark_run_identity(self, params, detect, readout, n_max):
+        out = detection_run(params, dataclasses.replace(detect, nbar_s=0.0), readout=readout,
+                            opts=OPTS, n_max=n_max)
         assert out.p_e == out.p_dark
         assert math.isnan(out.eta)
 
-    def test_eta_subtracts_dark(self, params, detect):
-        out = detection_run(params, detect, opts=OPTS)
+    def test_eta_subtracts_dark(self, params, detect, readout, n_max):
+        out = detection_run(params, detect, readout=readout, opts=OPTS, n_max=n_max)
         expected = (out.p_e - out.p_dark) / (1.0 - math.exp(-0.1))
         assert out.eta == pytest.approx(expected, rel=1e-12)
 
-    def test_no_drive_no_clicks(self, clean_params, detect):
-        out = detection_run(clean_params, dataclasses.replace(detect, rabi=0.0), opts=OPTS)
+    def test_no_drive_no_clicks(self, clean_params, detect, readout, n_max):
+        out = detection_run(clean_params, dataclasses.replace(detect, rabi=0.0), readout=readout,
+                            opts=OPTS, n_max=n_max)
         assert out.eta < 0.02
         assert out.p_dark < 1e-6
 
-    def test_dark_count_drive_off_perfect_init(self, clean_params, detect):
+    def test_dark_count_drive_off_perfect_init(self, clean_params, detect, readout, n_max):
         dark = dataclasses.replace(detect, rabi=0.0, nbar_s=0.0)
-        assert detection_run(clean_params, dark, opts=OPTS).p_dark < 1e-6
+        assert detection_run(clean_params, dark, readout=readout, opts=OPTS,
+                             n_max=n_max).p_dark < 1e-6
 
-    def test_readout_model_linearity(self, params, detect):
-        readout = ReadoutModel(eps_ge=0.04, eps_eg=0.12)
-        plain = detection_run(params, detect, opts=OPTS)
-        dressed = detection_run(params, detect, readout, opts=OPTS)
+    def test_readout_model_linearity(self, params, detect, readout, n_max):
+        errors = dataclasses.replace(readout, eps_ge=0.04, eps_eg=0.12)
+        plain = detection_run(params, detect, readout=readout, opts=OPTS, n_max=n_max)
+        dressed = detection_run(params, detect, readout=errors, opts=OPTS, n_max=n_max)
         expected = (1 - 0.12) * plain.p_e + 0.04 * (1 - plain.p_e)
         assert dressed.p_e == pytest.approx(expected, rel=1e-9)
 
-    def test_readout_model_validation(self):
+    def test_readout_model_validation(self, readout):
         with pytest.raises(ValueError):
-            ReadoutModel(eps_ge=0.5)
+            dataclasses.replace(readout, eps_ge=0.5)
         with pytest.raises(ValueError):
-            ReadoutModel(eps_eg=-0.1)
+            dataclasses.replace(readout, eps_eg=-0.1)
 
-    def test_eta_invariant_under_calibration_constant(self, params, detect):
+    def test_eta_invariant_under_calibration_constant(self, params, detect, readout, n_max):
         """Expressing the op point in Omega gives bit-identical results."""
         rescaled = dataclasses.replace(
             params, drive_power_to_rabi=params.drive_power_to_rabi * 3.7
         )
-        a = detection_run(params, detect, opts=OPTS)
-        b = detection_run(rescaled, detect, opts=OPTS)
+        a = detection_run(params, detect, readout=readout, opts=OPTS, n_max=n_max)
+        b = detection_run(rescaled, detect, readout=readout, opts=OPTS, n_max=n_max)
         assert a.p_e == b.p_e and a.eta == b.eta
 
-    def test_nesting_enforced(self, params, detect):
+    def test_nesting_enforced(self, params, detect, readout, n_max):
         bad = dataclasses.replace(detect, rabi=1e8, omega_d=params.omega_ge - 3 * params.chi)
         with pytest.raises(LambdaModeError):
-            detection_run(params, bad, opts=OPTS)
+            detection_run(params, bad, readout=readout, opts=OPTS, n_max=n_max)
 
-    def test_fock_convergence_flag_clean(self, params, detect):
+    def test_fock_convergence_flag_clean(self, params, detect, readout, n_max):
         opts = dataclasses.replace(OPTS, fock_convergence=True)
-        out = detection_run(params, detect, opts=opts)
+        out = detection_run(params, detect, readout=readout, opts=opts, n_max=n_max)
         assert out.flags == ""
 
-    def test_trace_has_marker_and_observables(self, params, detect):
-        out, traj = detection_trace(params, detect, opts=OPTS)
-        assert out == detection_run(params, detect, opts=OPTS)
+    def test_trace_has_marker_and_observables(self, params, detect, readout, n_max):
+        out, traj = detection_trace(params, detect, readout=readout, opts=OPTS, n_max=n_max)
+        assert out == detection_run(params, detect, readout=readout, opts=OPTS, n_max=n_max)
         # pinned: the readout marker and the click one latch delay later,
         # where the run ends
         marker, t_click = sorted(traj.pinned)
-        assert t_click - marker == pytest.approx(ReadoutModel().latch_delay)
+        assert t_click - marker == pytest.approx(readout.latch_delay)
         assert traj.final is traj.pinned[t_click]
         assert t_click == traj.times[-1]
         assert len(traj.times) > 100
         assert np.all(traj.trace_error < 1e-9)
 
-    def test_dark_monotone_in_power(self, params, detect):
+    def test_dark_monotone_in_power(self, params, detect, readout, n_max):
         """Dark counts grow with drive power over the scanned range."""
         values = [
             detection_run(
                 params,
                 dataclasses.replace(detect, rabi=params.rabi_of_dbm(p_dbm), nbar_s=0.0),
-                opts=OPTS,
+                readout=readout, opts=OPTS, n_max=n_max,
             ).p_dark
             for p_dbm in (-78.0, -76.5, -75.0, -73.5)
         ]
@@ -135,17 +138,20 @@ class TestDetection:
 
 
 class TestPhotonNumberScan:
-    def test_zero_omega_d_is_not_the_default(self, params, detect):
+    def test_zero_omega_d_is_not_the_default(self, params, detect, readout, n_max):
         """An explicit omega_d = 0 is checked, not replaced by the default."""
         zero = dataclasses.replace(detect, omega_d=0.0)
         with pytest.raises(LambdaModeError):
-            efficiency_scan(params, zero, (85e-9,), (zero.nbar_s,), opts=OPTS)
+            efficiency_scan(params, zero, (85e-9,), (zero.nbar_s,), readout=readout, opts=OPTS,
+                            n_max=n_max)
         with pytest.raises(LambdaModeError):
-            efficiency_scan(params, zero, (zero.t_s,), (0.1,), opts=OPTS)
+            efficiency_scan(params, zero, (zero.t_s,), (0.1,), readout=readout, opts=OPTS,
+                            n_max=n_max)
 
-    def test_weak_limit_extrapolation(self, params, detect):
+    def test_weak_limit_extrapolation(self, params, detect, readout, n_max):
         """Richardson-style nbar -> 0 extrapolation matches the 0.1 value."""
-        outs = efficiency_scan(params, detect, (detect.t_s,), (0.025, 0.05, 0.1), opts=OPTS)
+        outs = efficiency_scan(params, detect, (detect.t_s,), (0.025, 0.05, 0.1), readout=readout,
+                               opts=OPTS, n_max=n_max)
         etas = np.array([o.eta for o in outs])
         # linear fit in nbar, extrapolated to zero
         coeffs = np.polyfit([0.025, 0.05, 0.1], etas, 1)
@@ -154,25 +160,28 @@ class TestPhotonNumberScan:
 
 
 class TestReset:
-    def test_reset_outcome_fields(self, params, reset, detect, readout_stage):
-        out = reset_run(params, reset, opts=OPTS, detect_stage=detect.stage,
-                        readout_stage=readout_stage)
+    def test_reset_outcome_fields(self, params, reset, detect, readout_stage, readout, n_max):
+        out = reset_run(params, reset, readout=readout, opts=OPTS, n_max=n_max,
+                        detect_stage=detect.stage, readout_stage=readout_stage)
         assert 0.0 <= out.p_e_after_reset <= 1.0
         assert out.reset_stage == pytest.approx(410e-9)
         assert out.period == pytest.approx(410e-9 + 207.5e-9 + 140e-9)
         assert out.rate == pytest.approx(1.0 / out.period)
 
-    def test_reset_without_pi_equivalent(self, params, reset, detect, readout_stage):
-        kw = dict(opts=OPTS, detect_stage=detect.stage, readout_stage=readout_stage)
+    def test_reset_without_pi_equivalent(self, params, reset, detect, readout_stage, readout,
+                                         n_max):
+        kw = dict(readout=readout, opts=OPTS, n_max=n_max, detect_stage=detect.stage,
+                  readout_stage=readout_stage)
         with_pi = reset_run(params, reset, True, **kw)
         without = reset_run(params, reset, False, **kw)
         assert abs(with_pi.p_e_after_reset - without.p_e_after_reset) < 0.01
 
-    def test_zero_drive_free_decay_only(self, clean_params, reset, detect, readout_stage):
+    def test_zero_drive_free_decay_only(self, clean_params, reset, detect, readout_stage, readout,
+                                        n_max):
         """Without the drive the excited state only relaxes with T1."""
         idle = dataclasses.replace(reset, rabi_dr=0.0, nbar_rst=0.0)
-        out = reset_run(clean_params, idle, opts=OPTS, detect_stage=detect.stage,
-                        readout_stage=readout_stage)
+        out = reset_run(clean_params, idle, readout=readout, opts=OPTS, n_max=n_max,
+                        detect_stage=detect.stage, readout_stage=readout_stage)
         sigma_e = 2 * 15e-9 / (2 * math.sqrt(2 * math.log(2)))
         t_click = 4 * sigma_e + 380e-9 + 15e-9 + 100e-9
         assert out.p_e_after_reset == pytest.approx(
@@ -181,14 +190,16 @@ class TestReset:
 
 
 class TestFullCycle:
-    def test_reset_drive_outside_nesting_raises(self, params, detect, reset, readout_stage):
+    def test_reset_drive_outside_nesting_raises(self, params, detect, reset, readout_stage,
+                                                readout, n_max):
         """The cycle checks its reset drive as ``reset_run`` does."""
         bad = dataclasses.replace(reset, omega_d=params.omega_ge - 3 * params.chi)
         with pytest.raises(LambdaModeError):
-            full_cycle(params, detect, bad, opts=OPTS, readout_stage=readout_stage)
+            full_cycle(params, detect, bad, readout=readout, opts=OPTS, n_max=n_max,
+                       readout_stage=readout_stage)
 
     def test_detection_drive_outside_nesting_raises_before_propagating(
-        self, params, detect, reset, readout_stage, monkeypatch
+        self, params, detect, reset, readout_stage, monkeypatch, readout, n_max
     ):
         def no_propagation(*args, **kwargs):
             raise AssertionError("propagate_batch ran before the nesting check")
@@ -196,29 +207,32 @@ class TestFullCycle:
         monkeypatch.setattr(protocols, "propagate_batch", no_propagation)
         bad = dataclasses.replace(detect, omega_d=params.omega_ge - 3 * params.chi)
         with pytest.raises(LambdaModeError):
-            full_cycle(params, bad, reset, opts=OPTS, readout_stage=readout_stage)
+            full_cycle(params, bad, reset, readout=readout, opts=OPTS, n_max=n_max,
+                       readout_stage=readout_stage)
 
-    def test_fock_check_flags_a_low_cutoff(self, params, detect, reset, readout_stage):
+    def test_fock_check_flags_a_low_cutoff(self, params, detect, reset, readout_stage, readout):
         """At n_max = 1 the cutoff check of the cycle flags, so
         ``cycle --strict`` can fail."""
         opts = dataclasses.replace(OPTS, fock_convergence=True)
-        out = full_cycle(params, detect, reset, opts=opts, n_max=1, readout_stage=readout_stage)
+        out = full_cycle(params, detect, reset, readout=readout, opts=opts, n_max=1,
+                         readout_stage=readout_stage)
         assert out.flags.startswith("fock-unconverged:cycle_p_e:")
 
     @pytest.mark.parametrize("max_step", [0.2e-9, 0.5e-9])
     def test_coarse_steps_pass_the_checks(self, params, detect, reset, readout_stage,
-                                          cycle_fine_reference, max_step):
+                                          cycle_fine_reference, max_step, readout, n_max):
         """Each stage runs in a frame where its strong tone is static, so
         coarse steps pass every per-sample check and land on the click of
         the fine 0.1 ns reference run. In one frame both steps break
         positivity."""
-        out = full_cycle(params, detect, reset, opts=IntegratorOptions(max_step=max_step),
+        out = full_cycle(params, detect, reset, readout=readout,
+                         opts=IntegratorOptions(max_step=max_step), n_max=n_max,
                          readout_stage=readout_stage)
         assert abs(out.p_e_after_reset - cycle_fine_reference.p_e_after_reset) <= 1e-6
         assert abs(out.eta_after_reset - cycle_fine_reference.eta_after_reset) <= 1e-6
 
     def test_two_stages_beat_one_frame_against_dop853(self, params, detect, reset,
-                                                      dop853_clicks, capsys):
+                                                      dop853_clicks, capsys, readout, n_max):
         """The cycle click, signal and dark, in both frames against DOP853 on
         the same schedule: the two-stage run is within 2e-8 and no worse
         than the one-frame run, where the reset tone oscillates."""
@@ -229,8 +243,8 @@ class TestFullCycle:
             _, one_frame = _cycle_schedule(params, d, reset=reset)
             reference = dop853_clicks[run]
             errors[d.nbar_s] = (
-                abs(_click_alone(params, one_frame, opts) - reference),
-                abs(_cycle_click_alone(params, d, reset, opts) - reference),
+                abs(_click_alone(params, one_frame, opts, readout, n_max) - reference),
+                abs(_cycle_click_alone(params, d, reset, opts, readout, n_max) - reference),
             )
         with capsys.disabled():
             for nbar_s, (one, two) in errors.items():
@@ -247,42 +261,49 @@ class TestRowBatches:
 
     FREQS = 2 * np.pi * np.array([10.264e9, 10.268e9, 10.272e9])
 
-    def test_detection_row_matches_single_runs(self, params, detect):
-        emap = efficiency_map(params, detect, [-75.5], self.FREQS, opts=OPTS)
+    def test_detection_row_matches_single_runs(self, params, detect, readout, n_max):
+        emap = efficiency_map(params, detect, [-75.5], self.FREQS, readout=readout, opts=OPTS,
+                              n_max=n_max)
         dark = detection_run(
-            params, dataclasses.replace(detect, omega_s=self.FREQS[0], nbar_s=0.0), opts=OPTS
+            params, dataclasses.replace(detect, omega_s=self.FREQS[0], nbar_s=0.0),
+            readout=readout, opts=OPTS, n_max=n_max,
         )
         for j, omega_s in enumerate(self.FREQS):
-            alone = detection_run(params, dataclasses.replace(detect, omega_s=omega_s), opts=OPTS)
+            alone = detection_run(params, dataclasses.replace(detect, omega_s=omega_s),
+                                  readout=readout, opts=OPTS, n_max=n_max)
             assert abs(emap.p_e[0, j] - alone.p_e) <= 1e-12
             assert abs(emap.p_dark[0, j] - dark.p_dark) <= 1e-12
             assert abs(emap.eta[0, j] - alone.eta) <= 1e-12
 
-    def test_reset_row_matches_single_runs(self, params, reset, detect, readout_stage):
+    def test_reset_row_matches_single_runs(self, params, reset, detect, readout_stage, readout,
+                                           n_max):
         freqs = 2 * np.pi * np.array([10.159e9, 10.165e9])
-        rmap = reset_map(params, reset, [-72.1], freqs, opts=OPTS)
-        kw = dict(opts=OPTS, detect_stage=detect.stage, readout_stage=readout_stage)
+        rmap = reset_map(params, reset, [-72.1], freqs, readout=readout, opts=OPTS, n_max=n_max)
+        kw = dict(readout=readout, opts=OPTS, n_max=n_max, detect_stage=detect.stage,
+                  readout_stage=readout_stage)
         baseline = reset_run(params, dataclasses.replace(reset, omega_rst=freqs[0]), **kw)
         assert abs(rmap.p_e_no_reset[0] - baseline.p_e_no_reset) <= 1e-12
         for j, omega_rst in enumerate(freqs):
             alone = reset_run(params, dataclasses.replace(reset, omega_rst=omega_rst), **kw)
             assert abs(rmap.p_e[0, j] - alone.p_e_after_reset) <= 1e-12
 
-    def test_map_rows_match_each_row_alone(self, params, detect, reset):
+    def test_map_rows_match_each_row_alone(self, params, detect, reset, readout, n_max):
         """Several drive powers in one batch give, bit for bit, the values
         of each power's row run alone: no row couples to another."""
         powers = [-76.0, -75.5, -75.0]
         assert row_blocks(len(powers), 1 + len(self.FREQS)) == [range(3)]
-        emap = efficiency_map(params, detect, powers, self.FREQS, opts=OPTS)
+        emap = efficiency_map(params, detect, powers, self.FREQS, readout=readout, opts=OPTS,
+                              n_max=n_max)
         for i, p in enumerate(powers):
-            alone = efficiency_map(params, detect, [p], self.FREQS, opts=OPTS)
+            alone = efficiency_map(params, detect, [p], self.FREQS, readout=readout, opts=OPTS,
+                                   n_max=n_max)
             for name in ("p_e", "p_dark", "eta"):
                 assert np.array_equal(getattr(emap, name)[i], getattr(alone, name)[0])
         powers = [-72.6, -72.1]
         freqs = 2 * np.pi * np.array([10.159e9, 10.165e9])
-        rmap = reset_map(params, reset, powers, freqs, opts=OPTS)
+        rmap = reset_map(params, reset, powers, freqs, readout=readout, opts=OPTS, n_max=n_max)
         for i, p in enumerate(powers):
-            alone = reset_map(params, reset, [p], freqs, opts=OPTS)
+            alone = reset_map(params, reset, [p], freqs, readout=readout, opts=OPTS, n_max=n_max)
             assert np.array_equal(rmap.p_e[i], alone.p_e[0])
             assert rmap.p_e_no_reset[i] == alone.p_e_no_reset[0]
 
@@ -307,22 +328,25 @@ class TestRowBatches:
                 assert np.max(np.abs(traj.final.matrix - alone.final.matrix)) <= 1e-12
             rho0s = [traj.final.in_frame(s.frame) for traj, s in zip(batch, scheds)]
 
-    def test_failed_column_is_isolated(self, params, detect):
+    def test_failed_column_is_isolated(self, params, detect, readout, n_max):
         """A signal 3 GHz off the resonator breaks RK4 at a 0.25 ns step: that
         point is NaN and flagged with the message propagate raises for it
         alone, and the other points are untouched."""
         opts = IntegratorOptions(max_step=0.25e-9)
         freqs = np.append(self.FREQS[:2], 2 * np.pi * 13.3e9)
-        emap = efficiency_map(params, detect, [-75.5], freqs, opts=opts)
+        emap = efficiency_map(params, detect, [-75.5], freqs, readout=readout, opts=opts,
+                              n_max=n_max)
         with pytest.raises(IntegrationError) as alone:
-            detection_run(params, dataclasses.replace(detect, omega_s=freqs[2]), opts=opts)
+            detection_run(params, dataclasses.replace(detect, omega_s=freqs[2]), readout=readout,
+                          opts=opts, n_max=n_max)
         assert emap.flags == [(0, 2, str(alone.value))]
         assert np.isnan(emap.eta[0, 2]) and np.isnan(emap.p_e[0, 2])
-        good = efficiency_map(params, detect, [-75.5], freqs[:2], opts=opts)
+        good = efficiency_map(params, detect, [-75.5], freqs[:2], readout=readout, opts=opts,
+                              n_max=n_max)
         assert np.array_equal(emap.p_e[:, :2], good.p_e)
         assert np.array_equal(emap.eta[:, :2], good.eta)
 
-    def test_column_failed_in_the_first_stage_is_isolated(self, params, detect):
+    def test_column_failed_in_the_first_stage_is_isolated(self, params, detect, readout, n_max):
         """Two-stage runs: a signal 3 GHz off the resonator breaks RK4 at a
         0.25 ns step in the first stage. That column fails with the message
         ``propagate`` raises for its first stage alone; the other column
@@ -331,17 +355,17 @@ class TestRowBatches:
         runs = (detect, dataclasses.replace(detect, omega_s=2 * np.pi * 13.3e9))
         firsts = [detection_schedule(params, d) for d in runs]
         scheds = [detection_schedule(params, d, start=firsts[0].duration) for d in runs]
-        good, bad = _clicks(scheds, params, ReadoutModel(), opts, 3, first=firsts)
-        rho0s = [mixed_initial_state(build_space(3), params.init_excited_pop, s.frame)
+        good, bad = _clicks(scheds, params, readout, opts, n_max, first=firsts)
+        rho0s = [mixed_initial_state(build_space(n_max), params.init_excited_pop, s.frame)
                  for s in firsts]
         with pytest.raises(IntegrationError) as alone:
             propagate(rho0s[1], firsts[1], params, opts)
         assert bad.failed and str(bad.run) == str(alone.value) and math.isnan(bad.value)
         mid = propagate(rho0s[0], firsts[0], params, opts).final.in_frame(scheds[0].frame)
-        assert good.value == _click_alone(params, scheds[0], opts, rho0=mid)
+        assert good.value == _click_alone(params, scheds[0], opts, readout, n_max, rho0=mid)
 
 
-def _click_alone(params, sched, opts, n_max=3, readout=ReadoutModel(), rho0=None):
+def _click_alone(params, sched, opts, readout, n_max, rho0=None):
     """The click of one schedule through a B = 1 ``propagate``, from the
     initial mixture at t = 0 or from ``rho0``."""
     t_click = sched.marker_times()[-1] + readout.latch_delay
@@ -351,15 +375,15 @@ def _click_alone(params, sched, opts, n_max=3, readout=ReadoutModel(), rho0=None
     return readout.click_probability(_p_excited(traj.pinned[t_click]))
 
 
-def _cycle_click_alone(params, detect, reset, opts, n_max=3):
+def _cycle_click_alone(params, detect, reset, opts, readout, n_max):
     """The click of the two-stage cycle through B = 1 ``propagate`` calls."""
     first, sched = _cycle_schedule(params, detect, reset=reset)
     rho0 = mixed_initial_state(build_space(n_max), params.init_excited_pop, first.frame)
     mid = propagate(rho0, first, params, opts).final.in_frame(sched.frame)
-    return _click_alone(params, sched, opts, rho0=mid)
+    return _click_alone(params, sched, opts, readout, n_max, rho0=mid)
 
 
-def _dop853_click(params, sched, n_max=3, readout=ReadoutModel()):
+def _dop853_click(params, sched, readout, n_max):
     """The click of a schedule by DOP853 (rtol 1e-11) on a Liouvillian
     built here from kron products, split at every support and plateau edge
     and at its pi pulses, which flip the qubit exactly. The carriers follow
@@ -414,15 +438,16 @@ def _dop853_click(params, sched, n_max=3, readout=ReadoutModel()):
 
 
 @pytest.fixture(scope="module")
-def cycle_fine_reference(params, detect, reset, readout_stage):
+def cycle_fine_reference(params, detect, reset, readout_stage, readout, n_max):
     """``full_cycle`` at the paper's point and a fine 0.1 ns step, the
     reference run of the coarse-step tests."""
-    return full_cycle(params, detect, reset, opts=IntegratorOptions(max_step=0.1e-9),
+    return full_cycle(params, detect, reset, readout=readout,
+                      opts=IntegratorOptions(max_step=0.1e-9), n_max=n_max,
                       readout_stage=readout_stage)
 
 
 @pytest.fixture(scope="module")
-def dop853_clicks(params, detect, reset):
+def dop853_clicks(params, detect, reset, readout, n_max):
     """The DOP853 clicks of the paper's point by run: detection signal and
     dark, reset and its no-reset baseline, and the cycle's signal and dark
     runs, each cycle run on its whole schedule in the detection frame."""
@@ -435,7 +460,7 @@ def dop853_clicks(params, detect, reset):
         "cycle signal": _cycle_schedule(params, detect, reset=reset)[1],
         "cycle dark": _cycle_schedule(params, dark, reset=reset)[1],
     }
-    return {run: _dop853_click(params, sched) for run, sched in schedules.items()}
+    return {run: _dop853_click(params, s, readout, n_max) for run, s in schedules.items()}
 
 
 def _check_step_budget(label, quantities, references, capsys):
@@ -460,32 +485,35 @@ class TestStepBudget:
     CLICK_BUDGET and every eta within ETA_BUDGET of DOP853 and of the run
     at half the step."""
 
-    def test_detection(self, params, detect, dop853_clicks, capsys):
+    def test_detection(self, params, detect, dop853_clicks, capsys, readout, n_max):
         signal, dark = dop853_clicks["detect signal"], dop853_clicks["detect dark"]
         vacuum = 1.0 - math.exp(-detect.nbar_s)
 
         def quantities(opts):
-            out = detection_run(params, detect, opts=opts)
+            out = detection_run(params, detect, readout=readout, opts=opts, n_max=n_max)
             return {"signal": out.p_e, "dark": out.p_dark, "eta": out.eta}
 
         references = {"signal": signal, "dark": dark, "eta": (signal - dark) / vacuum}
         _check_step_budget("detection_run", quantities, references, capsys)
 
-    def test_reset(self, params, detect, reset, readout_stage, dop853_clicks, capsys):
+    def test_reset(self, params, detect, reset, readout_stage, dop853_clicks, capsys, readout,
+                   n_max):
         def quantities(opts):
-            out = reset_run(params, reset, opts=opts, detect_stage=detect.stage,
-                            readout_stage=readout_stage)
+            out = reset_run(params, reset, readout=readout, opts=opts, n_max=n_max,
+                            detect_stage=detect.stage, readout_stage=readout_stage)
             return {"reset": out.p_e_after_reset, "no-reset baseline": out.p_e_no_reset}
 
         references = {"reset": dop853_clicks["reset"],
                       "no-reset baseline": dop853_clicks["reset baseline"]}
         _check_step_budget("reset_run", quantities, references, capsys)
 
-    def test_cycle(self, params, detect, reset, readout_stage, dop853_clicks, capsys):
+    def test_cycle(self, params, detect, reset, readout_stage, dop853_clicks, capsys, readout,
+                   n_max):
         vacuum = 1.0 - math.exp(-detect.nbar_s)
 
         def quantities(opts):
-            out = full_cycle(params, detect, reset, opts=opts, readout_stage=readout_stage)
+            out = full_cycle(params, detect, reset, readout=readout, opts=opts, n_max=n_max,
+                             readout_stage=readout_stage)
             return {
                 "signal": out.p_e_after_reset + out.eta_after_reset * vacuum,
                 "dark": out.p_e_after_reset,
@@ -507,51 +535,60 @@ class TestSinglePointBatches:
     """Runs on one timeline propagate as one batch; each click equals the
     B = 1 ``propagate`` click bit for bit."""
 
-    def test_detection_signal_and_dark(self, params, detect):
-        out = detection_run(params, detect, opts=OPTS)
+    def test_detection_signal_and_dark(self, params, detect, readout, n_max):
+        out = detection_run(params, detect, readout=readout, opts=OPTS, n_max=n_max)
         dark = dataclasses.replace(detect, nbar_s=0.0)
-        assert out.p_e == _click_alone(params, detection_schedule(params, detect), OPTS)
-        assert out.p_dark == _click_alone(params, detection_schedule(params, dark), OPTS)
+        assert out.p_e == _click_alone(params, detection_schedule(params, detect), OPTS,
+                                       readout, n_max)
+        assert out.p_dark == _click_alone(params, detection_schedule(params, dark), OPTS,
+                                          readout, n_max)
 
-    def test_reset_and_baseline(self, params, reset, detect, readout_stage):
-        out = reset_run(params, reset, opts=OPTS, detect_stage=detect.stage,
-                        readout_stage=readout_stage)
+    def test_reset_and_baseline(self, params, reset, detect, readout_stage, readout, n_max):
+        out = reset_run(params, reset, readout=readout, opts=OPTS, n_max=n_max,
+                        detect_stage=detect.stage, readout_stage=readout_stage)
         baseline = dataclasses.replace(reset, nbar_rst=0.0)
-        assert out.p_e_after_reset == _click_alone(params, reset_schedule(params, reset), OPTS)
-        assert out.p_e_no_reset == _click_alone(params, reset_schedule(params, baseline), OPTS)
+        assert out.p_e_after_reset == _click_alone(params, reset_schedule(params, reset), OPTS,
+                                                   readout, n_max)
+        assert out.p_e_no_reset == _click_alone(params, reset_schedule(params, baseline), OPTS,
+                                                readout, n_max)
 
-    def test_cycle_signal_and_dark(self, params, detect, reset, cycle_fine_reference):
+    def test_cycle_signal_and_dark(self, params, detect, reset, cycle_fine_reference, readout,
+                                   n_max):
         """The cycle's dark click equals the two-stage chain run alone."""
         opts = IntegratorOptions(max_step=0.1e-9)
         out = cycle_fine_reference
         dark = dataclasses.replace(detect, nbar_s=0.0)
-        assert out.p_e_after_reset == _cycle_click_alone(params, dark, reset, opts)
-        assert out.eta_fresh == detection_run(params, detect, opts=opts).eta
+        assert out.p_e_after_reset == _cycle_click_alone(params, dark, reset, opts, readout, n_max)
+        assert out.eta_fresh == detection_run(params, detect, readout=readout, opts=opts,
+                                              n_max=n_max).eta
 
-    def test_photon_number_scan(self, params, detect):
+    def test_photon_number_scan(self, params, detect, readout, n_max):
         nbars = (0.05, 0.1, 0.3)
-        outs = efficiency_scan(params, detect, (detect.t_s,), nbars, opts=OPTS)
+        outs = efficiency_scan(params, detect, (detect.t_s,), nbars, readout=readout, opts=OPTS,
+                               n_max=n_max)
         for nbar, out in zip(nbars, outs):
-            alone = detection_run(params, dataclasses.replace(detect, nbar_s=nbar), opts=OPTS)
+            alone = detection_run(params, dataclasses.replace(detect, nbar_s=nbar),
+                                  readout=readout, opts=OPTS, n_max=n_max)
             assert out == alone
 
-    def test_dark_counts(self, params, detect):
+    def test_dark_counts(self, params, detect, readout, n_max):
         rabis = [params.rabi_of_dbm(p) for p in (-77.0, -75.5)] + [0.0]
-        outs = dark_counts(params, detect, rabis, opts=OPTS)
+        outs = dark_counts(params, detect, rabis, readout=readout, opts=OPTS, n_max=n_max)
         for rabi, out in zip(rabis, outs):
             alone = detection_run(params, dataclasses.replace(detect, rabi=rabi, nbar_s=0.0),
-                                  opts=OPTS)
+                                  readout=readout, opts=OPTS, n_max=n_max)
             assert (out.rabi, out.p_e, out.p_dark) == (rabi, alone.p_e, alone.p_dark)
 
-    def test_failed_column_raises_its_propagate_error(self, params, detect):
+    def test_failed_column_raises_its_propagate_error(self, params, detect, readout, n_max):
         """A signal 3 GHz off the resonator breaks RK4 at a 0.25 ns step; its
         dark run does not. The batch raises what propagate raises for the
         signal schedule alone."""
         opts = IntegratorOptions(max_step=0.25e-9)
         off = dataclasses.replace(detect, omega_s=2 * np.pi * 13.3e9)
         with pytest.raises(IntegrationError) as alone:
-            _click_alone(params, detection_schedule(params, off), opts)
-        _click_alone(params, detection_schedule(params, dataclasses.replace(off, nbar_s=0.0)), opts)
+            _click_alone(params, detection_schedule(params, off), opts, readout, n_max)
+        dark = detection_schedule(params, dataclasses.replace(off, nbar_s=0.0))
+        _click_alone(params, dark, opts, readout, n_max)
         with pytest.raises(IntegrationError) as batched:
-            detection_run(params, off, opts=opts)
+            detection_run(params, off, readout=readout, opts=opts, n_max=n_max)
         assert str(batched.value) == str(alone.value)
