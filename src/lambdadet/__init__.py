@@ -27,7 +27,6 @@ from .dynamics import (
     DensityState,
     IntegratorOptions,
     Trajectory,
-    lindblad_rhs,
     liouvillian,
     mixed_initial_state,
     propagate,

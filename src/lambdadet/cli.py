@@ -356,7 +356,7 @@ _COMMANDS = {
 _GLOBAL_DEFAULTS = {
     "config": None,
     "out": None,
-    "workers": 0,
+    "workers": None,
     "strict": False,
     "trace_out": False,
 }
@@ -410,9 +410,7 @@ def run_sweep(
     """
     if task not in _COMMANDS or task == "render":
         raise ValueError(f"unknown sweep task {task!r}")
-    args = argparse.Namespace(
-        workers=workers or 0, strict=strict, trace_out=trace_out, no_pi=False
-    )
+    args = argparse.Namespace(workers=workers, strict=strict, trace_out=trace_out, no_pi=False)
     return _dispatch(task, cfg, args, Path(out_dir or cfg.get("out_dir")))
 
 
@@ -435,6 +433,8 @@ def main(argv=None) -> int:
         if not hasattr(args, key):
             setattr(args, key, value)
     try:
+        if args.workers is not None and args.workers < 1:
+            raise LambdaDetError(f"--workers {args.workers} must be >= 1")
         cfg = _load_config(args.config)
         if sys.stderr.isatty():
             sweep.set_progress_hook(_progress_printer)

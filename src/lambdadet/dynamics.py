@@ -96,16 +96,6 @@ class DensityState:
     frame: Frame
     space: HilbertSpace
 
-    def trace_error(self) -> float:
-        return abs(float(np.trace(self.matrix).real) - 1.0)
-
-    def hermiticity_error(self) -> float:
-        return float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
-
-    def min_eigenvalue(self) -> float:
-        herm = 0.5 * (self.matrix + self.matrix.conj().T)
-        return float(np.linalg.eigvalsh(herm)[0])
-
     def in_frame(self, frame: Frame) -> DensityState:
         """The same state in ``frame``, exactly: with Delta = (new - old
         resonator reference) n_ph + (new - old qubit reference) n_q on the
@@ -127,25 +117,6 @@ def mixed_initial_state(space: HilbertSpace, excited_pop: float, frame: Frame) -
     rho[space.index(0, 0), space.index(0, 0)] = 1.0 - excited_pop
     rho[space.index(1, 0), space.index(1, 0)] = excited_pop
     return DensityState(rho, 0.0, frame, space)
-
-
-def lindblad_rhs(rho: np.ndarray, hamiltonian: np.ndarray | None, collapses) -> np.ndarray:
-    """drho/dt = -i[H, rho] + sum_k gamma_k (L rho L' - {L'L, rho}/2).
-
-    ``collapses`` is an iterable of (operator, rate) pairs where the operator
-    may be a ComplexOperator or a plain ndarray.
-    """
-    out = np.zeros_like(rho)
-    if hamiltonian is not None:
-        h = hamiltonian.matrix if isinstance(hamiltonian, ComplexOperator) else hamiltonian
-        out += -1j * (h @ rho - rho @ h)
-    for op, rate in collapses:
-        if rate == 0.0:
-            continue
-        c = op.matrix if isinstance(op, ComplexOperator) else op
-        cdc = c.conj().T @ c
-        out += rate * (c @ rho @ c.conj().T - 0.5 * (cdc @ rho + rho @ cdc))
-    return out
 
 
 def _commutator_superop(h: np.ndarray) -> np.ndarray:

@@ -39,12 +39,6 @@ class HilbertSpace:
             raise ValueError(f"photon number {n} outside [0, {self.n_max}]")
         return 2 * n + qubit
 
-    def qubit_of(self, index: int) -> int:
-        return index % 2
-
-    def photon_of(self, index: int) -> int:
-        return index // 2
-
     def labels(self):
         """List of (qubit, n) tuples in basis order."""
         return [(i % 2, i // 2) for i in range(self.dim)]
@@ -71,9 +65,6 @@ class ComplexOperator:
         m = m.copy()
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
-
-    def hermiticity_error(self) -> float:
-        return float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
 
 
 def annihilation(space: HilbertSpace) -> np.ndarray:

@@ -107,21 +107,6 @@ class PulseEnvelope:
     def values(self, t: np.ndarray) -> np.ndarray:
         return np.array([self.value(ti) for ti in np.atleast_1d(t)])
 
-    def photon_content(self) -> float:
-        """Analytic integral of |alpha(t)|^2 over the envelope support."""
-        s = self.sigma
-        a2 = self.amplitude**2
-        if self.kind == KIND_GAUSSIAN:
-            # |alpha|^2 is Gaussian with variance sigma^2/2, truncated at 4 sigma
-            # of the amplitude profile
-            return a2 * s * math.sqrt(math.pi) * math.erf(GAUSS_TRUNC_SIGMAS)
-        if self.kind == KIND_FLAT_TOP:
-            edges = a2 * s * math.sqrt(math.pi) * math.erf(GAUSS_TRUNC_SIGMAS)
-            return a2 * self.width + edges
-        if self.kind == KIND_RECT:
-            return a2 * self.width
-        return 0.0
-
 
 def gaussian_signal(nbar: float, t_s: float, center: float, carrier: float) -> PulseEnvelope:
     """Gaussian input pulse whose integrated photon flux equals nbar."""
@@ -166,9 +151,6 @@ class PulseSchedule:
     entries: tuple[tuple[str, PulseEnvelope], ...]
     frame: Frame
     duration: float
-
-    def envelopes(self, role: str):
-        return [env for r, env in self.entries if r == role]
 
     def marker_times(self):
         return [env.center for r, env in self.entries if r == ROLE_READOUT_MARKER]

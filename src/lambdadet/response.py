@@ -174,39 +174,6 @@ class PdiffResult:
     min_abs_r4: float
 
 
-def _branch_dip(
-    params, omega_d, branch, power_grid_dbm, ladders, signal_power_dbm, n_max, freq_halfspan,
-    freq_points,
-):
-    """2D minimum of |r| around one Raman branch, refined along the power
-    axis; ``ladders`` holds the dressed ladder of each power."""
-    upper = 4 if branch == 4 else 3
-    best = np.full(len(power_grid_dbm), np.inf)
-    best_freq = np.zeros(len(power_grid_dbm))
-    for i, (p_dbm, ladder) in enumerate(zip(power_grid_dbm, ladders)):
-        rabi = params.rabi_of_dbm(p_dbm)
-        center = transition_frequency(ladder, 1, upper)
-        freqs = np.linspace(center - freq_halfspan, center + freq_halfspan, freq_points)
-        amps = [math.sqrt(signal_flux_of_dbm(signal_power_dbm, w)) for w in freqs]
-        r, errors = reflection_row(params, omega_d, rabi, freqs, amps, n_max=n_max)
-        for error in errors:
-            if error is not None:
-                raise error
-        mags = np.array([abs(value) for value in r])
-        jmin = int(np.argmin(mags))
-        f_ref, log_min = parabolic_refine(freqs, np.log(np.maximum(mags, 1e-300)), jmin)
-        best[i] = math.exp(log_min)
-        best_freq[i] = f_ref
-    imin = int(np.argmin(best))
-    if imin in (0, len(power_grid_dbm) - 1):
-        raise DipResolutionError(
-            f"branch |{upper}~> dip sits on the power-grid boundary",
-            scan=(power_grid_dbm, best),
-        )
-    p_ref, log_r = parabolic_refine(power_grid_dbm, np.log(best), imin)
-    return float(p_ref), float(best_freq[imin]), math.exp(log_r)
-
-
 class _PowerScan(NamedTuple):
     """The part of ``pdiff_spectrum`` that does not depend on the signal
     power: the drive frequency, the drive-power grid around the matching
@@ -233,18 +200,47 @@ def _dip_separation(
     params, scan: _PowerScan, signal_power_dbm, *, n_max, freq_halfspan=TWO_PI * 10e6,
     freq_points=21,
 ) -> PdiffResult:
-    """P_diff at one signal power over a built power scan. Each branch scans
-    ``freq_points`` frequencies within ``freq_halfspan`` of its dressed
-    transition at every power of the scan."""
-    omega_d, power_grid, ladders = scan
-    p3, f3, r3 = _branch_dip(
-        params, omega_d, 3, power_grid, ladders, float(signal_power_dbm), n_max,
-        freq_halfspan, freq_points,
-    )
-    p4, f4, r4 = _branch_dip(
-        params, omega_d, 4, power_grid, ladders, float(signal_power_dbm), n_max,
-        freq_halfspan, freq_points,
-    )
+    """P_diff at one signal power over a built power scan. At every power of
+    the scan, each Raman branch scans ``freq_points`` frequencies within
+    ``freq_halfspan`` of its dressed transition |1~> -> |3~> or |4~>, both
+    windows in one stacked solve. Each branch's |r| minimum is refined along
+    frequency at every power, then along power. A failed point or a dip on
+    the power-grid boundary raises, branch |3~> first."""
+    omega_d, powers, ladders = scan
+    signal_power_dbm = float(signal_power_dbm)
+    rows = []
+    for p_dbm, ladder in zip(powers, ladders):
+        centers = (transition_frequency(ladder, 1, 3), transition_frequency(ladder, 1, 4))
+        freqs = np.concatenate(
+            [np.linspace(c - freq_halfspan, c + freq_halfspan, freq_points) for c in centers]
+        )
+        amps = [math.sqrt(signal_flux_of_dbm(signal_power_dbm, w)) for w in freqs]
+        rabi = params.rabi_of_dbm(p_dbm)
+        rows.append((freqs, *reflection_row(params, omega_d, rabi, freqs, amps, n_max=n_max)))
+    dips = []
+    for branch, upper in enumerate((3, 4)):
+        part = slice(branch * freq_points, (branch + 1) * freq_points)
+        best = np.empty(len(powers))
+        best_freq = np.empty(len(powers))
+        for i, (freqs, r, errors) in enumerate(rows):
+            for error in errors[part]:
+                if error is not None:
+                    raise error
+            mags = np.array([abs(value) for value in r[part]])
+            jmin = int(np.argmin(mags))
+            f_ref, log_min = parabolic_refine(
+                freqs[part], np.log(np.maximum(mags, 1e-300)), jmin
+            )
+            best[i] = math.exp(log_min)
+            best_freq[i] = f_ref
+        imin = int(np.argmin(best))
+        if imin in (0, len(powers) - 1):
+            raise DipResolutionError(
+                f"branch |{upper}~> dip sits on the power-grid boundary", scan=(powers, best)
+            )
+        p_ref, log_r = parabolic_refine(powers, np.log(best), imin)
+        dips.append((float(p_ref), float(best_freq[imin]), math.exp(log_r)))
+    (p3, f3, r3), (p4, f4, r4) = dips
     return PdiffResult(p3, p4, abs(p3 - p4), f3, f4, r3, r4)
 
 

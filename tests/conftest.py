@@ -1,10 +1,16 @@
 import dataclasses
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from lambdadet.config import parse_config
 from lambdadet.dressed import fit_drive_calibration
+
+# perfbench/reference.py, the matrix-form oracle outside the package, is a
+# reference for tests too
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 TWO_PI = 2.0 * np.pi
 

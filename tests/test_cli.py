@@ -1,4 +1,6 @@
+import importlib.util
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,32 +12,74 @@ from lambdadet.errors import ConfigError, RenderError
 from lambdadet.render import render_heatmap
 from lambdadet.sweep import read_csv, write_csv
 
-FAST_CFG = """
-# small grids so CLI tests stay quick
-dressed_pd_grid_dBm = -80,-70,50
-reflect_pd_grid_dBm = -77.5,-74.5,5
-reflect_freq_grid_GHz = 10.262,10.272,5
-detect_pd_grid_dBm = -76,-75,3
-detect_freq_grid_GHz = 10.264,10.272,3
-ts_list_ns = 55,85
-ns_ts_list_ns = 55,85
-nbar_list = 0.05,0.1
-dark_pd_grid_dBm = -76,-75,2
-reset_pd_grid_dBm = -72.6,-71.6,2
-reset_freq_grid_GHz = 10.159,10.165,2
-"""
+_spec = importlib.util.spec_from_file_location(
+    "write_golden", Path(__file__).resolve().parent.parent / "tools" / "write_golden.py"
+)
+golden = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(golden)
+
+# the config of the golden files, with small grids so CLI tests stay quick
+FAST_CFG = golden.CONFIG.read_text()
 
 
 @pytest.fixture(scope="module")
-def fast_cfg(tmp_path_factory):
-    path = tmp_path_factory.mktemp("cfg") / "fast.cfg"
-    path.write_text(FAST_CFG)
-    return path
+def fast_cfg():
+    return golden.CONFIG
 
 
-def test_dressed_csv(fast_cfg, tmp_path):
-    assert main(["--config", str(fast_cfg), "--out", str(tmp_path), "dressed"]) == 0
-    header, cols = read_csv(tmp_path / "dressed.csv")
+@pytest.fixture(scope="module")
+def fast_outputs(tmp_path_factory):
+    """Every CLI task run once on FAST_CFG through ``main``, on one worker,
+    as tools/write_golden.py runs them."""
+    out = tmp_path_factory.mktemp("fast")
+    golden.write_outputs(out)
+    return out
+
+
+def _mismatch(name, expected, actual):
+    """None if the two texts are equal, else where they first differ and,
+    for a CSV, the cell with the largest relative change."""
+    if actual == expected:
+        return None
+    old, new = expected.splitlines(), actual.splitlines()
+    if len(old) != len(new):
+        return f"{name}: {len(new)} lines, golden {len(old)}"
+    header = old[0].split(",")
+    first, worst, worst_at = None, 0.0, None
+    for n, (a, b) in enumerate(zip(old, new), 1):
+        if a == b:
+            continue
+        if not name.endswith(".csv") or a.count(",") != b.count(","):
+            first = first or f"line {n}"
+            continue
+        for column, x, y in zip(header, a.split(","), b.split(",")):
+            if x == y:
+                continue
+            cell = f"line {n}, column {column} ({x} -> {y})"
+            first = first or cell
+            try:
+                change = abs(float(y) - float(x)) / (max(abs(float(x)), abs(float(y))) or 1.0)
+            except ValueError:
+                continue
+            if change > worst:
+                worst, worst_at = change, cell
+    largest = f"; largest relative change {worst:.3g} at {worst_at}" if worst_at else ""
+    return f"{name}: first differs at {first}{largest}"
+
+
+def test_outputs_match_golden_files(fast_outputs):
+    """The CLI outputs are those of tests/golden, byte for byte."""
+    names = golden.outputs(golden.GOLDEN)
+    assert golden.outputs(fast_outputs) == names
+    mismatches = [
+        _mismatch(name, (golden.GOLDEN / name).read_text(), (fast_outputs / name).read_text())
+        for name in names
+    ]
+    assert not any(mismatches), "\n".join(m for m in mismatches if m)
+
+
+def test_dressed_csv(fast_outputs):
+    header, cols = read_csv(fast_outputs / "dressed.csv")
     assert header[:2] == ["rabi_rad_s", "p_d_dbm"]
     assert len(cols["rabi_rad_s"]) == 50
     assert np.all(np.diff(cols["rabi_rad_s"]) > 0)
@@ -46,38 +90,32 @@ def test_dressed_csv(fast_cfg, tmp_path):
     assert np.allclose(total, total[0], rtol=1e-9)
 
 
-def test_reflect_map_exact_columns(fast_cfg, tmp_path):
-    assert main(["--config", str(fast_cfg), "--out", str(tmp_path), "reflect-map"]) == 0
-    header, cols = read_csv(tmp_path / "reflect_map.csv")
+def test_reflect_map_exact_columns(fast_outputs):
+    header, cols = read_csv(fast_outputs / "reflect_map.csv")
     assert header == ["P_d_dBm", "omega_s_GHz", "abs_r", "abs_r_dB", "arg_r"]
     assert len(cols["abs_r"]) == 25
     assert max(cols["abs_r"]) <= 1.0 + 1e-6
 
 
-def test_detect_with_trace(fast_cfg, tmp_path):
-    code = main(
-        ["--config", str(fast_cfg), "--out", str(tmp_path), "--trace-out", "detect"]
-    )
-    assert code == 0
-    header, cols = read_csv(tmp_path / "detect.csv")
+def test_detect_with_trace(fast_outputs):
+    header, cols = read_csv(fast_outputs / "detect.csv")
     assert header[:3] == ["p_e", "p_dark", "eta"]
-    trace_header, trace = read_csv(tmp_path / "detect_trace.csv")
+    trace_header, trace = read_csv(fast_outputs / "detect_trace.csv")
     assert trace_header == ["t_s", "p_e", "photon_number", "re_a", "im_a", "trace_error"]
     assert max(trace["trace_error"]) < 1e-9
 
 
-def test_byte_identical_across_worker_counts(fast_cfg, tmp_path):
-    """The maps fan out blocks of rows, the scans their two pulse lengths."""
-    out1, out2 = tmp_path / "w1", tmp_path / "w2"
+def test_byte_identical_across_worker_counts(fast_outputs, tmp_path):
+    """The maps fan out blocks of rows, the scans their two pulse lengths;
+    the one-worker side is the golden run's."""
     cfg = parse_config(FAST_CFG)
     for task, workers, csv in (("detect-map", 3, "detect_map.csv"),
                                ("reflect-map", 2, "reflect_map.csv"),
                                ("reset-map", 2, "reset_map.csv"),
                                ("scan-ts", 2, "scan_ts.csv"),
                                ("scan-ns", 2, "scan_ns.csv")):
-        assert run_sweep(cfg, task, out_dir=out1, workers=1) == 0
-        assert run_sweep(cfg, task, out_dir=out2, workers=workers) == 0
-        assert (out1 / csv).read_bytes() == (out2 / csv).read_bytes()
+        assert run_sweep(cfg, task, out_dir=tmp_path, workers=workers) == 0
+        assert (tmp_path / csv).read_bytes() == (fast_outputs / csv).read_bytes()
 
 
 PROGRESS_CFG = """
@@ -147,9 +185,8 @@ def test_scan_ts_argmax_matches_module(fast_cfg, tmp_path):
     assert all(e > 0.3 for e in cols["eta"])
 
 
-def test_reset_cmd(fast_cfg, tmp_path):
-    assert main(["--config", str(fast_cfg), "--out", str(tmp_path), "reset"]) == 0
-    header, cols = read_csv(tmp_path / "reset.csv")
+def test_reset_cmd(fast_outputs):
+    header, cols = read_csv(fast_outputs / "reset.csv")
     assert cols["p_e_after_reset"][0] < 0.05
     assert cols["p_e_no_reset"][0] > 0.4
 
@@ -318,6 +355,15 @@ def test_svg_out_naming_a_directory_is_an_error_line(tmp_path, capsys):
     argv = ["render", str(csv), "a", "b", "c", "--svg-out", str(target)]
     assert f"cannot write {target}" in _exits_with_error_line(argv, capsys)
     assert list(target.iterdir()) == []
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_below_one_is_an_error_line(workers, tmp_path, capsys):
+    """--workers is held to the config key's bound, workers >= 1."""
+    argv = ["--out", str(tmp_path), "--workers", workers, "dressed"]
+    err = _exits_with_error_line(argv, capsys)
+    assert err == f"error: --workers {workers} must be >= 1\n"
+    assert not (tmp_path / "dressed.csv").exists()
 
 
 def test_bad_config_exit_code(tmp_path):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+import reference
 from lambdadet.dynamics import (
     DensityState,
     IntegratorOptions,
@@ -14,7 +15,6 @@ from lambdadet.dynamics import (
     _commutator_superop,
     _dissipator_superop,
     _schedule_terms,
-    lindblad_rhs,
     liouvillian,
     mixed_initial_state,
     propagate,
@@ -54,6 +54,11 @@ def rect(role_amp_carrier, duration):
     return PulseEnvelope(KIND_RECT, duration / 2, duration, 0.0, amp, carrier)
 
 
+def _rhs(rho, h, collapses):
+    """drho/dt of the production superoperator, liouvillian(...) @ vec(rho)."""
+    return (liouvillian(h, collapses) @ rho.reshape(-1)).reshape(rho.shape)
+
+
 class TestLindbladRhs:
     def test_decay_rate(self):
         space = build_space(1)
@@ -61,7 +66,7 @@ class TestLindbladRhs:
         rho = np.zeros((4, 4), complex)
         rho[space.index(1, 0), space.index(1, 0)] = 1.0
         gamma = 2.0e6
-        drho = lindblad_rhs(rho, None, [(sm, gamma)])
+        drho = _rhs(rho, np.zeros((4, 4)), [(sm, gamma)])
         nq = qubit_number(space)
         assert np.trace(nq @ drho).real == pytest.approx(-gamma)
 
@@ -71,7 +76,7 @@ class TestLindbladRhs:
         h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         h = h + h.conj().T
         rho = np.eye(4, dtype=complex) / 4.0
-        assert np.max(np.abs(lindblad_rhs(rho, h, []))) < 1e-12
+        assert np.max(np.abs(_rhs(rho, h, []))) < 1e-12
 
     def test_coherent_cavity_damping(self):
         space = build_space(2)
@@ -82,7 +87,7 @@ class TestLindbladRhs:
         psi[space.index(0, 0)] = math.sqrt(0.8)
         psi[space.index(0, 1)] = math.sqrt(0.2)
         rho = np.outer(psi, psi.conj())
-        drho = lindblad_rhs(rho, None, [(a, kappa)])
+        drho = _rhs(rho, np.zeros((space.dim, space.dim)), [(a, kappa)])
         a_dot = np.trace(a @ drho)
         a_mean = np.trace(a @ rho)
         assert a_dot == pytest.approx(-kappa / 2 * a_mean, rel=1e-12)
@@ -96,7 +101,8 @@ class TestLindbladRhs:
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
     def test_superoperator_matches_matrix_form(self, n_max, h_scale, rates, seed):
-        """liouvillian(h, collapses) acting on vec(rho) is lindblad_rhs(rho, h, collapses)."""
+        """liouvillian(h, collapses) acting on vec(rho) is the matrix-form
+        right-hand side of perfbench's reference."""
         d = build_space(n_max).dim
         rng = np.random.default_rng(seed)
 
@@ -111,7 +117,7 @@ class TestLindbladRhs:
         rho /= np.trace(rho).real
 
         vec = liouvillian(h, collapses) @ rho.reshape(-1)
-        expected = lindblad_rhs(rho, h, collapses).reshape(-1)
+        expected = reference.master_equation_rhs(rho, h, collapses).reshape(-1)
         scale = np.linalg.norm(h) + sum(r * np.linalg.norm(c) ** 2 for c, r in collapses)
         assert np.max(np.abs(vec - expected)) <= 1e-12 * (scale + 1.0)
 
@@ -287,9 +293,10 @@ class TestPropagate:
         assert sched.marker_times()[-1] in traj.pinned
         assert traj.final is traj.pinned[traj.times[-1]]
         for state in traj.pinned.values():
-            assert state.trace_error() < 1e-9
-            assert state.hermiticity_error() < 1e-10
-            assert state.min_eigenvalue() > -1e-8
+            rho = state.matrix
+            assert abs(np.trace(rho).real - 1.0) < 1e-9
+            assert np.max(np.abs(rho - rho.conj().T)) < 1e-10
+            assert np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0] > -1e-8
 
     def test_pi_pulse_swaps(self, clean_params):
         space = build_space(1)
@@ -616,8 +623,8 @@ class TestInFrame:
         state = self._state(a)
         moved = state.in_frame(c)
         assert np.array_equal(np.diag(moved.matrix), np.diag(state.matrix))
-        assert moved.trace_error() == state.trace_error()
-        assert moved.hermiticity_error() <= 1e-16
+        assert np.trace(moved.matrix).real == np.trace(state.matrix).real
+        assert np.max(np.abs(moved.matrix - moved.matrix.conj().T)) <= 1e-16
         assert np.allclose(
             np.linalg.eigvalsh(moved.matrix), np.linalg.eigvalsh(state.matrix), rtol=0, atol=1e-15
         )

@@ -29,10 +29,9 @@ def test_invalid_cutoff():
 @given(st.integers(min_value=1, max_value=12))
 def test_basis_bijective(n_max):
     space = build_space(n_max)
-    for idx in range(space.dim):
-        q, n = space.qubit_of(idx), space.photon_of(idx)
-        assert space.index(q, n) == idx
     labels = space.labels()
+    for idx, (q, n) in enumerate(labels):
+        assert space.index(q, n) == idx
     assert len(set(labels)) == space.dim
 
 
