@@ -145,7 +145,7 @@ def cmd_reflect_map(cfg, params, args, out_dir):
         freq_grid,
         probe_amp,
         n_max=cfg.get("n_max"),
-        workers=args.workers or cfg.get("workers"),
+        workers=args.workers,
     )
     rows = _grid_rows(rmap.p_d_dbm, rmap.omega_s, lambda i, j: _reflection_cells(rmap.r[i, j]))
     header = ["P_d_dBm", "omega_s_GHz", "abs_r", "abs_r_dB", "arg_r"]
@@ -190,7 +190,7 @@ def _options(cfg):
 
 
 def _sweep_options(cfg, args):
-    return dict(_options(cfg), workers=args.workers or cfg.get("workers"))
+    return dict(_options(cfg), workers=args.workers)
 
 
 def cmd_detect(cfg, params, args, out_dir):
@@ -406,7 +406,8 @@ def run_sweep(
     """Execute one sweep task programmatically; returns the exit status.
 
     Artifacts are deterministic CSVs; identical configs produce byte-identical
-    files for any worker count.
+    files for any worker count. ``workers`` None takes the config's
+    ``workers``; below 1 raises LambdaDetError.
     """
     if task not in _COMMANDS or task == "render":
         raise ValueError(f"unknown sweep task {task!r}")
@@ -416,7 +417,12 @@ def run_sweep(
 
 def _dispatch(command, cfg, args, out_dir) -> int:
     """Run one command; its flags make the exit status 2 under --strict (or
-    the config's ``strict``)."""
+    the config's ``strict``). A worker count below 1 is an error; without
+    one, the config's ``workers`` applies."""
+    if args.workers is None:
+        args.workers = cfg.get("workers")
+    elif args.workers < 1:
+        raise LambdaDetError(f"--workers {args.workers} must be >= 1")
     # render reads only a CSV, so it skips the dBm calibration fit
     params = None if command == "render" else _calibrated_params(cfg)
     flags = _COMMANDS[command](cfg, params, args, out_dir)
@@ -433,8 +439,6 @@ def main(argv=None) -> int:
         if not hasattr(args, key):
             setattr(args, key, value)
     try:
-        if args.workers is not None and args.workers < 1:
-            raise LambdaDetError(f"--workers {args.workers} must be >= 1")
         cfg = _load_config(args.config)
         if sys.stderr.isatty():
             sweep.set_progress_hook(_progress_printer)

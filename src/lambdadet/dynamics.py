@@ -18,6 +18,14 @@ read-only ``Superoperators`` record; CW reflection assembles a whole row of
 Liouvillians from it and solves the stack at once. ``liouvillian`` builds
 one Liouvillian from kron products and is the oracle the record is checked
 against.
+
+Steady states are solved in a real basis. A Lindblad generator maps
+Hermitian matrices to Hermitian matrices, so in an orthonormal basis of
+Hermitian matrices (``hermitian_basis``, the generalised Bloch or Gell-Mann
+representation; Alicki and Lendi, *Quantum Dynamical Semigroups and
+Applications*, ch. 2) it is a real matrix of the same order: ``real_form``.
+A real LU of that order takes a quarter of the floating-point operations
+of a complex one. Propagation stays complex.
 """
 
 from __future__ import annotations
@@ -135,6 +143,37 @@ def _dissipator_superop(c: np.ndarray, rate: float) -> np.ndarray:
     )
 
 
+@functools.lru_cache(maxsize=8)
+def hermitian_basis(d: int) -> np.ndarray:
+    """(d^2, d^2) unitary T whose columns are the row-major vecs of an
+    orthonormal basis of the Hermitian d x d matrices: E_jj for every j,
+    then (E_jk + E_kj)/sqrt(2) and i(E_jk - E_kj)/sqrt(2) for each j < k.
+
+    A Hermitian rho has the real coordinates r = T^H vec(rho), and
+    vec(rho) = T r. The diagonal coordinates come first, so Tr rho is the
+    sum of the first d entries of r. Read-only, built once per d.
+    """
+    j, k = np.triu_indices(d, 1)
+    sym = d + 2 * np.arange(len(j))
+    root_half = math.sqrt(0.5)
+    t = np.zeros((d * d, d * d), dtype=complex)
+    t[np.arange(d) * (d + 1), np.arange(d)] = 1.0
+    t[j * d + k, sym] = t[k * d + j, sym] = root_half
+    t[j * d + k, sym + 1] = 1j * root_half
+    t[k * d + j, sym + 1] = -1j * root_half
+    t.flags.writeable = False
+    return t
+
+
+def real_form(sup: np.ndarray) -> np.ndarray:
+    """Re(T^H S T) of a (D, D) superoperator S that maps Hermitian matrices
+    to Hermitian matrices, with T the ``hermitian_basis``: S acting on the
+    real coordinates. For such an S the imaginary part dropped here is
+    rounding."""
+    t = hermitian_basis(math.isqrt(sup.shape[0]))
+    return np.ascontiguousarray((t.conj().T @ sup @ t).real)
+
+
 def liouvillian(hamiltonian, collapses) -> np.ndarray:
     """Dense superoperator acting on the row-major vectorized density matrix."""
     if isinstance(hamiltonian, ComplexOperator):
@@ -150,6 +189,24 @@ def liouvillian(hamiltonian, collapses) -> np.ndarray:
     return sup
 
 
+class CWPieces(NamedTuple):
+    """The real forms (``real_form``) of the ``Superoperators`` pieces that
+    CW assembly reads, and what it reads of them."""
+
+    dissipators: np.ndarray
+    flip_up: np.ndarray
+    flip_down: np.ndarray
+    dephasing: np.ndarray
+    drive: np.ndarray  # of -i[X, .]
+    input: np.ndarray  # of -i[P, .]
+    n_q: np.ndarray  # of -i[n_q, .]
+    n_ph: np.ndarray  # of -i[n_ph, .]
+    n_q_n_ph: np.ndarray  # of -i[n_q n_ph, .]
+    n_ph_index: tuple  # (rows, cols) of the non-zero entries of n_ph
+    input_index: tuple  # (rows, cols) of the non-zero entries of input
+    a_row: np.ndarray  # <a> = Tr(a rho) = a_row . vec(rho)
+
+
 @dataclass(frozen=True)
 class Superoperators:
     """Superoperator pieces the Liouvillian is affine in, for one (params, n_max).
@@ -163,7 +220,9 @@ class Superoperators:
     commutator, as ``liouvillian`` does. A commutator piece touches only
     entries the dissipators leave zero, or on the diagonal only the
     imaginary part, which they leave zero; summed in the order of
-    ``liouvillian``, the pieces give the kron build bit for bit. Read-only;
+    ``liouvillian``, the pieces give the kron build bit for bit. Pulse
+    schedules read these complex pieces (``pulse_terms``). CW assembly reads
+    their real forms, ``cw_pieces``, built on its first use only. Read-only;
     get it from ``superoperators``.
     """
 
@@ -196,44 +255,64 @@ class Superoperators:
             sup.flags.writeable = False
         return terms
 
+    @functools.cached_property
+    def cw_pieces(self) -> CWPieces:
+        """The real forms CW assembly reads, with the index sets of its
+        per-point pieces and the <a> row."""
+        real = {
+            name: real_form(getattr(self, name))
+            for name in ("dissipators", "flip_up", "flip_down", "dephasing")
+        }
+        real["drive"], real["input"] = real_form(self.drive[0]), real_form(self.input[0])
+        for name in ("n_q", "n_ph", "n_q_n_ph"):
+            real[name] = real_form(_commutator_superop(np.diag(getattr(self, name))))
+        pieces = CWPieces(
+            **real,
+            n_ph_index=np.nonzero(real["n_ph"]),
+            input_index=np.nonzero(real["input"]),
+            a_row=annihilation(self.space).T.reshape(-1),
+        )
+        for array in pieces:
+            for part in array if isinstance(array, tuple) else (array,):
+                part.flags.writeable = False
+        return pieces
+
     def cw_liouvillians(self, omega_d: float, rabi: float, omega_s, input_amp) -> np.ndarray:
-        """(B, D, D) Liouvillians of a drive at omega_d and B input tones.
+        """(B, D, D) real forms of the Liouvillians of a drive at omega_d and
+        B input tones.
 
         Tone k sits at omega_s[k] with sqrt(kappa_ext) times its amplitude
         equal to input_amp[k], in the frame (omega_d, omega_s[k]). Equals
-        ``liouvillian`` of ``hamiltonian_static`` plus input_amp[k] P, with
-        ``collapse_operators`` and ``drive_noise_channels``: the drive-line
-        noise is the record's unit-rate ``flip_up``, ``flip_down`` and
-        ``dephasing`` at the channels' rates, added in the channels' order.
+        ``real_form`` of ``liouvillian`` of ``hamiltonian_static`` plus
+        input_amp[k] P, with ``collapse_operators`` and
+        ``drive_noise_channels``: the drive-line noise is the record's
+        unit-rate ``flip_up``, ``flip_down`` and ``dephasing`` at the
+        channels' rates. The part the tones share is summed once; each tone
+        adds its n_ph and input terms at their non-zero entries.
         """
         if rabi < 0:
             raise ValueError("rabi must be >= 0")
         omega_s = np.asarray(omega_s, dtype=float)
         p = self.params
-        base = self.dissipators
+        real = self.cw_pieces
+        base = real.dissipators
         if rabi > 0:
             flip_rate = p.drive_noise_per_rabi2 * rabi * rabi
             if flip_rate > 0:
-                base = base + flip_rate * self.flip_up
-                base = base + flip_rate * self.flip_down
+                base = base + flip_rate * real.flip_up
+                base = base + flip_rate * real.flip_down
             deph_rate = p.drive_dephasing_per_rabi2 * rabi * rabi
             if deph_rate > 0:
-                base = base + deph_rate * self.dephasing
-            base = base + (rabi / 2.0) * self.drive[0]
-        sups = np.empty((len(omega_s),) + base.shape, dtype=complex)
+                base = base + deph_rate * real.dephasing
+            base = base + (rabi / 2.0) * real.drive
+        base = base + (p.omega_ge - omega_d) * real.n_q - 2.0 * p.chi * real.n_q_n_ph
+        sups = np.empty((len(omega_s),) + base.shape)
         sups[:] = base
-        # the input commutator's entries, where every other piece is zero
-        rows, cols = np.nonzero(self.input[0])
+        rows, cols = real.n_ph_index
+        sups[:, rows, cols] += (p.omega_r - omega_s)[:, None] * real.n_ph[rows, cols]
+        rows, cols = real.input_index
         amps = np.asarray(input_amp, dtype=float)[:, None]
-        sups[:, rows, cols] = amps * self.input[0][rows, cols]
-        h_diag = (
-            (p.omega_ge - omega_d) * self.n_q
-            + (p.omega_r - omega_s[:, None]) * self.n_ph
-            - 2.0 * p.chi * self.n_q_n_ph
-        )
-        diag = np.arange(base.shape[0])
-        commutator_diag = -(h_diag[:, :, None] - h_diag[:, None, :])
-        sups.imag[:, diag, diag] = commutator_diag.reshape(len(omega_s), -1)
+        sups[:, rows, cols] += amps * real.input[rows, cols]
         return sups
 
 
@@ -269,9 +348,10 @@ def steady_state(hamiltonian, collapses, *, frame: Frame | None = None,
                  space: HilbertSpace | None = None) -> DensityState:
     """Solve L rho = 0 with unit trace by a dense linear solve.
 
-    The B = 1 case of ``steady_state_stack`` on the kron-built Liouvillian.
-    Raises SteadyStateError with a nullity estimate when the Liouvillian
-    kernel is degenerate or the solve fails the residual check.
+    The B = 1 case of ``steady_state_stack`` on the ``real_form`` of the
+    kron-built Liouvillian. Raises SteadyStateError with a nullity estimate
+    when the Liouvillian kernel is degenerate or the solve fails the
+    residual check.
     """
     if isinstance(hamiltonian, ComplexOperator):
         if space is None:
@@ -279,7 +359,7 @@ def steady_state(hamiltonian, collapses, *, frame: Frame | None = None,
         h = hamiltonian.matrix
     else:
         h = np.asarray(hamiltonian, dtype=complex)
-    (rho,), (error,) = steady_state_stack(liouvillian(h, collapses)[None])
+    (rho,), (error,) = steady_state_stack(real_form(liouvillian(h, collapses))[None])
     if error is not None:
         raise error
     fr = frame if frame is not None else Frame(0.0, 0.0)
@@ -288,25 +368,32 @@ def steady_state(hamiltonian, collapses, *, frame: Frame | None = None,
 
 
 def steady_state_stack(sups: np.ndarray):
-    """Unit-trace kernels of a (B, D, D) stack of Liouvillians.
+    """Unit-trace kernels of a (B, D, D) stack of real Liouvillians.
 
-    One stacked linear solve, with the first row of each Liouvillian
-    replaced by the trace; each point's residual is checked against that
-    point's own norm. A point that fails the check, or a stack that LAPACK
-    reports singular, goes to the SVD nullity estimate. ``sups`` is changed
-    during the solve and restored. Returns the (B, d, d) density matrices,
+    The Liouvillians act on the real coordinates of ``hermitian_basis``
+    (``real_form``; ``Superoperators.cw_liouvillians`` assembles them).
+    One stacked real linear solve, with the first row of each Liouvillian
+    replaced by the trace, which is 1 on the first d coordinates; each
+    point's residual ||L x|| is checked against 1e-10 times that point's
+    Frobenius norm ||L||_F. A point that fails the check, or a stack that
+    LAPACK reports singular, goes to the SVD nullity estimate: singular
+    values below 1e-10 times the largest. The basis is orthonormal, so the
+    residual norm, the Frobenius norm and the singular values equal those
+    of the complex Liouvillian on vec(rho), and both checks equal the
+    complex ones in exact arithmetic. ``sups`` is changed during the solve
+    and restored. Returns the (B, d, d) complex density matrices rho = T r,
     symmetrised and normalised (NaN where the solve failed), and per point
     None or its SteadyStateError.
     """
     n_points, n, _ = sups.shape
     d = math.isqrt(n)
-    flat = sups.view(np.float64).reshape(n_points, -1)
+    flat = sups.reshape(n_points, -1)
     sup_norms = np.sqrt(np.einsum("ij,ij->i", flat, flat))
     first_rows = sups[:, 0, :].copy()
     try:
         sups[:, 0, :] = 0.0
-        sups[:, 0, :: d + 1] = 1.0  # trace row
-        rhs = np.zeros((n_points, n, 1), dtype=complex)
+        sups[:, 0, :d] = 1.0  # trace row
+        rhs = np.zeros((n_points, n, 1))
         rhs[:, 0, 0] = 1.0
         xs = np.linalg.solve(sups, rhs)
         # L x: rows 1.. are the solved system's; row 0 is the saved one
@@ -324,9 +411,8 @@ def steady_state_stack(sups: np.ndarray):
     rhos = np.full((n_points, d, d), np.nan, dtype=complex)
     errors = [None] * n_points
     if xs is not None:
-        lx = lx.view(np.float64)
         ok = np.sqrt(np.einsum("ij,ij->i", lx, lx)) < 1e-10 * sup_norms
-        rho = xs[ok].reshape(-1, d, d)
+        rho = (xs[ok] @ hermitian_basis(d).T).reshape(-1, d, d)
         rho = 0.5 * (rho + rho.conj().transpose(0, 2, 1))
         rho /= np.trace(rho, axis1=1, axis2=2).real[:, None, None]
         rhos[ok] = rho

@@ -22,7 +22,6 @@ import numpy as np
 from .dressed import dressed_states, matching_amplitude, transition_frequency
 from .dynamics import steady_state_stack, superoperators
 from .errors import DipResolutionError, SteadyStateError
-from .hilbert import annihilation
 from .params import SystemParams
 from .sweep import fan_out, grid_argmin, increasing_grids, parabolic_refine
 
@@ -63,7 +62,7 @@ def reflection_row(params: SystemParams, omega_d: float, rabi: float, omega_s, p
     root_kext = math.sqrt(params.kappa_ext)
     sups = ops.cw_liouvillians(omega_d, rabi, omega_s, [root_kext * amp for amp in probe_amp])
     rhos, errors = steady_state_stack(sups)
-    a_mean = np.trace(annihilation(ops.space) @ rhos, axis1=1, axis2=2)
+    a_mean = rhos.reshape(len(rhos), -1) @ ops.cw_pieces.a_row
     r = [-1.0 + root_kext * complex(a) / amp for a, amp in zip(a_mean, probe_amp)]
     return r, errors
 

@@ -8,7 +8,7 @@ import pytest
 from lambdadet import sweep
 from lambdadet.cli import _progress_printer, main, run_sweep
 from lambdadet.config import parse_config
-from lambdadet.errors import ConfigError, RenderError
+from lambdadet.errors import ConfigError, LambdaDetError, RenderError
 from lambdadet.render import render_heatmap
 from lambdadet.sweep import read_csv, write_csv
 
@@ -364,6 +364,16 @@ def test_workers_below_one_is_an_error_line(workers, tmp_path, capsys):
     err = _exits_with_error_line(argv, capsys)
     assert err == f"error: --workers {workers} must be >= 1\n"
     assert not (tmp_path / "dressed.csv").exists()
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_run_sweep_rejects_workers_below_one(workers, tmp_path):
+    """The library entry point holds workers to the same bound as --workers:
+    0 does not fall back to the config's value, and no task runs."""
+    cfg = parse_config(FAST_CFG)
+    with pytest.raises(LambdaDetError, match=f"--workers {workers} must be >= 1"):
+        run_sweep(cfg, "reflect-map", out_dir=tmp_path, workers=workers)
+    assert not (tmp_path / "reflect_map.csv").exists()
 
 
 def test_bad_config_exit_code(tmp_path):

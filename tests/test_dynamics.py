@@ -15,10 +15,12 @@ from lambdadet.dynamics import (
     _commutator_superop,
     _dissipator_superop,
     _schedule_terms,
+    hermitian_basis,
     liouvillian,
     mixed_initial_state,
     propagate,
     propagate_batch,
+    real_form,
     steady_state,
     steady_state_stack,
     superoperators,
@@ -45,6 +47,7 @@ from lambdadet.pulses import (
     instant_pi,
     reset_schedule,
 )
+from lambdadet.response import default_probe_amplitude, reflection_row
 
 TWO_PI = 2.0 * np.pi
 
@@ -155,13 +158,15 @@ class TestSuperoperators:
         )
         omega_d, omega_s = p.omega_ge - detunings[0], p.omega_r - detunings[1]
         (sup,) = superoperators(p, n_max).cw_liouvillians(omega_d, rabi, [omega_s], [input_amp])
-        oracle = _cw_oracle(p, omega_d, rabi, omega_s, input_amp, n_max)
+        oracle = real_form(_cw_oracle(p, omega_d, rabi, omega_s, input_amp, n_max))
         assert np.max(np.abs(sup - oracle)) <= 1e-13 * np.linalg.norm(oracle)
 
     def test_schedule_terms_equal_kron_build(self, params, cfg):
         """The pulsed static part and the term superoperators that the
         coefficients index in ``pulse_terms`` match the kron build exactly,
-        so propagation is bit-for-bit unchanged."""
+        so propagation is bit-for-bit unchanged. The record's complex pieces
+        give the zero-Rabi static part bit for bit too, and its real CW
+        assembly gives that part's real form."""
         params = dataclasses.replace(
             params, drive_noise_per_rabi2=1e-12, drive_dephasing_per_rabi2=1e-12
         )
@@ -175,10 +180,19 @@ class TestSuperoperators:
 
         h0 = hamiltonian_static(params, frame, 0.0, frame.qubit_ref, space=space).matrix
         assert np.array_equal(static, liouvillian(h0, collapse_operators(params, space)))
-        (record_static,) = superoperators(params, 3).cw_liouvillians(
-            frame.qubit_ref, 0.0, [frame.resonator_ref], [0.0]
+        ops = superoperators(params, 3)
+        h_diag = (
+            (params.omega_ge - frame.qubit_ref) * ops.n_q
+            + (params.omega_r - frame.resonator_ref) * ops.n_ph
+            - 2.0 * params.chi * ops.n_q_n_ph
         )
+        record_static = ops.dissipators.copy()
+        diag = np.arange(space.dim**2)
+        record_static.imag[diag, diag] = -(h_diag[:, None] - h_diag[None, :]).reshape(-1)
         assert np.array_equal(record_static, static)
+        (real_static,) = ops.cw_liouvillians(frame.qubit_ref, 0.0, [frame.resonator_ref], [0.0])
+        want = real_form(static)
+        assert np.max(np.abs(real_static - want)) <= 1e-13 * np.linalg.norm(want)
 
         sm = qubit_lowering(space)
         x_q, y_q = drive_quadratures(space)
@@ -202,6 +216,71 @@ class TestSuperoperators:
         with pytest.raises(ValueError):
             ops.dissipators[0, 0] = 1.0
 
+    def test_pulsed_path_builds_no_real_pieces(self, clean_params):
+        """A propagation reads the complex pieces only: the real forms CW
+        assembly needs are not built."""
+        p = dataclasses.replace(clean_params, gamma_phi=1.234e5)  # a record of its own
+        frame = Frame(p.omega_ge, p.omega_r)
+        drive = rect((TWO_PI * 30e6, p.omega_ge), 20e-9)
+        signal = rect((1e3, p.omega_r + TWO_PI * 2e6), 20e-9)
+        sched = PulseSchedule(((ROLE_DRIVE, drive), (ROLE_SIGNAL, signal)), frame, 20e-9)
+        rho0 = mixed_initial_state(build_space(2), 0.0, frame)
+        (traj,) = propagate_batch([rho0], [sched], p, IntegratorOptions())
+        assert not isinstance(traj, IntegrationError)
+        ops = superoperators(p, 2)
+        assert "pulse_terms" in vars(ops)
+        assert "cw_pieces" not in vars(ops)
+
+
+class TestHermitianBasis:
+    @pytest.mark.parametrize("n_max", [1, 2, 3, 4])
+    def test_unitary_and_round_trip(self, n_max):
+        """T is unitary. A Hermitian rho has exactly real coordinates whose
+        first d entries sum to its trace, and T r is exactly Hermitian with
+        rho's diagonal; off the diagonal it is rho to 2 ulps, since
+        fl(sqrt(1/2))^2 is not 1/2."""
+        d = build_space(n_max).dim
+        t = hermitian_basis(d)
+        assert hermitian_basis(d) is t and not t.flags.writeable
+        assert np.max(np.abs(t.conj().T @ t - np.eye(d * d))) <= 2 * np.finfo(float).eps
+        rng = np.random.default_rng(n_max)
+        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        rho = 0.5 * (g + g.conj().T)
+        coords = t.conj().T @ rho.reshape(-1)
+        assert np.array_equal(coords.imag, np.zeros(d * d))
+        r = coords.real
+        assert math.fsum(r[:d]) == math.fsum(np.diag(rho).real)
+        back = (t @ r).reshape(d, d)
+        assert np.array_equal(back, back.conj().T)
+        assert np.array_equal(np.diag(back), np.diag(rho))
+        assert np.max(np.abs(back - rho)) <= 2 * np.finfo(float).eps * np.max(np.abs(rho))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n_max=st.integers(min_value=1, max_value=3),
+        h_scale=st.floats(min_value=0.0, max_value=1e10),
+        rates=st.lists(st.floats(min_value=0.0, max_value=1e9), max_size=3),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_lindblad_generators_are_real_in_the_basis(self, n_max, h_scale, rates, seed):
+        """T^H L T of a kron-built Lindblad generator is real to rounding,
+        so ``real_form`` drops nothing but rounding."""
+        d = build_space(n_max).dim
+        rng = np.random.default_rng(seed)
+
+        def gaussian():
+            return rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+
+        h = gaussian()
+        sup = liouvillian(h_scale * (h + h.conj().T), [(gaussian(), rate) for rate in rates])
+        t = hermitian_basis(d)
+        imag = (t.conj().T @ sup @ t).imag
+        # an entry of T^H L T sums at most 4 entries of L, each times a
+        # factor of modulus at most 1; tiny is the floor of rounding among
+        # subnormals
+        bound = 16 * np.finfo(float).eps * np.max(np.abs(sup)) + np.finfo(float).tiny
+        assert np.max(np.abs(imag)) <= bound
+
 
 class TestSteadyStateStack:
     def test_failed_point_is_isolated(self, clean_params, omega_d):
@@ -220,13 +299,30 @@ class TestSteadyStateStack:
         with pytest.raises(SteadyStateError) as alone:
             steady_state(h, [])
         assert alone.value.nullity > 1
-        sups[1] = liouvillian(h, [])
+        sups[1] = real_form(liouvillian(h, []))
         rhos, errors = steady_state_stack(sups)
         assert errors[0] is None and errors[2] is None
         assert str(errors[1]) == str(alone.value)
         assert errors[1].nullity == alone.value.nullity
         assert np.all(np.isnan(rhos[1]))
         assert np.array_equal(rhos[[0, 2]], good[[0, 2]])
+
+    def test_random_points_match_the_svd_reference(self, params, omega_d):
+        """r from one stacked solve of random points is the r of
+        perfbench's kron-built SVD null vector, point by point."""
+        rng = np.random.default_rng(2024)
+        amp = default_probe_amplitude(params)
+        for _ in range(3):
+            rabi = TWO_PI * rng.uniform(0.0, 60e6)
+            freqs = params.omega_r + TWO_PI * rng.uniform(-30e6, 30e6, size=4)
+            r, errors = reflection_row(params, omega_d, rabi, freqs, [amp] * 4, n_max=3)
+            assert errors == [None] * 4
+            for omega_s, value in zip(freqs, r):
+                want, gap = reference.reflection(
+                    params, omega_d=omega_d, rabi=rabi, omega_s=omega_s, probe_amp=amp, n_max=3
+                )
+                assert gap < 1e-8
+                assert abs(value - want) <= 1e-10
 
 
 class TestPropagate:
