@@ -105,7 +105,7 @@ _KEYS = [
     _Key("kappa_ext_ratio", None, "float", 0.964, lo=0.0, hi=1.0),
     _Key("gamma", "MHz", "float", _mhz(0.227364), lo=0.0),  # T1 ~ 0.7 us
     _Key("gamma_phi", "MHz", "float", 0.0, lo=0.0),
-    _Key("init_excited_pop", None, "float", 0.008, lo=0.0, hi=1.0),
+    _Key("init_excited_pop", None, "float", 0.008, lo=0.0, hi=1.0, hi_open=True),
     _Key("drive_power_to_rabi", None, "float", 0.0, lo=0.0),  # 0 = fit at calibration_anchor
     # drive-line amplitude noise (s): qubit flips at c * Omega**2
     _Key("drive_noise_per_rabi2", None, "float", 0.0, lo=0.0),
@@ -151,9 +151,11 @@ _KEYS = [
     _Key("reset_freq_grid", "GHz", "grid", GridSpec(_ghz(10.150), _ghz(10.174), 9)),
     _Key("dressed_pd_grid", "dBm", "grid", GridSpec(-80.0, -70.0, 50)),
     _Key("dark_pd_grid", "dBm", "grid", GridSpec(-78.0, -73.0, 6)),
-    _Key("ts_list", "ns", "list", tuple(_ns(x) for x in (21.0, 34.0, 55.0, 85.0, 144.0, 189.0, 233.0))),
-    _Key("ns_ts_list", "ns", "list", tuple(_ns(x) for x in (34.0, 85.0, 189.0))),
-    _Key("nbar_list", None, "list", (0.03, 0.1, 0.3, 1.0)),
+    _Key("ts_list", "ns", "list", tuple(_ns(x) for x in (21.0, 34.0, 55.0, 85.0, 144.0, 189.0, 233.0)),
+         lo=0.0, lo_open=True),
+    _Key("ns_ts_list", "ns", "list", tuple(_ns(x) for x in (34.0, 85.0, 189.0)),
+         lo=0.0, lo_open=True),
+    _Key("nbar_list", None, "list", (0.03, 0.1, 0.3, 1.0), lo=0.0),
     # output and execution
     _Key("out_dir", None, "str", "out"),
     _Key("workers", None, "int", 1, lo=1),

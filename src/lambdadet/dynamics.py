@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import ClassVar, NamedTuple
 
 import numpy as np
@@ -430,10 +430,9 @@ def steady_state_stack(sups: np.ndarray):
 
 @dataclass
 class Trajectory:
-    """Sampled propagation result.
-
-    ``pinned`` maps readout-marker times, caller-requested sample times and
-    the end time to their exact states; ``final`` is the state at the end.
+    """Sampled propagation result: the observables at every sample time and
+    ``final``, the state at the last one, where the run stopped. ``times``
+    is read-only and shared by the trajectories of one batch.
     """
 
     times: np.ndarray
@@ -442,7 +441,6 @@ class Trajectory:
     field: np.ndarray
     trace_error: np.ndarray
     final: DensityState
-    pinned: dict = field(default_factory=dict)
 
 
 # blocks of ``Superoperators.pulse_terms``; a quadrature's sine term is at +1
@@ -605,14 +603,18 @@ class _StackedRHS:
         return self._maps[key]
 
 
-def _sample_times(schedule: PulseSchedule, t0: float, t1: float, sample_dt: float, extra=()):
-    """Samples every ~sample_dt from t0 to t1, pinned at markers, pi pulses and ``extra``."""
+def _sample_times(schedule: PulseSchedule, t0: float, until: float, sample_dt: float):
+    """Samples every ~sample_dt over [t0, max(until, duration)], pinned at
+    markers, pi pulses and ``until``, up to ``until``: the samples before a
+    stop do not depend on where the run stops."""
+    t1 = max(until, schedule.duration)
     n = max(1, int(math.ceil((t1 - t0) / sample_dt)))
     times = np.linspace(t0, t1, n + 1)
-    pins = [t for t in (*schedule.marker_times(), *schedule.pi_times(), *extra) if t0 < t < t1]
+    pins = [t for t in (*schedule.marker_times(), *schedule.pi_times(), until) if t0 < t < t1]
     if pins:
         times = np.concatenate([times, np.array(pins)])
-    return np.unique(times)
+    times = np.unique(times)
+    return times[times <= until]
 
 
 def _rk4_interval(rhs: _StackedRHS, x: np.ndarray, t: float, t_next: float, max_step: float):
@@ -685,16 +687,15 @@ class _SampleLog:
     stays finite and costs nothing in later checks; the other columns go on.
     """
 
-    def __init__(self, space: HilbertSpace, n_cols: int, pin_times):
+    def __init__(self, space: HilbertSpace, n_cols: int):
         d = space.dim
-        self.space, self.pin_times = space, pin_times
+        self.space = space
         self.diag = np.arange(d) * (d + 1)
         self.n_q = np.real(np.diag(qubit_number(space)))
         self.n_ph = (np.arange(d) // 2).astype(float)
         self.a_row = annihilation(space).T.reshape(-1)  # Tr(a rho) = a_row . vec(rho)
         self.errors = [None] * n_cols
-        self.times, self.p_e, self.photons, self.field, self.drift = [], [], [], [], []
-        self.pinned = {}
+        self.p_e, self.photons, self.field, self.drift = [], [], [], []
 
     def record(self, t: float, x: np.ndarray):
         d = self.space.dim
@@ -718,38 +719,29 @@ class _SampleLog:
         pops = x[self.diag].real
         trace_error = np.full(x.shape[1], np.nan)
         trace_error[live] = drift
-        self.times.append(t)
         self.p_e.append(self.n_q @ pops)
         self.photons.append(self.n_ph @ pops)
         self.field.append(self.a_row @ x)
         self.drift.append(trace_error)
-        if t in self.pin_times:
-            self.pinned[t] = x.copy()
 
-    def trajectories(self, frames, t_end: float) -> list:
-        """Per column: its Trajectory, or the IntegrationError it failed with."""
-        d = self.space.dim
+    def trajectories(self, times: np.ndarray, x: np.ndarray, frames) -> list:
+        """Per column: its Trajectory over the recorded ``times``, ending in
+        its state in the last recorded block x, or the IntegrationError it
+        failed with."""
+        d, t = self.space.dim, float(times[-1])
         series = (self.p_e, self.photons, self.field, self.drift)
         p_e, photons, field_, drift = map(np.array, series)
-        out = []
-        for b, (frame, error) in enumerate(zip(frames, self.errors)):
-            if error is not None:
-                out.append(error)
-                continue
-            pinned = {
-                t: DensityState(x[:, b].reshape(d, d).copy(), t, frame, self.space)
-                for t, x in self.pinned.items()
-            }
-            out.append(Trajectory(
-                times=np.array(self.times),
+        return [
+            error if error is not None else Trajectory(
+                times=times,
                 p_excited=p_e[:, b],
                 photon_number=photons[:, b],
                 field=field_[:, b],
                 trace_error=drift[:, b],
-                final=pinned[t_end],
-                pinned=pinned,
-            ))
-        return out
+                final=DensityState(x[:, b].reshape(d, d).copy(), t, frame, self.space),
+            )
+            for b, (frame, error) in enumerate(zip(frames, self.errors))
+        ]
 
 
 def _flip_permutation(space: HilbertSpace) -> np.ndarray:
@@ -766,9 +758,9 @@ def propagate_batch(
     opts: IntegratorOptions = IntegratorOptions(),
     *,
     until: float | None = None,
-    extra_samples=(),
 ) -> list:
-    """Propagate B schedules that share one timeline as one (D, B) block.
+    """Propagate B schedules that share one timeline as one (D, B) block
+    to ``until``, as ``propagate`` does one.
 
     The schedules must share duration, readout markers and pi times, and the
     initial states their time tag and space. They may differ in amplitudes,
@@ -776,9 +768,10 @@ def propagate_batch(
     rows, a signal run and its dark run, a reset run and its no-reset
     baseline. Each column is checked at every sample as ``propagate``
     checks its state; a column that fails a check stops there, and the
-    others go on. Returns per column its Trajectory or the IntegrationError
-    it failed with. A failure of the timeline itself (step-size underflow)
-    raises.
+    others go on. Returns per column its Trajectory, whose ``final`` is the
+    state at ``until``, or the IntegrationError it failed with. A failure of
+    the timeline itself (step-size underflow) fails every column that has
+    not failed before; inconsistent inputs raise ValueError.
     """
     first = schedules[0]
     for rho0, sched in zip(rho0s, schedules, strict=True):
@@ -791,13 +784,13 @@ def propagate_batch(
             raise ValueError("the initial states of a batch must share time and space")
     space = rho0s[0].space
     rhs = _StackedRHS(schedules, params, space)
-    t_end = first.duration if until is None else max(until, first.duration)
+    until = first.duration if until is None else until
     t_start = rho0s[0].time
-    if t_end < t_start:
-        raise ValueError("schedule ends before the initial state's time tag")
-    sample_times = _sample_times(first, t_start, t_end, opts.sample_dt, extra_samples)
-    pin_times = set(first.marker_times()) | set(extra_samples) | {t_end}
-    log = _SampleLog(space, len(schedules), pin_times)
+    if until < t_start:
+        raise ValueError("run ends before the initial state's time tag")
+    times = _sample_times(first, t_start, until, opts.sample_dt)
+    times.flags.writeable = False
+    log = _SampleLog(space, len(schedules))
     flip = _flip_permutation(space)
 
     x = np.stack([rho0.matrix.reshape(-1) for rho0 in rho0s], axis=1).astype(complex)
@@ -805,14 +798,18 @@ def propagate_batch(
     if t_start in pi_times:  # acts before the first record
         x = x[flip]
     log.record(t_start, x)
-    # each sample is recorded, then a pi pulse due at its time flips the qubit
-    for t, t_next in zip(sample_times[:-1].tolist(), sample_times[1:].tolist()):
-        x = _rk4_interval(rhs, x, t, t_next, opts.max_step)
+    # each sample is recorded, then a pi pulse due at its time flips the
+    # qubit; one due at ``until`` acts after the run
+    for t, t_next in zip(times[:-1].tolist(), times[1:].tolist()):
+        try:
+            x = _rk4_interval(rhs, x, t, t_next, opts.max_step)
+        except IntegrationError as exc:
+            log.errors = [error or exc for error in log.errors]
+            break
         log.record(t_next, x)
-        if t_next in pi_times:
+        if t_next in pi_times and t_next < until:
             x = x[flip]
-
-    return log.trajectories([s.frame for s in schedules], t_end)
+    return log.trajectories(times, x, [s.frame for s in schedules])
 
 
 def propagate(
@@ -822,21 +819,17 @@ def propagate(
     opts: IntegratorOptions = IntegratorOptions(),
     *,
     until: float | None = None,
-    extra_samples=(),
 ) -> Trajectory:
-    """Propagate over a schedule, sampling observables along the way.
+    """Propagate over a schedule to ``until``, sampling observables on the way.
 
     Instantaneous pi pulses are applied as exact qubit flips at their times.
     Trace, Hermiticity and positivity are checked at every sample; a failed
-    check, or trace drift beyond 1e-6, raises IntegrationError. ``until``
-    extends the run past the schedule (free dynamics once envelopes end);
-    ``extra_samples`` pins exact sample times, retrievable from
-    Trajectory.pinned. The B = 1 case of ``propagate_batch``.
+    check, trace drift beyond 1e-6 or a step-size underflow raises
+    IntegrationError. ``until`` ends the run (the schedule's end by
+    default; later runs free dynamics once the envelopes end), and
+    ``final`` is the state there. The B = 1 case of ``propagate_batch``.
     """
-    (result,) = propagate_batch(
-        [rho0], [schedule], params, opts, until=until, extra_samples=extra_samples
-    )
+    (result,) = propagate_batch([rho0], [schedule], params, opts, until=until)
     if isinstance(result, IntegrationError):
         raise result
     return result
-

@@ -34,7 +34,7 @@ class SystemParams:
     gamma_phi : float
         Qubit pure dephasing rate (rad/s), default 0.
     init_excited_pop : float
-        Residual excited-state population after initialization, in [0, 1].
+        Residual excited-state population after initialization, in [0, 1).
     drive_power_to_rabi : float or None
         Calibration constant c with Omega = c * 10**(P_dBm / 20). None until
         fitted (see dressed.fit_drive_calibration).
@@ -70,9 +70,9 @@ class SystemParams:
             raise ValueError(
                 f"kappa_ext_ratio must lie in [0, 1], got {self.kappa_ext_ratio}"
             )
-        if not 0.0 <= self.init_excited_pop <= 1.0:
+        if not 0.0 <= self.init_excited_pop < 1.0:
             raise ValueError(
-                f"init_excited_pop must lie in [0, 1], got {self.init_excited_pop}"
+                f"init_excited_pop must lie in [0, 1), got {self.init_excited_pop}"
             )
         if self.drive_noise_per_rabi2 < 0 or self.drive_dephasing_per_rabi2 < 0:
             raise ValueError("drive noise constants must be >= 0")

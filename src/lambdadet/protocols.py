@@ -1,11 +1,11 @@
 """Time-gated protocols: single-photon detection, fast reset, full cycle.
 
 Detection builds the drive + signal schedule, propagates the Lindblad
-dynamics, and reads the qubit projectively once the phase-locked readout has
-latched: the click reflects P(|e>) at marker + latch_delay, with the drive
-tail still acting so the adiabatic dressed component returns to the ground
-state instead of counting as a click. The dark count is the identical run
-with an empty signal pulse. Efficiency subtracts it:
+dynamics until the phase-locked readout has latched, and reads the qubit
+projectively there: the click reflects P(|e>) at marker + latch_delay,
+with the drive tail still acting so the adiabatic dressed component returns
+to the ground state instead of counting as a click. The dark count is the
+identical run with an empty signal pulse. Efficiency subtracts it:
 
     eta = (P_e - P_dark) / (1 - exp(-nbar_s))
 
@@ -149,21 +149,13 @@ class _Click:
         return str(self.run) if self.failed else self.flag
 
 
-def _runs(rho0s, scheds, params, opts, **kwargs) -> list:
-    """``propagate_batch`` with a failure of the shared timeline given to
-    every column."""
-    try:
-        return propagate_batch(rho0s, scheds, params, opts, **kwargs)
-    except IntegrationError as exc:
-        return [exc] * len(scheds)
-
-
 def _clicks(scheds, params, readout, opts, n_max, labels=(), first=()) -> list[_Click]:
     """Clicks of schedules that share one timeline, propagated as one batch.
 
-    Each run is read at its last readout marker plus the latch delay. The
-    drive tail keeps acting while the readout latches, so the adiabatic
-    dressed component returns to |g> and only genuine excitation counts.
+    Each run stops at its last readout marker plus the latch delay, where
+    it is read: its ``final`` state gives the click. The drive tail keeps
+    acting while the readout latches, so the adiabatic dressed component
+    returns to |g> and only genuine excitation counts.
     ``first`` gives per column a first stage, in its own frame, that ends
     where the column's schedule takes over: the runs start there, and each
     column's state at that time moves into its schedule's frame
@@ -184,21 +176,22 @@ def _clicks(scheds, params, readout, opts, n_max, labels=(), first=()) -> list[_
             for b in columns
         ]
         if first:  # a column that fails here keeps its error
+            staged = propagate_batch(starts, [first[b] for b in columns], params, opts)
             starts = [
                 run if isinstance(run, IntegrationError) else run.final.in_frame(scheds[b].frame)
-                for b, run in zip(columns, _runs(starts, [first[b] for b in columns], params, opts))
+                for b, run in zip(columns, staged)
             ]
         runs = list(starts)
         live = [k for k, start in enumerate(starts) if not isinstance(start, IntegrationError)]
         if live:
             batch = [scheds[columns[k]] for k in live]
-            finished = _runs([starts[k] for k in live], batch, params, opts,
-                             until=t_click, extra_samples=(t_click,))
+            finished = propagate_batch([starts[k] for k in live], batch, params, opts,
+                                       until=t_click)
             for k, run in zip(live, finished):
                 runs[k] = run
         return [
             _Click(math.nan, run) if isinstance(run, IntegrationError)
-            else _Click(readout.click_probability(_p_excited(run.pinned[t_click])), run)
+            else _Click(readout.click_probability(_p_excited(run.final)), run)
             for run in runs
         ]
 
@@ -290,7 +283,7 @@ def detection_trace(
     n_max: int,
 ) -> tuple[DetectionOutcome, Trajectory]:
     """The outcome of ``detection_run`` together with the sampled trajectory
-    of its signal run (for --trace-out dumps)."""
+    of its signal run, which ends at the click (for --trace-out dumps)."""
     return _detect(params, settings, readout, opts, n_max)
 
 

@@ -419,10 +419,9 @@ def test_criterion_10_engineering_invariants(params, detect, tmp_path, readout, 
     # (propagate validates every sample; the kept record is checked here)
     _, traj = detection_trace(params, detect, readout=readout, opts=OPTS, n_max=n_max)
     assert np.max(traj.trace_error) < 1e-9
-    for state in traj.pinned.values():
-        rho = state.matrix
-        assert np.max(np.abs(rho - rho.conj().T)) < 1e-10
-        assert np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0] > -1e-8
+    rho = traj.final.matrix  # the state at the click, where the run ends
+    assert np.max(np.abs(rho - rho.conj().T)) < 1e-10
+    assert np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0] > -1e-8
 
     # Fock-cutoff convergence below 1e-3 relative
     opts = dataclasses.replace(OPTS, fock_convergence=True)

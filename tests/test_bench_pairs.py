@@ -67,6 +67,22 @@ def test_summary_verdicts(bench_pairs, change, gain, within):
     assert (wall["gain_rule_met"], wall["within_bound"]) == (gain, within)
 
 
+@pytest.mark.parametrize("parent, change, unresolved", [
+    # two groups near 0.13 and 0.21 s on both sides: an IQR of 0.08 against
+    # 0.25 x 0.17 s
+    ([0.13, 0.21] * 5, [0.21, 0.13] * 5, True),
+    # the same parent spread, but every change run beats every parent run
+    ([0.13, 0.21] * 5, [0.12] * 10, False),
+    # one group: an IQR of 0.02 against 0.25 x 0.14 s
+    ([0.13, 0.15] * 5, [0.15, 0.13] * 5, False),
+])
+def test_summary_is_unresolved_when_the_parent_spreads_beyond_the_bound(bench_pairs, parent,
+                                                                       change, unresolved):
+    wall = bench_pairs.summary(_entries(parent, change), {"wall_s": (0.25, "lower")})["wall_s"]
+    assert wall["unresolved"] is unresolved
+    assert wall["within_bound"] is True
+
+
 def _no_run(*args, **kwargs):
     raise AssertionError("no benchmark run was expected")
 

@@ -537,6 +537,10 @@ def test_cycle_without_signal_photons(tmp_path, capsys):
         ("ts_list_ns = 85,-inf", "ts_list"),
         ("ts_list_ns =", "ts_list"),
         ("nbar_list =", "nbar_list"),
+        ("init_excited_pop = 1", "init_excited_pop"),
+        ("ts_list_ns = 0, 85", "ts_list"),
+        ("nbar_list = -1", "nbar_list"),
+        ("ns_ts_list_ns = 0", "ns_ts_list"),
     ],
 )
 def test_rejected_values_are_config_errors(line, key, tmp_path, capsys):
@@ -544,8 +548,24 @@ def test_rejected_values_are_config_errors(line, key, tmp_path, capsys):
         parse_config(line + "\n")
     bad = tmp_path / "bad.cfg"
     bad.write_text(line + "\n")
-    task = {"t_dr": "reset", "ts_list": "scan-ts", "nbar_list": "scan-ns"}.get(key, "detect")
+    task = {"t_dr": "reset", "ts_list": "scan-ts", "nbar_list": "scan-ns",
+            "ns_ts_list": "scan-ns"}.get(key, "detect")
     assert main(["--config", str(bad), "--out", str(tmp_path), task]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and key in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("raw, task", [
+    ("init_excited_pop = 1", "reflect-map"),  # a zero-division in the collapse rates
+    ("ts_list_ns = 0, 85", "scan-ts"),  # values `detection_schedule` rejects
+    ("nbar_list = -1", "scan-ns"),
+    ("ns_ts_list_ns = 0", "scan-ns"),
+])
+def test_out_of_range_values_name_their_line(raw, task, tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(f"# comment\n{raw}\n")
+    assert main(["--config", str(bad), "--out", str(tmp_path), task]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: line 2: {raw.partition(' =')[0]} = ")
     assert "Traceback" not in err

@@ -40,11 +40,13 @@ from lambdadet.pulses import (
     KIND_RECT,
     ROLE_DRIVE,
     ROLE_PI,
+    ROLE_READOUT_MARKER,
     ROLE_RESET,
     ROLE_SIGNAL,
     PulseEnvelope,
     PulseSchedule,
     instant_pi,
+    readout_marker,
     reset_schedule,
 )
 from lambdadet.response import default_probe_amplitude, reflection_row
@@ -383,12 +385,13 @@ class TestPropagate:
         space = build_space(3)
         sched = detection_schedule(params, detect)
         rho0 = mixed_initial_state(space, params.init_excited_pop, sched.frame)
-        traj = propagate(rho0, sched, params, IntegratorOptions(max_step=0.1e-9))
+        opts = IntegratorOptions(max_step=0.1e-9)
+        traj = propagate(rho0, sched, params, opts)
         # propagate validates every sample; the kept record is checked here
         assert np.max(traj.trace_error) < 1e-9
-        assert sched.marker_times()[-1] in traj.pinned
-        assert traj.final is traj.pinned[traj.times[-1]]
-        for state in traj.pinned.values():
+        assert traj.final.time == traj.times[-1] == sched.duration
+        at_marker = propagate(rho0, sched, params, opts, until=sched.marker_times()[-1])
+        for state in (at_marker.final, traj.final):
             rho = state.matrix
             assert abs(np.trace(rho).real - 1.0) < 1e-9
             assert np.max(np.abs(rho - rho.conj().T)) < 1e-10
@@ -415,11 +418,43 @@ class TestPropagate:
         with pytest.raises(IntegrationError):
             propagate(rho0, sched, p, IntegratorOptions(max_step=20e-9, sample_dt=20e-9))
 
+    def test_step_underflow_fails_every_column(self, clean_params):
+        """A readout marker one ulp after a 1 ns sample leaves a gap no step
+        can cover: every column of the batch fails with the timeline's
+        error, and ``propagate`` raises it."""
+        space = build_space(1)
+        frame = Frame(clean_params.omega_ge, clean_params.omega_r)
+        marker = (ROLE_READOUT_MARKER, readout_marker(np.nextafter(1e-9, 1.0)))
+        sched = PulseSchedule((marker,), frame, 10e-9)
+        rho0 = mixed_initial_state(space, 0.0, frame)
+        opts = IntegratorOptions(sample_dt=1e-9)
+        batch = propagate_batch([rho0, rho0], [sched, sched], clean_params, opts)
+        assert [str(run) for run in batch] == ["step size underflow"] * 2
+        assert all(isinstance(run, IntegrationError) for run in batch)
+        with pytest.raises(IntegrationError, match="step size underflow"):
+            propagate(rho0, sched, clean_params, opts)
+
+    def test_a_run_stopped_early_is_the_full_run_up_to_there(self, params, detect):
+        """``until`` ends a run and moves no sample before it: stopped at a
+        sample time t before the schedule's end, the run is the full run up
+        to t, bit for bit."""
+        from lambdadet.pulses import detection_schedule
+
+        sched = detection_schedule(params, detect)
+        rho0 = mixed_initial_state(build_space(3), params.init_excited_pop, sched.frame)
+        full = propagate(rho0, sched, params)
+        k = len(full.times) // 2
+        early = propagate(rho0, sched, params, until=float(full.times[k]))
+        assert early.final.time == full.times[k] < sched.duration
+        for name in ("times", "p_excited", "photon_number", "field", "trace_error"):
+            assert np.array_equal(getattr(early, name), getattr(full, name)[: k + 1])
+
     def test_step_maps_match_stage_by_stage_rk4(self, params, reset, monkeypatch):
         """A reset schedule holds its drive and reset tone flat for 380 ns and
         ends in a zero tail up to the click; those intervals advance by cached
-        step maps. Every pinned state equals a stage-by-stage RK4 on the same
-        step grid, run here on the kron-built ``liouvillian``."""
+        step maps. The states of runs that end at the readout marker and at
+        the click equal a stage-by-stage RK4 on the same step grid, run here
+        on the kron-built ``liouvillian``."""
         step_map, uses = _StackedRHS.step_map, []
 
         def spy(rhs, b, coefficients, h, n):
@@ -432,8 +467,9 @@ class TestPropagate:
         t_click = sched.marker_times()[-1] + 100e-9
         opts = IntegratorOptions()
         rho0 = mixed_initial_state(space, params.init_excited_pop, sched.frame)
-        traj = propagate(rho0, sched, params, opts, until=t_click, extra_samples=(t_click,))
+        traj = propagate(rho0, sched, params, opts, until=t_click)
         assert len(uses) > len(traj.times) / 2
+        at_marker = propagate(rho0, sched, params, opts, until=sched.marker_times()[-1])
 
         # both tones sit on the frame's references, so
         # L(t) = L0 + v_d L_drive + v_d^2 L_noise + v_r L_reset
@@ -454,23 +490,22 @@ class TestPropagate:
             return generators[v_d, v_r]
 
         flip = qubit_flip(space)  # the reset stage's pi pulse at t = 0
-        x = (flip @ rho0.matrix @ flip).reshape(-1)
-        states = {traj.times[0]: x}
-        for t, t_next in zip(traj.times[:-1], traj.times[1:]):
-            n = max(1, math.ceil((t_next - t) / opts.max_step))
-            edges = t + (t_next - t) * (np.arange(n + 1) / n)
-            edges[-1] = t_next
-            for ta, tb in zip(edges[:-1], edges[1:]):
-                h, tm = tb - ta, ta + 0.5 * (tb - ta)
-                k1 = generator(ta) @ x
-                k2 = generator(tm) @ (x + 0.5 * h * k1)
-                k3 = generator(tm) @ (x + 0.5 * h * k2)
-                k4 = generator(tb) @ (x + h * k3)
-                x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            states[t_next] = x
-        assert set(traj.pinned) == {sched.marker_times()[-1], t_click}
-        for t, state in traj.pinned.items():
-            assert np.max(np.abs(state.matrix.reshape(-1) - states[t])) <= 1e-12
+        # each run on its own sample grid: the marker run's spans the
+        # schedule, the click run's reaches on to the click
+        for run in (at_marker, traj):
+            x = (flip @ rho0.matrix @ flip).reshape(-1)
+            for t, t_next in zip(run.times[:-1], run.times[1:]):
+                n = max(1, math.ceil((t_next - t) / opts.max_step))
+                edges = t + (t_next - t) * (np.arange(n + 1) / n)
+                edges[-1] = t_next
+                for ta, tb in zip(edges[:-1], edges[1:]):
+                    h, tm = tb - ta, ta + 0.5 * (tb - ta)
+                    k1 = generator(ta) @ x
+                    k2 = generator(tm) @ (x + 0.5 * h * k1)
+                    k3 = generator(tm) @ (x + 0.5 * h * k2)
+                    k4 = generator(tb) @ (x + h * k3)
+                    x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            assert np.max(np.abs(run.final.matrix.reshape(-1) - x)) <= 1e-12
 
     def test_checks_fire_inside_step_map_intervals(self, clean_params, monkeypatch):
         """Rect drives are constant, so every interval runs on a step map. At

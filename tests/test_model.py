@@ -115,6 +115,9 @@ def test_collapse_set(params):
     assert ops[1][1] == params.gamma
     p = params.init_excited_pop
     assert ops[2][1] == pytest.approx(params.gamma * p / (1 - p))
+    # the rate gamma p / (1 - p) has no value at p = 1
+    with pytest.raises(ValueError, match=r"init_excited_pop must lie in \[0, 1\)"):
+        dataclasses.replace(params, init_excited_pop=1.0)
 
 
 def test_collapse_dephasing_channel(params):

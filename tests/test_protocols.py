@@ -115,12 +115,12 @@ class TestDetection:
     def test_trace_has_marker_and_observables(self, params, detect, readout, n_max):
         out, traj = detection_trace(params, detect, readout=readout, opts=OPTS, n_max=n_max)
         assert out == detection_run(params, detect, readout=readout, opts=OPTS, n_max=n_max)
-        # pinned: the readout marker and the click one latch delay later,
-        # where the run ends
-        marker, t_click = sorted(traj.pinned)
+        # the run ends at the click, one latch delay after the readout
+        # marker, which is a sample
+        marker = detection_schedule(params, detect).marker_times()[-1]
+        t_click = traj.times[-1]
         assert t_click - marker == pytest.approx(readout.latch_delay)
-        assert traj.final is traj.pinned[t_click]
-        assert t_click == traj.times[-1]
+        assert traj.final.time == t_click and marker in traj.times
         assert len(traj.times) > 100
         assert np.all(traj.trace_error < 1e-9)
 
@@ -321,6 +321,8 @@ class TestRowBatches:
         rho0s = [mixed_initial_state(space, params.init_excited_pop, s.frame) for s in firsts]
         for stage in (firsts, scheds):
             batch = propagate_batch(rho0s, stage, params, OPTS)
+            # one read-only times array, shared by the batch
+            assert batch[0].times is batch[1].times and not batch[0].times.flags.writeable
             for rho0, sched, traj in zip(rho0s, stage, batch):
                 alone = propagate(rho0, sched, params, OPTS)
                 assert np.array_equal(traj.times, alone.times)
@@ -371,8 +373,8 @@ def _click_alone(params, sched, opts, readout, n_max, rho0=None):
     t_click = sched.marker_times()[-1] + readout.latch_delay
     if rho0 is None:
         rho0 = mixed_initial_state(build_space(n_max), params.init_excited_pop, sched.frame)
-    traj = propagate(rho0, sched, params, opts, until=t_click, extra_samples=(t_click,))
-    return readout.click_probability(_p_excited(traj.pinned[t_click]))
+    traj = propagate(rho0, sched, params, opts, until=t_click)
+    return readout.click_probability(_p_excited(traj.final))
 
 
 def _cycle_click_alone(params, detect, reset, opts, readout, n_max):

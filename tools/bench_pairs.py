@@ -13,10 +13,10 @@ even pairs, the change first in odd ones. Pick seeds that were not used
 while the change was written. The summary gives per end-to-end metric the
 median and quartiles of each side, the pairs the change won, the ratio of
 the medians and the parent's interquartile range, next to the metric's
-bound in BENCHMARK.json, and the verdicts ``gain_rule_met`` and
-``within_bound`` (see ``summary``). Each pair also compares the two runs'
-``outputs_sha256``, and each workload records in how many pairs every
-output was identical. ``--trace-seed`` adds one traced run
+bound in BENCHMARK.json, and the verdicts ``gain_rule_met``,
+``within_bound`` and ``unresolved`` (see ``summary``). Each pair also
+compares the two runs' ``outputs_sha256``, and each workload records in how
+many pairs every output was identical. ``--trace-seed`` adds one traced run
 per side with the per-layer metrics; each ``--also`` adds pairs of
 another workload, to show that it does not get worse. Each workload needs at least two seeds,
 and a run that crashes, whose outputs fail a check or that reports failed
@@ -95,13 +95,16 @@ def identical_outputs(entries) -> str:
 
 def summary(entries, bounds):
     """Per end-to-end metric: medians, quartiles, pairs won, ratio, parent
-    IQR, and two verdicts.
+    IQR, and three verdicts.
 
     ``gain_rule_met``: the change wins at least 9 in 10 pairs (ties count
     for neither) and its median is better than the parent's by more than
     the parent's interquartile range. ``within_bound``: the change's median
     is no worse than the parent's by more than the metric's bound, read as
-    a fraction of the parent's median.
+    a fraction of the parent's median. ``unresolved``: the parent's
+    interquartile range exceeds that bound, so the runs cannot tell a move
+    within it from the spread, unless every change run is better than
+    every parent run.
     """
     out = {}
     for metric, (bound, better) in bounds.items():
@@ -112,6 +115,7 @@ def summary(entries, bounds):
         sign = 1 if better == "lower" else -1
         won = sum(sign * (c - p) < 0 for p, c in zip(side["parent"], side["change"]))
         (p_q1, p_median, p_q3), c_median = quartiles["parent"], quartiles["change"][1]
+        separated = max(sign * c for c in side["change"]) < min(sign * p for p in side["parent"])
         out[metric] = {
             **stats,
             "change_better_in_pairs": f"{won}/{len(entries)}",
@@ -122,6 +126,7 @@ def summary(entries, bounds):
             "gain_rule_met":
                 10 * won >= 9 * len(entries) and sign * (p_median - c_median) > p_q3 - p_q1,
             "within_bound": sign * (c_median - p_median) <= bound * abs(p_median),
+            "unresolved": p_q3 - p_q1 > bound * abs(p_median) and not separated,
         }
     return out
 
