@@ -100,8 +100,9 @@ _KEYS = [
     # device constants (renormalized frequencies)
     _Key("omega_ge", "GHz", "float", _ghz(5.508), lo=0.0),
     _Key("omega_r", "GHz", "float", _ghz(10.256), lo=0.0),
-    _Key("chi", "MHz", "float", _mhz(34.5), lo=0.0),  # half the dispersive pull 2*chi = 69 MHz
-    _Key("kappa", "MHz", "float", _mhz(16.2793651), lo=0.0),  # omega_r / Q, Q ~ 630
+    # half the dispersive pull 2*chi = 69 MHz
+    _Key("chi", "MHz", "float", _mhz(34.5), lo=0.0, lo_open=True),
+    _Key("kappa", "MHz", "float", _mhz(16.2793651), lo=0.0, lo_open=True),  # omega_r / Q, Q ~ 630
     _Key("kappa_ext_ratio", None, "float", 0.964, lo=0.0, hi=1.0),
     _Key("gamma", "MHz", "float", _mhz(0.227364), lo=0.0),  # T1 ~ 0.7 us
     _Key("gamma_phi", "MHz", "float", 0.0, lo=0.0),
@@ -134,8 +135,8 @@ _KEYS = [
     _Key("readout_budget", "ns", "float", _ns(140.0), lo=0.0),
     # numerics
     _Key("n_max", None, "int", 3, lo=1),
-    _Key("max_step", "ns", "float", IntegratorOptions.max_step, lo=0.0),
-    _Key("sample_dt", "ns", "float", IntegratorOptions.sample_dt, lo=0.0),
+    _Key("max_step", "ns", "float", IntegratorOptions.max_step, lo=0.0, lo_open=True),
+    _Key("sample_dt", "ns", "float", IntegratorOptions.sample_dt, lo=0.0, lo_open=True),
     _Key("fock_convergence", None, "bool", IntegratorOptions.fock_convergence),
     _Key("probe_flux", None, "float", 0.0, lo=0.0),  # 0 = converged weak default
     # input-power calibration

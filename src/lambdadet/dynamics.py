@@ -8,16 +8,17 @@ a static superoperator plus one superoperator per time-dependent
 quadrature; the batch stacks the static part and the term superoperators
 into one sparse ``[static | terms...]`` block, so each evaluation is one
 product with the coefficient-scaled state block plus each column's
-diagonal. The coefficients are tabulated once per sample interval, one row
-per RK4 stage. A column whose coefficients are exactly constant over an
-interval (a pulse plateau, or the zero tail after the pulses) advances
-instead by one cached matrix, its RK4 step map R(hL)^n: the same method,
-without the stage-by-stage products. ``propagate`` is the B = 1 case. The
-pieces the Liouvillian is affine in are built once per (params, n_max) in a
-read-only ``Superoperators`` record; CW reflection assembles a whole row of
-Liouvillians from it and solves the stack at once. ``liouvillian`` builds
-one Liouvillian from kron products and is the oracle the record is checked
-against.
+diagonal. Each batch plans its timeline once (``_plan``): every interval's
+RK4 steps, one coefficient table over all stage times, one row per stage,
+and which columns are exactly constant over which interval. Such a column
+(a pulse plateau, or the zero tail after the pulses) advances by one cached
+matrix, its RK4 step map R(hL)^n: the same method, without the
+stage-by-stage products; equal gaps share one map. ``propagate`` is the
+B = 1 case. The pieces the Liouvillian is affine in are built once per
+(params, n_max) in a read-only ``Superoperators`` record; CW reflection
+assembles a whole row of Liouvillians from it and solves the stack at once.
+``liouvillian`` builds one Liouvillian from kron products and is the oracle
+the record is checked against.
 
 Steady states are solved in a real basis. A Lindblad generator maps
 Hermitian matrices to Hermitian matrices, so in an orthonormal basis of
@@ -551,8 +552,8 @@ class _StackedRHS:
         self._envelopes = list(envelopes)
         self._shape = (len(blocks), len(schedules))
         self._dim = dim
-        self._blocks = {}  # columns -> (z, z_terms, diagonal) of that sub-block
-        self._maps = {}  # (column, h, n, coefficients) -> R(hL)^n
+        self._blocks = {}  # columns -> ``_block`` of that sub-block
+        self._maps = {}  # (column, planned h, n, coefficients) -> R(hL)^n
 
     def table(self, times: np.ndarray) -> np.ndarray:
         """(len(times), K, B) coefficients: each distinct envelope is
@@ -564,19 +565,32 @@ class _StackedRHS:
             out[:, k, b] += c.of(values[e], times)
         return out
 
-    def __call__(self, x: np.ndarray, coefficients: np.ndarray, cols=()) -> np.ndarray:
-        """dx/dt of the (D, B') block x of the columns ``cols`` (all when
-        empty) under one (K, B') table row."""
+    def _block(self, cols):
+        """(z, z_terms, diagonal, scratch) of the columns ``cols``: their
+        stacked input block [x; f_1 x; ...; f_K x], its term rows, their
+        diagonals and a (D, B') buffer, made on first use."""
         if cols not in self._blocks:
             diagonal = self.diagonal[:, list(cols)] if cols else self.diagonal
             k, d, width = self._shape[0], self._dim, diagonal.shape[1]
             z = np.empty(((k + 1) * d, width), dtype=complex)
-            self._blocks[cols] = (z, z[d:].reshape(k, d, width), diagonal)
-        z, z_terms, diagonal = self._blocks[cols]
-        z[: self._dim] = x
+            scratch = np.empty((d, width), dtype=complex)
+            self._blocks[cols] = (z, z[d:].reshape(k, d, width), diagonal, scratch)
+        return self._blocks[cols]
+
+    def state(self, cols=()) -> np.ndarray:
+        """The (D, B') rows of the stacked input block that hold the state x
+        of the columns ``cols`` (all when empty): write a state there, then
+        call the RHS."""
+        return self._block(cols)[0][: self._dim]
+
+    def __call__(self, coefficients: np.ndarray, cols=()) -> np.ndarray:
+        """dx/dt of the columns ``cols`` (all when empty), whose (D, B')
+        state x is in ``state(cols)``, under one (K, B') table row."""
+        z, z_terms, diagonal, scratch = self._block(cols)
+        x = z[: self._dim]
         np.multiply(coefficients[:, None, :], x, out=z_terms)
         y = self.matrix @ z
-        y += diagonal * x
+        y += np.multiply(diagonal, x, out=scratch)
         return y
 
     def step_map(self, b: int, coefficients: np.ndarray, h: float, n: int) -> np.ndarray:
@@ -586,7 +600,8 @@ class _StackedRHS:
         On a linear system with constant coefficients one RK4 step is the
         stability polynomial R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 of hL,
         where L is the column's dense Liouvillian. Cached per (b, h, n,
-        coefficients) for the life of the batch.
+        coefficients) for the life of the batch; ``_plan`` gives every gap of
+        one length the same h, so equal gaps share a map.
         """
         key = (b, h, n, coefficients.tobytes())
         if key not in self._maps:
@@ -617,52 +632,119 @@ def _sample_times(schedule: PulseSchedule, t0: float, until: float, sample_dt: f
     return times[times <= until]
 
 
-def _rk4_interval(rhs: _StackedRHS, x: np.ndarray, t: float, t_next: float, max_step: float):
-    """Fixed-step RK4 of the block x from t to t_next, with the coefficient
-    table of this interval: one row per RK4 stage.
+class _Interval(NamedTuple):
+    """One sample interval of a batch's timeline plan."""
 
-    A column whose table rows are all exactly equal has constant
-    coefficients over the interval: it advances by its cached step map
-    R(hL)^n with h = span / n, the same RK4 as one matrix product. The other
-    columns advance stage by stage as one sub-block. The choice is made per
-    column, so a column's result does not depend on its batch mates.
+    span: float  # t_next - t
+    n: int  # RK4 steps, ceil(span / max_step) and at least 1
+    h: float  # step of its step maps: one per (gap length, n)
+    table: np.ndarray  # (4n, K, B) coefficients, one row per RK4 stage
+    steps: np.ndarray  # the n step sizes
+    mapped: list  # columns whose coefficients are constant over it
+    staged: tuple  # the other columns
+
+
+def _plan(rhs: _StackedRHS, times: np.ndarray, max_step: float) -> list:
+    """The ``_Interval`` of every gap between the sample ``times``.
+
+    Each gap of span s takes n = ceil(s / max_step) RK4 steps; the step
+    edges are interpolated from the exact endpoints, so the last stage never
+    lands past an envelope edge at the gap's end. The coefficient table of
+    all stage times is built at once. A column whose table rows are all
+    exactly equal over a gap has constant coefficients there and advances by
+    a step map R(hL)^n, with one h per (gap length, n): the sample times
+    round to about an ulp of the latest time, so gaps of one length differ
+    by a few of its ulps, and each takes the h of the first such gap.
     """
-    span = t_next - t
-    nsteps = max(1, int(math.ceil(span / max_step)))
-    if span / nsteps < 1e-18:
-        raise IntegrationError("step size underflow")
-    # stage times interpolated from the exact endpoints so the last stage
-    # never lands past an envelope edge at t_next
-    edges = t + span * (np.arange(nsteps + 1) / nsteps)
-    edges[-1] = t_next
-    ta, tb = edges[:-1], edges[1:]
+    t, t_next = times[:-1], times[1:]
+    if not len(t):
+        return []
+    spans = t_next - t
+    counts = np.maximum(1, np.ceil(spans / max_step)).astype(int)
+    starts = np.concatenate([[0], np.cumsum(counts)])
+    gap = np.repeat(np.arange(len(spans)), counts)
+    j = np.arange(starts[-1]) - starts[gap]
+    ta = t[gap] + spans[gap] * (j / counts[gap])
+    tb = t[gap] + spans[gap] * ((j + 1) / counts[gap])
+    tb[starts[1:] - 1] = t_next
     steps = tb - ta
     tm = ta + 0.5 * steps
     table = rhs.table(np.stack([ta, tm, tm, tb], axis=1).reshape(-1))
-    constant = (table == table[0]).all(axis=(0, 1))
-    if not constant.any():
-        return _rk4_stages(rhs, x, table, steps)
+    # a gap's rows are all equal when each equals the next; the pair that
+    # straddles two gaps does not count
+    same = (table[1:] == table[:-1]).all(axis=1)
+    same[4 * starts[1:-1] - 1] = True
+    constant = np.logical_and.reduceat(same, 4 * starts[:-1], axis=0)
+
+    tol = 4.0 * math.ulp(float(np.abs(times).max()))
+    lengths = {}  # n -> the first span of each gap length with n steps
+    plan = []
+    for i, (span, n) in enumerate(zip(spans.tolist(), counts.tolist())):
+        known = lengths.setdefault(n, [])
+        length = next((s for s in known if abs(span - s) <= tol), None)
+        if length is None:
+            known.append(length := span)
+        plan.append(_Interval(
+            span, n, length / n,
+            table[4 * starts[i] : 4 * starts[i + 1]],
+            steps[starts[i] : starts[i + 1]],
+            np.flatnonzero(constant[i]).tolist(),
+            tuple(np.flatnonzero(~constant[i]).tolist()),
+        ))
+    return plan
+
+
+def _rk4_interval(rhs: _StackedRHS, x: np.ndarray, gap: _Interval) -> np.ndarray:
+    """Fixed-step RK4 of the block x over one planned interval.
+
+    Its mapped columns advance by their cached step maps, the same RK4 as
+    one matrix product; the staged ones stage by stage as one sub-block. The
+    choice is made per column, so a column's result does not depend on its
+    batch mates. x may be overwritten.
+    """
+    if gap.span / gap.n < 1e-18:
+        raise IntegrationError("step size underflow")
+    if not gap.mapped:
+        return _rk4_stages(rhs, x, gap.table, gap.steps)
     out = np.empty_like(x)
-    for b in np.flatnonzero(constant).tolist():
-        step_map = rhs.step_map(b, table[0, :, b], span / nsteps, nsteps)
+    for b in gap.mapped:
+        step_map = rhs.step_map(b, gap.table[0, :, b], gap.h, gap.n)
         # a contiguous copy, so the product is the same at any batch width
         out[:, b] = step_map @ np.ascontiguousarray(x[:, b])
-    cols = tuple(np.flatnonzero(~constant).tolist())
-    if cols:
-        out[:, cols] = _rk4_stages(rhs, x[:, cols], table[:, :, cols], steps, cols)
+    if gap.staged:
+        cols = gap.staged
+        out[:, cols] = _rk4_stages(rhs, x[:, cols], gap.table[:, :, cols], gap.steps, cols)
     return out
 
 
 def _rk4_stages(rhs: _StackedRHS, x: np.ndarray, table: np.ndarray, steps: np.ndarray,
                 cols=()):
     """RK4 of the columns ``cols`` (all when empty) stage by stage: x is
-    their (D, B') block and table their (4 len(steps), K, B') coefficients."""
+    their (D, B') block, updated in place, and table their (4 len(steps),
+    K, B') coefficients. Each stage state is written straight into the
+    RHS's input block, in the operation order of
+    x + (h / 6) (k1 + 2 k2 + 2 k3 + k4) with k2 = f(x + (h / 2) k1)."""
+    state = rhs.state(cols)
     for i, h in enumerate(steps.tolist()):
-        k1 = rhs(x, table[4 * i], cols)
-        k2 = rhs(x + 0.5 * h * k1, table[4 * i + 1], cols)
-        k3 = rhs(x + 0.5 * h * k2, table[4 * i + 2], cols)
-        k4 = rhs(x + h * k3, table[4 * i + 3], cols)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        half = 0.5 * h
+        state[...] = x
+        k1 = rhs(table[4 * i], cols)
+        np.multiply(k1, half, out=state)
+        state += x
+        k2 = rhs(table[4 * i + 1], cols)
+        np.multiply(k2, half, out=state)
+        state += x
+        k3 = rhs(table[4 * i + 2], cols)
+        np.multiply(k3, h, out=state)
+        state += x
+        k4 = rhs(table[4 * i + 3], cols)
+        k2 *= 2.0
+        k1 += k2
+        k3 *= 2.0
+        k1 += k3
+        k1 += k4
+        k1 *= h / 6.0
+        x += k1
     return x
 
 
@@ -683,8 +765,12 @@ def _check_message(t, trace_error, herm_error, min_eigenvalue) -> str:
 class _SampleLog:
     """Checks and observables of a (D, B) block at every sample.
 
-    A column that fails a check keeps that first error and is zeroed, so it
-    stays finite and costs nothing in later checks; the other columns go on.
+    Every check runs at every sample on every live column: the trace, the
+    Hermiticity and, through ``eigvalsh``, the positivity of its state. The
+    columns are tested at once; the first failed check of a column is named
+    (``_check_message``) only when some column fails. A column that fails a
+    check keeps that first error and is zeroed, so it stays finite and costs
+    nothing in later checks; the other columns go on.
     """
 
     def __init__(self, space: HilbertSpace, n_cols: int):
@@ -695,30 +781,40 @@ class _SampleLog:
         self.n_ph = (np.arange(d) // 2).astype(float)
         self.a_row = annihilation(space).T.reshape(-1)  # Tr(a rho) = a_row . vec(rho)
         self.errors = [None] * n_cols
+        self.live = list(range(n_cols))  # the columns without an error
         self.p_e, self.photons, self.field, self.drift = [], [], [], []
 
     def record(self, t: float, x: np.ndarray):
-        d = self.space.dim
-        live = [b for b, error in enumerate(self.errors) if error is None]
-        rhos = x[:, live].T.reshape(-1, d, d)
+        d, live = self.space.dim, self.live
+        every = len(live) == x.shape[1]
+        # one C-contiguous (d, d) block per column: the trace's summation
+        # order follows the layout
+        rhos = np.ascontiguousarray((x if every else x[:, live]).T).reshape(-1, d, d)
         drift = np.abs(np.trace(rhos, axis1=1, axis2=2).real - 1.0)
         herm = np.abs(rhos - rhos.conj().transpose(0, 2, 1)).max(axis=(1, 2))
-        finite = np.isfinite(rhos).all(axis=(1, 2))
+        finite = np.isfinite(herm)  # false for a state with a non-finite entry
         min_eig = np.full(len(live), np.nan)
         if finite.any():
-            hermitian = 0.5 * (rhos[finite] + rhos[finite].conj().transpose(0, 2, 1))
+            states = rhos if finite.all() else rhos[finite]
+            hermitian = 0.5 * (states + states.conj().transpose(0, 2, 1))
             min_eig[finite] = np.linalg.eigvalsh(hermitian)[:, 0]
-        for k, b in enumerate(live):
-            if finite[k]:
-                message = _check_message(t, drift[k], herm[k], min_eig[k])
-            else:
-                message = f"non-finite density matrix at t={t:.3e}"
-            if message:
-                self.errors[b] = IntegrationError(message)
-                x[:, b] = 0.0
+        failed = ~finite | (drift > TRACE_TOL) | (herm > HERM_TOL)
+        failed |= (min_eig < POSITIVITY_TOL) | (drift > TRACE_DRIFT_LIMIT)
+        if failed.any():
+            for k in np.flatnonzero(failed).tolist():
+                if np.isfinite(rhos[k]).all():
+                    message = _check_message(t, drift[k], herm[k], min_eig[k])
+                else:
+                    message = f"non-finite density matrix at t={t:.3e}"
+                if message:
+                    self.errors[live[k]] = IntegrationError(message)
+                    x[:, live[k]] = 0.0
+            self.live = [b for b, error in enumerate(self.errors) if error is None]
         pops = x[self.diag].real
-        trace_error = np.full(x.shape[1], np.nan)
-        trace_error[live] = drift
+        trace_error = drift
+        if not every:
+            trace_error = np.full(x.shape[1], np.nan)
+            trace_error[live] = drift
         self.p_e.append(self.n_q @ pops)
         self.photons.append(self.n_ph @ pops)
         self.field.append(self.a_row @ x)
@@ -800,9 +896,9 @@ def propagate_batch(
     log.record(t_start, x)
     # each sample is recorded, then a pi pulse due at its time flips the
     # qubit; one due at ``until`` acts after the run
-    for t, t_next in zip(times[:-1].tolist(), times[1:].tolist()):
+    for t_next, gap in zip(times[1:].tolist(), _plan(rhs, times, opts.max_step)):
         try:
-            x = _rk4_interval(rhs, x, t, t_next, opts.max_step)
+            x = _rk4_interval(rhs, x, gap)
         except IntegrationError as exc:
             log.errors = [error or exc for error in log.errors]
             break

@@ -18,18 +18,22 @@ FLOAT_FORMAT = "%.9g"
 
 # Columns to one propagated batch at most. A map's rows go to the workers in
 # blocks of consecutive whole rows, each block one batch: a wider batch pays
-# the per-interval Python work (coefficient table, RK4 stage dispatch) once
+# the per-interval Python work (RK4 stage dispatch, step-map lookups) once
 # for more columns, but each constant column caches its 64 KB RK4 step maps
-# for the life of the batch (about 2.3 a column on the default detect-map, 7
+# for the life of the batch (about 1.1 a column on the default detect-map, 2
 # on the default reset-map). The default maps at workers=1 on a 2-core VM,
-# as CPU s in-process (best of 3, one BLAS thread) and the CLI's peak RSS;
-# at 12 each row is its own batch:
-#   BATCH_COLUMNS            12     24     36     48     whole map
-#   detect-map (12/row) s    2.66   1.93   1.86   1.61   1.59
-#                       MB   84.4   86.6   88.8   91.1
-#   reset-map  (10/row) s    2.10   1.67   1.56   1.73   1.51
-#                       MB   87.1   92.0   96.9  101.9
-# 24 takes most of the gain and keeps both maps within 10% of that RSS.
+# one BLAS thread: CPU s of fresh CLI runs, the medians of 8 alternating
+# pairs of each wider batch against 24 (tools/cli_pairs.py; in
+# BENCH_timeline_columns36.json and BENCH_timeline_columns48.json), and the
+# median peak RSS of 3 runs:
+#   BATCH_COLUMNS                 24 vs 36      24 vs 48
+#   detect-map (12/row) CPU s     2.30  2.05    2.62  2.20   wider won 7/8, 8/8
+#   reset-map  (10/row) CPU s     1.76  1.64    1.64  1.62   wider won 6/8, 4/8
+#   BATCH_COLUMNS                 24     36     48
+#   detect-map peak RSS MB        60.4   63.2   66.0
+#   reset-map  peak RSS MB        62.4   66.2   69.9
+# Neither wider batch wins every pair, and 48 takes the reset-map 12% above
+# the RSS at 24, so 24 stays.
 BATCH_COLUMNS = 24
 
 # Each worker process runs a single BLAS thread. The matrices are small, and

@@ -561,6 +561,10 @@ def test_rejected_values_are_config_errors(line, key, tmp_path, capsys):
     ("ts_list_ns = 0, 85", "scan-ts"),  # values `detection_schedule` rejects
     ("nbar_list = -1", "scan-ns"),
     ("ns_ts_list_ns = 0", "scan-ns"),
+    ("kappa_MHz = 0", "detect"),  # values `SystemParams` rejects
+    ("chi_MHz = 0", "detect"),
+    ("max_step_ns = 0", "detect"),  # values `IntegratorOptions` rejects
+    ("sample_dt_ns = 0", "detect"),
 ])
 def test_out_of_range_values_name_their_line(raw, task, tmp_path, capsys):
     bad = tmp_path / "bad.cfg"

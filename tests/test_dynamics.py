@@ -11,6 +11,7 @@ import reference
 from lambdadet.dynamics import (
     DensityState,
     IntegratorOptions,
+    _plan,
     _StackedRHS,
     _commutator_superop,
     _dissipator_superop,
@@ -37,6 +38,8 @@ from lambdadet.model import (
     qubit_flip,
 )
 from lambdadet.pulses import (
+    GAUSS_TRUNC_SIGMAS,
+    KIND_GAUSSIAN,
     KIND_RECT,
     ROLE_DRIVE,
     ROLE_PI,
@@ -44,7 +47,9 @@ from lambdadet.pulses import (
     ROLE_RESET,
     ROLE_SIGNAL,
     PulseEnvelope,
+    SIGMA_PER_FWHM,
     PulseSchedule,
+    flat_top_drive,
     instant_pi,
     readout_marker,
     reset_schedule,
@@ -538,6 +543,98 @@ class TestPropagate:
         assert np.array_equal(batch[1].times, weak_alone.times)
         assert np.array_equal(batch[1].p_excited, weak_alone.p_excited)
         assert np.array_equal(batch[1].final.matrix, weak_alone.final.matrix)
+
+    def test_checks_fire_inside_staged_intervals(self, clean_params, monkeypatch):
+        """A Gaussian drive whose support spans the run changes in every
+        interval, so every interval runs stage by stage. At a 20 ns step the
+        100 MHz column breaks positivity: it fails with the message
+        ``propagate`` raises for it alone, and the 5 MHz column beside it is
+        its B = 1 run, bit for bit."""
+
+        def no_maps(*args):
+            raise AssertionError("a varying interval ran on a step map")
+
+        monkeypatch.setattr(_StackedRHS, "step_map", no_maps)
+        p = dataclasses.replace(clean_params, gamma=0.0)
+        space = build_space(1)
+        frame = Frame(p.omega_ge, p.omega_r)
+        duration = 80e-9
+        fwhm = duration / 2 / (GAUSS_TRUNC_SIGMAS * SIGMA_PER_FWHM)
+        strong, weak = (
+            PulseSchedule(((ROLE_DRIVE, PulseEnvelope(KIND_GAUSSIAN, duration / 2, fwhm, 0.0,
+                                                      TWO_PI * mhz * 1e6, p.omega_ge)),),
+                          frame, duration)
+            for mhz in (100.0, 5.0)
+        )
+        rho0 = mixed_initial_state(space, 0.2, frame)
+        opts = IntegratorOptions(max_step=20e-9, sample_dt=20e-9)
+        batch = propagate_batch([rho0, rho0], [strong, weak], p, opts)
+        with pytest.raises(IntegrationError) as alone:
+            propagate(rho0, strong, p, opts)
+        assert str(alone.value).startswith("negative eigenvalue")
+        assert isinstance(batch[0], IntegrationError)
+        assert str(batch[0]) == str(alone.value)
+        weak_alone = propagate(rho0, weak, p, opts)
+        for name in ("times", "p_excited", "photon_number", "field", "trace_error"):
+            assert np.array_equal(getattr(batch[1], name), getattr(weak_alone, name))
+        assert np.array_equal(batch[1].final.matrix, weak_alone.final.matrix)
+
+    @pytest.mark.parametrize("envelope", [
+        PulseEnvelope(KIND_GAUSSIAN, 150e-9, 60e-9, 0.0, TWO_PI * 20e6),
+        flat_top_drive(TWO_PI * 20e6, 100e-9, 150e-9, 0.0, 15e-9),
+        flat_top_drive(TWO_PI * 20e6, 100e-9, 150e-9, 0.0, 0.0),
+        PulseEnvelope(KIND_RECT, 150e-9, 100e-9, 0.0, TWO_PI * 20e6),
+    ], ids=["gaussian", "flat_top", "flat_top_sharp", "rect"])
+    def test_planned_table_is_value_at_every_stage_time(self, clean_params, envelope):
+        """The coefficient table a batch plans at once holds, at every RK4
+        stage time of every interval (as ``_rk4_interval`` placed them one
+        interval at a time), ``PulseEnvelope.value`` bit for bit. Sample
+        times sit on the support and plateau edges and one ulp either side,
+        where ``values`` decides between 0, the plateau and ``value``."""
+        frame = Frame(clean_params.omega_ge, clean_params.omega_r)
+        envelope = dataclasses.replace(envelope, carrier=frame.qubit_ref)
+        duration = 300e-9
+        sched = PulseSchedule(((ROLE_DRIVE, envelope),), frame, duration)
+        half = envelope.width / 2
+        edges = [*envelope.support(), envelope.center - half, envelope.center + half]
+        near = [np.nextafter(t, side) for t in edges for side in (0.0, 1.0)]
+        times = np.unique(np.concatenate([np.linspace(0.0, duration, 31), edges, near]))
+        max_step = 3e-9
+        rhs = _StackedRHS([sched], clean_params, build_space(1))
+        plan = _plan(rhs, times, max_step)
+        assert len(plan) == len(times) - 1
+        stage_times = []
+        for t, t_next, gap in zip(times[:-1], times[1:], plan):
+            n = max(1, math.ceil((t_next - t) / max_step))
+            steps = t + (t_next - t) * (np.arange(n + 1) / n)
+            steps[-1] = t_next
+            ta, tb = steps[:-1], steps[1:]
+            tm = ta + 0.5 * (tb - ta)
+            stages = np.stack([ta, tm, tm, tb], axis=1).reshape(-1)
+            assert gap.table.shape == (4 * n, 1, 1)
+            assert gap.table[:, 0, 0].tolist() == [envelope.value(s) for s in stages.tolist()]
+            stage_times += stages.tolist()
+        assert set(edges) <= set(stage_times)
+
+    def test_equal_gaps_share_step_maps(self, params, reset, monkeypatch):
+        """The default reset run holds its tones flat for 380 ns and ends in a
+        zero tail; its 1 ns gaps differ in their last bits. It builds one
+        step map per distinct (column, coefficients, step count, gap length),
+        the gap length taken to 1 fs."""
+        step_map, keys, runs = _StackedRHS.step_map, set(), set()
+
+        def spy(rhs, b, coefficients, h, n):
+            runs.add(rhs)
+            keys.add((b, coefficients.tobytes(), n, round(h * n / 1e-15)))
+            return step_map(rhs, b, coefficients, h, n)
+
+        monkeypatch.setattr(_StackedRHS, "step_map", spy)
+        sched = reset_schedule(params, reset)
+        rho0 = mixed_initial_state(build_space(3), params.init_excited_pop, sched.frame)
+        propagate(rho0, sched, params, until=sched.marker_times()[-1] + 100e-9)
+        (rhs,) = runs
+        builds = len(rhs._maps)
+        assert 0 < builds == len(keys)
 
     def test_rk4_click_matches_dop853(self, params, detect, capsys, readout, n_max):
         """The default-step RK4 clicks of ``detection_run`` at the paper's
