@@ -14,11 +14,13 @@ and which columns are exactly constant over which interval. Such a column
 (a pulse plateau, or the zero tail after the pulses) advances by one cached
 matrix, its RK4 step map R(hL)^n: the same method, without the
 stage-by-stage products; equal gaps share one map. ``propagate`` is the
-B = 1 case. The pieces the Liouvillian is affine in are built once per
-(params, n_max) in a read-only ``Superoperators`` record; CW reflection
-assembles a whole row of Liouvillians from it and solves the stack at once.
-``liouvillian`` builds one Liouvillian from kron products and is the oracle
-the record is checked against.
+B = 1 case. The pieces the generator is affine in are built once per
+(params, n_max) in a read-only ``Superoperators`` record, and every reader
+takes them from there: the pulsed RHS, the sample log, and CW reflection,
+which assembles a whole row of Liouvillians from their real forms and
+solves the stack at once. ``liouvillian`` builds one Liouvillian from kron
+products; it gives each schedule's static part and is the oracle the record
+is checked against.
 
 Steady states are solved in a real basis. A Lindblad generator maps
 Hermitian matrices to Hermitian matrices, so in an orthonormal basis of
@@ -62,7 +64,6 @@ from .pulses import ROLE_DRIVE, ROLE_RESET, ROLE_SIGNAL, PulseEnvelope, PulseSch
 TRACE_TOL = 1e-9
 HERM_TOL = 1e-10
 POSITIVITY_TOL = -1e-8
-TRACE_DRIFT_LIMIT = 1e-6
 
 
 @dataclass(frozen=True)
@@ -190,88 +191,72 @@ def liouvillian(hamiltonian, collapses) -> np.ndarray:
     return sup
 
 
+# blocks of ``Superoperators.pulse_terms``; a quadrature's sine term is at +1
+TERM_FLIP, TERM_DEPHASING, TERM_DRIVE, TERM_INPUT = 0, 1, 2, 4
+
+
 class CWPieces(NamedTuple):
-    """The real forms (``real_form``) of the ``Superoperators`` pieces that
-    CW assembly reads, and what it reads of them."""
+    """The real forms (``real_form``) that CW assembly reads, with the index
+    sets of its per-point pieces. ``flip``, ``dephasing`` and ``drive`` are
+    the real forms of the record's ``pulse_terms``."""
 
     dissipators: np.ndarray
-    flip_up: np.ndarray
-    flip_down: np.ndarray
-    dephasing: np.ndarray
-    drive: np.ndarray  # of -i[X, .]
+    flip: np.ndarray  # of D[s+] + D[s-] at unit rate
+    dephasing: np.ndarray  # of D[n_q] at unit rate
+    drive: np.ndarray  # of -i[X/2, .]
     input: np.ndarray  # of -i[P, .]
     n_q: np.ndarray  # of -i[n_q, .]
     n_ph: np.ndarray  # of -i[n_ph, .]
     n_q_n_ph: np.ndarray  # of -i[n_q n_ph, .]
     n_ph_index: tuple  # (rows, cols) of the non-zero entries of n_ph
     input_index: tuple  # (rows, cols) of the non-zero entries of input
-    a_row: np.ndarray  # <a> = Tr(a rho) = a_row . vec(rho)
 
 
 @dataclass(frozen=True)
 class Superoperators:
-    """Superoperator pieces the Liouvillian is affine in, for one (params, n_max).
+    """The pieces the Lindblad generator is affine in, for one (params, n_max).
 
-    The pieces are the commutators of n_q, n_ph and n_q n_ph, of the drive
-    quadratures (X, Y) and of the input quadratures (P, Q); the dissipator
-    sum of ``collapse_operators``; and the drive-noise dissipators at unit
-    rate, which a pulse schedule scales by the instantaneous noise rate.
-    The number-operator commutators are diagonal, so the record keeps
-    the operators' diagonals and forms the Hamiltonian's diagonal before its
-    commutator, as ``liouvillian`` does. A commutator piece touches only
-    entries the dissipators leave zero, or on the diagonal only the
-    imaginary part, which they leave zero; summed in the order of
-    ``liouvillian``, the pieces give the kron build bit for bit. Pulse
-    schedules read these complex pieces (``pulse_terms``). CW assembly reads
-    their real forms, ``cw_pieces``, built on its first use only. Read-only;
-    get it from ``superoperators``.
+    ``n_q`` and ``n_ph`` are the diagonals of the number operators, and
+    ``a_row`` the row with <a> = Tr(a rho) = a_row . vec(rho); the sample log
+    reads P_e, the photon number and the field with them. ``dissipators`` is
+    the dissipator sum of ``collapse_operators``. At zero Rabi the
+    Hamiltonian is diagonal, so off the diagonal a schedule's kron-built
+    static part is ``dissipators`` bit for bit. ``pulse_terms`` holds the
+    term superoperators of a pulse schedule, indexed by the ``TERM_*``
+    blocks: the drive-line flips D[s+] + D[s-] and dephasing D[n_q] at unit
+    rate, which a schedule scales by the instantaneous noise rate; -i[X/2, .]
+    and -i[Y/2, .] of the drive; and sqrt(kappa_ext) times -i[P, .] and
+    -i[Q, .] of the inputs. CW assembly reads the real forms ``cw_pieces``,
+    built from these on its first use only. Read-only; get it from
+    ``superoperators``.
     """
 
     params: SystemParams
     space: HilbertSpace
     n_q: np.ndarray
     n_ph: np.ndarray
-    n_q_n_ph: np.ndarray
-    drive: tuple  # -i[X, .], -i[Y, .]
-    input: tuple  # -i[P, .], -i[Q, .]
+    a_row: np.ndarray
     dissipators: np.ndarray
-    flip_up: np.ndarray  # D[sigma_plus] at unit rate, for the drive-line noise
-    flip_down: np.ndarray  # D[sigma_minus] at unit rate
-    dephasing: np.ndarray  # D[n_q] at unit rate
-
-    @functools.cached_property
-    def pulse_terms(self) -> tuple:
-        """Term superoperators of a pulse schedule, indexed by the ``TERM_*``
-        blocks: the drive-line flips D[s+] + D[s-] and dephasing D[n_q] at
-        unit rate, -i[X/2, .] and -i[Y/2, .] of the drive, and
-        sqrt(kappa_ext) times -i[P, .] and -i[Q, .] of the inputs."""
-        root_kext = math.sqrt(self.params.kappa_ext)
-        terms = (
-            self.flip_up + self.flip_down,
-            self.dephasing,
-            *(0.5 * sup for sup in self.drive),
-            *(root_kext * sup for sup in self.input),
-        )
-        for sup in terms:
-            sup.flags.writeable = False
-        return terms
+    pulse_terms: tuple
 
     @functools.cached_property
     def cw_pieces(self) -> CWPieces:
         """The real forms CW assembly reads, with the index sets of its
-        per-point pieces and the <a> row."""
-        real = {
-            name: real_form(getattr(self, name))
-            for name in ("dissipators", "flip_up", "flip_down", "dephasing")
-        }
-        real["drive"], real["input"] = real_form(self.drive[0]), real_form(self.input[0])
-        for name in ("n_q", "n_ph", "n_q_n_ph"):
-            real[name] = real_form(_commutator_superop(np.diag(getattr(self, name))))
+        per-point pieces."""
+        real = dict(
+            dissipators=real_form(self.dissipators),
+            flip=real_form(self.pulse_terms[TERM_FLIP]),
+            dephasing=real_form(self.pulse_terms[TERM_DEPHASING]),
+            drive=real_form(self.pulse_terms[TERM_DRIVE]),
+            input=real_form(_commutator_superop(input_quadratures(self.space)[0])),
+        )
+        for name, diagonal in (("n_q", self.n_q), ("n_ph", self.n_ph),
+                               ("n_q_n_ph", self.n_q * self.n_ph)):
+            real[name] = real_form(_commutator_superop(np.diag(diagonal)))
         pieces = CWPieces(
             **real,
             n_ph_index=np.nonzero(real["n_ph"]),
             input_index=np.nonzero(real["input"]),
-            a_row=annihilation(self.space).T.reshape(-1),
         )
         for array in pieces:
             for part in array if isinstance(array, tuple) else (array,):
@@ -286,10 +271,10 @@ class Superoperators:
         equal to input_amp[k], in the frame (omega_d, omega_s[k]). Equals
         ``real_form`` of ``liouvillian`` of ``hamiltonian_static`` plus
         input_amp[k] P, with ``collapse_operators`` and
-        ``drive_noise_channels``: the drive-line noise is the record's
-        unit-rate ``flip_up``, ``flip_down`` and ``dephasing`` at the
-        channels' rates. The part the tones share is summed once; each tone
-        adds its n_ph and input terms at their non-zero entries.
+        ``drive_noise_channels``: the drive-line noise is the unit-rate
+        ``flip`` and ``dephasing`` terms at the channels' rates. The part the
+        tones share is summed once; each tone adds its n_ph and input terms
+        at their non-zero entries.
         """
         if rabi < 0:
             raise ValueError("rabi must be >= 0")
@@ -300,12 +285,11 @@ class Superoperators:
         if rabi > 0:
             flip_rate = p.drive_noise_per_rabi2 * rabi * rabi
             if flip_rate > 0:
-                base = base + flip_rate * real.flip_up
-                base = base + flip_rate * real.flip_down
+                base = base + flip_rate * real.flip
             deph_rate = p.drive_dephasing_per_rabi2 * rabi * rabi
             if deph_rate > 0:
                 base = base + deph_rate * real.dephasing
-            base = base + (rabi / 2.0) * real.drive
+            base = base + rabi * real.drive
         base = base + (p.omega_ge - omega_d) * real.n_q - 2.0 * p.chi * real.n_q_n_ph
         sups = np.empty((len(omega_s),) + base.shape)
         sups[:] = base
@@ -323,26 +307,29 @@ def superoperators(params: SystemParams, n_max: int) -> Superoperators:
     space = build_space(n_max)
     sm = qubit_lowering(space)
     n_q = qubit_number(space)
-    n_ph = photon_number(space)
     dissipators = np.zeros((space.dim**2,) * 2, dtype=complex)
     for op, rate in collapse_operators(params, space):
         if rate != 0.0:
             dissipators = dissipators + _dissipator_superop(op.matrix, rate)
-    pieces = dict(
-        n_q=np.real(np.diag(n_q)),
-        n_ph=np.real(np.diag(n_ph)),
-        n_q_n_ph=np.real(np.diag(n_q @ n_ph)),
-        drive=tuple(_commutator_superop(q) for q in drive_quadratures(space)),
-        input=tuple(_commutator_superop(q) for q in input_quadratures(space)),
-        dissipators=dissipators,
-        flip_up=_dissipator_superop(sm.conj().T, 1.0),
-        flip_down=_dissipator_superop(sm, 1.0),
-        dephasing=_dissipator_superop(n_q, 1.0),
+    root_kext = math.sqrt(params.kappa_ext)
+    pulse_terms = (
+        _dissipator_superop(sm.conj().T, 1.0) + _dissipator_superop(sm, 1.0),
+        _dissipator_superop(n_q, 1.0),
+        *(0.5 * _commutator_superop(q) for q in drive_quadratures(space)),
+        *(root_kext * _commutator_superop(q) for q in input_quadratures(space)),
     )
-    for value in pieces.values():
-        for array in value if isinstance(value, tuple) else (value,):
-            array.flags.writeable = False
-    return Superoperators(params, space, **pieces)
+    record = Superoperators(
+        params,
+        space,
+        n_q=np.real(np.diag(n_q)),
+        n_ph=np.real(np.diag(photon_number(space))),
+        a_row=annihilation(space).T.reshape(-1),
+        dissipators=dissipators,
+        pulse_terms=pulse_terms,
+    )
+    for array in (record.n_q, record.n_ph, record.a_row, dissipators, *pulse_terms):
+        array.flags.writeable = False
+    return record
 
 
 def steady_state(hamiltonian, collapses, *, frame: Frame | None = None,
@@ -354,18 +341,11 @@ def steady_state(hamiltonian, collapses, *, frame: Frame | None = None,
     when the Liouvillian kernel is degenerate or the solve fails the
     residual check.
     """
-    if isinstance(hamiltonian, ComplexOperator):
-        if space is None:
-            space = hamiltonian.space
-        h = hamiltonian.matrix
-    else:
-        h = np.asarray(hamiltonian, dtype=complex)
-    (rho,), (error,) = steady_state_stack(real_form(liouvillian(h, collapses))[None])
+    (rho,), (error,) = steady_state_stack(real_form(liouvillian(hamiltonian, collapses))[None])
     if error is not None:
         raise error
-    fr = frame if frame is not None else Frame(0.0, 0.0)
-    sp = space if space is not None else HilbertSpace(h.shape[0] // 2 - 1)
-    return DensityState(rho, math.inf, fr, sp)
+    return DensityState(rho, math.inf, frame or Frame(0.0, 0.0),
+                        space or HilbertSpace(len(rho) // 2 - 1))
 
 
 def steady_state_stack(sups: np.ndarray):
@@ -444,10 +424,6 @@ class Trajectory:
     final: DensityState
 
 
-# blocks of ``Superoperators.pulse_terms``; a quadrature's sine term is at +1
-TERM_FLIP, TERM_DEPHASING, TERM_DRIVE, TERM_INPUT = 0, 1, 2, 4
-
-
 class TermCoefficient(NamedTuple):
     """f(t) of one schedule term, whose superoperator is ``pulse_terms[block]``.
 
@@ -509,30 +485,28 @@ class _StackedRHS:
     """Right-hand side of B schedules on one timeline, as one sparse product.
 
     Column b evolves under its static superoperator S_b plus
-    sum_k f_bk(t) T_k over the batch's term superoperators T_k. The S_b may
-    differ on the diagonal only (the frame's references enter there), so
-    the CSR block [S_offdiag | T_1 ... T_K] acts on the stacked state block
-    [x; f_1 x; ...; f_K x] and each column's diagonal is applied apart.
+    sum_k f_bk(t) T_k over the batch's term superoperators T_k. Off the
+    diagonal every S_b is the record's dissipator sum (see
+    ``Superoperators``); the frame's references enter on the diagonal only.
+    So the CSR block [S_offdiag | T_1 ... T_K] acts on the stacked state
+    block [x; f_1 x; ...; f_K x] and each column's diagonal is applied apart.
     """
 
     def __init__(self, schedules, params: SystemParams, space: HilbertSpace):
         from scipy import sparse  # loaded at the first propagation, not at import
 
+        ops = superoperators(params, space.n_max)
         diagonals, columns = [], []
         for sched in schedules:
             static, terms = _schedule_terms(sched, params, space)
-            diagonals.append(static.diagonal().copy())
-            np.fill_diagonal(static, 0.0)
-            if not columns:
-                offdiag = static
-            elif not np.array_equal(static, offdiag):
-                raise ValueError("the static parts of a batch may differ on the diagonal only")
+            diagonals.append(static.diagonal())
             columns.append(terms)
         self.diagonal = np.array(diagonals).T  # (D, B)
-        dim = len(diagonals[0])
+        offdiag = ops.dissipators.copy()
+        np.fill_diagonal(offdiag, 0.0)
 
         blocks = sorted({c.block for terms in columns for c in terms})
-        sups = superoperators(params, space.n_max).pulse_terms
+        sups = ops.pulse_terms
         self.matrix = sparse.hstack(
             [sparse.csr_array(offdiag)] + [sparse.csr_array(sups[k]) for k in blocks],
             format="csr",
@@ -551,7 +525,7 @@ class _StackedRHS:
         ]
         self._envelopes = list(envelopes)
         self._shape = (len(blocks), len(schedules))
-        self._dim = dim
+        self._dim = len(offdiag)
         self._blocks = {}  # columns -> ``_block`` of that sub-block
         self._maps = {}  # (column, planned h, n, coefficients) -> R(hL)^n
 
@@ -757,8 +731,6 @@ def _check_message(t, trace_error, herm_error, min_eigenvalue) -> str:
         return f"hermiticity error {herm_error:.2e} at t={t:.3e}"
     if min_eigenvalue < POSITIVITY_TOL:
         return f"negative eigenvalue {min_eigenvalue:.2e} at t={t:.3e}"
-    if trace_error > TRACE_DRIFT_LIMIT:
-        return f"trace drift {trace_error:.2e} exceeds {TRACE_DRIFT_LIMIT:.0e}"
     return ""
 
 
@@ -770,22 +742,19 @@ class _SampleLog:
     columns are tested at once; the first failed check of a column is named
     (``_check_message``) only when some column fails. A column that fails a
     check keeps that first error and is zeroed, so it stays finite and costs
-    nothing in later checks; the other columns go on.
+    nothing in later checks; the other columns go on. The observables are
+    read with the record's ``n_q``, ``n_ph`` and ``a_row``.
     """
 
-    def __init__(self, space: HilbertSpace, n_cols: int):
-        d = space.dim
-        self.space = space
-        self.diag = np.arange(d) * (d + 1)
-        self.n_q = np.real(np.diag(qubit_number(space)))
-        self.n_ph = (np.arange(d) // 2).astype(float)
-        self.a_row = annihilation(space).T.reshape(-1)  # Tr(a rho) = a_row . vec(rho)
+    def __init__(self, ops: Superoperators, n_cols: int):
+        self.ops = ops
+        self.diag = np.arange(ops.space.dim) * (ops.space.dim + 1)
         self.errors = [None] * n_cols
         self.live = list(range(n_cols))  # the columns without an error
         self.p_e, self.photons, self.field, self.drift = [], [], [], []
 
     def record(self, t: float, x: np.ndarray):
-        d, live = self.space.dim, self.live
+        d, live = self.ops.space.dim, self.live
         every = len(live) == x.shape[1]
         # one C-contiguous (d, d) block per column: the trace's summation
         # order follows the layout
@@ -799,7 +768,7 @@ class _SampleLog:
             hermitian = 0.5 * (states + states.conj().transpose(0, 2, 1))
             min_eig[finite] = np.linalg.eigvalsh(hermitian)[:, 0]
         failed = ~finite | (drift > TRACE_TOL) | (herm > HERM_TOL)
-        failed |= (min_eig < POSITIVITY_TOL) | (drift > TRACE_DRIFT_LIMIT)
+        failed |= min_eig < POSITIVITY_TOL
         if failed.any():
             for k in np.flatnonzero(failed).tolist():
                 if np.isfinite(rhos[k]).all():
@@ -815,16 +784,16 @@ class _SampleLog:
         if not every:
             trace_error = np.full(x.shape[1], np.nan)
             trace_error[live] = drift
-        self.p_e.append(self.n_q @ pops)
-        self.photons.append(self.n_ph @ pops)
-        self.field.append(self.a_row @ x)
+        self.p_e.append(self.ops.n_q @ pops)
+        self.photons.append(self.ops.n_ph @ pops)
+        self.field.append(self.ops.a_row @ x)
         self.drift.append(trace_error)
 
     def trajectories(self, times: np.ndarray, x: np.ndarray, frames) -> list:
         """Per column: its Trajectory over the recorded ``times``, ending in
         its state in the last recorded block x, or the IntegrationError it
         failed with."""
-        d, t = self.space.dim, float(times[-1])
+        space, d, t = self.ops.space, self.ops.space.dim, float(times[-1])
         series = (self.p_e, self.photons, self.field, self.drift)
         p_e, photons, field_, drift = map(np.array, series)
         return [
@@ -834,7 +803,7 @@ class _SampleLog:
                 photon_number=photons[:, b],
                 field=field_[:, b],
                 trace_error=drift[:, b],
-                final=DensityState(x[:, b].reshape(d, d).copy(), t, frame, self.space),
+                final=DensityState(x[:, b].reshape(d, d).copy(), t, frame, space),
             )
             for b, (frame, error) in enumerate(zip(frames, self.errors))
         ]
@@ -886,7 +855,7 @@ def propagate_batch(
         raise ValueError("run ends before the initial state's time tag")
     times = _sample_times(first, t_start, until, opts.sample_dt)
     times.flags.writeable = False
-    log = _SampleLog(space, len(schedules))
+    log = _SampleLog(superoperators(params, space.n_max), len(schedules))
     flip = _flip_permutation(space)
 
     x = np.stack([rho0.matrix.reshape(-1) for rho0 in rho0s], axis=1).astype(complex)
@@ -920,7 +889,7 @@ def propagate(
 
     Instantaneous pi pulses are applied as exact qubit flips at their times.
     Trace, Hermiticity and positivity are checked at every sample; a failed
-    check, trace drift beyond 1e-6 or a step-size underflow raises
+    check, a non-finite state or a step-size underflow raises
     IntegrationError. ``until`` ends the run (the schedule's end by
     default; later runs free dynamics once the envelopes end), and
     ``final`` is the state there. The B = 1 case of ``propagate_batch``.

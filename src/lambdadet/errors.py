@@ -27,7 +27,7 @@ class MatchingPointError(LambdaDetError, RuntimeError):
 
 
 class IntegrationError(LambdaDetError, RuntimeError):
-    """Master-equation propagation failed (step underflow or trace drift)."""
+    """Master-equation propagation failed: a per-sample check or a step underflow."""
 
 
 class SteadyStateError(LambdaDetError, RuntimeError):

@@ -62,7 +62,7 @@ def reflection_row(params: SystemParams, omega_d: float, rabi: float, omega_s, p
     root_kext = math.sqrt(params.kappa_ext)
     sups = ops.cw_liouvillians(omega_d, rabi, omega_s, [root_kext * amp for amp in probe_amp])
     rhos, errors = steady_state_stack(sups)
-    a_mean = rhos.reshape(len(rhos), -1) @ ops.cw_pieces.a_row
+    a_mean = rhos.reshape(len(rhos), -1) @ ops.a_row
     r = [-1.0 + root_kext * complex(a) / amp for a, amp in zip(a_mean, probe_amp)]
     return r, errors
 

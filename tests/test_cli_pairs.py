@@ -34,9 +34,11 @@ def test_dressed_pairs(cli_pairs, tmp_path):
         assert entry["outputs"] == ["dressed.csv"] and entry["outputs_identical"]
         for side in ("parent", "change"):
             assert entry[side]["wall_s"] > 0 and entry[side]["cpu_s"] > 0
+            assert entry[side]["peak_rss_mb"] > 0
     assert task["outputs_identical_in_pairs"] == "2/2"
-    assert set(task["summary"]) == {"wall_s", "cpu_s"}
+    assert set(task["summary"]) == {"wall_s", "cpu_s", "peak_rss_mb"}
     assert task["summary"]["wall_s"]["bound"] == 0.25
+    assert task["summary"]["peak_rss_mb"]["bound"] == 0.1
 
 
 def test_a_failed_run_stops_the_pairs(cli_pairs, tmp_path):

@@ -10,8 +10,12 @@ from scipy.linalg import expm
 import reference
 from lambdadet.dynamics import (
     DensityState,
+    TERM_DEPHASING,
+    TERM_DRIVE,
+    TERM_FLIP,
     IntegratorOptions,
     _plan,
+    _SampleLog,
     _StackedRHS,
     _commutator_superop,
     _dissipator_superop,
@@ -191,7 +195,7 @@ class TestSuperoperators:
         h_diag = (
             (params.omega_ge - frame.qubit_ref) * ops.n_q
             + (params.omega_r - frame.resonator_ref) * ops.n_ph
-            - 2.0 * params.chi * ops.n_q_n_ph
+            - 2.0 * params.chi * ops.n_q * ops.n_ph
         )
         record_static = ops.dissipators.copy()
         diag = np.arange(space.dim**2)
@@ -216,6 +220,29 @@ class TestSuperoperators:
         assert len(coefficients) == len(expected)
         for c, want in zip(coefficients, expected):
             assert np.array_equal(pulse_terms[c.block], want)
+        # CW assembly reads the real forms of the same pulse terms
+        for name, block in (("flip", TERM_FLIP), ("dephasing", TERM_DEPHASING),
+                            ("drive", TERM_DRIVE)):
+            assert np.array_equal(getattr(ops.cw_pieces, name), real_form(pulse_terms[block]))
+
+    def test_batch_static_parts_are_dissipators_plus_diagonals(self, params, detect, reset):
+        """A batch of the detection schedule and the reset schedule, whose
+        frames differ: each column's static part, the RHS's shared
+        off-diagonal plus that column's diagonal, is the schedule's own
+        kron-built ``liouvillian`` bit for bit."""
+        from lambdadet.pulses import detection_schedule
+
+        params = dataclasses.replace(params, drive_noise_per_rabi2=1e-12)
+        space = build_space(3)
+        schedules = [detection_schedule(params, detect), reset_schedule(params, reset)]
+        assert schedules[0].frame != schedules[1].frame
+        rhs = _StackedRHS(schedules, params, space)
+        assert not np.array_equal(rhs.diagonal[:, 0], rhs.diagonal[:, 1])
+        for b, sched in enumerate(schedules):
+            frame = sched.frame
+            h0 = hamiltonian_static(params, frame, 0.0, frame.qubit_ref, space=space).matrix
+            want = liouvillian(h0, collapse_operators(params, space))
+            assert np.array_equal(rhs._offdiag + np.diag(rhs.diagonal[:, b]), want)
 
     def test_record_is_cached_and_read_only(self, params):
         ops = superoperators(params, 2)
@@ -237,6 +264,44 @@ class TestSuperoperators:
         ops = superoperators(p, 2)
         assert "pulse_terms" in vars(ops)
         assert "cw_pieces" not in vars(ops)
+
+
+class TestSampleLog:
+    def test_each_failed_check_is_named_and_its_column_zeroed(self, clean_params):
+        """One block of five columns: a trace error, an anti-Hermitian part,
+        a negative eigenvalue, a NaN entry and a clean state. Each failed
+        column keeps the message of its first failed check and is zeroed;
+        the clean column goes on, and a later defect of a failed column
+        does not replace its message."""
+        space = build_space(1)
+        d = space.dim
+        states = [np.diag([1.0 + 2e-6, 0, 0, 0]), np.diag([1.0, 0, 0, 0]),
+                  np.diag([1.1, -0.1, 0, 0]), np.diag([1.0, 0, 0, 0]),
+                  np.diag([0.9, 0.1, 0, 0])]
+        states[1][0, 1], states[1][1, 0] = 1e-3, -1e-3
+        states[3][2, 3] = np.nan
+        x = np.stack([rho.reshape(-1) for rho in states], axis=1).astype(complex)
+        log = _SampleLog(superoperators(clean_params, 1), len(states))
+        log.record(1e-9, x)
+        assert [str(error) for error in log.errors[:4]] == [
+            "trace error 2.00e-06 exceeds 1e-09 at t=1.000e-09",
+            "hermiticity error 2.00e-03 at t=1.000e-09",
+            "negative eigenvalue -1.00e-01 at t=1.000e-09",
+            "non-finite density matrix at t=1.000e-09",
+        ]
+        assert all(isinstance(error, IntegrationError) for error in log.errors[:4])
+        assert log.errors[4] is None and log.live == [4]
+        assert np.array_equal(x[:, :4], np.zeros((d * d, 4)))
+        assert np.array_equal(x[:, 4], states[4].reshape(-1))
+
+        x[0, 0] = np.nan  # not live: no longer checked
+        log.record(2e-9, x)
+        assert str(log.errors[0]) == "trace error 2.00e-06 exceeds 1e-09 at t=1.000e-09"
+        frames = [Frame(0.0, 0.0)] * len(states)
+        *failed, clean = log.trajectories(np.array([1e-9, 2e-9]), x, frames)
+        assert failed == log.errors[:4]
+        assert clean.p_excited.tolist() == [0.1, 0.1]
+        assert np.array_equal(clean.final.matrix, states[4])
 
 
 class TestHermitianBasis:

@@ -11,14 +11,16 @@ picks (the built-in one unless the task names ``--config`` or
 ``LAMBDADET_CONFIG`` is set); the run imports the ``src/`` of its own
 checkout. Each pair runs the task once in each checkout: the parent first
 in even pairs, the change first in odd ones. A run's wall time includes
-the interpreter's start-up and imports, and its CPU time is the
-``RUSAGE_CHILDREN`` user plus system time it added, spawned workers
-included. Each pair also records whether the two runs wrote the same
-files with the same bytes. The summary per task is ``bench_pairs.summary``
-of ``wall_s`` and ``cpu_s``, with the ``wall_s`` bound of BENCHMARK.json
-applied to both. The BLAS thread variables pass through from the calling
-environment and are recorded. A run that exits non-zero stops the tool,
-naming the pair.
+the interpreter's start-up and imports. Its CPU time and peak RSS come
+from the rusage ``os.wait4`` returns for that run's process: user plus
+system time, spawned workers included, and ``ru_maxrss``, the peak of the
+largest process in its tree. Each pair also records whether the two runs
+wrote the same files with the same bytes. The summary per task is
+``bench_pairs.summary`` of ``wall_s``, ``cpu_s`` and ``peak_rss_mb``, with
+the ``wall_s`` bound of BENCHMARK.json applied to the two times and the
+``peak_rss_mb`` bound to the RSS. The BLAS thread variables pass through
+from the calling environment and are recorded. A run that exits non-zero
+stops the tool, naming the pair.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ import argparse
 import json
 import os
 import platform
-import resource
 import shlex
 import subprocess
 import sys
@@ -45,18 +46,22 @@ def _env(checkout: Path):
 
 
 def run(checkout: Path, task: str, out_dir: Path, where):
-    """One CLI run in a fresh interpreter; returns its wall and CPU seconds."""
+    """One CLI run in a fresh interpreter; returns its wall and CPU seconds
+    and its peak RSS in MB (``ru_maxrss`` is in kB on Linux)."""
     cmd = [sys.executable, "-m", "lambdadet.cli", "--out", str(out_dir), *shlex.split(task)]
-    before = resource.getrusage(resource.RUSAGE_CHILDREN)
-    t0 = time.perf_counter()
-    proc = subprocess.run(cmd, cwd=checkout, env=_env(checkout), capture_output=True, text=True)
-    wall = time.perf_counter() - t0
-    after = resource.getrusage(resource.RUSAGE_CHILDREN)
-    if proc.returncode != 0:
-        tail = "\n".join(proc.stderr.strip().splitlines()[-STDERR_LINES:])
-        raise SystemExit(f"{where}: exit code {proc.returncode}\n{tail}")
-    cpu = (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
-    return {"wall_s": round(wall, 4), "cpu_s": round(cpu, 4)}
+    with tempfile.TemporaryFile(mode="w+") as stderr:
+        t0 = time.perf_counter()
+        proc = subprocess.Popen(cmd, cwd=checkout, env=_env(checkout),
+                                stdout=subprocess.DEVNULL, stderr=stderr)
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.perf_counter() - t0
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        if proc.returncode != 0:
+            stderr.seek(0)
+            tail = "\n".join(stderr.read().strip().splitlines()[-STDERR_LINES:])
+            raise SystemExit(f"{where}: exit code {proc.returncode}\n{tail}")
+    return {"wall_s": round(wall, 4), "cpu_s": round(usage.ru_utime + usage.ru_stime, 4),
+            "peak_rss_mb": round(usage.ru_maxrss / 1024.0, 2)}
 
 
 def outputs(out_dir: Path):
@@ -97,8 +102,9 @@ def main(argv=None):
         parser.error(f"at least 2 pairs are needed, got {args.pairs}")
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    wall = next(m for m in bench["end_to_end"] if m["name"] == "wall_s")
-    bounds = {"wall_s": (wall["bound"], wall["better"]), "cpu_s": (wall["bound"], wall["better"])}
+    metrics = {m["name"]: (m["bound"], m["better"]) for m in bench["end_to_end"]}
+    bounds = {"wall_s": metrics["wall_s"], "cpu_s": metrics["wall_s"],
+              "peak_rss_mb": metrics["peak_rss_mb"]}
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
 
     tasks = {}
@@ -114,8 +120,9 @@ def main(argv=None):
     record = {
         "method": "Alternating pairs of fresh-interpreter CLI runs: in even pairs the parent "
                   "runs first, in odd pairs the change does. wall_s is the run's wall time, "
-                  "start-up included; cpu_s its RUSAGE_CHILDREN user + system time, spawned "
-                  "workers included. Quartiles are statistics.quantiles(n=4, "
+                  "start-up included; cpu_s its user + system time and peak_rss_mb its "
+                  "ru_maxrss / 1024, both from os.wait4 on the run's pid, spawned workers "
+                  "included. Quartiles are statistics.quantiles(n=4, "
                   "method='inclusive'). Written by tools/cli_pairs.py.",
         "parent_commit": args.parent_commit or "unknown",
         "machine": {
