@@ -238,8 +238,9 @@ def _parse_scalar(key: _Key, raw: str, scale: float, line_no: int):
 
 
 def parse_config(text: str) -> "RunConfig":
-    """Parse configuration text over the built-in device defaults."""
+    """Parse configuration text over the built-in device defaults; each key once."""
     values = {k.stem: k.default for k in _KEYS}
+    set_on = {}  # stem -> the line that set it
     for line_no, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
@@ -260,6 +261,9 @@ def parse_config(text: str) -> "RunConfig":
                         )
             raise ConfigError(f"unknown key {name!r}{hint}", line_no)
         key, scale = _ACCEPTED[name]
+        first = set_on.setdefault(key.stem, line_no)
+        if first != line_no:
+            raise ConfigError(f"{key.canonical} is already set on line {first}", line_no)
         values[key.stem] = _parse_scalar(key, raw, scale, line_no)
     cfg = RunConfig(MappingProxyType(values))
     try:  # construct once so invariant violations surface at parse time

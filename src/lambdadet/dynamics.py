@@ -59,7 +59,7 @@ from .model import (
     qubit_flip,
 )
 from .params import SystemParams
-from .pulses import ROLE_DRIVE, ROLE_RESET, ROLE_SIGNAL, PulseEnvelope, PulseSchedule
+from .pulses import ROLE_DRIVE, PulseEnvelope, PulseSchedule
 
 TRACE_TOL = 1e-9
 HERM_TOL = 1e-10
@@ -471,10 +471,8 @@ def _schedule_terms(schedule: PulseSchedule, params: SystemParams, space: Hilber
             ):
                 if const > 0:
                     coefficients.append(TermCoefficient(noise_block, env, noise=const))
-        elif role in (ROLE_SIGNAL, ROLE_RESET):
-            block, detuning = TERM_INPUT, env.carrier - frame.resonator_ref
         else:
-            continue
+            block, detuning = TERM_INPUT, env.carrier - frame.resonator_ref
         coefficients.append(TermCoefficient(block, env, detuning=detuning))
         if detuning != 0.0:
             coefficients.append(TermCoefficient(block + 1, env, detuning=detuning, sine=True))
@@ -594,12 +592,12 @@ class _StackedRHS:
 
 def _sample_times(schedule: PulseSchedule, t0: float, until: float, sample_dt: float):
     """Samples every ~sample_dt over [t0, max(until, duration)], pinned at
-    markers, pi pulses and ``until``, up to ``until``: the samples before a
-    stop do not depend on where the run stops."""
+    the schedule's event times (readout markers, pi pulses) and ``until``, up
+    to ``until``: the samples before a stop do not depend on where it is."""
     t1 = max(until, schedule.duration)
     n = max(1, int(math.ceil((t1 - t0) / sample_dt)))
     times = np.linspace(t0, t1, n + 1)
-    pins = [t for t in (*schedule.marker_times(), *schedule.pi_times(), until) if t0 < t < t1]
+    pins = [t for t in (*schedule.marker_times, *schedule.pi_times, until) if t0 < t < t1]
     if pins:
         times = np.concatenate([times, np.array(pins)])
     times = np.unique(times)
@@ -827,8 +825,8 @@ def propagate_batch(
     """Propagate B schedules that share one timeline as one (D, B) block
     to ``until``, as ``propagate`` does one.
 
-    The schedules must share duration, readout markers and pi times, and the
-    initial states their time tag and space. They may differ in amplitudes,
+    The schedules must share duration and event times (``marker_times``,
+    ``pi_times``), and the initial states their time tag and space. They may differ in amplitudes,
     carriers and the frame's references: the columns of a block of map
     rows, a signal run and its dark run, a reset run and its no-reset
     baseline. Each column is checked at every sample as ``propagate``
@@ -836,14 +834,16 @@ def propagate_batch(
     others go on. Returns per column its Trajectory, whose ``final`` is the
     state at ``until``, or the IntegrationError it failed with. A failure of
     the timeline itself (step-size underflow) fails every column that has
-    not failed before; inconsistent inputs raise ValueError.
+    not failed before; inconsistent inputs or an empty batch raise ValueError.
     """
+    if not schedules:
+        raise ValueError("a batch needs at least one schedule")
     first = schedules[0]
     for rho0, sched in zip(rho0s, schedules, strict=True):
         if rho0.frame != sched.frame:
             raise ValueError("initial state frame does not match the schedule frame")
-        timeline = (sched.duration, sched.marker_times(), sched.pi_times())
-        if timeline != (first.duration, first.marker_times(), first.pi_times()):
+        timeline = (sched.duration, sched.marker_times, sched.pi_times)
+        if timeline != (first.duration, first.marker_times, first.pi_times):
             raise ValueError("the schedules of a batch must share one timeline")
         if (rho0.time, rho0.space) != (rho0s[0].time, rho0s[0].space):
             raise ValueError("the initial states of a batch must share time and space")
@@ -859,7 +859,7 @@ def propagate_batch(
     flip = _flip_permutation(space)
 
     x = np.stack([rho0.matrix.reshape(-1) for rho0 in rho0s], axis=1).astype(complex)
-    pi_times = set(first.pi_times())
+    pi_times = set(first.pi_times)
     if t_start in pi_times:  # acts before the first record
         x = x[flip]
     log.record(t_start, x)

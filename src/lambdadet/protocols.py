@@ -41,7 +41,6 @@ from .errors import IntegrationError
 from .hilbert import build_space, qubit_number
 from .params import SystemParams
 from .pulses import (
-    ROLE_READOUT_MARKER,
     DetectionSettings,
     PulseSchedule,
     ResetSettings,
@@ -167,7 +166,7 @@ def _clicks(scheds, params, readout, opts, n_max, labels=(), first=()) -> list[_
     ``fock-unconverged:<label>:<change>``, and a failure there fails the
     column.
     """
-    t_click = scheds[0].marker_times()[-1] + readout.latch_delay
+    t_click = scheds[0].marker_times[-1] + readout.latch_delay
 
     def read(columns, cutoff):
         space = build_space(cutoff)
@@ -552,22 +551,23 @@ def reset_map(
 def _cycle_schedule(params, detection, reset):
     """The cycle as two stage schedules (first, second).
 
-    The cycle is the reset stage without its readout marker, then the
-    detection stage from that marker's time t0. The first schedule holds
-    these entries in the reset tone's frame, where the reset plateau is
-    static, and ends at t0. The second holds them in the detection frame
-    and runs from t0; run from t = 0 on its own, it is the whole cycle in
-    one frame, where the reset tone oscillates. Both keep every entry,
-    since pulse tails cross t0: the falling edges of the reset drive and
-    tone end after it, and the signal pulse starts before it.
+    The cycle is the reset stage up to its marker's time t0, then the
+    detection stage from t0. Both schedules hold every tone, since pulse
+    tails cross t0 (the reset drive and tone fall after it, the signal
+    rises before it), and the cycle's events: the detection marker and the
+    reset's pi pulse. The first is in the reset tone's frame, where the
+    reset plateau is static, and ends at t0; the second, in the detection
+    frame, runs from t0, and run from t = 0 on its own is the whole cycle
+    in one frame, where the reset tone oscillates.
     """
     r_sched = reset_schedule(params, reset)
-    t0 = r_sched.marker_times()[-1]
+    t0 = r_sched.marker_times[-1]
     d_sched = detection_schedule(params, detection, start=t0)
-    entries = tuple(e for e in r_sched.entries if e[0] != ROLE_READOUT_MARKER) + d_sched.entries
+    entries = r_sched.entries + d_sched.entries
+    events = (d_sched.marker_times, r_sched.pi_times)
     return (
-        PulseSchedule(entries, r_sched.frame, t0),
-        PulseSchedule(entries, d_sched.frame, d_sched.duration),
+        PulseSchedule(entries, r_sched.frame, t0, *events),
+        PulseSchedule(entries, d_sched.frame, d_sched.duration, *events),
     )
 
 

@@ -3,6 +3,7 @@
 Envelope widths follow the experiment's conventions: a Gaussian signal pulse
 is specified by its FWHM t_s in voltage amplitude, flat-top drive edges are
 half-Gaussians with FWHM 2*t_rise, and Gaussians are truncated at +-4 sigma.
+Readout markers and instantaneous pi pulses are a schedule's event times.
 """
 
 from __future__ import annotations
@@ -21,13 +22,10 @@ GAUSS_TRUNC_SIGMAS = 4.0
 KIND_GAUSSIAN = "gaussian"
 KIND_FLAT_TOP = "flat_top_gaussian_edges"
 KIND_RECT = "rect"
-KIND_INSTANT_PI = "instant_pi"
 
 ROLE_DRIVE = "drive"
 ROLE_SIGNAL = "signal"
 ROLE_RESET = "reset"
-ROLE_PI = "pi"
-ROLE_READOUT_MARKER = "readout_marker"
 
 # drive plateau covering rule used throughout the protocol
 DRIVE_LENGTH_SLOPE = 1.5
@@ -57,7 +55,7 @@ class PulseEnvelope:
     carrier: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in (KIND_GAUSSIAN, KIND_FLAT_TOP, KIND_RECT, KIND_INSTANT_PI):
+        if self.kind not in (KIND_GAUSSIAN, KIND_FLAT_TOP, KIND_RECT):
             raise ValueError(f"unknown envelope kind {self.kind!r}")
         if self.width < 0 or self.edge_fwhm < 0:
             raise ValueError("durations must be >= 0")
@@ -77,10 +75,8 @@ class PulseEnvelope:
             half = GAUSS_TRUNC_SIGMAS * self.sigma
         elif self.kind == KIND_FLAT_TOP:
             half = self.width / 2.0 + GAUSS_TRUNC_SIGMAS * self.sigma
-        elif self.kind == KIND_RECT:
-            half = self.width / 2.0
         else:
-            half = 0.0
+            half = self.width / 2.0
         return self.center - half, self.center + half
 
     def value(self, t: float) -> float:
@@ -100,9 +96,7 @@ class PulseEnvelope:
             if s == 0.0 or edge > GAUSS_TRUNC_SIGMAS * s:
                 return 0.0
             return self.amplitude * math.exp(-0.5 * (edge / s) ** 2)
-        if self.kind == KIND_RECT:
-            return self.amplitude if abs(dt) <= self.width / 2.0 else 0.0
-        return 0.0
+        return self.amplitude if abs(dt) <= self.width / 2.0 else 0.0
 
     def values(self, t: np.ndarray) -> np.ndarray:
         """``value`` at every time of t, bit for bit. Where ``value``'s own
@@ -120,10 +114,8 @@ class PulseEnvelope:
             out[plateau] = self.amplitude
             s = self.sigma
             inside = ~plateau & ~(edge > GAUSS_TRUNC_SIGMAS * s) & (s != 0.0)
-        elif self.kind == KIND_RECT:
-            inside = offset <= self.width / 2.0
         else:
-            return out
+            inside = offset <= self.width / 2.0
         out[inside] = [self.value(ti) for ti in t[inside].tolist()]
         return out
 
@@ -156,27 +148,16 @@ def flat_top_input(
     return PulseEnvelope(KIND_FLAT_TOP, center, plateau, 2.0 * t_rise, amp, carrier)
 
 
-def instant_pi(center: float) -> PulseEnvelope:
-    return PulseEnvelope(KIND_INSTANT_PI, center, 0.0)
-
-
-def readout_marker(time: float, carrier: float = 0.0) -> PulseEnvelope:
-    return PulseEnvelope(KIND_RECT, time, 0.0, 0.0, 0.0, carrier)
-
-
 @dataclass(frozen=True)
 class PulseSchedule:
-    """Ordered (role, envelope) pairs with the frame they are expressed in."""
+    """Ordered (role, envelope) pairs in the frame they are expressed in, and
+    the times of the readout markers and the instantaneous pi pulses."""
 
     entries: tuple[tuple[str, PulseEnvelope], ...]
     frame: Frame
     duration: float
-
-    def marker_times(self):
-        return [env.center for r, env in self.entries if r == ROLE_READOUT_MARKER]
-
-    def pi_times(self):
-        return [env.center for r, env in self.entries if r == ROLE_PI]
+    marker_times: tuple[float, ...] = ()
+    pi_times: tuple[float, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -235,18 +216,13 @@ def detection_schedule(
     if s.rabi > 0:
         params.check_nesting(s.omega_d)
     t_d = auto_drive_length(s.t_s)
-    edge_sigma = 2.0 * s.t_rise * SIGMA_PER_FWHM
-    lead = GAUSS_TRUNC_SIGMAS * edge_sigma
-    center = start + lead + t_d / 2.0
-    marker_t = center + t_d / 2.0 + s.t_rise
-
-    entries = [
+    center, marker_t = _stage_times(start, t_d, s.t_rise)
+    entries = (
         (ROLE_DRIVE, flat_top_drive(s.rabi, t_d, center, s.omega_d, s.t_rise)),
         (ROLE_SIGNAL, gaussian_signal(s.nbar_s, s.t_s, center, s.omega_s)),
-        (ROLE_READOUT_MARKER, readout_marker(marker_t, params.omega_r - 2.0 * params.chi)),
-    ]
+    )
     duration = max([marker_t] + [env.support()[1] for _, env in entries])
-    return PulseSchedule(tuple(entries), Frame(s.omega_d, s.omega_s), duration)
+    return PulseSchedule(entries, Frame(s.omega_d, s.omega_s), duration, (marker_t,))
 
 
 def reset_schedule(
@@ -262,24 +238,21 @@ def reset_schedule(
     if s.t_dr <= 0:
         raise ValueError("t_dr must be > 0")
     params.check_nesting(s.omega_d)
-    edge_sigma = 2.0 * s.t_rise * SIGMA_PER_FWHM
-    lead = GAUSS_TRUNC_SIGMAS * edge_sigma
-    center = lead + s.t_dr / 2.0
-    marker_t = center + s.t_dr / 2.0 + s.t_rise
-
-    entries = []
-    if with_initial_pi:
-        entries.append((ROLE_PI, instant_pi(0.0)))
-    entries.append((ROLE_DRIVE, flat_top_drive(s.rabi_dr, s.t_dr, center, s.omega_d, s.t_rise)))
+    center, marker_t = _stage_times(0.0, s.t_dr, s.t_rise)
+    entries = ((ROLE_DRIVE, flat_top_drive(s.rabi_dr, s.t_dr, center, s.omega_d, s.t_rise)),)
     if s.nbar_rst > 0:
-        entries.append(
-            (ROLE_RESET, flat_top_input(s.nbar_rst, s.t_dr, center, s.omega_rst, s.t_rise))
-        )
-    entries.append(
-        (ROLE_READOUT_MARKER, readout_marker(marker_t, params.omega_r - 2.0 * params.chi))
-    )
+        tone = flat_top_input(s.nbar_rst, s.t_dr, center, s.omega_rst, s.t_rise)
+        entries += ((ROLE_RESET, tone),)
     duration = max([marker_t] + [env.support()[1] for _, env in entries])
-    return PulseSchedule(tuple(entries), Frame(s.omega_d, s.omega_rst), duration)
+    pi_times = (0.0,) if with_initial_pi else ()
+    return PulseSchedule(entries, Frame(s.omega_d, s.omega_rst), duration, (marker_t,), pi_times)
+
+
+def _stage_times(start: float, plateau: float, t_rise: float) -> tuple[float, float]:
+    """Plateau center and readout marker, t_rise after the plateau, of a stage from ``start``."""
+    lead = GAUSS_TRUNC_SIGMAS * (2.0 * t_rise * SIGMA_PER_FWHM)
+    center = start + lead + plateau / 2.0
+    return center, center + plateau / 2.0 + t_rise
 
 
 def stage_duration(t_plateau: float, t_rise: float) -> float:

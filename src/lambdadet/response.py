@@ -93,8 +93,6 @@ class ReflectionMap:
     omega_s: np.ndarray
     r: np.ndarray  # shape (len(p_d_dbm), len(omega_s))
     probe_amp: float
-    params: SystemParams
-    omega_d: float
     flags: list
 
     def validate_passivity(self, tol: float = PASSIVITY_TOL):
@@ -135,7 +133,7 @@ def dip_map(
     rabis = [params.rabi_of_dbm(p_dbm) for p_dbm in power_grid_dbm]
     rows, flags = fan_out(task, rabis, len(freq_grid), workers)
     r = np.array(rows, dtype=complex)
-    out = ReflectionMap(power_grid_dbm, freq_grid, r, probe_amp, params, omega_d, flags)
+    out = ReflectionMap(power_grid_dbm, freq_grid, r, probe_amp, flags)
     out.validate_passivity()
     return out
 

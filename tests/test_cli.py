@@ -382,6 +382,14 @@ def test_bad_config_exit_code(tmp_path):
     assert main(["--config", str(bad), "detect"]) == 1
 
 
+def test_config_key_set_twice_exits_with_an_error_line(tmp_path, capsys):
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("omega_ge_GHz = 5.5\nomega_ge = 1e10\n")
+    assert main(["--config", str(cfg), "--out", str(tmp_path), "detect"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "line 2: omega_ge_GHz is already set on line 1" in err
+
+
 @pytest.mark.parametrize("task", ["detect-map", "reset-map"])
 def test_map_with_every_point_failed_exits_cleanly(task, tmp_path, capsys):
     """A 40 ns step breaks every grid point; the map ends in an error line."""

@@ -80,6 +80,17 @@ def test_unknown_key_with_line_number():
     assert "line 1" in str(err.value)
 
 
+@pytest.mark.parametrize("text", ["t_s_ns = 85\nt_s_ns = 90\n",
+                                  "omega_ge_GHz = 5.5\nomega_ge = 1e10\n"])
+def test_key_set_twice_names_both_lines(text):
+    """A second setting of a key, under the same spelling or another, is an
+    error on its line that names the first."""
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    canonical = text.split(" ", 1)[0]
+    assert str(err.value) == f"line 2: {canonical} is already set on line 1"
+
+
 def test_unit_suffix_mismatch_hint():
     with pytest.raises(ConfigError) as err:
         parse_config("t_s_GHz = 85\n")

@@ -46,16 +46,12 @@ from lambdadet.pulses import (
     KIND_GAUSSIAN,
     KIND_RECT,
     ROLE_DRIVE,
-    ROLE_PI,
-    ROLE_READOUT_MARKER,
     ROLE_RESET,
     ROLE_SIGNAL,
     PulseEnvelope,
     SIGMA_PER_FWHM,
     PulseSchedule,
     flat_top_drive,
-    instant_pi,
-    readout_marker,
     reset_schedule,
 )
 from lambdadet.response import default_probe_amplitude, reflection_row
@@ -460,7 +456,7 @@ class TestPropagate:
         # propagate validates every sample; the kept record is checked here
         assert np.max(traj.trace_error) < 1e-9
         assert traj.final.time == traj.times[-1] == sched.duration
-        at_marker = propagate(rho0, sched, params, opts, until=sched.marker_times()[-1])
+        at_marker = propagate(rho0, sched, params, opts, until=sched.marker_times[-1])
         for state in (at_marker.final, traj.final):
             rho = state.matrix
             assert abs(np.trace(rho).real - 1.0) < 1e-9
@@ -470,7 +466,7 @@ class TestPropagate:
     def test_pi_pulse_swaps(self, clean_params):
         space = build_space(1)
         frame = Frame(clean_params.omega_ge, clean_params.omega_r)
-        sched = PulseSchedule(((ROLE_PI, instant_pi(0.0)),), frame, 10e-9)
+        sched = PulseSchedule((), frame, 10e-9, pi_times=(0.0,))
         rho0 = mixed_initial_state(space, 0.05, frame)
         traj = propagate(rho0, sched, clean_params, IntegratorOptions(max_step=0.5e-9))
         assert traj.p_excited[0] == pytest.approx(0.95)
@@ -494,8 +490,7 @@ class TestPropagate:
         error, and ``propagate`` raises it."""
         space = build_space(1)
         frame = Frame(clean_params.omega_ge, clean_params.omega_r)
-        marker = (ROLE_READOUT_MARKER, readout_marker(np.nextafter(1e-9, 1.0)))
-        sched = PulseSchedule((marker,), frame, 10e-9)
+        sched = PulseSchedule((), frame, 10e-9, marker_times=(np.nextafter(1e-9, 1.0),))
         rho0 = mixed_initial_state(space, 0.0, frame)
         opts = IntegratorOptions(sample_dt=1e-9)
         batch = propagate_batch([rho0, rho0], [sched, sched], clean_params, opts)
@@ -503,6 +498,33 @@ class TestPropagate:
         assert all(isinstance(run, IntegrationError) for run in batch)
         with pytest.raises(IntegrationError, match="step size underflow"):
             propagate(rho0, sched, clean_params, opts)
+
+    @pytest.mark.parametrize(
+        "batch, message",
+        [
+            pytest.param(lambda r, s: ([r], [dataclasses.replace(s, frame=Frame(1.0, 1.0))],
+                                       {}), "frame does not match", id="frame"),
+            pytest.param(lambda r, s: ([r, r], [s, dataclasses.replace(s, marker_times=(5e-9,))],
+                                       {}), "one timeline", id="marker-times"),
+            pytest.param(lambda r, s: ([r, r], [s, dataclasses.replace(s, pi_times=(0.0,))], {}),
+                         "one timeline", id="pi-times"),
+            pytest.param(lambda r, s: ([r, dataclasses.replace(r, time=1e-9)], [s, s], {}),
+                         "time and space", id="initial-time"),
+            pytest.param(lambda r, s: ([r, mixed_initial_state(build_space(2), 0.0, s.frame)],
+                                       [s, s], {}), "time and space", id="initial-space"),
+            pytest.param(lambda r, s: ([r], [s], {"until": -1e-9}), "ends before",
+                         id="until-before-start"),
+            pytest.param(lambda r, s: ([r, r], [s], {}), "shorter", id="unequal-lengths"),
+            pytest.param(lambda r, s: ([], [], {}), "at least one", id="empty"),
+        ],
+    )
+    def test_batch_rejects_inconsistent_inputs(self, clean_params, batch, message):
+        """Inputs that do not make one batch raise ValueError, each its own."""
+        frame = Frame(clean_params.omega_ge, clean_params.omega_r)
+        sched = PulseSchedule((), frame, 10e-9, marker_times=(4e-9,))
+        rho0s, schedules, kwargs = batch(mixed_initial_state(build_space(1), 0.0, frame), sched)
+        with pytest.raises(ValueError, match=message):
+            propagate_batch(rho0s, schedules, clean_params, **kwargs)
 
     def test_a_run_stopped_early_is_the_full_run_up_to_there(self, params, detect):
         """``until`` ends a run and moves no sample before it: stopped at a
@@ -534,12 +556,12 @@ class TestPropagate:
         monkeypatch.setattr(_StackedRHS, "step_map", spy)
         space = build_space(3)
         sched = reset_schedule(params, reset)
-        t_click = sched.marker_times()[-1] + 100e-9
+        t_click = sched.marker_times[-1] + 100e-9
         opts = IntegratorOptions()
         rho0 = mixed_initial_state(space, params.init_excited_pop, sched.frame)
         traj = propagate(rho0, sched, params, opts, until=t_click)
         assert len(uses) > len(traj.times) / 2
-        at_marker = propagate(rho0, sched, params, opts, until=sched.marker_times()[-1])
+        at_marker = propagate(rho0, sched, params, opts, until=sched.marker_times[-1])
 
         # both tones sit on the frame's references, so
         # L(t) = L0 + v_d L_drive + v_d^2 L_noise + v_r L_reset
@@ -696,7 +718,7 @@ class TestPropagate:
         monkeypatch.setattr(_StackedRHS, "step_map", spy)
         sched = reset_schedule(params, reset)
         rho0 = mixed_initial_state(build_space(3), params.init_excited_pop, sched.frame)
-        propagate(rho0, sched, params, until=sched.marker_times()[-1] + 100e-9)
+        propagate(rho0, sched, params, until=sched.marker_times[-1] + 100e-9)
         (rhs,) = runs
         builds = len(rhs._maps)
         assert 0 < builds == len(keys)

@@ -117,7 +117,7 @@ class TestDetection:
         assert out == detection_run(params, detect, readout=readout, opts=OPTS, n_max=n_max)
         # the run ends at the click, one latch delay after the readout
         # marker, which is a sample
-        marker = detection_schedule(params, detect).marker_times()[-1]
+        marker = detection_schedule(params, detect).marker_times[-1]
         t_click = traj.times[-1]
         assert t_click - marker == pytest.approx(readout.latch_delay)
         assert traj.final.time == t_click and marker in traj.times
@@ -230,6 +230,20 @@ class TestFullCycle:
                          readout_stage=readout_stage)
         assert abs(out.p_e_after_reset - cycle_fine_reference.p_e_after_reset) <= 1e-6
         assert abs(out.eta_after_reset - cycle_fine_reference.eta_after_reset) <= 1e-6
+
+    def test_stages_share_the_cycle_events(self, params, detect, reset):
+        """Both stages hold every tone and the same events: the detection
+        stage's marker and the reset stage's pi pulse. The first stage ends
+        at the reset stage's marker."""
+        first, second = _cycle_schedule(params, detect, reset=reset)
+        r_sched = reset_schedule(params, reset)
+        d_sched = detection_schedule(params, detect, start=r_sched.marker_times[-1])
+        for stage in (first, second):
+            assert stage.entries == r_sched.entries + d_sched.entries
+            assert stage.marker_times == d_sched.marker_times
+            assert stage.pi_times == (0.0,)
+        assert first.duration == r_sched.marker_times[-1]
+        assert second.duration == d_sched.duration
 
     def test_two_stages_beat_one_frame_against_dop853(self, params, detect, reset,
                                                       dop853_clicks, capsys, readout, n_max):
@@ -370,7 +384,7 @@ class TestRowBatches:
 def _click_alone(params, sched, opts, readout, n_max, rho0=None):
     """The click of one schedule through a B = 1 ``propagate``, from the
     initial mixture at t = 0 or from ``rho0``."""
-    t_click = sched.marker_times()[-1] + readout.latch_delay
+    t_click = sched.marker_times[-1] + readout.latch_delay
     if rho0 is None:
         rho0 = mixed_initial_state(build_space(n_max), params.init_excited_pop, sched.frame)
     traj = propagate(rho0, sched, params, opts, until=t_click)
@@ -419,9 +433,9 @@ def _dop853_click(params, sched, readout, n_max):
                 coefficients.append(v * v)
         return np.asarray(coefficients) @ (stacked @ x).reshape(len(blocks), -1)
 
-    t_click = sched.marker_times()[-1] + readout.latch_delay
-    pi_times = set(sched.pi_times())
-    edges = {0.0, t_click} | pi_times
+    t_click = sched.marker_times[-1] + readout.latch_delay
+    pi_times = set(sched.pi_times)
+    edges = {0.0, t_click, *sched.marker_times} | pi_times
     for _, env in sched.entries:
         edges.update(env.support())
         if env.kind == KIND_FLAT_TOP:

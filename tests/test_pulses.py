@@ -70,21 +70,27 @@ def test_auto_drive_length():
 
 def test_detection_schedule_layout(params, cfg, detect):
     sched = detection_schedule(params, dataclasses.replace(detect, rabi=1e8))
-    envelopes = dict(sched.entries)  # one drive, one signal
+    # the entries are the tones only; the readout is an event time
+    assert [role for role, _ in sched.entries] == [ROLE_DRIVE, ROLE_SIGNAL]
+    envelopes = dict(sched.entries)
     drive, signal = envelopes[ROLE_DRIVE], envelopes[ROLE_SIGNAL]
-    marker = sched.marker_times()[0]
     assert drive.width == pytest.approx(auto_drive_length(85e-9))
     assert drive.center == pytest.approx(signal.center)
     # drive plateau covers the signal-pulse FWHM
     assert drive.width / 2 > signal.width / 2
-    assert marker == pytest.approx(drive.center + drive.width / 2 + 15e-9)
+    assert sched.marker_times == (drive.center + drive.width / 2 + detect.t_rise,)
+    assert sched.pi_times == ()
     assert sched.frame.qubit_ref == cfg.omega_d
     assert sched.frame.resonator_ref == cfg.get("signal_freq")
 
 
 def test_reset_schedule_layout(params, reset):
     sched = reset_schedule(params, dataclasses.replace(reset, rabi_dr=1e8))
-    assert len(sched.pi_times()) == 1
+    assert [role for role, _ in sched.entries] == [ROLE_DRIVE, ROLE_RESET]
+    assert sched.pi_times == (0.0,)
+    assert len(sched.marker_times) == 1
+    no_pi = reset_schedule(params, reset, with_initial_pi=False)
+    assert no_pi.pi_times == () and no_pi.marker_times == sched.marker_times
     envelopes = dict(sched.entries)
     drive, reset = envelopes[ROLE_DRIVE], envelopes[ROLE_RESET]
     assert drive.center == reset.center

@@ -148,11 +148,11 @@ class TestDipMap:
         assert not point.on_boundary
         assert point.min_abs_r <= np.nanmin(np.abs(small_map.r))
 
-    def test_find_matching_point_all_nan(self, params, omega_d):
+    def test_find_matching_point_all_nan(self):
         r = np.full((2, 2), complex(np.nan, np.nan))
         rmap = ReflectionMap(
             np.array([-76.0, -75.0]), TWO_PI * np.array([10.26e9, 10.27e9]), r,
-            1.0, params, omega_d, [(0, 0, "solve failed")],
+            1.0, [(0, 0, "solve failed")],
         )
         with pytest.raises(LambdaDetError, match="solve failed"):
             find_matching_point(rmap)
