@@ -40,7 +40,13 @@ from .protocols import (
     reset_run,
 )
 from .render import render_heatmap
-from .response import calibrate_signal_power, dip_map, find_matching_point
+from .response import (
+    PDIFF_TARGET_DB,
+    calibrate_signal_power,
+    calibration_params,
+    dip_map,
+    find_matching_point,
+)
 
 TWO_PI = 2.0 * math.pi
 ENV_CONFIG = "LAMBDADET_CONFIG"
@@ -162,16 +168,12 @@ def cmd_reflect_map(cfg, params, args, out_dir):
 
 
 def cmd_calibrate(cfg, params, args, out_dir):
-    from .response import calibration_params
-
     cal_params = calibration_params(params, cfg.get("gamma_calibration"))
     omega_d = params.omega_ge - cfg.get("pdiff_delta_drive")
-    result = calibrate_signal_power(
-        cal_params, omega_d, target_db=6.0, n_max=cfg.get("n_max")
-    )
+    result = calibrate_signal_power(cal_params, omega_d, n_max=cfg.get("n_max"))
     nominal = cfg.get("pdiff_signal_power")
     print(
-        f"signal power reproducing P_diff = 6.0 dB: {result.p_s_dbm:.2f} dBm "
+        f"signal power reproducing P_diff = {PDIFF_TARGET_DB} dB: {result.p_s_dbm:.2f} dBm "
         f"(offset {result.p_s_dbm - nominal:+.2f} dB from {nominal} dBm), "
         f"P_diff residual {result.residual_db:+.3f} dB"
     )
@@ -256,8 +258,9 @@ def cmd_scan(name, t_s_key, nbar_key, cfg, params, args, out_dir):
     )
     header, rows, flags = _outcome_table(DetectionOutcome, outcomes)
     _write_csv(out_dir / f"{name}.csv", header, rows)
-    if not nbar_key:
-        best = max(outcomes, key=lambda o: o.eta)
+    finite = [o for o in outcomes if math.isfinite(o.eta)]  # eta is NaN at nbar_s = 0
+    if not nbar_key and finite:
+        best = max(finite, key=lambda o: o.eta)
         print(f"max eta = {best.eta:.4f} at t_s = {best.t_s * 1e9:.0f} ns")
     return flags
 
@@ -417,8 +420,9 @@ def run_sweep(
 
 def _dispatch(command, cfg, args, out_dir) -> int:
     """Run one command; its flags make the exit status 2 under --strict (or
-    the config's ``strict``). A worker count below 1 is an error; without
-    one, the config's ``workers`` applies."""
+    the config's ``strict``), with a stderr line giving their number and the
+    first, a map flag as ``(i, j) <message>``. A worker count below 1 is an
+    error; without one, the config's ``workers`` applies."""
     if args.workers is None:
         args.workers = cfg.get("workers")
     elif args.workers < 1:
@@ -426,7 +430,14 @@ def _dispatch(command, cfg, args, out_dir) -> int:
     # render reads only a CSV, so it skips the dBm calibration fit
     params = None if command == "render" else _calibrated_params(cfg)
     flags = _COMMANDS[command](cfg, params, args, out_dir)
-    return 2 if (args.strict or cfg.get("strict")) and flags else 0
+    if not (args.strict or cfg.get("strict")) or not flags:
+        return 0
+    if isinstance(flags, str):  # outcome flags, each ended by ';'
+        flags = flags.removesuffix(";").split(";")
+    else:  # a map's (i, j, message) flags
+        flags = [f"({i}, {j}) {message}" for i, j, message in flags]
+    print(f"strict: {len(flags)} flag(s), the first: {flags[0]}", file=sys.stderr)
+    return 2
 
 
 def _progress_printer(done, total):

@@ -19,6 +19,8 @@ from .model import Frame, hamiltonian_static
 from .params import SystemParams
 
 _ALLOWED_PAIRS = ((1, 4), (1, 3), (2, 4), (2, 3))
+MATCHING_SCAN_POINTS = 64
+MATCHING_REL_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -122,14 +124,12 @@ def matching_amplitude(
     omega_d: float,
     *,
     rabi_max: float | None = None,
-    scan_points: int = 64,
-    rel_tol: float = 1e-6,
 ) -> float:
     """Drive amplitude Omega* where kappa_41 = kappa_42 (impedance matching).
 
-    A coarse scan over (0, rabi_max] brackets the sign change of
-    kappa_41 - kappa_42, then bisection refines until both the interval and
-    the rate imbalance are below ``rel_tol`` (relative to Omega and kappa).
+    A MATCHING_SCAN_POINTS-point scan over (0, rabi_max] brackets the sign
+    change of kappa_41 - kappa_42; bisection refines until the interval and
+    the rate imbalance are below MATCHING_REL_TOL (of Omega and kappa).
     """
     params.check_nesting(omega_d)
     if rabi_max is None:
@@ -139,7 +139,7 @@ def matching_amplitude(
         k = raman_rates(dressed_states(params, omega_d, rabi), params)
         return k.k41 - k.k42
 
-    grid = np.linspace(rabi_max / scan_points, rabi_max, scan_points)
+    grid = np.linspace(rabi_max / MATCHING_SCAN_POINTS, rabi_max, MATCHING_SCAN_POINTS)
     values = np.array([imbalance(r) for r in grid])
     sign_changes = np.nonzero(np.diff(np.sign(values)) != 0)[0]
     if len(sign_changes) == 0:
@@ -152,7 +152,7 @@ def matching_amplitude(
     k = sign_changes[0]
     lo, hi = grid[k], grid[k + 1]
     f_lo = values[k]
-    while hi - lo > rel_tol * hi:
+    while hi - lo > MATCHING_REL_TOL * hi:
         mid = 0.5 * (lo + hi)
         f_mid = imbalance(mid)
         if np.sign(f_mid) == np.sign(f_lo):
@@ -160,10 +160,10 @@ def matching_amplitude(
         else:
             hi = mid
     rabi_star = 0.5 * (lo + hi)
-    if abs(imbalance(rabi_star)) / params.kappa >= rel_tol:
+    if abs(imbalance(rabi_star)) / params.kappa >= MATCHING_REL_TOL:
         raise MatchingPointError(
             "bisection converged in Omega but the rate imbalance "
-            f"{abs(imbalance(rabi_star)) / params.kappa:.2e} exceeds {rel_tol:.0e}",
+            f"{abs(imbalance(rabi_star)) / params.kappa:.2e} exceeds {MATCHING_REL_TOL:.0e}",
             scan_rabi=grid,
             scan_diff=values,
         )

@@ -220,6 +220,11 @@ def _flags(clicks: list[_Click]) -> str:
     return "".join(f"{c.flag};" for c in clicks if c.flag)
 
 
+def _dbm_or_nan(params, rabi):
+    """The drive power of ``rabi`` in dBm; NaN without a calibration or a drive."""
+    return params.dbm_of_rabi(rabi) if params.drive_power_to_rabi and rabi > 0 else math.nan
+
+
 def _outcome(params, settings, click, dark, flags=""):
     """Detection outcome of a click and the dark click of its drive; with
     nbar_s = 0 the run is the dark run itself."""
@@ -229,9 +234,6 @@ def _outcome(params, settings, click, dark, flags=""):
     else:
         dark = click
         eta = math.nan
-    p_d_dbm = math.nan
-    if params.drive_power_to_rabi and s.rabi > 0:
-        p_d_dbm = params.dbm_of_rabi(s.rabi)
     return DetectionOutcome(
         p_e=click,
         p_dark=dark,
@@ -240,7 +242,7 @@ def _outcome(params, settings, click, dark, flags=""):
         t_s=s.t_s,
         rabi=s.rabi,
         omega_s=s.omega_s,
-        p_d_dbm=p_d_dbm,
+        p_d_dbm=_dbm_or_nan(params, s.rabi),
         flags=flags,
     )
 
@@ -301,14 +303,6 @@ def _click_rows(params, readout, opts, n_max, schedule, rows):
     return out
 
 
-def _field_grid(outcomes, name):
-    """One outcome field over the grid; failed points are NaN."""
-    return np.array(
-        [[math.nan if out is None else getattr(out, name) for out in row] for row in outcomes],
-        dtype=float,
-    )
-
-
 @dataclass
 class EfficiencyMap:
     p_d_dbm: np.ndarray
@@ -350,11 +344,18 @@ def efficiency_map(
         rows.append([dark] + [replace(dark, omega_s=f, nbar_s=base.nbar_s) for f in freq_grid])
     task = partial(_click_rows, params, readout, opts, n_max, detection_schedule)
     clicks, flags = fan_out(task, rows, len(freq_grid), workers, lead=1)
-    # a successful click is finite: the sample log rejects non-finite states
-    runs = [[None if math.isnan(c) else _outcome(params, s, c, row_clicks[0])
-             for s, c in zip(row[1:], row_clicks[1:])] for row, row_clicks in zip(rows, clicks)]
-
-    eta = _field_grid(runs, "eta")
+    clicks = np.array(clicks, dtype=float)
+    p_e = clicks[:, 1:]
+    outside = p_e[(p_e < -1e-9) | (p_e > 1.0 + 1e-9)]  # DetectionOutcome's bound
+    if outside.size:
+        raise ValueError(f"P_e = {outside[0]} outside [0, 1]")
+    # as in _outcome, with a failed point (a NaN click: the sample log rejects
+    # non-finite states) NaN throughout
+    if base.nbar_s > 0:
+        p_dark = np.where(np.isnan(p_e), np.nan, clicks[:, :1])
+        eta = (p_e - p_dark) / (1.0 - math.exp(-base.nbar_s))
+    else:
+        p_dark, eta = p_e.copy(), np.full_like(p_e, np.nan)
     (i, j), (p_ref, _), (f_ref, _) = grid_argmin(
         -eta, power_grid_dbm, freq_grid, IntegrationError, flags
     )
@@ -362,8 +363,8 @@ def efficiency_map(
         power_grid_dbm,
         freq_grid,
         eta,
-        _field_grid(runs, "p_e"),
-        _field_grid(runs, "p_dark"),
+        p_e,
+        p_dark,
         _band_above(freq_grid, eta[i, :], 0.5),
         float(p_ref),
         float(f_ref),
@@ -475,14 +476,11 @@ def reset_run(
     p_after, p_no_reset = (c.value for c in clicks)
 
     period = s.stage + detect_stage + readout_stage
-    p_dr_dbm = math.nan
-    if params.drive_power_to_rabi and s.rabi_dr > 0:
-        p_dr_dbm = params.dbm_of_rabi(s.rabi_dr)
     return ResetOutcome(
         p_e_after_reset=p_after,
         p_e_no_reset=p_no_reset,
         rabi_dr=s.rabi_dr,
-        p_dr_dbm=p_dr_dbm,
+        p_dr_dbm=_dbm_or_nan(params, s.rabi_dr),
         omega_rst=s.omega_rst,
         nbar_rst=s.nbar_rst,
         reset_stage=s.stage,

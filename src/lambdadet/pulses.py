@@ -206,20 +206,18 @@ def detection_schedule(
     The drive plateau (duration t_d = 1.5 t_s + 50 ns) is centered on the
     Gaussian signal pulse; the readout marker sits at t_d/2 + t_rise after
     the common center. A drive (rabi > 0) must meet the nesting condition
-    (``SystemParams.check_nesting``).
+    (``SystemParams.check_nesting``); a bad t_s or nbar_s raises ValueError
+    (from ``gaussian_signal``) first.
     """
     s = settings
-    if s.t_s <= 0:
-        raise ValueError("t_s must be > 0")
-    if s.nbar_s < 0:
-        raise ValueError("nbar_s must be >= 0")
-    if s.rabi > 0:
-        params.check_nesting(s.omega_d)
     t_d = auto_drive_length(s.t_s)
     center, marker_t = _stage_times(start, t_d, s.t_rise)
+    signal = gaussian_signal(s.nbar_s, s.t_s, center, s.omega_s)
+    if s.rabi > 0:
+        params.check_nesting(s.omega_d)
     entries = (
         (ROLE_DRIVE, flat_top_drive(s.rabi, t_d, center, s.omega_d, s.t_rise)),
-        (ROLE_SIGNAL, gaussian_signal(s.nbar_s, s.t_s, center, s.omega_s)),
+        (ROLE_SIGNAL, signal),
     )
     duration = max([marker_t] + [env.support()[1] for _, env in entries])
     return PulseSchedule(entries, Frame(s.omega_d, s.omega_s), duration, (marker_t,))

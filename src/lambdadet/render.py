@@ -22,6 +22,7 @@ _STOPS = [
     (0.993248, 0.906157, 0.143936),
 ]
 _NO_VALUE = "#bdbdbd"  # a cell whose value is NaN: a failed map point
+WIDTH, HEIGHT = 840, 600  # SVG size in pixels
 
 
 def _color(u: float) -> str:
@@ -40,17 +41,8 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
-def render_heatmap(
-    csv_path,
-    x_col: str,
-    y_col: str,
-    z_col: str,
-    out_path,
-    *,
-    width: int = 840,
-    height: int = 600,
-) -> Path:
-    """Render a grid CSV (x, y, z columns) to an SVG heatmap.
+def render_heatmap(csv_path, x_col: str, y_col: str, z_col: str, out_path) -> Path:
+    """Render a grid CSV (x, y, z columns) to an SVG heatmap, WIDTH x HEIGHT.
 
     Marks the grid argmin with a circle and the argmax with a cross. A cell
     without a finite value (a failed map point) is grey, outside the colour
@@ -96,8 +88,8 @@ def render_heatmap(
     z_span = z_hi - z_lo if z_hi > z_lo else 1.0
 
     margin_l, margin_r, margin_t, margin_b = 80, 110, 40, 60
-    plot_w = width - margin_l - margin_r
-    plot_h = height - margin_t - margin_b
+    plot_w = WIDTH - margin_l - margin_r
+    plot_h = HEIGHT - margin_t - margin_b
     cell_w = plot_w / len(x_vals)
     cell_h = plot_h / len(y_vals)
 
@@ -106,9 +98,9 @@ def render_heatmap(
         return margin_l + i * cell_w, margin_t + (len(y_vals) - 1 - j) * cell_h
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
+        f'viewBox="0 0 {WIDTH} {HEIGHT}">',
+        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
     ]
     for j in range(len(y_vals)):
         for i in range(len(x_vals)):
@@ -138,7 +130,7 @@ def render_heatmap(
 
     # axes labels and tick extremes
     parts.append(
-        f'<text x="{margin_l + plot_w / 2}" y="{height - 15}" text-anchor="middle" '
+        f'<text x="{margin_l + plot_w / 2}" y="{HEIGHT - 15}" text-anchor="middle" '
         f'font-family="monospace" font-size="14">{x_col}</text>'
     )
     parts.append(
@@ -148,7 +140,7 @@ def render_heatmap(
     )
     for val, xpos in ((x_vals[0], margin_l), (x_vals[-1], margin_l + plot_w)):
         parts.append(
-            f'<text x="{_fmt(xpos)}" y="{height - 38}" text-anchor="middle" '
+            f'<text x="{_fmt(xpos)}" y="{HEIGHT - 38}" text-anchor="middle" '
             f'font-family="monospace" font-size="11">{_fmt(val)}</text>'
         )
     for val, ypos in ((y_vals[0], margin_t + plot_h), (y_vals[-1], margin_t)):
@@ -158,7 +150,7 @@ def render_heatmap(
         )
 
     # color bar
-    bar_x = width - margin_r + 20
+    bar_x = WIDTH - margin_r + 20
     n_bar = 64
     bar_h = plot_h / n_bar
     for k in range(n_bar):

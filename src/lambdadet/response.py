@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import NamedTuple
 
 import numpy as np
 
@@ -34,6 +33,12 @@ PASSIVITY_TOL = 1e-6
 # weak-probe default: photon flux small against the qubit return rate so the
 # |2~> population stays in the linear-response regime
 WEAK_PROBE_GAMMA_FRACTION = 1e-3
+
+# P_diff: a branch's frequency half-span around its dressed transition, the
+# paper's P_diff, and the calibration's drive-power window (dB half-span, points)
+FREQ_HALFSPAN = TWO_PI * 10e6
+PDIFF_TARGET_DB = 6.0
+CALIBRATION_POWER_WINDOW = (8.0, 33)
 
 
 def default_probe_amplitude(params: SystemParams) -> float:
@@ -95,11 +100,6 @@ class ReflectionMap:
     probe_amp: float
     flags: list
 
-    def validate_passivity(self, tol: float = PASSIVITY_TOL):
-        worst = float(np.max(np.abs(self.r)))
-        if worst > 1.0 + tol:
-            raise ValueError(f"passivity violated: max |r| = {worst}")
-
 
 def _map_rows(params, omega_d, freqs, probe_amp, n_max, rabis):
     """Reflection rows of consecutive drive amplitudes, one stacked solve
@@ -124,7 +124,7 @@ def dip_map(
     workers: int = 1,
 ) -> ReflectionMap:
     """|r| map over the (P_d, omega_s) grid, one stacked solve per power row;
-    per-point failures are recorded."""
+    per-point failures are recorded, and |r| > 1 + PASSIVITY_TOL raises."""
     power_grid_dbm, freq_grid = increasing_grids(power_grid_dbm, freq_grid)
     if probe_amp is None:
         probe_amp = default_probe_amplitude(params)
@@ -133,9 +133,10 @@ def dip_map(
     rabis = [params.rabi_of_dbm(p_dbm) for p_dbm in power_grid_dbm]
     rows, flags = fan_out(task, rabis, len(freq_grid), workers)
     r = np.array(rows, dtype=complex)
-    out = ReflectionMap(power_grid_dbm, freq_grid, r, probe_amp, flags)
-    out.validate_passivity()
-    return out
+    worst = float(np.max(np.abs(r)))
+    if worst > 1.0 + PASSIVITY_TOL:
+        raise ValueError(f"passivity violated: max |r| = {worst}")
+    return ReflectionMap(power_grid_dbm, freq_grid, r, probe_amp, flags)
 
 
 @dataclass(frozen=True)
@@ -171,17 +172,11 @@ class PdiffResult:
     min_abs_r4: float
 
 
-class _PowerScan(NamedTuple):
+def _power_scan(params, omega_d, power_halfspan_db, power_points):
     """The part of ``pdiff_spectrum`` that does not depend on the signal
-    power: the drive frequency, the drive-power grid around the matching
-    amplitude, and the dressed ladder of each grid power."""
-
-    omega_d: float
-    powers: np.ndarray
-    ladders: list
-
-
-def _power_scan(params, omega_d, power_halfspan_db, power_points) -> _PowerScan:
+    power, as (omega_d, powers, ladders): the drive frequency, the
+    drive-power grid around the matching amplitude, and the dressed ladder
+    of each grid power."""
     params.check_nesting(omega_d)
     rabi_star = matching_amplitude(params, omega_d)
     anchor_dbm = 20.0 * math.log10(rabi_star / params.require_calibration())
@@ -190,16 +185,13 @@ def _power_scan(params, omega_d, power_halfspan_db, power_points) -> _PowerScan:
     )
     # both branches scan the same powers: diagonalise each ladder once
     ladders = [dressed_states(params, omega_d, params.rabi_of_dbm(p)) for p in powers]
-    return _PowerScan(omega_d, powers, ladders)
+    return omega_d, powers, ladders
 
 
-def _dip_separation(
-    params, scan: _PowerScan, signal_power_dbm, *, n_max, freq_halfspan=TWO_PI * 10e6,
-    freq_points=21,
-) -> PdiffResult:
+def _dip_separation(params, scan, signal_power_dbm, *, n_max, freq_points=21) -> PdiffResult:
     """P_diff at one signal power over a built power scan. At every power of
     the scan, each Raman branch scans ``freq_points`` frequencies within
-    ``freq_halfspan`` of its dressed transition |1~> -> |3~> or |4~>, both
+    FREQ_HALFSPAN of its dressed transition |1~> -> |3~> or |4~>, both
     windows in one stacked solve. Each branch's |r| minimum is refined along
     frequency at every power, then along power. A failed point or a dip on
     the power-grid boundary raises, branch |3~> first."""
@@ -209,7 +201,7 @@ def _dip_separation(
     for p_dbm, ladder in zip(powers, ladders):
         centers = (transition_frequency(ladder, 1, 3), transition_frequency(ladder, 1, 4))
         freqs = np.concatenate(
-            [np.linspace(c - freq_halfspan, c + freq_halfspan, freq_points) for c in centers]
+            [np.linspace(c - FREQ_HALFSPAN, c + FREQ_HALFSPAN, freq_points) for c in centers]
         )
         amps = [math.sqrt(signal_flux_of_dbm(signal_power_dbm, w)) for w in freqs]
         rabi = params.rabi_of_dbm(p_dbm)
@@ -249,7 +241,7 @@ def pdiff_spectrum(
     n_max: int,
     power_halfspan_db: float = 6.0,
     power_points: int = 25,
-    **window,
+    freq_points: int = 21,
 ) -> PdiffResult:
     """Drive-power separation of the two impedance-matching dips.
 
@@ -259,11 +251,11 @@ def pdiff_spectrum(
     which only involves drive-amplitude ratios and therefore does not depend
     on the dBm calibration constant. The config's ``pdiff_delta_drive`` and
     ``pdiff_signal_power`` hold the paper's drive detuning and signal
-    power. ``window`` sets the frequency window of each branch
-    (``freq_halfspan``, ``freq_points``; see ``_dip_separation``).
+    power. Each branch scans ``freq_points`` frequencies within
+    FREQ_HALFSPAN of its dressed transition (see ``_dip_separation``).
     """
     scan = _power_scan(params, omega_d, power_halfspan_db, power_points)
-    return _dip_separation(params, scan, signal_power_dbm, n_max=n_max, **window)
+    return _dip_separation(params, scan, signal_power_dbm, n_max=n_max, freq_points=freq_points)
 
 
 def calibration_params(params: SystemParams, gamma_calibration: float) -> SystemParams:
@@ -298,44 +290,40 @@ class _Converged(Exception):
 def calibrate_signal_power(
     params: SystemParams,
     omega_d: float,
-    target_db: float = 6.0,
     tol_db: float = 0.05,
     bracket_dbm=(-150.0, -141.0),
     *,
     n_max: int,
-    power_halfspan_db: float = 8.0,
-    power_points: int = 33,
-    **window,
 ) -> SignalPowerCalibration:
-    """Signal power whose dip separation reproduces the target P_diff.
+    """Signal power whose dip separation reproduces PDIFF_TARGET_DB.
 
     Brent's bracketed root finder (``scipy.optimize.brentq``) on the signal
     power in dBm; P_diff grows monotonically with signal power, so the
     bracket just needs to straddle the target. The search returns the first
     evaluated power with |P_diff - target| < tol_db. If the bracket narrows
     below 0.02 dB first, it returns the evaluated power with the smallest
-    residual, flagged ``p_diff-unconverged:<residual>;``. The per-branch
-    power window is widened so the dips stay interior across the whole
-    bracket; its grid and dressed ladders do not depend on the signal
-    power, so the search builds them once. ``window`` is that of
-    ``pdiff_spectrum``.
+    residual, flagged ``p_diff-unconverged:<residual>;``. The drive-power
+    window is CALIBRATION_POWER_WINDOW, wider than ``pdiff_spectrum``'s so
+    the dips stay interior across the whole bracket; its grid and dressed
+    ladders do not depend on the signal power, so the search builds them
+    once. The frequency window is ``pdiff_spectrum``'s default.
     """
     from scipy.optimize import brentq  # loaded here: only calibration needs it
 
     lo, hi = bracket_dbm
     if not lo < hi:
         raise DipResolutionError(f"P_diff bracket [{lo}, {hi}] dBm is empty: it needs lo < hi")
-    scan = _power_scan(params, omega_d, power_halfspan_db, power_points)
+    scan = _power_scan(params, omega_d, *CALIBRATION_POWER_WINDOW)
     evaluated = {}
 
     def residual(p_s):
         # brentq evaluates the bracket ends again: those come from the cache
         if p_s not in evaluated:
-            p_diff = _dip_separation(params, scan, p_s, n_max=n_max, **window).p_diff_db
+            p_diff = _dip_separation(params, scan, p_s, n_max=n_max).p_diff_db
             if not math.isfinite(p_diff):
                 raise DipResolutionError(f"P_diff at {p_s:.3f} dBm is not finite: {p_diff}")
-            evaluated[p_s] = SignalPowerCalibration(p_s, p_diff, p_diff - target_db)
-            if abs(p_diff - target_db) < tol_db:
+            evaluated[p_s] = SignalPowerCalibration(p_s, p_diff, p_diff - PDIFF_TARGET_DB)
+            if abs(p_diff - PDIFF_TARGET_DB) < tol_db:
                 raise _Converged(evaluated[p_s])
         return evaluated[p_s].residual_db
 
@@ -343,8 +331,8 @@ def calibrate_signal_power(
         f_lo, f_hi = residual(lo), residual(hi)
         if f_lo > 0 or f_hi < 0:
             raise DipResolutionError(
-                f"P_diff bracket does not straddle {target_db} dB: "
-                f"[{f_lo + target_db:.2f}, {f_hi + target_db:.2f}] dB"
+                f"P_diff bracket does not straddle {PDIFF_TARGET_DB} dB: "
+                f"[{f_lo + PDIFF_TARGET_DB:.2f}, {f_hi + PDIFF_TARGET_DB:.2f}] dB"
             )
         brentq(residual, lo, hi, xtol=0.02, disp=False)
     except _Converged as stop:

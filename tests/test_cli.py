@@ -209,7 +209,7 @@ def test_render_marks_extrema_cells(tmp_path):
     ys = [0.0, 1.0]
     rows = [[x, y, 5.0 if (x, y) == (1.0, 1.0) else x + y] for x in xs for y in ys]
     csv = write_csv(tmp_path / "grid.csv", ["x", "y", "z"], rows)
-    svg = render_heatmap(csv, "x", "y", "z", tmp_path / "grid.svg", width=840, height=600)
+    svg = render_heatmap(csv, "x", "y", "z", tmp_path / "grid.svg")
     text = svg.read_text()
     path = re.search(r'<path d="M ([\d.]+) ([\d.]+)', text)
     cx_left = float(path.group(1))
@@ -440,9 +440,10 @@ def test_strict_scans_fail_on_fock_flags(task, tmp_path):
 
 
 @pytest.mark.parametrize("task", ["detect-map", "reset-map"])
-def test_strict_maps_fail_on_fock_flags(task, tmp_path):
+def test_strict_maps_fail_on_fock_flags(task, tmp_path, capsys):
     """The maps re-read their grid points at n_max + 1: at n_max = 1 and
-    nbar_s = 1 every point flags, keeps its value, and --strict exits 2."""
+    nbar_s = 1 every point flags, keeps its value, and --strict exits 2 with
+    one stderr line giving the number of flags and the first."""
     text = (
         "n_max = 1\nnbar_s = 1.0\n"
         "detect_pd_grid_dBm = -76,-75,2\ndetect_freq_grid_GHz = 10.264,10.268,2\n"
@@ -454,6 +455,12 @@ def test_strict_maps_fail_on_fock_flags(task, tmp_path):
         cfg.write_text(text + f"fock_convergence = {fock}\n")
         out = tmp_path / fock
         assert main(["--config", str(cfg), "--out", str(out), "--strict", task]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err.startswith("strict: 4 flag(s), the first: (0, 0) fock-unconverged:p_e:")
+            assert err.count("\n") == 1
+        else:
+            assert err == ""
         _, cols = read_csv(out / csv)
         assert len(cols["p_e"]) == 4 and np.all(np.isfinite(cols["p_e"]))
     assert (tmp_path / "true" / csv).read_bytes() == (tmp_path / "false" / csv).read_bytes()
@@ -493,15 +500,29 @@ def test_calibrate_default_config(tmp_path, monkeypatch):
     assert cols["p_s_dbm"][0] == pytest.approx(calls[-1], abs=1e-5)
 
 
-def test_strict_calibrate_fails_when_pdiff_never_converges(tmp_path, monkeypatch):
+def test_strict_calibrate_fails_when_pdiff_never_converges(tmp_path, monkeypatch, capsys):
     """P_diff jumps across 6 dB without meeting tol: the CSV still holds the
-    closest evaluated power, and only --strict exits 2."""
+    closest evaluated power, and only --strict exits 2, naming the flag on
+    stderr."""
     monkeypatch.delenv("LAMBDADET_CONFIG", raising=False)
     _count_pdiff_calls(monkeypatch, lambda p_s: 5.0 if p_s < -146.3 else 6.5)
     assert main(["--out", str(tmp_path), "calibrate"]) == 0
+    assert capsys.readouterr().err == ""
     assert main(["--out", str(tmp_path), "--strict", "calibrate"]) == 2
+    assert capsys.readouterr().err == "strict: 1 flag(s), the first: p_diff-unconverged:5.00e-01\n"
     _, cols = read_csv(tmp_path / "calibrate.csv")
     assert (cols["p_s_dbm"][0], cols["residual_db"][0]) == (-141.0, 0.5)
+
+
+def test_scan_ts_without_signal_photons_prints_no_maximum(tmp_path, capsys):
+    """At nbar_s = 0 eta is NaN at every pulse length: scan-ts writes its
+    rows and prints no maximum."""
+    cfg = tmp_path / "dark.cfg"
+    cfg.write_text("n_max = 1\nnbar_s = 0\nts_list_ns = 55,85\n")
+    assert main(["--config", str(cfg), "--out", str(tmp_path), "scan-ts"]) == 0
+    assert "max eta" not in capsys.readouterr().out
+    _, cols = read_csv(tmp_path / "scan_ts.csv")
+    assert len(cols["eta"]) == 2 and np.all(np.isnan(cols["eta"]))
 
 
 def test_detect_fails_cleanly_when_one_run_fails(tmp_path, capsys):

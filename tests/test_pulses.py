@@ -113,6 +113,19 @@ def test_builders_check_nesting(params, detect, reset):
     assert off.frame.qubit_ref == omega_d
 
 
+@pytest.mark.parametrize(
+    "bad, message", [({"t_s": 0.0}, "t_s must be > 0"), ({"nbar_s": -1.0}, "nbar must be >= 0")]
+)
+def test_bad_signal_fails_before_a_bad_drive(params, detect, bad, message):
+    """The detection builder takes its t_s and nbar_s checks from
+    ``gaussian_signal``: a bad value raises a plain ValueError even when the
+    drive is also outside the nesting condition."""
+    settings = dataclasses.replace(detect, omega_d=params.omega_ge - 3.0 * params.chi, **bad)
+    with pytest.raises(ValueError, match=message) as raised:
+        detection_schedule(params, settings)
+    assert raised.type is ValueError
+
+
 def test_envelope_validation():
     with pytest.raises(ValueError):
         PulseEnvelope("wiggle", 0.0, 1e-9)
