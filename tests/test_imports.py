@@ -62,9 +62,9 @@ def test_no_unused_imports():
     assert unused == []
 
 
-def _public_defs():
-    """(module, def, is_method) of every public function and method of the
-    package; a method's ``self`` or ``cls`` is dropped from its parameters."""
+def _defs():
+    """(module, def, is_method) of every module-level function and every
+    method of the package; ``is_method`` marks a leading ``self`` or ``cls``."""
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, ast.FunctionDef):
@@ -108,7 +108,7 @@ def test_no_unused_keywords():
     constant. No linter runs in CI, so this stands in for such a rule."""
     calls = _calls_by_name()
     unused = []
-    for module, fn, is_method in _public_defs():
+    for module, fn, is_method in _defs():
         if fn.name.startswith("_"):
             continue
         args = fn.args
