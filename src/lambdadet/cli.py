@@ -77,12 +77,23 @@ def _write_csv(path, header, rows):
     print(f"wrote {path} ({len(rows)} rows)")
 
 
+def _outcome_flags(outcomes):
+    """The (point, message) flags of outcomes, one per ';'-ended flag of
+    each; an outcome off a grid has the empty point."""
+    return [((), flag) for o in outcomes for flag in o.flags.split(";")[:-1]]
+
+
+def _map_flags(flags):
+    """The (point, message) flags of a map's (i, j, message) flags."""
+    return [((i, j), message) for i, j, message in flags]
+
+
 def _outcome_table(cls, outcomes):
     """Header and rows of outcome dataclasses of type ``cls``, and their
-    joined flags."""
+    flags."""
     names = [f.name for f in dc_fields(cls)]
     rows = [[getattr(o, name) for name in names] for o in outcomes]
-    return names, rows, "".join(o.flags for o in outcomes)
+    return names, rows, _outcome_flags(outcomes)
 
 
 def _grid_rows(powers, freqs, cells):
@@ -136,6 +147,7 @@ def cmd_dressed(cfg, params, args, out_dir):
         "omega23_rad_s",
     ]
     _write_csv(out_dir / "dressed.csv", header, rows)
+    return []
 
 
 def cmd_reflect_map(cfg, params, args, out_dir):
@@ -164,7 +176,7 @@ def cmd_reflect_map(cfg, params, args, out_dir):
         f"({20 * math.log10(max(point.min_abs_r, 1e-300)):.1f} dB)"
         + (" [on grid boundary]" if point.on_boundary else "")
     )
-    return rmap.flags
+    return _map_flags(rmap.flags)
 
 
 def cmd_calibrate(cfg, params, args, out_dir):
@@ -182,7 +194,7 @@ def cmd_calibrate(cfg, params, args, out_dir):
         ["p_s_dbm", "p_diff_db", "residual_db", "offset_db"],
         [[result.p_s_dbm, result.p_diff_db, result.residual_db, result.p_s_dbm - nominal]],
     )
-    return result.flags
+    return _outcome_flags([result])
 
 
 def _options(cfg):
@@ -242,7 +254,7 @@ def cmd_detect_map(cfg, params, args, out_dir):
             f"eta > 0.5 band: {(hi - lo) / TWO_PI / 1e6:.1f} MHz "
             f"({lo / TWO_PI / 1e9:.6f} .. {hi / TWO_PI / 1e9:.6f} GHz)"
         )
-    return emap.flags
+    return _map_flags(emap.flags)
 
 
 def cmd_scan(name, t_s_key, nbar_key, cfg, params, args, out_dir):
@@ -275,7 +287,7 @@ def cmd_dark(cfg, params, args, out_dir):
     )
     rows = [[p_dbm, o.p_dark] for p_dbm, o in zip(grid, outcomes)]
     _write_csv(out_dir / "dark.csv", ["p_d_dbm", "p_dark"], rows)
-    return "".join(o.flags for o in outcomes)
+    return _outcome_flags(outcomes)
 
 
 def cmd_reset(cfg, params, args, out_dir):
@@ -314,7 +326,7 @@ def cmd_reset_map(cfg, params, args, out_dir):
         f"P_e min = {rmap.p_e_min:.4f} at {rmap.argmin_p_dr_dbm:.2f} dBm, "
         f"{rmap.argmin_omega_rst / TWO_PI / 1e9:.6f} GHz"
     )
-    return rmap.flags
+    return _map_flags(rmap.flags)
 
 
 def cmd_cycle(cfg, params, args, out_dir):
@@ -338,6 +350,7 @@ def cmd_render(cfg, params, args, out_dir):
     out = args.svg_out or (out_dir / (Path(args.csv).stem + ".svg"))
     path = render_heatmap(args.csv, args.x, args.y, args.z, out)
     print(f"wrote {path}")
+    return []
 
 
 _COMMANDS = {
@@ -419,10 +432,11 @@ def run_sweep(
 
 
 def _dispatch(command, cfg, args, out_dir) -> int:
-    """Run one command; its flags make the exit status 2 under --strict (or
-    the config's ``strict``), with a stderr line giving their number and the
-    first, a map flag as ``(i, j) <message>``. A worker count below 1 is an
-    error; without one, the config's ``workers`` applies."""
+    """Run one command; its (point, message) flags make the exit status 2
+    under --strict (or the config's ``strict``), with a stderr line giving
+    their number and the first, a map flag as ``(i, j) <message>``. A worker
+    count below 1 is an error; without one, the config's ``workers``
+    applies."""
     if args.workers is None:
         args.workers = cfg.get("workers")
     elif args.workers < 1:
@@ -432,11 +446,9 @@ def _dispatch(command, cfg, args, out_dir) -> int:
     flags = _COMMANDS[command](cfg, params, args, out_dir)
     if not (args.strict or cfg.get("strict")) or not flags:
         return 0
-    if isinstance(flags, str):  # outcome flags, each ended by ';'
-        flags = flags.removesuffix(";").split(";")
-    else:  # a map's (i, j, message) flags
-        flags = [f"({i}, {j}) {message}" for i, j, message in flags]
-    print(f"strict: {len(flags)} flag(s), the first: {flags[0]}", file=sys.stderr)
+    point, message = flags[0]
+    first = f"{point} {message}" if point else message
+    print(f"strict: {len(flags)} flag(s), the first: {first}", file=sys.stderr)
     return 2
 
 

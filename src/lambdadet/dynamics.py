@@ -1,34 +1,38 @@
 """Lindblad master-equation engine.
 
-Time propagation runs on the vectorized density matrix with fixed-step RK4
-over a (D, B) block: B schedules that share one timeline advance together
-(the columns of a block of map rows, or the runs of one operating point
-such as a signal run and its dark run). Each schedule's right-hand side is
-a static superoperator plus one superoperator per time-dependent
-quadrature; the batch stacks the static part and the term superoperators
-into one sparse ``[static | terms...]`` block, so each evaluation is one
-product with the coefficient-scaled state block plus each column's
-diagonal. Each batch plans its timeline once (``_plan``): every interval's
-RK4 steps, one coefficient table over all stage times, one row per stage,
-and which columns are exactly constant over which interval. Such a column
-(a pulse plateau, or the zero tail after the pulses) advances by one cached
-matrix, its RK4 step map R(hL)^n: the same method, without the
-stage-by-stage products; equal gaps share one map. ``propagate`` is the
-B = 1 case. The pieces the generator is affine in are built once per
-(params, n_max) in a read-only ``Superoperators`` record, and every reader
-takes them from there: the pulsed RHS, the sample log, and CW reflection,
-which assembles a whole row of Liouvillians from their real forms and
-solves the stack at once. ``liouvillian`` builds one Liouvillian from kron
-products; it gives each schedule's static part and is the oracle the record
-is checked against.
+A Lindblad generator maps Hermitian matrices to Hermitian matrices, so in
+an orthonormal basis of Hermitian matrices (``hermitian_basis``, the
+generalised Bloch or Gell-Mann representation; Alicki and Lendi, *Quantum
+Dynamical Semigroups and Applications*, ch. 2) it is a real matrix of the
+same order: ``real_form``. Both propagation and the steady states run on
+the real coordinates r = T^H vec(rho) of that basis; states enter and
+leave as complex density matrices.
 
-Steady states are solved in a real basis. A Lindblad generator maps
-Hermitian matrices to Hermitian matrices, so in an orthonormal basis of
-Hermitian matrices (``hermitian_basis``, the generalised Bloch or Gell-Mann
-representation; Alicki and Lendi, *Quantum Dynamical Semigroups and
-Applications*, ch. 2) it is a real matrix of the same order: ``real_form``.
-A real LU of that order takes a quarter of the floating-point operations
-of a complex one. Propagation stays complex.
+Time propagation runs fixed-step RK4 over a (D, B) block of real
+coordinates: B schedules that share one timeline advance together (the
+columns of a block of map rows, or the runs of one operating point such as
+a signal run and its dark run). Each schedule's right-hand side is the
+dissipator sum, one superoperator per time-dependent quadrature, and its
+frame's rotation of each off-diagonal pair of coordinates; the batch
+stacks them into one real sparse ``[dissipators | terms... | rotation]``
+block, so each evaluation is one product with the coefficient- and
+frequency-scaled state block. Each batch plans its timeline once
+(``_plan``): every interval's RK4 steps, one coefficient table over all
+stage times, one row per stage, and which columns are exactly constant
+over which interval. Such a column (a pulse plateau, or the zero tail
+after the pulses) advances by one cached real matrix, its RK4 step map
+R(hL)^n: the same method, without the stage-by-stage products; equal gaps
+share one map. A pi pulse is a signed permutation of the coordinates.
+``propagate`` is the B = 1 case. The pieces the generator is affine in are
+built once per (params, n_max) as real matrices in a read-only
+``Superoperators`` record, and every reader takes them from there: the
+pulsed RHS, the sample log, and CW reflection, which assembles a whole row
+of Liouvillians from them and solves the stack at once. ``liouvillian``
+builds one complex Liouvillian from kron products; it gives each
+schedule's frame and is the oracle the record is checked against.
+
+A real LU or a dense real step map of that order takes a quarter of the
+floating-point operations of a complex one.
 """
 
 from __future__ import annotations
@@ -79,7 +83,7 @@ class IntegratorOptions:
     point: every click probability within 1e-7 of DOP853 (rtol 1e-11) and
     every eta within 2e-7, since eta divides a click difference by
     1 - exp(-nbar_s) ~ 0.095. At 0.25 ns the detection clicks are off by
-    2.4e-8 and 2.7e-8 (eta 2.5e-8), the reset click by 3.0e-9, and the
+    1.6e-8 and 1.8e-8 (eta 1.7e-8), the reset click by 3.0e-9, and the
     detect-reset cycle's dark click by 4.9e-8 and its eta after reset by
     9.7e-8. 0.25 ns is 4 steps per 1 ns sample interval; any step up to
     1/3 ns takes as many, and from 1/3 ns on the resonant-Rabi closed form
@@ -145,6 +149,14 @@ def _dissipator_superop(c: np.ndarray, rate: float) -> np.ndarray:
     )
 
 
+def _pair_coordinates(d: int):
+    """(j, k, s) of every pair j < k of a d x d matrix, in ``hermitian_basis``
+    order: s is the coordinate of (E_jk + E_kj)/sqrt(2) and s + 1 that of
+    i(E_jk - E_kj)/sqrt(2)."""
+    j, k = np.triu_indices(d, 1)
+    return j, k, d + 2 * np.arange(len(j))
+
+
 @functools.lru_cache(maxsize=8)
 def hermitian_basis(d: int) -> np.ndarray:
     """(d^2, d^2) unitary T whose columns are the row-major vecs of an
@@ -155,8 +167,7 @@ def hermitian_basis(d: int) -> np.ndarray:
     vec(rho) = T r. The diagonal coordinates come first, so Tr rho is the
     sum of the first d entries of r. Read-only, built once per d.
     """
-    j, k = np.triu_indices(d, 1)
-    sym = d + 2 * np.arange(len(j))
+    j, k, sym = _pair_coordinates(d)
     root_half = math.sqrt(0.5)
     t = np.zeros((d * d, d * d), dtype=complex)
     t[np.arange(d) * (d + 1), np.arange(d)] = 1.0
@@ -197,8 +208,8 @@ TERM_FLIP, TERM_DEPHASING, TERM_DRIVE, TERM_INPUT = 0, 1, 2, 4
 
 class CWPieces(NamedTuple):
     """The real forms (``real_form``) that CW assembly reads, with the index
-    sets of its per-point pieces. ``flip``, ``dephasing`` and ``drive`` are
-    the real forms of the record's ``pulse_terms``."""
+    sets of its per-point pieces. ``dissipators``, ``flip``, ``dephasing``
+    and ``drive`` are the record's own arrays; the others are CW-only."""
 
     dissipators: np.ndarray
     flip: np.ndarray  # of D[s+] + D[s-] at unit rate
@@ -214,21 +225,23 @@ class CWPieces(NamedTuple):
 
 @dataclass(frozen=True)
 class Superoperators:
-    """The pieces the Lindblad generator is affine in, for one (params, n_max).
+    """The pieces the Lindblad generator is affine in, for one (params, n_max),
+    as real matrices on the coordinates of ``hermitian_basis``.
 
     ``n_q`` and ``n_ph`` are the diagonals of the number operators, and
     ``a_row`` the row with <a> = Tr(a rho) = a_row . vec(rho); the sample log
-    reads P_e, the photon number and the field with them. ``dissipators`` is
-    the dissipator sum of ``collapse_operators``. At zero Rabi the
-    Hamiltonian is diagonal, so off the diagonal a schedule's kron-built
-    static part is ``dissipators`` bit for bit. ``pulse_terms`` holds the
-    term superoperators of a pulse schedule, indexed by the ``TERM_*``
-    blocks: the drive-line flips D[s+] + D[s-] and dephasing D[n_q] at unit
-    rate, which a schedule scales by the instantaneous noise rate; -i[X/2, .]
-    and -i[Y/2, .] of the drive; and sqrt(kappa_ext) times -i[P, .] and
-    -i[Q, .] of the inputs. CW assembly reads the real forms ``cw_pieces``,
-    built from these on its first use only. Read-only; get it from
-    ``superoperators``.
+    reads P_e and the photon number with the first two, and the field
+    through ``a_row @ T``. ``dissipators`` is
+    the ``real_form`` of the dissipator sum of ``collapse_operators``. At
+    zero Rabi the Hamiltonian is diagonal, so a schedule's kron-built static
+    part is that sum plus an imaginary diagonal, the frame's rotation of
+    each off-diagonal pair. ``pulse_terms`` holds the real forms of the term
+    superoperators of a pulse schedule, indexed by the ``TERM_*`` blocks:
+    the drive-line flips D[s+] + D[s-] and dephasing D[n_q] at unit rate,
+    which a schedule scales by the instantaneous noise rate; -i[X/2, .] and
+    -i[Y/2, .] of the drive; and sqrt(kappa_ext) times -i[P, .] and -i[Q, .]
+    of the inputs. CW assembly reads ``cw_pieces``: these, and the CW-only
+    pieces built on its first use. Read-only; get it from ``superoperators``.
     """
 
     params: SystemParams
@@ -243,17 +256,15 @@ class Superoperators:
     def cw_pieces(self) -> CWPieces:
         """The real forms CW assembly reads, with the index sets of its
         per-point pieces."""
-        real = dict(
-            dissipators=real_form(self.dissipators),
-            flip=real_form(self.pulse_terms[TERM_FLIP]),
-            dephasing=real_form(self.pulse_terms[TERM_DEPHASING]),
-            drive=real_form(self.pulse_terms[TERM_DRIVE]),
-            input=real_form(_commutator_superop(input_quadratures(self.space)[0])),
-        )
+        real = dict(input=real_form(_commutator_superop(input_quadratures(self.space)[0])))
         for name, diagonal in (("n_q", self.n_q), ("n_ph", self.n_ph),
                                ("n_q_n_ph", self.n_q * self.n_ph)):
             real[name] = real_form(_commutator_superop(np.diag(diagonal)))
         pieces = CWPieces(
+            dissipators=self.dissipators,
+            flip=self.pulse_terms[TERM_FLIP],
+            dephasing=self.pulse_terms[TERM_DEPHASING],
+            drive=self.pulse_terms[TERM_DRIVE],
             **real,
             n_ph_index=np.nonzero(real["n_ph"]),
             input_index=np.nonzero(real["input"]),
@@ -312,22 +323,22 @@ def superoperators(params: SystemParams, n_max: int) -> Superoperators:
         if rate != 0.0:
             dissipators = dissipators + _dissipator_superop(op.matrix, rate)
     root_kext = math.sqrt(params.kappa_ext)
-    pulse_terms = (
+    pulse_terms = tuple(real_form(term) for term in (
         _dissipator_superop(sm.conj().T, 1.0) + _dissipator_superop(sm, 1.0),
         _dissipator_superop(n_q, 1.0),
         *(0.5 * _commutator_superop(q) for q in drive_quadratures(space)),
         *(root_kext * _commutator_superop(q) for q in input_quadratures(space)),
-    )
+    ))
     record = Superoperators(
         params,
         space,
         n_q=np.real(np.diag(n_q)),
         n_ph=np.real(np.diag(photon_number(space))),
         a_row=annihilation(space).T.reshape(-1),
-        dissipators=dissipators,
+        dissipators=real_form(dissipators),
         pulse_terms=pulse_terms,
     )
-    for array in (record.n_q, record.n_ph, record.a_row, dissipators, *pulse_terms):
+    for array in (record.n_q, record.n_ph, record.a_row, record.dissipators, *pulse_terms):
         array.flags.writeable = False
     return record
 
@@ -450,8 +461,8 @@ def _schedule_terms(schedule: PulseSchedule, params: SystemParams, space: Hilber
     """Static superoperator plus the TermCoefficient of every envelope term.
 
     A term's superoperator is the record's ``pulse_terms[block]``. The
-    static part is the kron-built ``liouvillian``, which the record
-    reproduces bit for bit (see ``Superoperators``).
+    static part is the kron-built ``liouvillian``: the record's dissipator
+    sum plus the frame's rotation on its diagonal (see ``Superoperators``).
     """
     frame = schedule.frame
     h0 = hamiltonian_static(params, frame, 0.0, frame.qubit_ref, space=space).matrix
@@ -480,36 +491,42 @@ def _schedule_terms(schedule: PulseSchedule, params: SystemParams, space: Hilber
 
 
 class _StackedRHS:
-    """Right-hand side of B schedules on one timeline, as one sparse product.
+    """Right-hand side of B schedules on one timeline, as one real sparse
+    product on the coordinates r of ``hermitian_basis``.
 
-    Column b evolves under its static superoperator S_b plus
-    sum_k f_bk(t) T_k over the batch's term superoperators T_k. Off the
-    diagonal every S_b is the record's dissipator sum (see
-    ``Superoperators``); the frame's references enter on the diagonal only.
-    So the CSR block [S_offdiag | T_1 ... T_K] acts on the stacked state
-    block [x; f_1 x; ...; f_K x] and each column's diagonal is applied apart.
+    Column b evolves under the record's dissipator sum, plus
+    sum_k f_bk(t) T_k over the batch's term superoperators T_k, plus its
+    frame's rotation: the static Hamiltonian is diagonal, so -i[H0, .]
+    turns each off-diagonal pair (s, s + 1) of coordinates by its
+    frequency w_b, the negated imaginary part of the kron-built diagonal,
+    as dr_s/dt = w_b r_{s+1} and dr_{s+1}/dt = -w_b r_s. With J that
+    signed swap of each pair, the CSR block [dissipators | T_1 ... T_K | J]
+    acts on the stacked state block [r; f_1 r; ...; f_K r; w r].
     """
 
     def __init__(self, schedules, params: SystemParams, space: HilbertSpace):
         from scipy import sparse  # loaded at the first propagation, not at import
 
         ops = superoperators(params, space.n_max)
-        diagonals, columns = [], []
-        for sched in schedules:
+        d, dim = space.dim, space.dim**2
+        j, k, sym = _pair_coordinates(d)
+        self.omega = np.zeros((dim, len(schedules)))  # (D, B) pair frequencies
+        columns = []
+        for b, sched in enumerate(schedules):
             static, terms = _schedule_terms(sched, params, space)
-            diagonals.append(static.diagonal())
+            self.omega[sym, b] = self.omega[sym + 1, b] = -static.diagonal().imag[j * d + k]
             columns.append(terms)
-        self.diagonal = np.array(diagonals).T  # (D, B)
-        offdiag = ops.dissipators.copy()
-        np.fill_diagonal(offdiag, 0.0)
+        self._rotation = np.zeros((dim, dim))
+        self._rotation[sym, sym + 1] = 1.0
+        self._rotation[sym + 1, sym] = -1.0
 
         blocks = sorted({c.block for terms in columns for c in terms})
-        sups = ops.pulse_terms
+        self._dissipators = ops.dissipators
+        self._terms = [ops.pulse_terms[k] for k in blocks]
         self.matrix = sparse.hstack(
-            [sparse.csr_array(offdiag)] + [sparse.csr_array(sups[k]) for k in blocks],
+            [sparse.csr_array(m) for m in (self._dissipators, *self._terms, self._rotation)],
             format="csr",
         )
-        self._offdiag, self._terms = offdiag, [sups[k] for k in blocks]
 
         # (block position, column, coefficient, envelope index) of every
         # term; an envelope's value does not depend on its carrier, so the
@@ -523,7 +540,7 @@ class _StackedRHS:
         ]
         self._envelopes = list(envelopes)
         self._shape = (len(blocks), len(schedules))
-        self._dim = len(offdiag)
+        self._dim = dim
         self._blocks = {}  # columns -> ``_block`` of that sub-block
         self._maps = {}  # (column, planned h, n, coefficients) -> R(hL)^n
 
@@ -538,46 +555,45 @@ class _StackedRHS:
         return out
 
     def _block(self, cols):
-        """(z, z_terms, diagonal, scratch) of the columns ``cols``: their
-        stacked input block [x; f_1 x; ...; f_K x], its term rows, their
-        diagonals and a (D, B') buffer, made on first use."""
+        """(z, z_terms, z_frame, omega) of the columns ``cols``: their
+        stacked input block [r; f_1 r; ...; f_K r; w r], its term rows, its
+        frame rows and their pair frequencies, made on first use."""
         if cols not in self._blocks:
-            diagonal = self.diagonal[:, list(cols)] if cols else self.diagonal
-            k, d, width = self._shape[0], self._dim, diagonal.shape[1]
-            z = np.empty(((k + 1) * d, width), dtype=complex)
-            scratch = np.empty((d, width), dtype=complex)
-            self._blocks[cols] = (z, z[d:].reshape(k, d, width), diagonal, scratch)
+            omega = self.omega[:, list(cols)] if cols else self.omega
+            k, d, width = self._shape[0], self._dim, omega.shape[1]
+            z = np.empty(((k + 2) * d, width))
+            self._blocks[cols] = (z, z[d : (k + 1) * d].reshape(k, d, width),
+                                  z[(k + 1) * d :], omega)
         return self._blocks[cols]
 
     def state(self, cols=()) -> np.ndarray:
-        """The (D, B') rows of the stacked input block that hold the state x
+        """The (D, B') rows of the stacked input block that hold the state r
         of the columns ``cols`` (all when empty): write a state there, then
         call the RHS."""
         return self._block(cols)[0][: self._dim]
 
     def __call__(self, coefficients: np.ndarray, cols=()) -> np.ndarray:
-        """dx/dt of the columns ``cols`` (all when empty), whose (D, B')
-        state x is in ``state(cols)``, under one (K, B') table row."""
-        z, z_terms, diagonal, scratch = self._block(cols)
+        """dr/dt of the columns ``cols`` (all when empty), whose (D, B')
+        state r is in ``state(cols)``, under one (K, B') table row."""
+        z, z_terms, z_frame, omega = self._block(cols)
         x = z[: self._dim]
         np.multiply(coefficients[:, None, :], x, out=z_terms)
-        y = self.matrix @ z
-        y += np.multiply(diagonal, x, out=scratch)
-        return y
+        np.multiply(omega, x, out=z_frame)
+        return self.matrix @ z
 
     def step_map(self, b: int, coefficients: np.ndarray, h: float, n: int) -> np.ndarray:
         """R(hL)^n: n RK4 steps of size h of column b under its constant (K,)
-        coefficients, as one matrix.
+        coefficients, as one real matrix.
 
         On a linear system with constant coefficients one RK4 step is the
         stability polynomial R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 of hL,
-        where L is the column's dense Liouvillian. Cached per (b, h, n,
+        where L is the column's dense real Liouvillian. Cached per (b, h, n,
         coefficients) for the life of the batch; ``_plan`` gives every gap of
         one length the same h, so equal gaps share a map.
         """
         key = (b, h, n, coefficients.tobytes())
         if key not in self._maps:
-            generator = self._offdiag + np.diag(self.diagonal[:, b])
+            generator = self._dissipators + self._rotation * self.omega[:, b]
             for f, term in zip(coefficients.tolist(), self._terms):
                 if f:
                     generator = generator + f * term
@@ -733,38 +749,57 @@ def _check_message(t, trace_error, herm_error, min_eigenvalue) -> str:
 
 
 class _SampleLog:
-    """Checks and observables of a (D, B) block at every sample.
+    """Checks and observables of a (D, B) block of real coordinates r at
+    every sample.
 
     Every check runs at every sample on every live column: the trace, the
     Hermiticity and, through ``eigvalsh``, the positivity of its state. The
-    columns are tested at once; the first failed check of a column is named
-    (``_check_message``) only when some column fails. A column that fails a
-    check keeps that first error and is zeroed, so it stays finite and costs
-    nothing in later checks; the other columns go on. The observables are
-    read with the record's ``n_q``, ``n_ph`` and ``a_row``.
+    trace and the observables are read from r: the first d coordinates are
+    the populations, so P_e, the photon number and the trace come from
+    them with the record's ``n_q`` and ``n_ph``, and <a> from the row
+    ``a_row @ T``. rho = T r is built once per sample by an index scatter,
+    for ``eigvalsh`` and the Hermiticity check only. That rho is Hermitian
+    for any real r, so the Hermiticity check can no longer fail; it is kept
+    as a check on the basis. The columns are tested at once; the first
+    failed check of a column is named (``_check_message``) only when some
+    column fails. A column that fails a check keeps that first error and is
+    zeroed, so it stays finite and costs nothing in later checks; the other
+    columns go on.
     """
 
     def __init__(self, ops: Superoperators, n_cols: int):
         self.ops = ops
-        self.diag = np.arange(ops.space.dim) * (ops.space.dim + 1)
+        basis = hermitian_basis(ops.space.dim)
+        self.field_row = ops.a_row @ basis
+        # vec(rho) = T r read as floats, the real and imaginary part of
+        # each entry: each float is one coordinate times 1, +-sqrt(1/2) or 0
+        rows = np.stack([basis.real, basis.imag], axis=1).reshape(-1, len(basis))
+        self.source = np.abs(rows).argmax(axis=1)
+        self.scale = rows[np.arange(len(rows)), self.source]
         self.errors = [None] * n_cols
         self.live = list(range(n_cols))  # the columns without an error
         self.p_e, self.photons, self.field, self.drift = [], [], [], []
 
+    def matrices(self, x: np.ndarray) -> np.ndarray:
+        """(B', d, d) complex rho = T r of the columns of x."""
+        d = self.ops.space.dim
+        rhos = np.empty((x.shape[1], 2 * d * d))
+        np.multiply(x.T[:, self.source], self.scale, out=rhos)
+        return rhos.view(complex).reshape(-1, d, d)
+
     def record(self, t: float, x: np.ndarray):
         d, live = self.ops.space.dim, self.live
         every = len(live) == x.shape[1]
-        # one C-contiguous (d, d) block per column: the trace's summation
-        # order follows the layout
-        rhos = np.ascontiguousarray((x if every else x[:, live]).T).reshape(-1, d, d)
-        drift = np.abs(np.trace(rhos, axis1=1, axis2=2).real - 1.0)
+        states = x if every else x[:, live]
+        rhos = self.matrices(states)
+        # one contiguous row of populations per column: the trace's
+        # summation order does not depend on the batch width
+        drift = np.abs(np.ascontiguousarray(states[:d].T).sum(axis=1) - 1.0)
         herm = np.abs(rhos - rhos.conj().transpose(0, 2, 1)).max(axis=(1, 2))
         finite = np.isfinite(herm)  # false for a state with a non-finite entry
         min_eig = np.full(len(live), np.nan)
         if finite.any():
-            states = rhos if finite.all() else rhos[finite]
-            hermitian = 0.5 * (states + states.conj().transpose(0, 2, 1))
-            min_eig[finite] = np.linalg.eigvalsh(hermitian)[:, 0]
+            min_eig[finite] = np.linalg.eigvalsh(rhos if finite.all() else rhos[finite])[:, 0]
         failed = ~finite | (drift > TRACE_TOL) | (herm > HERM_TOL)
         failed |= min_eig < POSITIVITY_TOL
         if failed.any():
@@ -777,23 +812,24 @@ class _SampleLog:
                     self.errors[live[k]] = IntegrationError(message)
                     x[:, live[k]] = 0.0
             self.live = [b for b, error in enumerate(self.errors) if error is None]
-        pops = x[self.diag].real
+        pops = x[:d]
         trace_error = drift
         if not every:
             trace_error = np.full(x.shape[1], np.nan)
             trace_error[live] = drift
         self.p_e.append(self.ops.n_q @ pops)
         self.photons.append(self.ops.n_ph @ pops)
-        self.field.append(self.ops.a_row @ x)
+        self.field.append(self.field_row @ x)
         self.drift.append(trace_error)
 
     def trajectories(self, times: np.ndarray, x: np.ndarray, frames) -> list:
         """Per column: its Trajectory over the recorded ``times``, ending in
-        its state in the last recorded block x, or the IntegrationError it
-        failed with."""
-        space, d, t = self.ops.space, self.ops.space.dim, float(times[-1])
+        its state rho = T r in the last recorded block x, or the
+        IntegrationError it failed with."""
+        space, t = self.ops.space, float(times[-1])
         series = (self.p_e, self.photons, self.field, self.drift)
         p_e, photons, field_, drift = map(np.array, series)
+        rhos = self.matrices(x)
         return [
             error if error is not None else Trajectory(
                 times=times,
@@ -801,17 +837,27 @@ class _SampleLog:
                 photon_number=photons[:, b],
                 field=field_[:, b],
                 trace_error=drift[:, b],
-                final=DensityState(x[:, b].reshape(d, d).copy(), t, frame, space),
+                final=DensityState(rhos[b], t, frame, space),
             )
             for b, (frame, error) in enumerate(zip(frames, self.errors))
         ]
 
 
-def _flip_permutation(space: HilbertSpace) -> np.ndarray:
-    """Indices that map vec(rho) to vec(F rho F) for the qubit flip F, a
-    permutation matrix."""
+def _flip(space: HilbertSpace):
+    """(perm, sign) with sign * r[perm] the coordinates of F rho F for the
+    qubit flip F, a permutation matrix: a signed permutation, since F maps
+    a pair (j, k) to (p_j, p_k), whose order may be reversed."""
+    d = space.dim
     p = np.argmax(qubit_flip(space).real, axis=1)
-    return (p[:, None] * space.dim + p[None, :]).reshape(-1)
+    j, k, sym = _pair_coordinates(d)
+    pair = np.zeros((d, d), dtype=int)
+    pair[j, k] = pair[k, j] = sym
+    perm, sign = np.empty(d * d, dtype=int), np.ones(d * d)
+    perm[:d] = p
+    perm[sym] = pair[p[j], p[k]]
+    perm[sym + 1] = perm[sym] + 1
+    sign[sym + 1] = np.where(p[j] < p[k], 1.0, -1.0)
+    return perm, sign[:, None]
 
 
 def propagate_batch(
@@ -834,7 +880,8 @@ def propagate_batch(
     others go on. Returns per column its Trajectory, whose ``final`` is the
     state at ``until``, or the IntegrationError it failed with. A failure of
     the timeline itself (step-size underflow) fails every column that has
-    not failed before; inconsistent inputs or an empty batch raise ValueError.
+    not failed before; inconsistent inputs, an initial state that is not
+    Hermitian or an empty batch raise ValueError.
     """
     if not schedules:
         raise ValueError("a batch needs at least one schedule")
@@ -847,6 +894,9 @@ def propagate_batch(
             raise ValueError("the schedules of a batch must share one timeline")
         if (rho0.time, rho0.space) != (rho0s[0].time, rho0s[0].space):
             raise ValueError("the initial states of a batch must share time and space")
+        # the real coordinates keep only the Hermitian part of a state
+        if np.abs(rho0.matrix - rho0.matrix.conj().T).max() > HERM_TOL:
+            raise ValueError("an initial state is not Hermitian")
     space = rho0s[0].space
     rhs = _StackedRHS(schedules, params, space)
     until = first.duration if until is None else until
@@ -856,12 +906,13 @@ def propagate_batch(
     times = _sample_times(first, t_start, until, opts.sample_dt)
     times.flags.writeable = False
     log = _SampleLog(superoperators(params, space.n_max), len(schedules))
-    flip = _flip_permutation(space)
+    perm, sign = _flip(space)
 
-    x = np.stack([rho0.matrix.reshape(-1) for rho0 in rho0s], axis=1).astype(complex)
+    vecs = np.stack([rho0.matrix.reshape(-1) for rho0 in rho0s], axis=1)
+    x = np.ascontiguousarray((hermitian_basis(space.dim).conj().T @ vecs).real)
     pi_times = set(first.pi_times)
     if t_start in pi_times:  # acts before the first record
-        x = x[flip]
+        x = sign * x[perm]
     log.record(t_start, x)
     # each sample is recorded, then a pi pulse due at its time flips the
     # qubit; one due at ``until`` acts after the run
@@ -873,7 +924,7 @@ def propagate_batch(
             break
         log.record(t_next, x)
         if t_next in pi_times and t_next < until:
-            x = x[flip]
+            x = sign * x[perm]
     return log.trajectories(times, x, [s.frame for s in schedules])
 
 

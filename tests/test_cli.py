@@ -514,6 +514,19 @@ def test_strict_calibrate_fails_when_pdiff_never_converges(tmp_path, monkeypatch
     assert (cols["p_s_dbm"][0], cols["residual_db"][0]) == (-141.0, 0.5)
 
 
+def test_strict_line_counts_every_flag_of_an_outcome(tmp_path, capsys):
+    """At n_max = 1 and nbar_s = 1 the cycle's one outcome holds several
+    ';'-ended Fock flags: --strict counts each and names the first as the
+    CSV's flags column holds it, without a point."""
+    cfg = tmp_path / "low_cutoff.cfg"
+    cfg.write_text("n_max = 1\nnbar_s = 1.0\nfock_convergence = true\n")
+    assert main(["--config", str(cfg), "--out", str(tmp_path), "--strict", "cycle"]) == 2
+    flags = (tmp_path / "cycle.csv").read_text().splitlines()[1].split(",")[-1]
+    assert flags.count(";") > 1
+    first = flags.split(";")[0]
+    assert capsys.readouterr().err == f"strict: {flags.count(';')} flag(s), the first: {first}\n"
+
+
 def test_scan_ts_without_signal_photons_prints_no_maximum(tmp_path, capsys):
     """At nbar_s = 0 eta is NaN at every pulse length: scan-ts writes its
     rows and prints no maximum."""

@@ -78,3 +78,36 @@ def test_pairs_compare_outputs(cli_pairs, monkeypatch, tmp_path):
     entries = cli_pairs.pairs(checkouts, "detect", 3, tmp_path / "runs")
     assert [e["outputs_identical"] for e in entries] == [True, False, True]
     assert entries[0]["outputs"] == ["a.csv", "b.csv"]
+
+
+def test_differing_csvs_record_their_largest_changes(cli_pairs, monkeypatch, tmp_path):
+    """Where a pair's outputs differ, each CSV that differs records the
+    largest absolute and relative change over its numeric cells; text cells
+    are skipped, a CSV of another shape records None, and the task keeps
+    the largest over its pairs."""
+    def fake_run(checkout, task, out_dir, where):
+        # the change moves c.csv by more in pair 1 and reshapes d.csv in pair 2
+        out_dir.mkdir(parents=True)
+        pair = int(out_dir.name.split("-")[0])
+        change = checkout.name == "change"
+        (out_dir / "a.csv").write_text("x,flags\n1,\n")
+        (out_dir / "c.csv").write_text(
+            "x,y,flags\n" + ("2.0,-4.0,a;\n" if not change else
+                             ("2.5,-4.0,b;\n", "2.0,-5.0,b;\n", "2.0,-4.0,a;\n")[pair]))
+        (out_dir / "d.csv").write_text("x\n1\n" + ("2\n" if change and pair == 2 else ""))
+        return {"wall_s": 1.0, "cpu_s": 1.0}
+
+    monkeypatch.setattr(cli_pairs, "run", fake_run)
+    checkouts = {"parent": tmp_path / "parent", "change": tmp_path / "change"}
+    entries = cli_pairs.pairs(checkouts, "detect", 3, tmp_path / "runs")
+    assert [e["csv_changes"] for e in entries] == [
+        {"c.csv": {"max_abs_change": 0.5, "max_rel_change": 0.2}},
+        {"c.csv": {"max_abs_change": 1.0, "max_rel_change": 0.2}},
+        {"d.csv": None},
+    ]
+    assert cli_pairs.largest_csv_changes(entries) == {
+        "c.csv": {"max_abs_change": 1.0, "max_rel_change": 0.2}, "d.csv": None,
+    }
+    assert cli_pairs.csv_changes(b"x\n0\nnan\n", b"x\n1e-3\nnan\n") == {
+        "max_abs_change": 1e-3, "max_rel_change": 1.0,
+    }

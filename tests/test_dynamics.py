@@ -17,6 +17,7 @@ from lambdadet.dynamics import (
     _plan,
     _SampleLog,
     _StackedRHS,
+    _flip,
     _commutator_superop,
     _dissipator_superop,
     _schedule_terms,
@@ -169,11 +170,14 @@ class TestSuperoperators:
         assert np.max(np.abs(sup - oracle)) <= 1e-13 * np.linalg.norm(oracle)
 
     def test_schedule_terms_equal_kron_build(self, params, cfg):
-        """The pulsed static part and the term superoperators that the
-        coefficients index in ``pulse_terms`` match the kron build exactly,
-        so propagation is bit-for-bit unchanged. The record's complex pieces
-        give the zero-Rabi static part bit for bit too, and its real CW
-        assembly gives that part's real form."""
+        """The pulsed static part is the kron-built ``liouvillian``, and the
+        record holds the real forms of its pieces bit for bit: the static
+        part is the kron-built dissipator sum, whose ``real_form`` is the
+        record's ``dissipators``, plus the frame's diagonal; the term
+        superoperators the coefficients index in ``pulse_terms`` are the real
+        forms of the kron build; and CW assembly reads these arrays
+        themselves. Its real CW assembly at zero Rabi gives the static
+        part's real form."""
         params = dataclasses.replace(
             params, drive_noise_per_rabi2=1e-12, drive_dephasing_per_rabi2=1e-12
         )
@@ -193,10 +197,16 @@ class TestSuperoperators:
             + (params.omega_r - frame.resonator_ref) * ops.n_ph
             - 2.0 * params.chi * ops.n_q * ops.n_ph
         )
-        record_static = ops.dissipators.copy()
         diag = np.arange(space.dim**2)
-        record_static.imag[diag, diag] = -(h_diag[:, None] - h_diag[None, :]).reshape(-1)
-        assert np.array_equal(record_static, static)
+        frame_part = -(h_diag[:, None] - h_diag[None, :]).reshape(-1)
+        assert np.array_equal(static.imag[diag, diag], frame_part)
+        dissipators = np.zeros_like(static)
+        for op, rate in collapse_operators(params, space):
+            dissipators = dissipators + _dissipator_superop(op.matrix, rate)
+        without_frame = static.copy()
+        without_frame.imag[diag, diag] = 0.0
+        assert np.array_equal(without_frame, dissipators)
+        assert np.array_equal(ops.dissipators, real_form(dissipators))
         (real_static,) = ops.cw_liouvillians(frame.qubit_ref, 0.0, [frame.resonator_ref], [0.0])
         want = real_form(static)
         assert np.max(np.abs(real_static - want)) <= 1e-13 * np.linalg.norm(want)
@@ -215,30 +225,97 @@ class TestSuperoperators:
         ]
         assert len(coefficients) == len(expected)
         for c, want in zip(coefficients, expected):
-            assert np.array_equal(pulse_terms[c.block], want)
-        # CW assembly reads the real forms of the same pulse terms
+            assert np.array_equal(pulse_terms[c.block], real_form(want))
+        # CW assembly reads the record's own arrays
+        assert ops.cw_pieces.dissipators is ops.dissipators
         for name, block in (("flip", TERM_FLIP), ("dephasing", TERM_DEPHASING),
                             ("drive", TERM_DRIVE)):
-            assert np.array_equal(getattr(ops.cw_pieces, name), real_form(pulse_terms[block]))
+            assert getattr(ops.cw_pieces, name) is pulse_terms[block]
 
     def test_batch_static_parts_are_dissipators_plus_diagonals(self, params, detect, reset):
         """A batch of the detection schedule and the reset schedule, whose
-        frames differ: each column's static part, the RHS's shared
-        off-diagonal plus that column's diagonal, is the schedule's own
-        kron-built ``liouvillian`` bit for bit."""
+        frames differ: the RHS's shared block is the record's real
+        dissipator sum, and each column's frame part turns each off-diagonal
+        pair of coordinates by the negated imaginary part of that schedule's
+        kron-built diagonal, bit for bit. Together they are the
+        ``real_form`` of the schedule's own kron-built ``liouvillian``."""
         from lambdadet.pulses import detection_schedule
 
         params = dataclasses.replace(params, drive_noise_per_rabi2=1e-12)
         space = build_space(3)
+        d = space.dim
         schedules = [detection_schedule(params, detect), reset_schedule(params, reset)]
         assert schedules[0].frame != schedules[1].frame
         rhs = _StackedRHS(schedules, params, space)
-        assert not np.array_equal(rhs.diagonal[:, 0], rhs.diagonal[:, 1])
+        assert rhs._dissipators is superoperators(params, 3).dissipators
+        assert not np.array_equal(rhs.omega[:, 0], rhs.omega[:, 1])
+        j, k = np.triu_indices(d, 1)
         for b, sched in enumerate(schedules):
             frame = sched.frame
             h0 = hamiltonian_static(params, frame, 0.0, frame.qubit_ref, space=space).matrix
             want = liouvillian(h0, collapse_operators(params, space))
-            assert np.array_equal(rhs._offdiag + np.diag(rhs.diagonal[:, b]), want)
+            turn = -want.diagonal().imag[j * d + k]
+            assert not rhs.omega[:d, b].any()
+            assert np.array_equal(rhs.omega[d::2, b], turn)
+            assert np.array_equal(rhs.omega[d + 1 :: 2, b], turn)
+            static = rhs._dissipators + rhs._rotation * rhs.omega[:, b]
+            oracle = real_form(want)
+            assert np.max(np.abs(static - oracle)) <= 1e-13 * np.linalg.norm(oracle)
+
+    def test_real_rhs_matches_kron_build(self, params, detect, reset):
+        """A batch that mixes the detection frame and the reset frame: at a
+        random row of its coefficient table, each column's real RHS is the
+        ``real_form`` of its kron-built ``liouvillian`` plus sum_k f_k times
+        the kron-built term superoperators, applied to random coordinates."""
+        from lambdadet.pulses import detection_schedule
+
+        params = dataclasses.replace(
+            params, drive_noise_per_rabi2=1e-12, drive_dephasing_per_rabi2=1e-12
+        )
+        space = build_space(3)
+        schedules = [detection_schedule(params, detect), reset_schedule(params, reset)]
+        rhs = _StackedRHS(schedules, params, space)
+        sm = qubit_lowering(space)
+        root_kext = math.sqrt(params.kappa_ext)
+        kron_terms = [
+            _dissipator_superop(sm.conj().T, 1.0) + _dissipator_superop(sm, 1.0),
+            _dissipator_superop(qubit_number(space), 1.0),
+            *(_commutator_superop(0.5 * q) for q in drive_quadratures(space)),
+            *(_commutator_superop(root_kext * q) for q in input_quadratures(space)),
+        ]
+        terms = [_schedule_terms(sched, params, space) for sched in schedules]
+        blocks = sorted({c.block for _, coefficients in terms for c in coefficients})
+        rng = np.random.default_rng(32)
+        duration = min(sched.duration for sched in schedules)
+        table = rhs.table(np.sort(rng.uniform(0.0, duration, 64)))
+        row = table[rng.choice(np.flatnonzero((table != 0.0).all(axis=(1, 2))))]
+        x = rng.normal(size=(space.dim**2, 2))
+        rhs.state()[...] = x
+        y = rhs(row)
+        for b, (static, coefficients) in enumerate(terms):
+            sup = static.copy()
+            for block in {c.block for c in coefficients}:
+                sup = sup + row[blocks.index(block), b] * kron_terms[block]
+            oracle = real_form(sup)
+            err = np.linalg.norm(y[:, b] - oracle @ x[:, b])
+            assert err <= 1e-13 * np.linalg.norm(oracle) * np.linalg.norm(x[:, b])
+
+    @pytest.mark.parametrize("n_max", [1, 2, 3])
+    def test_pi_pulse_is_a_signed_permutation(self, n_max):
+        """The pi pulse on real coordinates, sign * r[perm], is T^H vec(F rho F)
+        bit for bit, for random Hermitian rho."""
+        space = build_space(n_max)
+        d = space.dim
+        t = hermitian_basis(d)
+        perm, sign = _flip(space)
+        flip = qubit_flip(space)
+        rng = np.random.default_rng(n_max)
+        for _ in range(4):
+            g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            rho = g + g.conj().T
+            r = (t.conj().T @ rho.reshape(-1)).real
+            want = (t.conj().T @ (flip @ rho @ flip).reshape(-1)).real
+            assert np.array_equal(sign[:, 0] * r[perm], want)
 
     def test_record_is_cached_and_read_only(self, params):
         ops = superoperators(params, 2)
@@ -246,9 +323,9 @@ class TestSuperoperators:
         with pytest.raises(ValueError):
             ops.dissipators[0, 0] = 1.0
 
-    def test_pulsed_path_builds_no_real_pieces(self, clean_params):
-        """A propagation reads the complex pieces only: the real forms CW
-        assembly needs are not built."""
+    def test_pulsed_path_builds_no_cw_only_pieces(self, clean_params):
+        """A propagation reads the record's real pieces only: the pieces
+        that only CW assembly needs are not built."""
         p = dataclasses.replace(clean_params, gamma_phi=1.234e5)  # a record of its own
         frame = Frame(p.omega_ge, p.omega_r)
         drive = rect((TWO_PI * 30e6, p.omega_ge), 20e-9)
@@ -258,26 +335,38 @@ class TestSuperoperators:
         (traj,) = propagate_batch([rho0], [sched], p, IntegratorOptions())
         assert not isinstance(traj, IntegrationError)
         ops = superoperators(p, 2)
-        assert "pulse_terms" in vars(ops)
+        assert all(term.dtype == float for term in (ops.dissipators, *ops.pulse_terms))
         assert "cw_pieces" not in vars(ops)
 
 
 class TestSampleLog:
-    def test_each_failed_check_is_named_and_its_column_zeroed(self, clean_params):
-        """One block of five columns: a trace error, an anti-Hermitian part,
-        a negative eigenvalue, a NaN entry and a clean state. Each failed
-        column keeps the message of its first failed check and is zeroed;
-        the clean column goes on, and a later defect of a failed column
-        does not replace its message."""
+    def test_each_failed_check_is_named_and_its_column_zeroed(self, clean_params, monkeypatch):
+        """One block of five columns of real coordinates: a trace error, an
+        anti-Hermitian part, a negative eigenvalue, a NaN entry and a clean
+        state. rho = T r is Hermitian for every real r, so the anti-Hermitian
+        part is added to the built rho of its column, to show that the kept
+        check fires. Each failed column keeps the message of its first
+        failed check and is zeroed; the clean column goes on, and a later
+        defect of a failed column does not replace its message."""
         space = build_space(1)
         d = space.dim
+        t = hermitian_basis(d)
         states = [np.diag([1.0 + 2e-6, 0, 0, 0]), np.diag([1.0, 0, 0, 0]),
                   np.diag([1.1, -0.1, 0, 0]), np.diag([1.0, 0, 0, 0]),
                   np.diag([0.9, 0.1, 0, 0])]
-        states[1][0, 1], states[1][1, 0] = 1e-3, -1e-3
-        states[3][2, 3] = np.nan
-        x = np.stack([rho.reshape(-1) for rho in states], axis=1).astype(complex)
+        x = np.stack([(t.conj().T @ rho.reshape(-1)).real for rho in states], axis=1)
+        x[d + 5, 3] = np.nan  # the imaginary coordinate of the pair (2, 3)
         log = _SampleLog(superoperators(clean_params, 1), len(states))
+        build = log.matrices
+
+        def anti_hermitian_in_column_1(block):
+            rhos = build(block)
+            if len(rhos) == len(states):
+                rhos[1, 0, 1] += 1e-3
+                rhos[1, 1, 0] -= 1e-3
+            return rhos
+
+        monkeypatch.setattr(log, "matrices", anti_hermitian_in_column_1)
         log.record(1e-9, x)
         assert [str(error) for error in log.errors[:4]] == [
             "trace error 2.00e-06 exceeds 1e-09 at t=1.000e-09",
@@ -288,7 +377,7 @@ class TestSampleLog:
         assert all(isinstance(error, IntegrationError) for error in log.errors[:4])
         assert log.errors[4] is None and log.live == [4]
         assert np.array_equal(x[:, :4], np.zeros((d * d, 4)))
-        assert np.array_equal(x[:, 4], states[4].reshape(-1))
+        assert np.array_equal(x[:, 4], np.diag(states[4]).tolist() + [0.0] * (d * d - d))
 
         x[0, 0] = np.nan  # not live: no longer checked
         log.record(2e-9, x)
@@ -463,6 +552,18 @@ class TestPropagate:
             assert np.max(np.abs(rho - rho.conj().T)) < 1e-10
             assert np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0] > -1e-8
 
+    def test_final_state_is_hermitian_with_unit_trace(self, params, detect, reset):
+        """``final`` is rho = T r of the run's real coordinates: exactly
+        Hermitian, with unit trace to 1e-12, after a detection run and after
+        a reset run, which starts with a pi pulse."""
+        from lambdadet.pulses import detection_schedule
+
+        for sched in (detection_schedule(params, detect), reset_schedule(params, reset)):
+            rho0 = mixed_initial_state(build_space(3), params.init_excited_pop, sched.frame)
+            rho = propagate(rho0, sched, params).final.matrix
+            assert np.array_equal(rho, rho.conj().T)
+            assert abs(np.trace(rho) - 1.0) <= 1e-12
+
     def test_pi_pulse_swaps(self, clean_params):
         space = build_space(1)
         frame = Frame(clean_params.omega_ge, clean_params.omega_r)
@@ -514,6 +615,8 @@ class TestPropagate:
                                        [s, s], {}), "time and space", id="initial-space"),
             pytest.param(lambda r, s: ([r], [s], {"until": -1e-9}), "ends before",
                          id="until-before-start"),
+            pytest.param(lambda r, s: ([dataclasses.replace(r, matrix=np.triu(np.ones((4, 4))))],
+                                       [s], {}), "not Hermitian", id="non-hermitian"),
             pytest.param(lambda r, s: ([r, r], [s], {}), "shorter", id="unequal-lengths"),
             pytest.param(lambda r, s: ([], [], {}), "at least one", id="empty"),
         ],

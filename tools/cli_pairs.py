@@ -15,17 +15,21 @@ the interpreter's start-up and imports. Its CPU time and peak RSS come
 from the rusage ``os.wait4`` returns for that run's process: user plus
 system time, spawned workers included, and ``ru_maxrss``, the peak of the
 largest process in its tree. Each pair also records whether the two runs
-wrote the same files with the same bytes. The summary per task is
-``bench_pairs.summary`` of ``wall_s``, ``cpu_s`` and ``peak_rss_mb``, with
-the ``wall_s`` bound of BENCHMARK.json applied to the two times and the
-``peak_rss_mb`` bound to the RSS. The BLAS thread variables pass through
-from the calling environment and are recorded. A run that exits non-zero
-stops the tool, naming the pair.
+wrote the same files with the same bytes; where a file differs, the pair
+records the largest absolute and relative change over the numeric cells of
+each such CSV (``csv_changes``), and the task the largest of its pairs.
+The summary per task is ``bench_pairs.summary`` of ``wall_s``, ``cpu_s``
+and ``peak_rss_mb``, with the ``wall_s`` bound of BENCHMARK.json applied
+to the two times and the ``peak_rss_mb`` bound to the RSS. The BLAS
+thread variables pass through from the calling environment and are
+recorded. A run that exits non-zero stops the tool, naming the pair.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import os
 import platform
@@ -70,9 +74,48 @@ def outputs(out_dir: Path):
             for p in sorted(out_dir.rglob("*")) if p.is_file()}
 
 
+def csv_changes(parent: bytes, change: bytes):
+    """The largest absolute and relative change over the numeric cells of
+    two CSVs of one shape, a cell's relative change being |c - p| /
+    max(|p|, |c|), as tests/test_cli.py reports a golden file's; None when
+    their shapes differ."""
+    old, new = (list(csv.reader(io.StringIO(data.decode()))) for data in (parent, change))
+    if [len(row) for row in old] != [len(row) for row in new]:
+        return None
+    largest = {"max_abs_change": 0.0, "max_rel_change": 0.0}
+    for row_old, row_new in zip(old, new):
+        for x, y in zip(row_old, row_new):
+            try:
+                a, b = float(x), float(y)
+            except ValueError:
+                continue
+            change = abs(b - a)
+            if change > largest["max_abs_change"]:  # False for NaN
+                largest["max_abs_change"] = change
+            relative = change / (max(abs(a), abs(b)) or 1.0)
+            if relative > largest["max_rel_change"]:
+                largest["max_rel_change"] = relative
+    return largest
+
+
+def largest_csv_changes(entries):
+    """Per CSV file, the largest changes over the pairs that record any;
+    None when its shape differed in some pair."""
+    out = {}
+    for entry in entries:
+        for name, changes in entry.get("csv_changes", {}).items():
+            known = out.get(name, changes)
+            if known is None or changes is None:
+                out[name] = None
+            else:
+                out[name] = {key: max(known[key], value) for key, value in changes.items()}
+    return out
+
+
 def pairs(checkouts, task, n_pairs, scratch: Path):
-    """The pairs of one task, each with both sides' times and whether the
-    two runs wrote identical files."""
+    """The pairs of one task, each with both sides' times, whether the two
+    runs wrote identical files and, where not, ``csv_changes`` of each CSV
+    that differs."""
     out = []
     for k in range(n_pairs):
         order = SIDES if k % 2 == 0 else SIDES[::-1]
@@ -83,6 +126,12 @@ def pairs(checkouts, task, n_pairs, scratch: Path):
             written[side] = outputs(out_dir)
         entry["outputs"] = sorted(written["change"])
         entry["outputs_identical"] = written["parent"] == written["change"]
+        if not entry["outputs_identical"]:
+            entry["csv_changes"] = {
+                name: csv_changes(written["parent"][name], data)
+                for name, data in written["change"].items()
+                if name.endswith(".csv") and written["parent"].get(name, data) != data
+            }
         out.append(entry)
         print(f"{task} pair {k}: "
               + ", ".join(f"{s} {entry[s]['wall_s']:.3f} s" for s in SIDES), file=sys.stderr)
@@ -115,6 +164,7 @@ def main(argv=None):
                 "command": f"python -m lambdadet.cli --out DIR {task}",
                 "pairs": entries,
                 "outputs_identical_in_pairs": identical_outputs(entries),
+                "csv_changes": largest_csv_changes(entries),
                 "summary": summary(entries, bounds),
             }
     record = {
