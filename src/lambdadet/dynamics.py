@@ -16,13 +16,17 @@ dissipator sum, one superoperator per time-dependent quadrature, and its
 frame's rotation of each off-diagonal pair of coordinates; the batch
 stacks them into one real sparse ``[dissipators | terms... | rotation]``
 block, so each evaluation is one product with the coefficient- and
-frequency-scaled state block. Each batch plans its timeline once
+frequency-scaled state block, made by scipy's CSR kernel without the
+operator dispatch (``_csr_product``). Each batch plans its timeline once
 (``_plan``): every interval's RK4 steps, one coefficient table over all
-stage times, one row per stage, and which columns are exactly constant
-over which interval. Such a column (a pulse plateau, or the zero tail
-after the pulses) advances by one cached real matrix, its RK4 step map
-R(hL)^n: the same method, without the stage-by-stage products; equal gaps
-share one map. A pi pulse is a signed permutation of the coordinates.
+stage times, one row per stage, which columns are exactly constant over
+which interval, and where such a column's step map changes. Such a column
+(a pulse plateau, or the zero tail after the pulses) advances by one
+cached real matrix, its RK4 step map R(hL)^n: the same method, without
+the stage-by-stage products; equal gaps share one map. The batch keeps a
+(B, D, D) stack of the columns' current maps, rewrites a column's row only
+where its map changes, and applies the stack in one stacked product per
+interval. A pi pulse is a signed permutation of the coordinates.
 ``propagate`` is the B = 1 case. The pieces the generator is affine in are
 built once per (params, n_max) as real matrices in a read-only
 ``Superoperators`` record, and every reader takes them from there: the
@@ -40,6 +44,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
+from itertools import compress
 from typing import ClassVar, NamedTuple
 
 import numpy as np
@@ -374,8 +379,8 @@ def steady_state_stack(sups: np.ndarray):
     of the complex Liouvillian on vec(rho), and both checks equal the
     complex ones in exact arithmetic. ``sups`` is changed during the solve
     and restored. Returns the (B, d, d) complex density matrices rho = T r,
-    symmetrised and normalised (NaN where the solve failed), and per point
-    None or its SteadyStateError.
+    Hermitian for real r, normalised (NaN where the solve failed), and per
+    point None or its SteadyStateError.
     """
     n_points, n, _ = sups.shape
     d = math.isqrt(n)
@@ -404,8 +409,8 @@ def steady_state_stack(sups: np.ndarray):
     errors = [None] * n_points
     if xs is not None:
         ok = np.sqrt(np.einsum("ij,ij->i", lx, lx)) < 1e-10 * sup_norms
+        # T x is exactly Hermitian for real x
         rho = (xs[ok] @ hermitian_basis(d).T).reshape(-1, d, d)
-        rho = 0.5 * (rho + rho.conj().transpose(0, 2, 1))
         rho /= np.trace(rho, axis1=1, axis2=2).real[:, None, None]
         rhos[ok] = rho
     else:
@@ -457,17 +462,18 @@ class TermCoefficient(NamedTuple):
         return v * (np.sin if self.sine else np.cos)(self.detuning * t)
 
 
-def _schedule_terms(schedule: PulseSchedule, params: SystemParams, space: HilbertSpace):
-    """Static superoperator plus the TermCoefficient of every envelope term.
-
-    A term's superoperator is the record's ``pulse_terms[block]``. The
-    static part is the kron-built ``liouvillian``: the record's dissipator
-    sum plus the frame's rotation on its diagonal (see ``Superoperators``).
-    """
-    frame = schedule.frame
+def _frame_static(frame: Frame, params: SystemParams, space: HilbertSpace) -> np.ndarray:
+    """The static superoperator of a schedule in ``frame``: the kron-built
+    ``liouvillian``, the record's dissipator sum plus the frame's rotation on
+    its diagonal (see ``Superoperators``)."""
     h0 = hamiltonian_static(params, frame, 0.0, frame.qubit_ref, space=space).matrix
-    static = liouvillian(h0, collapse_operators(params, space))
+    return liouvillian(h0, collapse_operators(params, space))
 
+
+def _schedule_terms(schedule: PulseSchedule, params: SystemParams) -> list:
+    """The TermCoefficient of every envelope term of a schedule; a term's
+    superoperator is the record's ``pulse_terms[block]``."""
+    frame = schedule.frame
     coefficients = []
     for role, env in schedule.entries:
         if env.amplitude == 0.0:
@@ -487,7 +493,25 @@ def _schedule_terms(schedule: PulseSchedule, params: SystemParams, space: Hilber
         coefficients.append(TermCoefficient(block, env, detuning=detuning))
         if detuning != 0.0:
             coefficients.append(TermCoefficient(block + 1, env, detuning=detuning, sine=True))
-    return static, coefficients
+    return coefficients
+
+
+def _csr_product(matrix):
+    """z -> matrix @ z for a real CSR array and C-contiguous (N, B) float
+    blocks z, bit for bit: scipy's kernel ``csr_matvecs``, which that product
+    ends in, called directly, so a product skips the operator dispatch. At
+    B = 1 scipy calls ``csr_matvec``, which sums each row in the same order."""
+    from scipy.sparse._sparsetools import csr_matvecs
+
+    n_row, n_col = matrix.shape
+    arrays = (matrix.indptr, matrix.indices, matrix.data)
+
+    def product(z: np.ndarray) -> np.ndarray:
+        out = np.zeros((n_row, z.shape[1]))
+        csr_matvecs(n_row, n_col, z.shape[1], *arrays, z.ravel(), out.ravel())
+        return out
+
+    return product
 
 
 class _StackedRHS:
@@ -498,10 +522,13 @@ class _StackedRHS:
     sum_k f_bk(t) T_k over the batch's term superoperators T_k, plus its
     frame's rotation: the static Hamiltonian is diagonal, so -i[H0, .]
     turns each off-diagonal pair (s, s + 1) of coordinates by its
-    frequency w_b, the negated imaginary part of the kron-built diagonal,
-    as dr_s/dt = w_b r_{s+1} and dr_{s+1}/dt = -w_b r_s. With J that
-    signed swap of each pair, the CSR block [dissipators | T_1 ... T_K | J]
-    acts on the stacked state block [r; f_1 r; ...; f_K r; w r].
+    frequency w_b, the negated imaginary part of the kron-built diagonal
+    (``_frame_static``, built once per distinct frame of the batch), as
+    dr_s/dt = w_b r_{s+1} and dr_{s+1}/dt = -w_b r_s. With J that signed
+    swap of each pair, the CSR block [dissipators | T_1 ... T_K | J] acts on
+    the stacked state block [r; f_1 r; ...; f_K r; w r], through
+    ``_csr_product``. ``map_stack`` holds each column's current step map,
+    (B, D, D), for the mapped intervals of ``_rk4_interval``.
     """
 
     def __init__(self, schedules, params: SystemParams, space: HilbertSpace):
@@ -510,12 +537,15 @@ class _StackedRHS:
         ops = superoperators(params, space.n_max)
         d, dim = space.dim, space.dim**2
         j, k, sym = _pair_coordinates(d)
+        turns = {}  # frame -> its pair frequencies
+        for sched in schedules:
+            if sched.frame not in turns:
+                static = _frame_static(sched.frame, params, space)
+                turns[sched.frame] = -static.diagonal().imag[j * d + k]
         self.omega = np.zeros((dim, len(schedules)))  # (D, B) pair frequencies
-        columns = []
         for b, sched in enumerate(schedules):
-            static, terms = _schedule_terms(sched, params, space)
-            self.omega[sym, b] = self.omega[sym + 1, b] = -static.diagonal().imag[j * d + k]
-            columns.append(terms)
+            self.omega[sym, b] = self.omega[sym + 1, b] = turns[sched.frame]
+        columns = [_schedule_terms(sched, params) for sched in schedules]
         self._rotation = np.zeros((dim, dim))
         self._rotation[sym, sym + 1] = 1.0
         self._rotation[sym + 1, sym] = -1.0
@@ -527,31 +557,40 @@ class _StackedRHS:
             [sparse.csr_array(m) for m in (self._dissipators, *self._terms, self._rotation)],
             format="csr",
         )
+        self._product = _csr_product(self.matrix)
 
-        # (block position, column, coefficient, envelope index) of every
-        # term; an envelope's value does not depend on its carrier, so the
-        # terms whose envelopes differ only in carrier share one index
-        envelopes = {}
+        # (block position, column, coefficient, shape index) of every term;
+        # an envelope's value is its amplitude times that of its unit-amplitude
+        # shape (``PulseEnvelope.value`` multiplies by the amplitude last) and
+        # does not depend on its carrier, so the terms whose envelopes differ
+        # only in amplitude and carrier share one shape
+        shapes = {}
         self._entries = [
             (blocks.index(c.block), b, c,
-             envelopes.setdefault(replace(c.envelope, carrier=0.0), len(envelopes)))
+             shapes.setdefault(replace(c.envelope, amplitude=1.0, carrier=0.0), len(shapes)))
             for b, terms in enumerate(columns)
             for c in terms
         ]
-        self._envelopes = list(envelopes)
+        self._shapes = list(shapes)
         self._shape = (len(blocks), len(schedules))
         self._dim = dim
         self._blocks = {}  # columns -> ``_block`` of that sub-block
         self._maps = {}  # (column, planned h, n, coefficients) -> R(hL)^n
+        self.map_stack = np.zeros((len(schedules), dim, dim))
 
     def table(self, times: np.ndarray) -> np.ndarray:
-        """(len(times), K, B) coefficients: each distinct envelope is
-        evaluated once per time, and every term that shares it reuses the
-        value."""
+        """(len(times), K, B) coefficients: each distinct envelope shape is
+        evaluated once per time and scaled by each amplitude, bit for bit
+        ``PulseEnvelope.values``, and every term that shares an envelope
+        reuses its value."""
         out = np.zeros((len(times),) + self._shape)
-        values = [envelope.values(times) for envelope in self._envelopes]
+        shapes = [shape.values(times) for shape in self._shapes]
+        values = {}  # (shape index, amplitude) -> the envelope's values
         for k, b, c, e in self._entries:
-            out[:, k, b] += c.of(values[e], times)
+            amplitude = c.envelope.amplitude
+            if (e, amplitude) not in values:
+                values[e, amplitude] = shapes[e] * amplitude
+            out[:, k, b] += c.of(values[e, amplitude], times)
         return out
 
     def _block(self, cols):
@@ -579,7 +618,7 @@ class _StackedRHS:
         x = z[: self._dim]
         np.multiply(coefficients[:, None, :], x, out=z_terms)
         np.multiply(omega, x, out=z_frame)
-        return self.matrix @ z
+        return self._product(z)
 
     def step_map(self, b: int, coefficients: np.ndarray, h: float, n: int) -> np.ndarray:
         """R(hL)^n: n RK4 steps of size h of column b under its constant (K,)
@@ -630,6 +669,7 @@ class _Interval(NamedTuple):
     steps: np.ndarray  # the n step sizes
     mapped: list  # columns whose coefficients are constant over it
     staged: tuple  # the other columns
+    remap: list  # mapped columns whose step map differs from their last one
 
 
 def _plan(rhs: _StackedRHS, times: np.ndarray, max_step: float) -> list:
@@ -642,7 +682,10 @@ def _plan(rhs: _StackedRHS, times: np.ndarray, max_step: float) -> list:
     exactly equal over a gap has constant coefficients there and advances by
     a step map R(hL)^n, with one h per (gap length, n): the sample times
     round to about an ulp of the latest time, so gaps of one length differ
-    by a few of its ulps, and each takes the h of the first such gap.
+    by a few of its ulps, and each takes the h of the first such gap. A
+    mapped column is remapped at its first mapped gap and wherever its
+    (h, n, coefficients) differ from those of its last mapped gap; in
+    between, its row of ``map_stack`` holds its map.
     """
     t, t_next = times[:-1], times[1:]
     if not len(t):
@@ -666,39 +709,55 @@ def _plan(rhs: _StackedRHS, times: np.ndarray, max_step: float) -> list:
 
     tol = 4.0 * math.ulp(float(np.abs(times).max()))
     lengths = {}  # n -> the first span of each gap length with n steps
-    plan = []
-    for i, (span, n) in enumerate(zip(spans.tolist(), counts.tolist())):
+    hs = []
+    for span, n in zip(spans.tolist(), counts.tolist()):
         known = lengths.setdefault(n, [])
         length = next((s for s in known if abs(span - s) <= tol), None)
         if length is None:
             known.append(length := span)
-        plan.append(_Interval(
-            span, n, length / n,
-            table[4 * starts[i] : 4 * starts[i + 1]],
-            steps[starts[i] : starts[i + 1]],
-            np.flatnonzero(constant[i]).tolist(),
-            tuple(np.flatnonzero(~constant[i]).tolist()),
-        ))
-    return plan
+        hs.append(length / n)
+
+    # per gap and column the step map's key (h, n, coefficients), compared
+    # with that of the column's last mapped gap before it
+    n_gaps, n_cols = constant.shape
+    keys = np.concatenate([np.broadcast_to(np.array(hs)[:, None, None], (n_gaps, 1, n_cols)),
+                           np.broadcast_to(counts[:, None, None], (n_gaps, 1, n_cols)),
+                           table[4 * starts[:-1]]], axis=1)
+    last = np.maximum.accumulate(np.where(constant, np.arange(n_gaps)[:, None], -1), axis=0)
+    before = np.concatenate([np.full((1, n_cols), -1), last[:-1]])
+    moved = (np.take_along_axis(keys, np.maximum(before, 0)[:, None, :], axis=0) != keys)
+    remap = constant & ((before < 0) | moved.any(axis=1))
+
+    cols = range(n_cols)
+    return [
+        _Interval(span, n, h, table[4 * a : 4 * b], steps[a:b], list(compress(cols, mapped)),
+                  tuple(compress(cols, staged)), list(compress(cols, new)))
+        for span, n, h, a, b, mapped, staged, new in zip(
+            spans.tolist(), counts.tolist(), hs, starts[:-1].tolist(), starts[1:].tolist(),
+            constant.tolist(), (~constant).tolist(), remap.tolist())
+    ]
 
 
 def _rk4_interval(rhs: _StackedRHS, x: np.ndarray, gap: _Interval) -> np.ndarray:
     """Fixed-step RK4 of the block x over one planned interval.
 
-    Its mapped columns advance by their cached step maps, the same RK4 as
-    one matrix product; the staged ones stage by stage as one sub-block. The
-    choice is made per column, so a column's result does not depend on its
-    batch mates. x may be overwritten.
+    The columns ``_plan`` remaps here get their step maps (cached) in
+    ``rhs.map_stack``; then every column advances by its row of the stack in
+    one stacked product, the same RK4 as one matrix product per column, and
+    the staged ones are redone stage by stage as one sub-block. Each
+    column's product is the one matrix-vector product of its own map and
+    state, so a column's result does not depend on its batch mates. x may
+    be overwritten.
     """
     if gap.span / gap.n < 1e-18:
         raise IntegrationError("step size underflow")
     if not gap.mapped:
         return _rk4_stages(rhs, x, gap.table, gap.steps)
-    out = np.empty_like(x)
-    for b in gap.mapped:
-        step_map = rhs.step_map(b, gap.table[0, :, b], gap.h, gap.n)
-        # a contiguous copy, so the product is the same at any batch width
-        out[:, b] = step_map @ np.ascontiguousarray(x[:, b])
+    for b in gap.remap:
+        rhs.map_stack[b] = rhs.step_map(b, gap.table[0, :, b], gap.h, gap.n)
+    # one contiguous row per column, so each product is the one at B = 1
+    states = np.ascontiguousarray(x.T)[:, :, None]
+    out = np.matmul(rhs.map_stack, states)[:, :, 0].T.copy()
     if gap.staged:
         cols = gap.staged
         out[:, cols] = _rk4_stages(rhs, x[:, cols], gap.table[:, :, cols], gap.steps, cols)
@@ -760,11 +819,13 @@ class _SampleLog:
     ``a_row @ T``. rho = T r is built once per sample by an index scatter,
     for ``eigvalsh`` and the Hermiticity check only. That rho is Hermitian
     for any real r, so the Hermiticity check can no longer fail; it is kept
-    as a check on the basis. The columns are tested at once; the first
-    failed check of a column is named (``_check_message``) only when some
-    column fails. A column that fails a check keeps that first error and is
-    zeroed, so it stays finite and costs nothing in later checks; the other
-    columns go on.
+    as a check on the basis. The columns are tested at once: while every
+    state is finite, by the extreme of each check over the block; the
+    per-column failures, and the first failed check of a column
+    (``_check_message``), are worked out only when some column fails. A
+    column that fails a check keeps that first error and is zeroed, so it
+    stays finite and costs nothing in later checks; the other columns go
+    on.
     """
 
     def __init__(self, ops: Superoperators, n_cols: int):
@@ -797,12 +858,20 @@ class _SampleLog:
         drift = np.abs(np.ascontiguousarray(states[:d].T).sum(axis=1) - 1.0)
         herm = np.abs(rhos - rhos.conj().transpose(0, 2, 1)).max(axis=(1, 2))
         finite = np.isfinite(herm)  # false for a state with a non-finite entry
-        min_eig = np.full(len(live), np.nan)
-        if finite.any():
-            min_eig[finite] = np.linalg.eigvalsh(rhos if finite.all() else rhos[finite])[:, 0]
-        failed = ~finite | (drift > TRACE_TOL) | (herm > HERM_TOL)
-        failed |= min_eig < POSITIVITY_TOL
-        if failed.any():
+        if finite.all():
+            min_eig = np.linalg.eigvalsh(rhos)[:, 0]
+            # with every state finite, every check passes unless an extreme
+            # crosses its tolerance (``initial`` covers a block of no columns)
+            passed = (drift.max(initial=0.0) <= TRACE_TOL and herm.max(initial=0.0) <= HERM_TOL
+                      and min_eig.min(initial=0.0) >= POSITIVITY_TOL)
+        else:
+            min_eig = np.full(len(live), np.nan)
+            if finite.any():
+                min_eig[finite] = np.linalg.eigvalsh(rhos[finite])[:, 0]
+            passed = False
+        if not passed:
+            failed = ~finite | (drift > TRACE_TOL) | (herm > HERM_TOL)
+            failed |= min_eig < POSITIVITY_TOL
             for k in np.flatnonzero(failed).tolist():
                 if np.isfinite(rhos[k]).all():
                     message = _check_message(t, drift[k], herm[k], min_eig[k])
@@ -882,6 +951,12 @@ def propagate_batch(
     the timeline itself (step-size underflow) fails every column that has
     not failed before; inconsistent inputs, an initial state that is not
     Hermitian or an empty batch raise ValueError.
+
+    The work that does not depend on the step is done once per batch: the
+    frames' static parts, the RHS block, the timeline plan with its
+    coefficient table and its step-map changes, and the stack of step
+    maps; each interval then costs one stacked map product and the RK4
+    stages of its staged columns, and each sample one ``_SampleLog.record``.
     """
     if not schedules:
         raise ValueError("a batch needs at least one schedule")

@@ -146,6 +146,32 @@ def test_pairs_compare_outputs(bench_pairs, monkeypatch, tmp_path):
     record = json.loads(out.read_text())
     assert [e["outputs_identical"] for e in record["pairs"]] == [True, False, True]
     assert record["outputs_identical_in_pairs"] == "2/3"
+    assert record["bytecode_caches_deleted_before_each_run"] == ["src/**/__pycache__",
+                                                                 "perfbench/**/__pycache__"]
     other = record["other_workloads_no_regression"]["single_cycle"]
     assert [e["outputs_identical"] for e in other["pairs"]] == [True, True]
     assert other["outputs_identical_in_pairs"] == "2/2"
+
+
+def test_each_run_starts_without_bytecode_caches(bench_pairs, monkeypatch, tmp_path):
+    """Before each run the __pycache__ directories under the checkout's
+    src/ and perfbench/ are gone; other directories keep theirs."""
+    caches = [tmp_path / "src" / "lambdadet" / "__pycache__",
+              tmp_path / "perfbench" / "__pycache__",
+              tmp_path / "src" / "__pycache__" / "nested" / "__pycache__"]
+    kept = tmp_path / "tools" / "__pycache__"
+    for cache in (*caches, kept):
+        cache.mkdir(parents=True)
+        (cache / "module.cpython-311.pyc").write_bytes(b"")
+    (tmp_path / "bench_out" / "results").mkdir(parents=True)
+    (tmp_path / "bench_out" / "results" / "single_cycle-seed4-trace0.json").write_text("{}")
+    line = {"correct": True, "attempted": 1, "failed": 0, "metrics": {}}
+    seen = []
+
+    def fake_subprocess_run(cmd, cwd, **kwargs):
+        seen.append(sorted(str(p.relative_to(cwd)) for p in cwd.rglob("__pycache__")))
+        return types.SimpleNamespace(stdout=json.dumps(line) + "\n", stderr="", returncode=0)
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_subprocess_run)
+    assert bench_pairs.run(tmp_path, "single_cycle", 4, 0, None, "here") == (line, {})
+    assert seen == [["tools/__pycache__"]]

@@ -38,14 +38,15 @@ def fast_outputs(tmp_path_factory):
 
 def _mismatch(name, expected, actual):
     """None if the two texts are equal, else where they first differ and,
-    for a CSV, the cell with the largest relative change."""
+    for a CSV, the largest relative change in each column that differs, so
+    rounding noise in one column does not hide a move in another."""
     if actual == expected:
         return None
     old, new = expected.splitlines(), actual.splitlines()
     if len(old) != len(new):
         return f"{name}: {len(new)} lines, golden {len(old)}"
     header = old[0].split(",")
-    first, worst, worst_at = None, 0.0, None
+    first, worst = None, {}  # column -> (largest relative change, its cell)
     for n, (a, b) in enumerate(zip(old, new), 1):
         if a == b:
             continue
@@ -55,16 +56,31 @@ def _mismatch(name, expected, actual):
         for column, x, y in zip(header, a.split(","), b.split(",")):
             if x == y:
                 continue
-            cell = f"line {n}, column {column} ({x} -> {y})"
-            first = first or cell
+            cell = f"line {n} ({x} -> {y})"
+            first = first or f"line {n}, column {column} ({x} -> {y})"
             try:
                 change = abs(float(y) - float(x)) / (max(abs(float(x)), abs(float(y))) or 1.0)
             except ValueError:
                 continue
-            if change > worst:
-                worst, worst_at = change, cell
-    largest = f"; largest relative change {worst:.3g} at {worst_at}" if worst_at else ""
+            if change > worst.get(column, (-1.0, None))[0]:
+                worst[column] = (change, cell)
+    largest = "".join(f"; column {column}: largest relative change {change:.3g} at {cell}"
+                      for column, (change, cell) in worst.items())
     return f"{name}: first differs at {first}{largest}"
+
+
+def test_mismatch_names_the_largest_change_of_each_column():
+    """Rounding noise in one column (a relative change of 1 on a value near
+    zero) is reported next to, not in place of, a small move in another."""
+    golden_text = "t_s,p_e,trace_error\n0,0.5,1e-16\n1,0.25,0\n2,0.125,3e-16\n"
+    moved = "t_s,p_e,trace_error\n0,0.5,2e-16\n1,0.2500001,0\n2,0.125,0\n"
+    assert _mismatch("trace.csv", golden_text, golden_text) is None
+    assert _mismatch("trace.csv", golden_text, moved) == (
+        "trace.csv: first differs at line 2, column trace_error (1e-16 -> 2e-16)"
+        "; column trace_error: largest relative change 1 at line 4 (3e-16 -> 0)"
+        "; column p_e: largest relative change 4e-07 at line 3 (0.25 -> 0.2500001)"
+    )
+    assert _mismatch("trace.csv", golden_text, "t_s\n") == "trace.csv: 1 lines, golden 4"
 
 
 def test_outputs_match_golden_files(fast_outputs):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import reference
+from lambdadet import dynamics
 from lambdadet.dynamics import (
     DensityState,
     TERM_DEPHASING,
@@ -19,6 +20,8 @@ from lambdadet.dynamics import (
     _StackedRHS,
     _flip,
     _commutator_superop,
+    _csr_product,
+    _frame_static,
     _dissipator_superop,
     _schedule_terms,
     hermitian_basis,
@@ -186,7 +189,8 @@ class TestSuperoperators:
         drive = rect((TWO_PI * 30e6, cfg.omega_d), 100e-9)
         signal = rect((1e4, cfg.get("signal_freq")), 100e-9)
         sched = PulseSchedule(((ROLE_DRIVE, drive), (ROLE_SIGNAL, signal)), frame, 100e-9)
-        static, coefficients = _schedule_terms(sched, params, space)
+        static = _frame_static(frame, params, space)
+        coefficients = _schedule_terms(sched, params)
         pulse_terms = superoperators(params, 3).pulse_terms
 
         h0 = hamiltonian_static(params, frame, 0.0, frame.qubit_ref, space=space).matrix
@@ -283,7 +287,8 @@ class TestSuperoperators:
             *(_commutator_superop(0.5 * q) for q in drive_quadratures(space)),
             *(_commutator_superop(root_kext * q) for q in input_quadratures(space)),
         ]
-        terms = [_schedule_terms(sched, params, space) for sched in schedules]
+        terms = [(_frame_static(sched.frame, params, space), _schedule_terms(sched, params))
+                 for sched in schedules]
         blocks = sorted({c.block for _, coefficients in terms for c in coefficients})
         rng = np.random.default_rng(32)
         duration = min(sched.duration for sched in schedules)
@@ -299,6 +304,18 @@ class TestSuperoperators:
             oracle = real_form(sup)
             err = np.linalg.norm(y[:, b] - oracle @ x[:, b])
             assert err <= 1e-13 * np.linalg.norm(oracle) * np.linalg.norm(x[:, b])
+
+    @pytest.mark.parametrize("width", [1, 2, 12, 24])
+    def test_csr_product_is_the_operator_product(self, params, detect, width):
+        """The RHS forms its stage products by calling scipy's CSR kernel
+        directly; on the detection batch's block it equals ``matrix @ z``
+        bit for bit at every width, so a change to that private kernel fails
+        here instead of moving a result."""
+        from lambdadet.pulses import detection_schedule
+
+        rhs = _StackedRHS([detection_schedule(params, detect)], params, build_space(3))
+        z = np.random.default_rng(width).normal(size=(rhs.matrix.shape[1], width))
+        assert np.array_equal(_csr_product(rhs.matrix)(z), rhs.matrix @ z)
 
     @pytest.mark.parametrize("n_max", [1, 2, 3])
     def test_pi_pulse_is_a_signed_permutation(self, n_max):
@@ -646,24 +663,25 @@ class TestPropagate:
 
     def test_step_maps_match_stage_by_stage_rk4(self, params, reset, monkeypatch):
         """A reset schedule holds its drive and reset tone flat for 380 ns and
-        ends in a zero tail up to the click; those intervals advance by cached
-        step maps. The states of runs that end at the readout marker and at
-        the click equal a stage-by-stage RK4 on the same step grid, run here
-        on the kron-built ``liouvillian``."""
-        step_map, uses = _StackedRHS.step_map, []
+        ends in a zero tail up to the click; ``_plan`` advances those
+        intervals by step maps. The states of runs that end at the readout
+        marker and at the click equal a stage-by-stage RK4 on the same step
+        grid, run here on the kron-built ``liouvillian``."""
+        plans = []
 
-        def spy(rhs, b, coefficients, h, n):
-            uses.append((h, n))
-            return step_map(rhs, b, coefficients, h, n)
+        def spy(rhs, times, max_step):
+            plans.append(_plan(rhs, times, max_step))
+            return plans[-1]
 
-        monkeypatch.setattr(_StackedRHS, "step_map", spy)
+        monkeypatch.setattr(dynamics, "_plan", spy)
         space = build_space(3)
         sched = reset_schedule(params, reset)
         t_click = sched.marker_times[-1] + 100e-9
         opts = IntegratorOptions()
         rho0 = mixed_initial_state(space, params.init_excited_pop, sched.frame)
         traj = propagate(rho0, sched, params, opts, until=t_click)
-        assert len(uses) > len(traj.times) / 2
+        (plan,) = plans
+        assert sum(bool(gap.mapped) for gap in plan) > len(traj.times) / 2
         at_marker = propagate(rho0, sched, params, opts, until=sched.marker_times[-1])
 
         # both tones sit on the frame's references, so
@@ -701,6 +719,47 @@ class TestPropagate:
                     k4 = generator(tb) @ (x + h * k3)
                     x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             assert np.max(np.abs(run.final.matrix.reshape(-1) - x)) <= 1e-12
+
+    def test_reset_row_columns_do_not_depend_on_batch_width(self, params, reset, monkeypatch):
+        """A reset-map row, the no-reset baseline and five reset tones, run
+        at batch widths 6, 3 and 1 up to 100 ns after the marker: every
+        column's state, its final state and its trace error at every sample,
+        is the same bit for bit. Each column's step map changes mid run,
+        from the plateau's to the zero tail's, so the kept stack of step
+        maps is rebuilt per column between batch mates' products. (The
+        observable series are read from the block by one product over its
+        columns, which rounds by width in the last bit.)"""
+        plans = []
+
+        def spy(rhs, times, max_step):
+            plans.append(_plan(rhs, times, max_step))
+            return plans[-1]
+
+        monkeypatch.setattr(dynamics, "_plan", spy)
+        no_reset = dataclasses.replace(reset, nbar_rst=0.0)
+        row = [no_reset] + [
+            dataclasses.replace(reset, omega_rst=reset.omega_rst + TWO_PI * mhz * 1e6)
+            for mhz in (-6.0, -3.0, 0.0, 3.0, 6.0)
+        ]
+        schedules = [reset_schedule(params, settings) for settings in row]
+        rho0s = [mixed_initial_state(build_space(3), params.init_excited_pop, s.frame)
+                 for s in schedules]
+        until = schedules[0].marker_times[-1] + 100e-9
+
+        def run(cols):
+            return propagate_batch([rho0s[b] for b in cols], [schedules[b] for b in cols],
+                                   params, until=until)
+
+        wide = run(range(6))
+        remaps = [sum(b in gap.remap for gap in plans[0]) for b in range(6)]
+        assert min(remaps) >= 2
+        narrow = run(range(3)) + run(range(3, 6))
+        alone = [traj for b in range(6) for traj in run([b])]
+        for b, traj in enumerate(wide):
+            for other in (narrow[b], alone[b]):
+                assert np.array_equal(traj.times, other.times)
+                assert np.array_equal(traj.trace_error, other.trace_error)
+                assert np.array_equal(traj.final.matrix, other.final.matrix)
 
     def test_checks_fire_inside_step_map_intervals(self, clean_params, monkeypatch):
         """Rect drives are constant, so every interval runs on a step map. At

@@ -18,7 +18,10 @@ bound in BENCHMARK.json, and the verdicts ``gain_rule_met``,
 compares the two runs' ``outputs_sha256``, and each workload records in how
 many pairs every output was identical. ``--trace-seed`` adds one traced run
 per side with the per-layer metrics; each ``--also`` adds pairs of
-another workload, to show that it does not get worse. Each workload needs at least two seeds,
+another workload, to show that it does not get worse. Before every run the
+``__pycache__`` directories under the checkout's ``src/`` and ``perfbench/``
+are deleted, so neither side imports bytecode that the other compiles
+(``setup_s`` times fresh imports); the output records it. Each workload needs at least two seeds,
 and a run that crashes, whose outputs fail a check or that reports failed
 operations stops the tool, naming the pair.
 """
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -35,6 +39,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 STDERR_LINES = 10  # of a failed run, in the message that stops the tool
+CACHED = ("src", "perfbench")  # the directories of a checkout a run imports from
 
 
 def seed_range(text):
@@ -42,13 +47,23 @@ def seed_range(text):
     return list(range(int(lo), int(hi or lo) + 1))
 
 
+def clear_bytecode(checkout: Path):
+    """Delete every ``__pycache__`` directory under the checkout's ``CACHED``
+    directories."""
+    for top in CACHED:
+        for cache in sorted((checkout / top).rglob("__pycache__"), reverse=True):
+            shutil.rmtree(cache)
+
+
 def run(checkout: Path, workload: str, seed: int, trace: int, seconds: float | None, where):
-    """One perfbench run; returns its summary line and its full record.
+    """One perfbench run, from a checkout without bytecode caches
+    (``clear_bytecode``); returns its summary line and its full record.
 
     A run that exits non-zero, whose outputs fail a check, or that reports
     failed operations ends the tool with a message naming ``where`` it
     happened; a non-zero exit adds its code and the end of its stderr.
     """
+    clear_bytecode(checkout)
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--trace", str(trace)]
     if seconds is not None:
@@ -167,6 +182,8 @@ def main(argv=None):
                   "while the change was written. Quartiles are statistics.quantiles(n=4, "
                   "method='inclusive'). Each side runs the perfbench/ files of its own "
                   "checkout. Written by tools/bench_pairs.py.",
+        "bytecode_caches_deleted_before_each_run":
+            [f"{top}/**/__pycache__" for top in CACHED],
         "parent_commit": args.parent_commit or "unknown",
         "machine": {k: machine[k] for k in ("nproc", "cpus_usable", "cpu_model", "python",
                                             "numpy", "scipy", "blas", "blas_threads", "workers")},
