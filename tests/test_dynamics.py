@@ -661,12 +661,9 @@ class TestPropagate:
         for name in ("times", "p_excited", "photon_number", "field", "trace_error"):
             assert np.array_equal(getattr(early, name), getattr(full, name)[: k + 1])
 
-    def test_step_maps_match_stage_by_stage_rk4(self, params, reset, monkeypatch):
-        """A reset schedule holds its drive and reset tone flat for 380 ns and
-        ends in a zero tail up to the click; ``_plan`` advances those
-        intervals by step maps. The states of runs that end at the readout
-        marker and at the click equal a stage-by-stage RK4 on the same step
-        grid, run here on the kron-built ``liouvillian``."""
+    @pytest.fixture
+    def plans(self, monkeypatch):
+        """The ``_plan`` of every batch propagated in the test, in order."""
         plans = []
 
         def spy(rhs, times, max_step):
@@ -674,6 +671,14 @@ class TestPropagate:
             return plans[-1]
 
         monkeypatch.setattr(dynamics, "_plan", spy)
+        return plans
+
+    def test_step_maps_match_stage_by_stage_rk4(self, params, reset, plans):
+        """A reset schedule holds its drive and reset tone flat for 380 ns and
+        ends in a zero tail up to the click; ``_plan`` advances those
+        intervals by step maps. The states of runs that end at the readout
+        marker and at the click equal a stage-by-stage RK4 on the same step
+        grid, run here on the kron-built ``liouvillian``."""
         space = build_space(3)
         sched = reset_schedule(params, reset)
         t_click = sched.marker_times[-1] + 100e-9
@@ -720,7 +725,7 @@ class TestPropagate:
                     x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             assert np.max(np.abs(run.final.matrix.reshape(-1) - x)) <= 1e-12
 
-    def test_reset_row_columns_do_not_depend_on_batch_width(self, params, reset, monkeypatch):
+    def test_reset_row_columns_do_not_depend_on_batch_width(self, params, reset, plans):
         """A reset-map row, the no-reset baseline and five reset tones, run
         at batch widths 6, 3 and 1 up to 100 ns after the marker: every
         column's state, its final state and its trace error at every sample,
@@ -729,13 +734,6 @@ class TestPropagate:
         maps is rebuilt per column between batch mates' products. (The
         observable series are read from the block by one product over its
         columns, which rounds by width in the last bit.)"""
-        plans = []
-
-        def spy(rhs, times, max_step):
-            plans.append(_plan(rhs, times, max_step))
-            return plans[-1]
-
-        monkeypatch.setattr(dynamics, "_plan", spy)
         no_reset = dataclasses.replace(reset, nbar_rst=0.0)
         row = [no_reset] + [
             dataclasses.replace(reset, omega_rst=reset.omega_rst + TWO_PI * mhz * 1e6)

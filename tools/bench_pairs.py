@@ -21,9 +21,9 @@ per side with the per-layer metrics; each ``--also`` adds pairs of
 another workload, to show that it does not get worse. Before every run the
 ``__pycache__`` directories under the checkout's ``src/`` and ``perfbench/``
 are deleted, so neither side imports bytecode that the other compiles
-(``setup_s`` times fresh imports); the output records it. Each workload needs at least two seeds,
-and a run that crashes, whose outputs fail a check or that reports failed
-operations stops the tool, naming the pair.
+(``setup_s`` times fresh imports); the output records it. Each workload
+needs at least two seeds, and a run that crashes, whose outputs fail a
+check or that reports failed operations stops the tool, naming the pair.
 """
 
 from __future__ import annotations
