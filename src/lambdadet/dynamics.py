@@ -717,16 +717,16 @@ def _plan(rhs: _StackedRHS, times: np.ndarray, max_step: float) -> list:
             known.append(length := span)
         hs.append(length / n)
 
-    # per gap and column the step map's key (h, n, coefficients), compared
-    # with that of the column's last mapped gap before it
+    # a column's step map is keyed by (h, n, coefficients); per gap and
+    # column, compare the key with that of the column's last mapped gap
     n_gaps, n_cols = constant.shape
-    keys = np.concatenate([np.broadcast_to(np.array(hs)[:, None, None], (n_gaps, 1, n_cols)),
-                           np.broadcast_to(counts[:, None, None], (n_gaps, 1, n_cols)),
-                           table[4 * starts[:-1]]], axis=1)
     last = np.maximum.accumulate(np.where(constant, np.arange(n_gaps)[:, None], -1), axis=0)
     before = np.concatenate([np.full((1, n_cols), -1), last[:-1]])
-    moved = (np.take_along_axis(keys, np.maximum(before, 0)[:, None, :], axis=0) != keys)
-    remap = constant & ((before < 0) | moved.any(axis=1))
+    prev = np.maximum(before, 0)
+    h, first = np.array(hs), table[4 * starts[:-1]]  # first: (gaps, K, B)
+    moved = (h[prev] != h[:, None]) | (counts[prev] != counts[:, None])
+    moved |= (np.take_along_axis(first, prev[:, None, :], axis=0) != first).any(axis=1)
+    remap = constant & ((before < 0) | moved)
 
     cols = range(n_cols)
     return [
